@@ -161,22 +161,12 @@ def _cmd_validate(args) -> dict:
 
 
 def _cmd_h0(args) -> dict:
-    from .lattice import bounding_box, box_points, vertex_enumeration
-
     bundle = load_bundle(args.bundle)
     if args.u is not None:
         u = _parse_vector(args.u)
         return {"u": list(u), "h0_u": bundle.h0_global(u)}
-    report = {"h0_total": bundle.h0_total(), "nonzero": []}
-    pts = []
-    for p in bundle.parliament().values():
-        pts.extend(vertex_enumeration(p).vertices)
-    lo, hi = bounding_box(pts, 0)
-    for u in box_points(lo, hi):
-        h = bundle.h0_global(u)
-        if h:
-            report["nonzero"].append({"u": list(u), "h0": h})
-    return report
+    nonzero = [{"u": list(u), "h0": h} for u, h in bundle.h0_nonzero()]
+    return {"h0_total": sum(e["h0"] for e in nonzero), "nonzero": nonzero}
 
 
 def _cmd_chi(args) -> dict:

@@ -13,13 +13,22 @@ indicators, but those rows are not Bergman points; the closure rows are, and
 ranks, sections and Euler characteristics are unchanged).  Character sums are
 restricted to the slice {u : sum u_j = 1}, which carries all sections.
 
-Large sweeps run on bounded integers inside numpy int64 arrays; all values
-are tiny (ranks and pairings), so the arithmetic stays exact.
+The vanishing check sweeps the slice box {sum u = 1, |u_i| <= b}.  The box is
+built in numpy (the first m - 1 coordinates run over the cube, the last is
+solved for) and streamed in blocks of CHUNK points, so memory stays bounded
+for any m and b.  On each block chi_u comes from the flag formula: the flags
+whose first pairing-one entry is S factor into signed chains below S with
+pairings <= 0 and above S with pairings <= 1, and both signed counts are
+subset DPs over submasks, O(3^m) per point with one numpy gather per layer
+of subsets of one size.  h0_u is parliament membership of the diagram
+columns, one broadcast comparison per block.  The DP values count chains of
+subsets, so they are at most the number of flags (47,293 at m = 7) in
+absolute value and int64 arithmetic stays exact.  The per-flag-chain sweep
+this replaces is kept in the tests as the oracle.
 """
 
 from __future__ import annotations
 
-import itertools
 from functools import lru_cache
 
 import numpy as np
@@ -348,64 +357,119 @@ def _signed_flags_through(u, s_mask: int, m: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Vectorized sweep and the vanishing check
+# Streamed subset-DP sweep and the vanishing check
 # ---------------------------------------------------------------------------
 
+# Points per block of the streamed slice box.  A sweep holds O(CHUNK * 3^m)
+# int64 values at a time, whatever the box size (about 11 MB at m = 7).
+# Measured from 256 to 4096: larger blocks cost memory in proportion and, from
+# m = 6 on, run slower; smaller ones pay more per-block overhead.
+CHUNK = 1024
+
+
 def _slice_box(m: int, bound: int):
-    """All integer u with coordinates in [-bound, bound] and sum 1."""
-    pts = [
-        u
-        for u in itertools.product(range(-bound, bound + 1), repeat=m)
-        if sum(u) == 1
-    ]
-    return np.array(pts, dtype=np.int64)
+    """All integer u with coordinates in [-bound, bound] and sum 1.
+
+    Yields int64 blocks of CHUNK rows (the last one may be shorter) in
+    lexicographic order: the first m - 1 coordinates run over the cube in
+    blocks of CHUNK prefixes and the last one is solved for.
+    """
+    side = 2 * bound + 1
+    n_prefix = side ** (m - 1)
+    pending, held = [], 0
+    for start in range(0, n_prefix, CHUNK):
+        code = np.arange(start, min(start + CHUNK, n_prefix), dtype=np.int64)
+        block = np.empty((code.size, m), dtype=np.int64)
+        for j in range(m - 2, -1, -1):
+            code, digit = np.divmod(code, side)
+            block[:, j] = digit - bound
+        block[:, m - 1] = 1 - block[:, : m - 1].sum(axis=1)
+        pending.append(block[np.abs(block[:, m - 1]) <= bound])
+        held += pending[-1].shape[0]
+        if held >= CHUNK:  # each block adds at most CHUNK rows
+            rows = np.concatenate(pending)
+            yield rows[:CHUNK]
+            pending, held = [rows[CHUNK:]], held - CHUNK
+    if held:
+        yield np.concatenate(pending)
 
 
-def _sweep(matroid: Matroid, U: np.ndarray):
-    """chi and h0 arrays over character rows of U (exact int64 arithmetic)."""
-    m = matroid.m
-    bundle = tautological_bundle(matroid)
+@lru_cache(maxsize=None)
+def _subset_layers(m: int):
+    """Subset-lattice index arrays for the DPs of `_sweep`.
+
+    Returns (subset_cols, layers): subset_cols is the (2^m, m) indicator
+    matrix of all masks; layers[k - 1] = (masks, below, above) lists the masks
+    of size k, their nonempty proper submasks and their proper supersets
+    other than [m], as index arrays of shape (C(m, k),), (C(m, k), 2^k - 2)
+    and (C(m, k), max(2^(m-k) - 2, 0)).
+    """
     full = (1 << m) - 1
-    subset_cols = np.zeros((m, full + 1), dtype=np.int64)
-    for mask in range(1, full + 1):
-        for i in range(m):
-            if mask >> i & 1:
-                subset_cols[i, mask] = 1
-    sums = U @ subset_cols  # (N, 2^m) pairings with every e_S
+    subset_cols = np.array(
+        [[mask >> i & 1 for i in range(m)] for mask in range(full + 1)],
+        dtype=np.int64,
+    )
+    layers = []
+    for k in range(1, m + 1):
+        masks = [s for s in range(1, full + 1) if bin(s).count("1") == k]
+        below = [[t for t in range(1, s) if t & s == t] for s in masks]
+        above = [[t for t in range(s + 1, full) if t & s == s] for s in masks]
+        layers.append(tuple(
+            np.array(x, dtype=np.intp) for x in (masks, below, above)
+        ))
+    return subset_cols, tuple(layers)
 
-    rank_of = np.zeros(full + 1, dtype=np.int64)
-    for mask in range(full + 1):
-        rank_of[mask] = matroid.rank(_mask_to_set(mask))
 
-    n_pts = U.shape[0]
-    chi = np.zeros(n_pts, dtype=np.int64)
-    r_total = matroid.rank_total
-    for chain in _chains_of_masks(m):
-        codim = m - 1 - len(chain)
-        sign = -1 if codim % 2 else 1
-        over = np.zeros(n_pts, dtype=bool)
-        found = np.zeros(n_pts, dtype=bool)
-        first_rank = np.full(n_pts, r_total, dtype=np.int64)  # hit at G
-        for mask in chain:
-            p = sums[:, mask]
-            hit = (~found) & (p == 1)
-            first_rank[hit] = rank_of[mask]
-            found |= hit
-            over |= p >= 2
-        h0 = np.where(over, 0, first_rank)
-        chi += sign * h0
+def _sweep(matroid: Matroid, blocks):
+    """Yield (U, chi, h0) for each block U of character rows (exact int64).
 
-    # parliament membership per element: u in P_e iff every subset pairing
-    # is at most the closure-indicator entry of e
-    member_mask = np.zeros(n_pts, dtype=np.int64)
-    for e in range(1, m + 1):
-        ok = np.ones(n_pts, dtype=bool)
-        for mask in bundle.fan.ray_masks:
-            row = bundle.rows[_mask_to_set(mask)]
-            ok &= sums[:, mask] <= row[e - 1]
-        member_mask += ok.astype(np.int64) << (e - 1)
-    h0 = rank_of[member_mask]
-    return chi, h0
+    With p(S) = <u, e_S>, the flags whose first pairing-one entry is S
+    factor into chains below S with pairings <= 0 and chains above S with
+    pairings <= 1.  Their signed counts satisfy
+        B(S) = 1 - sum B(T) over nonempty T < S with p(T) <= 0,
+        A(S) = 1 - sum A(T) over S < T < [m] with p(T) <= 1,
+    and chi_u = (-1)^m sum rank(S) B(S) A(S) over proper S with p(S) = 1,
+    plus (-1)^(m-1) rank(M) B([m]).  Each layer of subsets of one size is
+    one numpy gather, O(3^m) work per point.  h0_u is the rank of the set of
+    elements e whose parliament contains u: p(S) <= [e in cl(S)] for all S.
+    """
+    m = matroid.m
+    full = (1 << m) - 1
+    subset_cols, layers = _subset_layers(m)
+    rank_of = np.array(
+        [matroid.rank(_mask_to_set(mask)) for mask in range(full + 1)],
+        dtype=np.int64,
+    )
+    bundle = tautological_bundle(matroid)
+    closure_rows = np.array(
+        [bundle.rows[_mask_to_set(mask)] for mask in range(1, full)],
+        dtype=np.int64,
+    ).reshape(full - 1, m, 1)
+    element_bits = (np.int64(1) << np.arange(m, dtype=np.int64))[:, None]
+    sign = -1 if m % 2 else 1
+
+    for U in blocks:
+        sums = subset_cols @ U.T  # (2^m, N): pairing of every e_S with u
+        below_ok = sums <= 0
+        above_ok = sums <= 1
+
+        B = np.empty_like(sums)  # signed chains below S
+        B_ok = np.zeros_like(sums)  # B where p <= 0, the terms of larger S
+        for masks, below, _ in layers:
+            B[masks] = 1 - B_ok[below].sum(axis=1)
+            B_ok[masks] = B[masks] * below_ok[masks]
+        A = np.zeros_like(sums)  # signed chains above S, zero where p > 1
+        for masks, _, above in reversed(layers[:-1]):
+            A[masks] = (1 - A[above].sum(axis=1)) * above_ok[masks]
+
+        proper = slice(1, full)
+        first = (sums[proper] == 1) * B[proper] * A[proper]
+        chi = sign * (rank_of[proper, None] * first).sum(axis=0)
+        chi -= sign * rank_of[full] * B[full]
+
+        members = (sums[1:full, None, :] <= closure_rows).all(axis=0)
+        h0 = rank_of[(members * element_bits).sum(axis=0)]
+        yield U, chi, h0
 
 
 def vanishing_check(matroid: Matroid, max_coord=None) -> dict:
@@ -413,21 +477,30 @@ def vanishing_check(matroid: Matroid, max_coord=None) -> dict:
 
     The box is {u : sum u = 1, |u_i| <= max_coord} (default max(m, 2)); both
     functions must vanish on the box's margin shell, so the verified region
-    genuinely contains all of the support.
+    genuinely contains all of the support.  A bound below 2 is rejected: such
+    a box lies entirely on its shell and verifies nothing.  The box is
+    streamed in blocks of CHUNK points, so memory stays bounded.
     """
     m = matroid.m
     bound = max_coord if max_coord is not None else max(m, 2)
-    U = _slice_box(m, bound)
-    chi, h0 = _sweep(matroid, U)
-    on_shell = (np.abs(U) == bound).any(axis=1)
-    shell_ok = bool((chi[on_shell] == 0).all() and (h0[on_shell] == 0).all())
-    mismatches = np.nonzero(chi != h0)[0]
-    failures = [tuple(int(x) for x in U[i]) for i in mismatches[:20]]
+    if bound < 2:
+        raise ValidationError(
+            f"max_coord must be at least 2, got {bound}: every point of a "
+            "smaller box lies on its margin shell"
+        )
+    points, shell_ok, mismatches, failures = 0, True, 0, []
+    for U, chi, h0 in _sweep(matroid, _slice_box(m, bound)):
+        points += U.shape[0]
+        on_shell = (np.abs(U) == bound).any(axis=1)
+        shell_ok = shell_ok and not (chi[on_shell].any() or h0[on_shell].any())
+        bad = np.nonzero(chi != h0)[0]
+        mismatches += bad.size
+        failures += [tuple(int(x) for x in U[i]) for i in bad[: 20 - len(failures)]]
     return {
         "m": m,
         "max_coord": bound,
-        "points": int(U.shape[0]),
+        "points": points,
         "shell_ok": shell_ok,
-        "all_equal": bool(len(mismatches) == 0) and shell_ok,
+        "all_equal": mismatches == 0 and shell_ok,
         "failures": failures,
     }

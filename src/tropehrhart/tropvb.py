@@ -155,13 +155,29 @@ class TropicalVectorBundle:
             total += val
         return total
 
+    def h0_nonzero(self):
+        """(u, h0_u) for every character with global sections, in box order.
+
+        A character with sections lies in some parliament polytope, so the
+        unpadded bounding box of their vertices holds all of them; when every
+        parliament is empty there are none.
+        """
+        pts = []
+        for p in self.parliament().values():
+            pts.extend(vertex_enumeration(p).vertices)
+        if not pts:
+            return []
+        out = []
+        for u in box_points(*bounding_box(pts, 0)):
+            h = self.h0_global(u)
+            if h:
+                out.append((u, h))
+        return out
+
     def h0_total(self, box=None) -> int:
         """Sum of global section ranks over all characters."""
         if box is None:
-            pts = []
-            for p in self.parliament().values():
-                pts.extend(vertex_enumeration(p).vertices)
-            box = bounding_box(pts, 1)
+            return sum(h for _, h in self.h0_nonzero())
         return sum(self.h0_global(u) for u in box_points(*box))
 
     # -- characters and the associated chain --------------------------------

@@ -27,11 +27,14 @@ def files(tmp_path_factory):
         "diagram": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
     }
     bad = dict(u23_bundle, diagram=[[1, 1, 0], [0, 1, 0], [0, 0, 1]])
+    # twisted down by one: every parliament polytope is empty
+    no_sections = dict(u23_bundle, diagram=[[0, -1, -1], [-1, 0, -1], [-1, -1, 0]])
     paths = {}
     for name, data in [
         ("fano", fano),
         ("u23_bundle", u23_bundle),
         ("bad", bad),
+        ("no_sections", no_sections),
         ("u23_matroid", {"m": 3, "bases": [[1, 2], [1, 3], [2, 3]]}),
         ("chain", {"terms": [{"coeff": 2, "vertices": [[0, 0], [1, 0], ["1/1", "2/2"]]}]}),
     ]:
@@ -65,6 +68,12 @@ def test_h0(files, capsys):
     assert json.loads(out)["h0_total"] == 27
     code, out = run(capsys, "h0", "--bundle", files["fano"], "--u", "1,1")
     assert json.loads(out)["h0_u"] == 1
+
+
+def test_h0_without_global_sections(files, capsys):
+    code, out = run(capsys, "h0", "--bundle", files["no_sections"])
+    assert code == 0
+    assert json.loads(out) == {"h0_total": 0, "nonzero": []}
 
 
 def test_validate_good(files, capsys):
@@ -151,6 +160,15 @@ def test_taut_check(files, capsys):
     assert report["all_equal"] is True
     assert report["failures"] == []
     assert report["verified_box"]["max_coord"] == 3
+
+
+@pytest.mark.parametrize("bound", ["0", "-1", "1"])
+def test_taut_check_rejects_box_below_two(files, capsys, bound):
+    # a box with max_coord <= 1 lies entirely on its margin shell
+    code, out = run(capsys, "taut-check", "--matroid", files["u23_matroid"],
+                    "--max-coord", bound)
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "ValidationError"
 
 
 def test_flag_sum(capsys):

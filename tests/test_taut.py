@@ -1,11 +1,17 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from tropehrhart.errors import ValidationError
 from tropehrhart.matroid import Matroid, in_lifted_bergman, uniform_matroid
 from tropehrhart.taut import (
+    CHUNK,
+    _chains_of_masks,
+    _mask_to_set,
+    _slice_box,
+    _sweep,
     flag_alternating_sum,
     permutahedral_fan,
     taut_chi_u,
@@ -225,3 +231,147 @@ def test_vanishing_sweep_matches_pointwise(u23_matroid):
         if sum(u) != 1:
             continue
         assert taut_chi_u(u23_matroid, u).value == taut_h0_global(u23_matroid, u)
+
+
+# ---------------------------------------------------------------------------
+# the streamed subset-DP sweep against the per-flag-chain oracle
+# ---------------------------------------------------------------------------
+
+def _product_box(m, bound):
+    """The slice box by its definition, in itertools.product order."""
+    return np.array(
+        [u for u in itertools.product(range(-bound, bound + 1), repeat=m)
+         if sum(u) == 1],
+        dtype=np.int64,
+    ).reshape(-1, m)
+
+
+def _chain_sweep(matroid, U):
+    """chi and h0 over the rows of U, one numpy pass per flag chain."""
+    m = matroid.m
+    bundle = tautological_bundle(matroid)
+    full = (1 << m) - 1
+    subset_cols = np.zeros((m, full + 1), dtype=np.int64)
+    for mask in range(1, full + 1):
+        for i in range(m):
+            if mask >> i & 1:
+                subset_cols[i, mask] = 1
+    sums = U @ subset_cols  # (N, 2^m) pairings with every e_S
+
+    rank_of = np.zeros(full + 1, dtype=np.int64)
+    for mask in range(full + 1):
+        rank_of[mask] = matroid.rank(_mask_to_set(mask))
+
+    n_pts = U.shape[0]
+    chi = np.zeros(n_pts, dtype=np.int64)
+    r_total = matroid.rank_total
+    for chain in _chains_of_masks(m):
+        codim = m - 1 - len(chain)
+        sign = -1 if codim % 2 else 1
+        over = np.zeros(n_pts, dtype=bool)
+        found = np.zeros(n_pts, dtype=bool)
+        first_rank = np.full(n_pts, r_total, dtype=np.int64)  # hit at G
+        for mask in chain:
+            p = sums[:, mask]
+            hit = (~found) & (p == 1)
+            first_rank[hit] = rank_of[mask]
+            found |= hit
+            over |= p >= 2
+        h0 = np.where(over, 0, first_rank)
+        chi += sign * h0
+
+    # parliament membership per element: u in P_e iff every subset pairing
+    # is at most the closure-indicator entry of e
+    member_mask = np.zeros(n_pts, dtype=np.int64)
+    for e in range(1, m + 1):
+        ok = np.ones(n_pts, dtype=bool)
+        for mask in bundle.fan.ray_masks:
+            row = bundle.rows[_mask_to_set(mask)]
+            ok &= sums[:, mask] <= row[e - 1]
+        member_mask += ok.astype(np.int64) << (e - 1)
+    h0 = rank_of[member_mask]
+    return chi, h0
+
+
+def _streamed(matroid, bound):
+    blocks = list(_sweep(matroid, _slice_box(matroid.m, bound)))
+    return tuple(np.concatenate([b[i] for b in blocks]) for i in range(3))
+
+
+def _assert_matches_oracle(matroid, bound):
+    U, chi, h0 = _streamed(matroid, bound)
+    want_chi, want_h0 = _chain_sweep(matroid, U)
+    assert np.array_equal(chi, want_chi), (matroid, bound)
+    assert np.array_equal(h0, want_h0), (matroid, bound)
+
+
+def _all_ranks(m):
+    yield Matroid(m, [frozenset()])  # rank zero: every element a loop
+    for r in range(1, m + 1):
+        yield uniform_matroid(r, m)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_sweep_matches_chain_oracle_uniform(m):
+    for matroid in _all_ranks(m):
+        _assert_matches_oracle(matroid, max(m, 2))
+
+
+def test_sweep_matches_chain_oracle_non_uniform():
+    for matroid in (
+        Matroid(4, [{1, 2}]),                                    # two loops
+        Matroid(4, [{1, 3}, {1, 4}, {2, 3}, {2, 4}, {3, 4}]),    # 1 || 2
+        Matroid(4, [{1, 3}, {1, 4}, {2, 3}, {2, 4}]),            # U12 + U12
+        Matroid(5, [set(b) | {e}
+                    for b in [{1, 2}, {1, 3}, {2, 3}]
+                    for e in (4, 5)]),                           # U23 + U12
+        Matroid(5, list(itertools.combinations(range(1, 5), 2))),  # loop at 5
+    ):
+        _assert_matches_oracle(matroid, max(matroid.m, 2))
+
+
+def test_sweep_matches_chain_oracle_m6():
+    for r in (2, 3):
+        _assert_matches_oracle(uniform_matroid(r, 6), 2)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
+def test_slice_box_matches_product_order(m):
+    bounds = {2, 3} | ({max(m, 2)} if m <= 5 else set())
+    for bound in sorted(bounds):
+        blocks = list(_slice_box(m, bound))
+        assert all(b.shape[0] == CHUNK for b in blocks[:-1])
+        assert np.array_equal(np.concatenate(blocks), _product_box(m, bound))
+
+
+def test_sweep_with_partial_last_chunk():
+    matroid = uniform_matroid(2, 5)
+    points = _product_box(5, 5).shape[0]
+    assert points > CHUNK and points % CHUNK != 0
+    blocks = list(_slice_box(5, 5))
+    assert blocks[-1].shape[0] == points % CHUNK
+    _assert_matches_oracle(matroid, 5)
+
+
+def test_vanishing_rejects_box_below_two(u23_matroid):
+    for bound in (1, 0, -1):
+        with pytest.raises(ValidationError):
+            vanishing_check(u23_matroid, max_coord=bound)
+
+
+def test_vanishing_reports_first_failures_across_chunks(monkeypatch):
+    # a sweep that disagrees everywhere: the report must list the first 20
+    # points in box order and flag the shell, whatever the block boundaries
+    import tropehrhart.taut as taut
+
+    def disagreeing(matroid, blocks):
+        for U in blocks:
+            yield U, np.zeros(U.shape[0], dtype=np.int64), np.ones(U.shape[0], dtype=np.int64)
+
+    monkeypatch.setattr(taut, "CHUNK", 7)
+    monkeypatch.setattr(taut, "_sweep", disagreeing)
+    report = vanishing_check(uniform_matroid(2, 4), max_coord=2)
+    box = _product_box(4, 2)
+    assert report["points"] == box.shape[0]
+    assert report["failures"] == [tuple(int(x) for x in u) for u in box[:20]]
+    assert not report["shell_ok"] and not report["all_equal"]

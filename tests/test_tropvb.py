@@ -123,6 +123,17 @@ def test_h0_global_fano_total(fano_bundle):
     assert fano_bundle.h0_total() == 27
 
 
+def test_h0_total_with_empty_parliament(p2_fan, u23_matroid):
+    # the U(2,3) bundle twisted down by one: every column sums to -2 over
+    # the rays of P^2, so every parliament polytope is empty
+    bundle = validate(p2_fan, u23_matroid,
+                      [(0, -1, -1), (-1, 0, -1), (-1, -1, 0)])
+    assert all(not vertex_enumeration(p).vertices
+               for p in bundle.parliament().values())
+    assert bundle.h0_nonzero() == []
+    assert bundle.h0_total() == 0
+
+
 def test_h0_global_matches_parliament_route(fano_bundle, u23_bundle):
     for bundle in (fano_bundle, u23_bundle):
         for u in grid_points(2, 3):
