@@ -130,13 +130,26 @@ def load_chain(path: str) -> ConvexChain:
     return ConvexChain(terms)
 
 
-def _parse_vector(text: str):
-    return tuple(int(x) for x in text.split(","))
+def _parse_vector(text: str, dim=None):
+    """Comma-separated integers; with dim given, exactly dim of them."""
+    try:
+        vec = tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise ValidationError(
+            f"expected comma-separated integers, got {text!r}"
+        ) from None
+    if dim is not None and len(vec) != dim:
+        raise ValidationError(
+            f"expected {dim} coordinates, got {len(vec)} in {text!r}"
+        )
+    return vec
 
 
-def _parse_box(text: str):
-    lo, hi = text.split(":")
-    return (_parse_vector(lo), _parse_vector(hi))
+def _parse_box(text: str, dim: int):
+    lo, sep, hi = text.partition(":")
+    if not sep:
+        raise ValidationError(f"expected a box lo1,lo2:hi1,hi2, got {text!r}")
+    return (_parse_vector(lo, dim), _parse_vector(hi, dim))
 
 
 def _cone_label(key) -> str:
@@ -163,7 +176,7 @@ def _cmd_validate(args) -> dict:
 def _cmd_h0(args) -> dict:
     bundle = load_bundle(args.bundle)
     if args.u is not None:
-        u = _parse_vector(args.u)
+        u = _parse_vector(args.u, bundle.fan.ambient_dim)
         return {"u": list(u), "h0_u": bundle.h0_global(u)}
     nonzero = [{"u": list(u), "h0": h} for u, h in bundle.h0_nonzero()]
     return {"h0_total": sum(e["h0"] for e in nonzero), "nonzero": nonzero}
@@ -171,9 +184,10 @@ def _cmd_h0(args) -> dict:
 
 def _cmd_chi(args) -> dict:
     bundle = load_bundle(args.bundle)
-    box = _parse_box(args.box) if args.box else None
+    dim = bundle.fan.ambient_dim
+    box = _parse_box(args.box, dim) if args.box else None
     if args.u is not None:
-        u = _parse_vector(args.u)
+        u = _parse_vector(args.u, dim)
         return {
             "u": list(u),
             "chi_u": bundle.euler_char_u(u),
@@ -190,16 +204,22 @@ def _cmd_alpha_eval(args) -> dict:
         chain = load_chain(args.chain)
         if args.u is None:
             raise ValidationError("alpha-eval on a chain file needs --u")
-        u = _parse_vector(args.u)
+        dims = {piece.ambient_dim for _, piece in chain.terms}
+        if len(dims) > 1:
+            raise ValidationError("chain pieces differ in dimension")
+        u = _parse_vector(args.u, dims.pop() if dims else None)
         return {"u": list(u), "value": chain.evaluate(u)}
+    if not args.bundle:
+        raise ValidationError("alpha-eval needs --bundle or --chain")
     bundle = load_bundle(args.bundle)
+    dim = bundle.fan.ambient_dim
     chain = bundle.chain_alpha(verify=False)
     if args.u is not None:
-        u = _parse_vector(args.u)
+        u = _parse_vector(args.u, dim)
         alpha = chain.evaluate(u)
         chi = bundle.euler_char_u(u)
         return {"u": list(u), "alpha_u": alpha, "chi_u": chi, "equal": alpha == chi}
-    box = _parse_box(args.box) if args.box else bundle.chi_box()
+    box = _parse_box(args.box, dim) if args.box else bundle.chi_box()
     return {
         "alpha_total": lattice_sum(chain, box),
         "box": [list(b) for b in box],

@@ -23,10 +23,6 @@ class UnboundedPolyhedronError(TropehrhartError):
     """A bounded polyhedron was required."""
 
 
-class EmptyPolyhedronError(TropehrhartError):
-    """A nonempty polyhedron was required."""
-
-
 class NotInSupportError(TropehrhartError):
     """Query point lies outside the support of the fan."""
 
@@ -81,7 +77,10 @@ class InvalidBoundError(TropehrhartError):
 
 
 class InterpolationFailureError(TropehrhartError):
-    """Interpolated polynomial failed its off-grid consistency check."""
+    """Riemann-Roch polynomial failed its top-degree check.
+
+    Its degree-n part must be rank times the volume polynomial of the fan.
+    """
 
 
 class UnsupportedConeError(TropehrhartError):

@@ -2,13 +2,18 @@
 
 The function z -> I(alpha[z]) (integral of the chain convolved with the
 virtual polytope of support numbers z) is a polynomial of total degree at
-most the ambient dimension.  It is recovered by exact interpolation from
-evaluations at honest-polytope configurations: every branch of the bundle's
-support function is written as a difference of convex support functions on a
-zonotopal refinement of the fan, so each evaluation reduces to signed volumes
-of genuine Minkowski sums.  Applying the truncated Todd operator
-prod_rho T(d/dz_rho), T(t) = t / (1 - e^{-t}), at z = 0 then turns the
-integral polynomial into the lattice sum, i.e. the Euler characteristic.
+most the ambient dimension: on a fixed complete fan, integration extends
+volume polynomially to virtual polytopes (Khovanskii-Pukhlikov; Lawrence,
+"Polytope volume computation").  It is built in closed form.  On the fan
+refined so that every branch of the bundle's support function is linear,
+I(z) = sum_i V(b_i + L z): b_i are the branch values on the refined rays,
+L z the values there of the piecewise linear extension of z, and V the
+volume form, the segment length in dimension one and the shoelace area over
+the vertices (each linear in the ray values) in dimension two.  As a guard,
+the degree-n part must equal rank times the volume form of the unrefined
+fan.  Applying the truncated Todd operator prod_rho T(d/dz_rho),
+T(t) = t / (1 - e^{-t}), at z = 0 then turns the integral polynomial into
+the lattice sum, i.e. the Euler characteristic.
 """
 
 from __future__ import annotations
@@ -16,23 +21,16 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import cmp_to_key
-from math import ceil, comb, factorial
+from math import comb, factorial
 
-from .chains import invert_polytope, split_branches
+from .chains import split_branches
 from .errors import (
     InterpolationFailureError,
     UnsupportedDimensionError,
+    ValidationError,
 )
-from .lattice import (
-    Fan,
-    HPolyhedron,
-    VPolytope,
-    minkowski_sum,
-    refine_by_hyperplanes,
-    vertex_enumeration,
-    volume,
-)
-from .linalg import dot, solve_unique
+from .lattice import Fan
+from .linalg import solve_unique
 
 HRR_MAX_DIM = 2
 
@@ -105,25 +103,6 @@ class MultiPoly:
             total += term
         return total
 
-    def compose_shift(self, delta) -> "MultiPoly":
-        """The polynomial q with q(z) = p(z + delta)."""
-        delta = tuple(Fraction(x) for x in delta)
-        out = {}
-        for mono, c in self.coeffs.items():
-            # expand prod_i (z_i + delta_i)^{mono_i}
-            expansions = []
-            for e, d in zip(mono, delta):
-                expansions.append(
-                    [(k, comb(e, k) * d ** (e - k)) for k in range(e + 1)]
-                )
-            for picks in itertools.product(*expansions):
-                new_mono = tuple(k for k, _ in picks)
-                factor = c
-                for _, f in picks:
-                    factor *= f
-                out[new_mono] = out.get(new_mono, Fraction(0)) + factor
-        return MultiPoly(self.num_vars, out)
-
     def __eq__(self, other):
         return (
             isinstance(other, MultiPoly)
@@ -153,7 +132,7 @@ def apply_todd(p: MultiPoly) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# Exact interpolation of z -> I(alpha[z])
+# The closed-form polynomial z -> I(alpha[z])
 # ---------------------------------------------------------------------------
 
 def _sort_rays_ccw(rays):
@@ -170,107 +149,121 @@ def _sort_rays_ccw(rays):
     return sorted(rays, key=cmp_to_key(compare))
 
 
-def _walls(fan: Fan):
-    """Convexity data per wall: (prev ray, next ray, a, b, wall ray).
+def _shoelace(fan: Fan) -> dict:
+    """Volume of P(h) = {x : <v_j, x> <= h_j} as a form in the ray values h_j.
 
-    A support function h is convex across the wall w iff
-    h(prev) + a*h(next) >= b*h(w), where prev + a*next = b*w with a, b > 0.
-    In dimension one the single wall is the origin and the condition reads
-    h(r0) + h(r1) >= 0.
+    Returns {ray index tuple: coefficient}, one index per factor h_j.  In
+    dimension one the rays are the primitive +1 and -1, and the length of the
+    segment is h_+ + h_-.  In
+    dimension two the vertex x_j of the cone spanned by consecutive
+    counter-clockwise rays v_j, v_{j+1} solves <v_j, x> = h_j,
+    <v_{j+1}, x> = h_{j+1}, so it is linear in h, and the area is the
+    shoelace sum (1/2) sum_j x_j x x_{j+1}.  The form is the polynomial
+    extension of volume to all, also non-convex, ray values.
     """
     if fan.ambient_dim == 1:
-        r0, r1 = fan.rays
-        return [(r0, r1, Fraction(1), Fraction(0), None)]
-    ordered = _sort_rays_ccw(fan.rays)
+        return {(0,): 1, (1,): 1}
+    index = {r: j for j, r in enumerate(fan.rays)}
+    ordered = [index[r] for r in _sort_rays_ccw(fan.rays)]
     k = len(ordered)
-    walls = []
-    for i in range(k):
-        prev = ordered[(i - 1) % k]
-        w = ordered[i]
-        nxt = ordered[(i + 1) % k]
-        sol = solve_unique(
-            [(nxt[0], -w[0]), (nxt[1], -w[1])], (-prev[0], -prev[1])
-        )
-        a, b = sol
-        # b = 0 happens when prev and next are antipodal (a straight angle);
-        # rays of a zonotopal fan are closed under negation, so b < 0 cannot
-        if a <= 0 or b < 0:
-            raise InterpolationFailureError(
-                f"degenerate wall data at ray {w}"
-            )
-        walls.append((prev, w, nxt, a, b))
-    return [(p, n, a, b, w) for p, w, n, a, b in walls]
+    vertices = []  # x_j as ({ray index: coeff}, {ray index: coeff})
+    for t in range(k):
+        a, b = ordered[t], ordered[(t + 1) % k]
+        (p, q), (r, s) = fan.rays[a], fan.rays[b]
+        det = p * s - q * r
+        vertices.append((
+            {a: Fraction(s, det), b: Fraction(-q, det)},
+            {a: Fraction(-r, det), b: Fraction(p, det)},
+        ))
+    form = {}
+    for t in range(k):
+        (x0, y0), (x1, y1) = vertices[t], vertices[(t + 1) % k]
+        for left, right, sign in ((x0, y1, 1), (y0, x1, -1)):
+            for i, ci in left.items():
+                for j, cj in right.items():
+                    key = (i, j) if i <= j else (j, i)
+                    form[key] = form.get(key, 0) + sign * ci * cj / 2
+    return form
 
 
-def _wall_deficit(values, walls, ray_index):
-    """Largest convexity violation of ray values across the walls."""
-    worst = Fraction(0)
-    for prev, nxt, a, b, w in walls:
-        hw = values[ray_index[w]] if w is not None else Fraction(0)
-        deficit = b * hw - values[ray_index[prev]] - a * values[ray_index[nxt]]
-        if deficit > worst:
-            worst = deficit
-    return worst
+def _extension_forms(fan: Fan, rays):
+    """Value at each ray v of the piecewise linear function with values z on fan.
 
-
-def _honest_polytope(fan: Fan, values) -> VPolytope:
-    """Polytope of convex support numbers, with attainment verified."""
-    ineqs = [(fan.rays[i], values[i]) for i in range(len(fan.rays))]
-    p = vertex_enumeration(HPolyhedron(ineqs, (), fan.ambient_dim))
-    if p.is_empty():
-        raise InterpolationFailureError("support numbers cut out no polytope")
-    for i, r in enumerate(fan.rays):
-        if max(dot(r, v) for v in p.vertices) != values[i]:
-            raise InterpolationFailureError(
-                f"support number on ray {r} is not attained; "
-                "the numbers are not convex on this fan"
-            )
-    return p
-
-
-def _zonotopal_fan(fan: Fan) -> Fan:
-    """Refine a 2d fan so a strictly convex support function is available."""
-    if fan.ambient_dim == 1:
-        return fan
-    normals = [(-r[1], r[0]) for r in fan.rays]
-    return refine_by_hyperplanes(fan, normals)
-
-
-def _reference_values(fan: Fan):
-    """Strictly convex support numbers on a zonotopal fan.
-
-    Sum of max(0, <s, x>) over the rotated ray normals s; every wall of the
-    zonotopal fan lies on a kink line of one summand.
+    v is written in the ray basis of a maximal cone of the (simplicial) fan
+    that contains it, v = sum_i c_i r_i, and the value is sum_i c_i z_i.
+    Returns one {variable index: c_i} map per ray.
     """
-    if fan.ambient_dim == 1:
-        return [Fraction(1), Fraction(1)]
-    normals = {(-r[1], r[0]) for r in fan.rays}
-    normals = {n if _positive(n) else (-n[0], -n[1]) for n in normals}
+    index = {r: i for i, r in enumerate(fan.rays)}
+    n = fan.ambient_dim
+    forms = []
+    for v in rays:
+        if v in index:
+            forms.append({index[v]: 1})
+            continue
+        for key in fan.maximal_keys:
+            idx = sorted(key)
+            c = solve_unique(
+                [tuple(fan.rays[i][t] for i in idx) for t in range(n)], v
+            )
+            if c is not None and all(x >= 0 for x in c):
+                forms.append({i: x for i, x in zip(idx, c) if x != 0})
+                break
+        else:
+            raise InterpolationFailureError(f"ray {v} lies in no maximal cone")
+    return forms
 
-    def g(x):
-        return sum(max(0, dot(s, x)) for s in normals)
 
-    return [Fraction(g(r)) for r in fan.rays]
+def _branch_sum(form: dict, values, lin, num_vars: int) -> dict:
+    """sum_i V(values[i] + L z) as {exponent tuple: coefficient}.
+
+    V is the form {ray index tuple: c} of _shoelace and lin[j] the linear
+    form {variable index: coefficient} of (L z)_j.  Each factor of a term is
+    either the constant values[i][j] or the linear form lin[j]; the constants
+    are summed over i first, so the branches cost one scalar product each.
+    """
+    out = {}
+    for key, c in form.items():
+        for picks in itertools.product((False, True), repeat=len(key)):
+            weight = 0
+            for vals in values:
+                w = c
+                for j, p in zip(key, picks):
+                    if not p:
+                        w *= vals[j]
+                weight += w
+            if not weight:
+                continue
+            terms = {(): weight}
+            for j, p in zip(key, picks):
+                if not p:
+                    continue
+                nxt = {}
+                for used, t in terms.items():
+                    for i, a in lin[j].items():
+                        m = tuple(sorted(used + (i,)))
+                        nxt[m] = nxt.get(m, 0) + t * a
+                terms = nxt
+            for used, t in terms.items():
+                out[used] = out.get(used, 0) + t
+    exponents = {}
+    for used, t in out.items():
+        mono = [0] * num_vars
+        for i in used:
+            mono[i] += 1
+        exponents[tuple(mono)] = t
+    return exponents
 
 
-def _positive(v):
-    for x in v:
-        if x != 0:
-            return x > 0
-    return False
-
-
-def interpolate_volume_polynomial(h, base=None) -> MultiPoly:
+def interpolate_volume_polynomial(h) -> MultiPoly:
     """Exact polynomial z -> I(alpha_h * 1_{P(z)}) in ray coordinates.
 
-    h is a multi-valued support function on a smooth complete fan of
-    dimension at most two.  Evaluations happen at z-offsets around a deep
-    base point c (default 3*(n+1)*max|branch value|): each branch plus the
-    linear extension of z + c is convexified by a large multiple of a
-    strictly convex reference function on a zonotopal refinement, reducing
-    every evaluation to signed volumes of honest Minkowski sums.  The fitted
-    polynomial is verified on extra off-grid points, then recentered to
-    absolute coordinates.
+    h is a multi-valued support function on a complete fan of dimension at
+    most two.  On the refined fan where every branch is linear, the chain of
+    h is the sum of the Brianchon-Gram chains of its branch numbers b_i, and
+    convolving with P(z) adds the values L z of the linear extension of z.
+    So I(z) = sum_i V(b_i + L z) with V the volume form of the refined fan.
+    The degree-n part must be rank * (volume form of the fan itself); a
+    mismatch raises InterpolationFailureError.
     """
     fan = h.fan
     n = fan.ambient_dim
@@ -279,129 +272,23 @@ def interpolate_volume_polynomial(h, base=None) -> MultiPoly:
         raise UnsupportedDimensionError(
             f"volume interpolation capped at dimension {HRR_MAX_DIM}"
         )
+    if not fan.is_complete():
+        raise ValidationError("the volume polynomial needs a complete fan")
 
-    fan_r, _ = split_branches(h)
-    fan_z = _zonotopal_fan(fan_r)
-    # branch values on the zonotopal fan's rays
-    branch_vals = []
-    for i in range(h.rank):
-        branch_vals.append([h.values_at(v)[i] for v in fan_z.rays])
-    gvals = _reference_values(fan_z)
-    walls = _walls(fan_z)
-    ray_index = {r: i for i, r in enumerate(fan_z.rays)}
+    fan_r, branch_numbers = split_branches(h)
+    lin = _extension_forms(fan, fan_r.rays)
+    values = [sn.values for sn in branch_numbers]
+    poly = MultiPoly(s, _branch_sum(_shoelace(fan_r), values, lin, s))
 
-    if base is None:
-        scale = max(
-            (abs(v) for vals in branch_vals for v in vals), default=Fraction(0)
+    # with zero constants only the degree-n part survives
+    own = [{i: 1} for i in range(s)]
+    expected = _branch_sum(_shoelace(fan), [(0,) * s], own, s)
+    top = {m: c for m, c in poly.coeffs.items() if sum(m) == n}
+    if top != {m: h.rank * c for m, c in expected.items() if c != 0}:
+        raise InterpolationFailureError(
+            "degree-n part is not rank times the volume polynomial of the fan"
         )
-        base = tuple([3 * (n + 1) * (int(scale) + 1)] * s)
-    else:
-        base = tuple(Fraction(x) for x in base)
-
-    # the grid {z >= 0, sum z <= n} is poised for total degree n
-    grid = [
-        z
-        for z in itertools.product(range(n + 1), repeat=s)
-        if sum(z) <= n
-    ]
-    extra = _offgrid_points(s, n)
-
-    def extend(zvec):
-        """Values on fan_z rays of the piecewise linear extension of zvec."""
-        out = []
-        for v in fan_z.rays:
-            key = None
-            for mkey in fan.maximal_keys:
-                if fan.cone(mkey).contains(v):
-                    key = mkey
-                    break
-            idx = sorted(key)
-            u = solve_unique(
-                [fan.rays[i] for i in idx], [zvec[i] for i in idx]
-            )
-            out.append(dot(u, v))
-        return out
-
-    shifted = [tuple(Fraction(z[i]) + base[i] for i in range(s)) for z in grid]
-    shifted_extra = [
-        tuple(Fraction(z[i]) + base[i] for i in range(s)) for z in extra
-    ]
-    extensions = [extend(z) for z in shifted + shifted_extra]
-
-    # one convexification factor covering every branch and every grid shift
-    worst = Fraction(0)
-    for vals in branch_vals:
-        worst = max(worst, _wall_deficit(vals, walls, ray_index))
-    for ext in extensions:
-        worst = max(worst, _wall_deficit(ext, walls, ray_index))
-    surplus = _wall_surplus(gvals, walls, ray_index)
-    if surplus <= 0:
-        raise InterpolationFailureError("reference function is not strictly convex")
-    t = 2 * (ceil(worst / surplus) + 1)
-    tg = [t * gv for gv in gvals]
-
-    inv_chain = invert_polytope(_honest_polytope(fan_z, tg))
-
-    def evaluate_at(ext_vals) -> Fraction:
-        total = Fraction(0)
-        for vals in branch_vals:
-            numbers = [
-                vals[i] + ext_vals[i] + tg[i] for i in range(len(fan_z.rays))
-            ]
-            big = _honest_polytope(fan_z, numbers)
-            for coef, piece in inv_chain.terms:
-                total += coef * volume(minkowski_sum(big, piece))
-        return total
-
-    values = [evaluate_at(ext) for ext in extensions[: len(grid)]]
-
-    monos = sorted(
-        (m for m in itertools.product(range(n + 1), repeat=s) if sum(m) <= n),
-        key=lambda m: (sum(m), m),
-    )
-    rows = []
-    for z in grid:
-        rows.append([_mono_eval(m, z) for m in monos])
-    coeffs = solve_unique(rows, values)
-    if coeffs is None:
-        raise InterpolationFailureError("interpolation system is singular")
-    p_shifted = MultiPoly(s, dict(zip(monos, coeffs)))
-
-    for z, ext in zip(extra, extensions[len(grid):]):
-        if p_shifted.evaluate(z) != evaluate_at(ext):
-            raise InterpolationFailureError(
-                f"polynomial check failed at off-grid point {z}"
-            )
-
-    return p_shifted.compose_shift(tuple(-Fraction(c) for c in base))
-
-
-def _wall_surplus(values, walls, ray_index):
-    surplus = None
-    for prev, nxt, a, b, w in walls:
-        hw = values[ray_index[w]] if w is not None else Fraction(0)
-        gain = values[ray_index[prev]] + a * values[ray_index[nxt]] - b * hw
-        surplus = gain if surplus is None else min(surplus, gain)
-    return surplus
-
-
-def _mono_eval(mono, z):
-    out = Fraction(1)
-    for e, x in zip(mono, z):
-        out *= Fraction(x) ** e
-    return out
-
-
-def _offgrid_points(s, n):
-    import random
-
-    rng = random.Random(20240 + s + n)
-    pts = []
-    while len(pts) < 5:
-        z = tuple(rng.randint(n + 1, n + 6) for _ in range(s))
-        if z not in pts:
-            pts.append(z)
-    return pts
+    return poly
 
 
 # ---------------------------------------------------------------------------

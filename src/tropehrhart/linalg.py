@@ -11,16 +11,8 @@ from fractions import Fraction
 from math import gcd
 
 
-def vec_add(a, b):
-    return tuple(x + y for x, y in zip(a, b))
-
-
 def vec_sub(a, b):
     return tuple(x - y for x, y in zip(a, b))
-
-
-def vec_scale(c, a):
-    return tuple(c * x for x in a)
 
 
 def vec_neg(a):
@@ -56,10 +48,6 @@ def clear_denominators(v):
         d = f.denominator
         lcm = lcm * d // gcd(lcm, d)
     return primitive(tuple(int(f * lcm) for f in fracs))
-
-
-def as_fraction_vec(v):
-    return tuple(Fraction(x) for x in v)
 
 
 def rref(rows):

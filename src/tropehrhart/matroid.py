@@ -142,8 +142,6 @@ class Matroid:
 
 
 def uniform_matroid(r: int, m: int) -> Matroid:
-    if r == 0:
-        raise ValidationError("rank zero matroids are not supported")
     return Matroid(m, itertools.combinations(range(1, m + 1), r))
 
 

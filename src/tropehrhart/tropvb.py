@@ -42,7 +42,6 @@ from .lattice import (
 )
 from .linalg import dot, solve, solve_unique
 from .matroid import Matroid, apartment_contains, circuit_extension, in_lifted_bergman
-from ._util import pmap
 
 
 class TropicalVectorBundle:
@@ -144,10 +143,9 @@ class TropicalVectorBundle:
         if box is None:
             box = self.chi_box()
         lo, hi = box
-        points = list(box_points(lo, hi))
-        values = pmap(self.euler_char_u, points)
         total = 0
-        for u, val in zip(points, values):
+        for u in box_points(lo, hi):
+            val = self.euler_char_u(u)
             if val != 0 and any(
                 x == l or x == h for x, l, h in zip(u, lo, hi)
             ):

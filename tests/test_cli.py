@@ -37,6 +37,8 @@ def files(tmp_path_factory):
         ("no_sections", no_sections),
         ("u23_matroid", {"m": 3, "bases": [[1, 2], [1, 3], [2, 3]]}),
         ("chain", {"terms": [{"coeff": 2, "vertices": [[0, 0], [1, 0], ["1/1", "2/2"]]}]}),
+        ("mixed_chain", {"terms": [{"coeff": 1, "vertices": [[0, 0], [1, 0]]},
+                                   {"coeff": 1, "vertices": [[0, 0, 0]]}]}),
     ]:
         path = root / f"{name}.json"
         path.write_text(json.dumps(data))
@@ -117,6 +119,31 @@ def test_malformed_inputs_exit_2(tmp_path, capsys):
 
     code, out = run(capsys, "alpha-eval", "--chain", str(bad_json))
     assert code == 2
+
+
+# every bundle here is 2-d and the chain file holds 2-d vertices; the mixed
+# chain has a 2-d and a 3-d piece
+@pytest.mark.parametrize("argv", [
+    ["chi", "--bundle", "u23_bundle", "--u", "1"],
+    ["chi", "--bundle", "u23_bundle", "--u", "1,0,5"],
+    ["h0", "--bundle", "u23_bundle", "--u", "0"],
+    ["alpha-eval", "--bundle", "u23_bundle", "--u", "0,0,0,0"],
+    ["alpha-eval", "--chain", "chain", "--u", "0"],
+    ["chi", "--bundle", "u23_bundle", "--u", "a,b"],
+    ["chi", "--bundle", "u23_bundle", "--u", "1.5,0"],
+    ["chi", "--bundle", "u23_bundle", "--box", "0,0"],
+    ["chi", "--bundle", "u23_bundle", "--box", "0:3"],
+    ["chi", "--bundle", "u23_bundle", "--box=-3,-3:3,x"],
+    ["alpha-eval", "--bundle", "u23_bundle", "--box=-3,-3,-3:3,3,3"],
+    ["alpha-eval", "--chain", "mixed_chain", "--u", "0,0"],
+    ["alpha-eval", "--u", "0,0"],
+    ["resolve", "--bundle", "u23_bundle", "--f", "0,x,0"],
+], ids=lambda argv: " ".join(argv))
+def test_malformed_or_wrong_length_arguments_exit_2(files, capsys, argv):
+    argv = [files.get(a, a) for a in argv]
+    code, out = run(capsys, *argv)
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "ValidationError"
 
 
 def test_alpha_eval_bundle(files, capsys):

@@ -1,14 +1,24 @@
+import itertools
 import random
 from fractions import Fraction
-from math import comb
+from math import ceil, comb
 
 import pytest
 
-from tropehrhart.chains import MultiValuedSupportFunction
-from tropehrhart.errors import InterpolationFailureError, UnsupportedDimensionError
+from tropehrhart import hrr
+from tropehrhart.chains import (
+    MultiValuedSupportFunction,
+    invert_polytope,
+    split_branches,
+)
+from tropehrhart.errors import (
+    InterpolationFailureError,
+    UnsupportedDimensionError,
+    ValidationError,
+)
 from tropehrhart.hrr import (
     MultiPoly,
-    _honest_polytope,
+    _sort_rays_ccw,
     apply_todd,
     bernoulli,
     hrr_verify,
@@ -16,12 +26,32 @@ from tropehrhart.hrr import (
     interpolate_volume_polynomial,
     todd_coeffs,
 )
-from tropehrhart.lattice import Fan, HPolyhedron, lattice_points, vertex_enumeration
-from tropehrhart.linalg import solve_unique
+from tropehrhart.lattice import (
+    Fan,
+    HPolyhedron,
+    lattice_points,
+    minkowski_sum,
+    refine_by_hyperplanes,
+    vertex_enumeration,
+    volume,
+)
+from tropehrhart.linalg import dot, solve_unique
 from tropehrhart.matroid import uniform_matroid
 from tropehrhart.tropvb import validate
 
-from conftest import zonotope_support_numbers
+from conftest import random_bundle, random_p1_bundle, zonotope_support_numbers
+
+# asymmetric smooth fan (a Hirzebruch surface); the last case has negative
+# Euler characteristic, so the associated chain is genuinely virtual
+HIRZEBRUCH_FAN = Fan(
+    [(1, 0), (0, 1), (-1, 2), (0, -1)], [[0, 1], [1, 2], [2, 3], [3, 0]]
+)
+HIRZEBRUCH_CASES = [
+    ([(0,), (0,), (0,), (0,)], 1),
+    ([(1,), (0,), (0,), (0,)], 2),
+    ([(2,), (1,), (0,), (1,)], 9),
+    ([(0,), (3,), (1,), (0,)], -4),
+]
 
 
 # ---------------------------------------------------------------------------
@@ -86,7 +116,7 @@ def test_apply_todd_constant():
 
 def test_multipoly_shift():
     p = MultiPoly(2, {(2, 0): 1, (1, 1): 2})
-    q = p.compose_shift((1, -1))
+    q = compose_shift(p, (1, -1))
     for z in [(0, 0), (3, 2), (-1, 5)]:
         assert q.evaluate(z) == p.evaluate((z[0] + 1, z[1] - 1))
 
@@ -141,14 +171,14 @@ def test_interpolation_dimension_cap():
         interpolate_I(bundle)
 
 
-def test_honest_polytope_guard(hexagon_fan):
-    # non-convex support numbers must be caught by the attainment check
-    values = [0, 0, 0, 2, 2, 2]
-    ordered = dict(zip([(1, 0), (0, 1), (-1, -1), (-1, 0), (0, -1), (1, 1)], values))
-    with pytest.raises(InterpolationFailureError):
-        _honest_polytope(
-            hexagon_fan, [ordered[r] for r in hexagon_fan.rays]
-        )
+def test_volume_polynomial_needs_complete_fan():
+    # the upper half plane: consecutive rays (-1, 0), (1, 0) span no cone
+    fan = Fan([(1, 0), (0, 1), (-1, 0)], [[0, 1], [1, 2]])
+    h = MultiValuedSupportFunction(
+        fan, {key: ((0, 0),) for key in fan.maximal_keys}
+    )
+    with pytest.raises(ValidationError):
+        interpolate_volume_polynomial(h)
 
 
 def test_todd_counts_lattice_points_of_random_polygons(hexagon_fan):
@@ -210,18 +240,235 @@ def test_hrr_random_bundles_on_p1xp1(p1xp1_fan):
 
 
 def test_hrr_on_hirzebruch_fan():
-    # asymmetric smooth fan; the last case has negative Euler characteristic,
-    # so the associated chain is genuinely virtual
-    fan = Fan([(1, 0), (0, 1), (-1, 2), (0, -1)], [[0, 1], [1, 2], [2, 3], [3, 0]])
+    fan = HIRZEBRUCH_FAN
     assert fan.is_smooth() and fan.is_complete()
-    cases = [
-        ([(0,), (0,), (0,), (0,)], 1),
-        ([(1,), (0,), (0,), (0,)], 2),
-        ([(2,), (1,), (0,), (1,)], 9),
-        ([(0,), (3,), (1,), (0,)], -4),
-    ]
-    for rows, chi in cases:
+    for rows, chi in HIRZEBRUCH_CASES:
         bundle = validate(fan, uniform_matroid(1, 1), rows)
         assert bundle.euler_char_total() == chi
         result = hrr_verify(bundle)
         assert result["equal"] and result["lhs"] == chi
+
+
+# ---------------------------------------------------------------------------
+# the exact oracle: convexify, take honest Minkowski sums, interpolate
+# ---------------------------------------------------------------------------
+#
+# Each branch plus the linear extension of a shifted z is convexified by a
+# large multiple t*g of a strictly convex reference function g on a
+# zonotopal refinement, so V(b + Lz) = vol(P(b + Lz + t*g) - P(t*g)) is a
+# signed sum of volumes of genuine Minkowski sums.  The polynomial is fitted
+# on the poised grid {z >= 0, sum z <= n} around a deep base point, checked
+# on off-grid points, and recentered.
+
+def compose_shift(p, delta):
+    """The polynomial q with q(z) = p(z + delta)."""
+    delta = tuple(Fraction(x) for x in delta)
+    out = {}
+    for mono, c in p.coeffs.items():
+        expansions = [
+            [(k, comb(e, k) * d ** (e - k)) for k in range(e + 1)]
+            for e, d in zip(mono, delta)
+        ]
+        for picks in itertools.product(*expansions):
+            new_mono = tuple(k for k, _ in picks)
+            factor = c
+            for _, f in picks:
+                factor *= f
+            out[new_mono] = out.get(new_mono, Fraction(0)) + factor
+    return MultiPoly(p.num_vars, out)
+
+
+def _walls(fan):
+    """Convexity data per wall: (prev ray, next ray, a, b, wall ray).
+
+    h is convex across the wall w iff h(prev) + a*h(next) >= b*h(w), where
+    prev + a*next = b*w with a, b > 0; in dimension one the single wall is
+    the origin and the condition reads h(r0) + h(r1) >= 0.
+    """
+    if fan.ambient_dim == 1:
+        r0, r1 = fan.rays
+        return [(r0, r1, Fraction(1), Fraction(0), None)]
+    ordered = _sort_rays_ccw(fan.rays)
+    k = len(ordered)
+    walls = []
+    for i in range(k):
+        prev, w, nxt = ordered[i - 1], ordered[i], ordered[(i + 1) % k]
+        a, b = solve_unique(
+            [(nxt[0], -w[0]), (nxt[1], -w[1])], (-prev[0], -prev[1])
+        )
+        assert a > 0 and b >= 0, f"degenerate wall data at ray {w}"
+        walls.append((prev, nxt, a, b, w))
+    return walls
+
+
+def _wall_gaps(values, walls, ray_index):
+    """h(prev) + a*h(next) - b*h(w) per wall: negative where h is not convex."""
+    gaps = []
+    for prev, nxt, a, b, w in walls:
+        hw = values[ray_index[w]] if w is not None else Fraction(0)
+        gaps.append(values[ray_index[prev]] + a * values[ray_index[nxt]] - b * hw)
+    return gaps
+
+
+def _honest_polytope(fan, values):
+    """Polytope of convex support numbers, with attainment verified."""
+    ineqs = [(fan.rays[i], values[i]) for i in range(len(fan.rays))]
+    p = vertex_enumeration(HPolyhedron(ineqs, (), fan.ambient_dim))
+    if p.is_empty():
+        raise InterpolationFailureError("support numbers cut out no polytope")
+    for i, r in enumerate(fan.rays):
+        if max(dot(r, v) for v in p.vertices) != values[i]:
+            raise InterpolationFailureError(
+                f"support number on ray {r} is not attained"
+            )
+    return p
+
+
+def _fitted_polynomial(h):
+    fan = h.fan
+    n = fan.ambient_dim
+    s = len(fan.rays)
+    fan_r, _ = split_branches(h)
+    if n == 1:
+        fan_z = fan_r
+        gvals = [Fraction(1), Fraction(1)]
+    else:
+        # zonotopal refinement and a strictly convex reference function on it
+        normals = {(-r[1], r[0]) for r in fan_r.rays}
+        fan_z = refine_by_hyperplanes(fan_r, sorted(normals))
+        normals = {g if g > (0, 0) else (-g[0], -g[1]) for g in normals}
+        gvals = [
+            Fraction(sum(max(0, dot(g, r)) for g in normals)) for r in fan_z.rays
+        ]
+    branch_vals = [
+        [h.values_at(v)[i] for v in fan_z.rays] for i in range(h.rank)
+    ]
+    walls = _walls(fan_z)
+    ray_index = {r: i for i, r in enumerate(fan_z.rays)}
+
+    scale = max((abs(v) for vals in branch_vals for v in vals), default=0)
+    base = (3 * (n + 1) * (int(scale) + 1),) * s
+    grid = [
+        z for z in itertools.product(range(n + 1), repeat=s) if sum(z) <= n
+    ]
+    rng = random.Random(20240 + s + n)
+    extra = []
+    while len(extra) < 5:
+        z = tuple(rng.randint(n + 1, n + 6) for _ in range(s))
+        if z not in extra:
+            extra.append(z)
+
+    def extend(zvec):
+        """Values on fan_z rays of the piecewise linear extension of zvec."""
+        out = []
+        for v in fan_z.rays:
+            key = next(
+                k for k in fan.maximal_keys if fan.cone(k).contains(v)
+            )
+            idx = sorted(key)
+            u = solve_unique([fan.rays[i] for i in idx], [zvec[i] for i in idx])
+            out.append(dot(u, v))
+        return out
+
+    extensions = [
+        extend([z[i] + base[i] for i in range(s)]) for z in grid + extra
+    ]
+    # one convexification factor covering every branch and every shift
+    worst = max(
+        [Fraction(0)]
+        + [-g for vals in branch_vals + extensions
+           for g in _wall_gaps(vals, walls, ray_index)]
+    )
+    surplus = min(_wall_gaps(gvals, walls, ray_index))
+    assert surplus > 0, "reference function is not strictly convex"
+    tg = [2 * (ceil(worst / surplus) + 1) * g for g in gvals]
+    inv_chain = invert_polytope(_honest_polytope(fan_z, tg))
+
+    def evaluate_at(ext):
+        total = Fraction(0)
+        for vals in branch_vals:
+            big = _honest_polytope(
+                fan_z, [vals[i] + ext[i] + tg[i] for i in range(len(tg))]
+            )
+            for coef, piece in inv_chain.terms:
+                total += coef * volume(minkowski_sum(big, piece))
+        return total
+
+    monos = sorted(grid, key=lambda m: (sum(m), m))
+    rows = [
+        [MultiPoly(s, {m: 1}).evaluate(z) for m in monos] for z in grid
+    ]
+    values = [evaluate_at(ext) for ext in extensions[: len(grid)]]
+    p_shifted = MultiPoly(s, dict(zip(monos, solve_unique(rows, values))))
+    for z, ext in zip(extra, extensions[len(grid):]):
+        assert p_shifted.evaluate(z) == evaluate_at(ext), f"off-grid {z}"
+    return compose_shift(p_shifted, [-c for c in base])
+
+
+def _assert_matches_oracle(bundle):
+    h = bundle.support_function()
+    assert interpolate_volume_polynomial(h) == _fitted_polynomial(h)
+
+
+def test_honest_polytope_guard(hexagon_fan):
+    # non-convex support numbers must be caught by the attainment check
+    values = [0, 0, 0, 2, 2, 2]
+    ordered = dict(zip([(1, 0), (0, 1), (-1, -1), (-1, 0), (0, -1), (1, 1)], values))
+    with pytest.raises(InterpolationFailureError):
+        _honest_polytope(
+            hexagon_fan, [ordered[r] for r in hexagon_fan.rays]
+        )
+
+
+def test_closed_form_matches_oracle_on_p1(p1_fan):
+    for d in range(4):
+        _assert_matches_oracle(validate(p1_fan, uniform_matroid(1, 1), [(d,), (0,)]))
+    rng = random.Random(5)
+    for matroid in (uniform_matroid(2, 3), uniform_matroid(2, 4)):
+        _assert_matches_oracle(random_p1_bundle(p1_fan, matroid, rng))
+
+
+def test_closed_form_matches_oracle_on_named_bundles(fano_bundle, u23_bundle):
+    _assert_matches_oracle(fano_bundle)
+    _assert_matches_oracle(u23_bundle)
+
+
+def test_closed_form_matches_oracle_on_hirzebruch_fan():
+    for rows, _ in HIRZEBRUCH_CASES:
+        _assert_matches_oracle(
+            validate(HIRZEBRUCH_FAN, uniform_matroid(1, 1), rows)
+        )
+
+
+# the oracle's cost grows quickly with the refined fan (a hexagon U(3,5)
+# draw refined to 10 rays takes about 8 s), so each seed draws a bundle whose
+# branches do split the fan but only into a few extra rays
+@pytest.mark.parametrize("fan_name, r, m, seed", [
+    ("p2_fan", 2, 4, 8),
+    ("p2_fan", 3, 5, 1),
+    ("p1xp1_fan", 2, 4, 1),
+    ("p1xp1_fan", 3, 5, 14),
+    ("hexagon_fan", 2, 4, 2),
+    ("hexagon_fan", 3, 5, 51),
+])
+def test_closed_form_matches_oracle_on_random_bundles(request, fan_name, r, m,
+                                                      seed):
+    fan = request.getfixturevalue(fan_name)
+    bundle = random_bundle(fan, uniform_matroid(r, m), random.Random(seed))
+    assert len(split_branches(bundle.support_function())[0].rays) > len(fan.rays)
+    _assert_matches_oracle(bundle)
+
+
+def test_top_degree_guard(fano_bundle, monkeypatch):
+    h = fano_bundle.support_function()
+    real = hrr._extension_forms
+
+    def skewed(fan, rays):
+        # values of z on the rays of the refined fan, one coefficient off
+        forms = real(fan, rays)
+        forms[0] = {i: 2 * c for i, c in forms[0].items()}
+        return forms
+
+    monkeypatch.setattr(hrr, "_extension_forms", skewed)
+    with pytest.raises(InterpolationFailureError):
+        interpolate_volume_polynomial(h)

@@ -34,6 +34,17 @@ def test_uniform_matroid_basics(u23_matroid):
     assert loops(u23_matroid) == frozenset()
 
 
+def test_uniform_matroid_rank_zero():
+    # agrees with the basis-list constructor and the CLI schema {"bases": [[]]}
+    from tropehrhart.taut import vanishing_check
+
+    for m in range(1, 5):
+        matroid = uniform_matroid(0, m)
+        assert matroid == Matroid(m, [frozenset()])
+        assert matroid.rank(matroid.ground) == 0
+        assert vanishing_check(matroid)["all_equal"] is True
+
+
 def test_fano_closure_adds_third_point(fano_matroid):
     # y1, y2 span the line through z3
     assert closure(fano_matroid, {1, 2}) == frozenset({1, 2, 6})

@@ -405,13 +405,6 @@ def test_bundle_over_matroid_with_parallel_elements(p2_fan):
     assert hrr_verify(bundle)["equal"]
 
 
-def test_thread_cap_does_not_change_results(fano_bundle, monkeypatch):
-    monkeypatch.setenv("TROPEHRHART_THREADS", "4")
-    assert fano_bundle.euler_char_total() == 27
-    monkeypatch.setenv("TROPEHRHART_THREADS", "not-a-number")
-    assert fano_bundle.euler_char_total() == 27
-
-
 def test_random_p1_bundles_alpha_equals_chi(p1_fan):
     rng = random.Random(71)
     for matroid in (uniform_matroid(2, 3), uniform_matroid(2, 4)):
