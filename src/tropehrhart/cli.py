@@ -24,9 +24,10 @@ from .errors import (
     NoCommonApartmentError,
     RowNotInBergmanError,
     TropehrhartError,
+    UnsupportedDimensionError,
     ValidationError,
 )
-from .lattice import Fan, VPolytope
+from .lattice import VERTEX_ENUM_MAX_DIM, Fan, VPolytope
 from .matroid import Matroid
 from .tropvb import k_class_identity, split_resolution, validate
 
@@ -124,6 +125,10 @@ def load_chain(path: str) -> ConvexChain:
         for t in data["terms"]:
             coeff = parse_int(t["coeff"])
             verts = [tuple(parse_number(x) for x in v) for v in t["vertices"]]
+            if any(len(v) > VERTEX_ENUM_MAX_DIM for v in verts):
+                raise UnsupportedDimensionError(
+                    f"chain pieces are capped at ambient dimension {VERTEX_ENUM_MAX_DIM}"
+                )
             terms.append((coeff, VPolytope(verts)))
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"chain schema error: {exc}") from None

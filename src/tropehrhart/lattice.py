@@ -7,15 +7,18 @@ rational vertices; half-space descriptions use integer normals with rational
 bounds, read as <y, normal> <= bound.
 
 Dimension caps: vertex enumeration works up to ambient dimension 4 and fan
-refinement up to 3, enforced with explicit errors.  Everything is brute-force
-subsystem enumeration, which is fine at the scale this package targets.
+refinement up to 3, enforced with explicit errors.  Every conversion between
+rays and half-spaces (dual cones, intersections, hulls, vertex enumeration)
+goes through one incremental double description in integer arithmetic,
+`vcone_from_halfspaces`; face lattices come from one closure of facet
+incidences under intersection, `_intersection_closure`.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import ceil, floor, gcd
+from math import ceil, floor, gcd, lcm
 
 from .errors import (
     NotInSupportError,
@@ -29,12 +32,14 @@ from .linalg import (
     cross_nullvec,
     det,
     dot,
+    echelon,
     in_span,
+    integral,
     is_zero,
     nullspace,
     primitive,
     rank,
-    reduce_mod_span,
+    reduce_mod,
     rref,
     solve,
     vec_neg,
@@ -46,14 +51,20 @@ REFINE_MAX_DIM = 3
 
 
 # ---------------------------------------------------------------------------
-# Half-space representation to generators (double description by enumeration)
+# Half-space representation to generators (incremental double description)
 # ---------------------------------------------------------------------------
 
 def vcone_from_halfspaces(normals, dim):
     """Extreme rays and lineality of the cone {x : <n, x> >= 0 for all n}.
 
     Rays are primitive integer vectors, reduced modulo the lineality space so
-    the output is canonical.  Brute force over rank-(r-1) subsystems.
+    the output is canonical; the lineality basis is `nullspace` of the rows.
+
+    Incremental double description (Fukuda-Prodon 1996) in integers: start
+    from the simplicial cone of r independent rows inside the orthogonal
+    complement of the lineality, then cut it by the other rows one at a
+    time.  Each cut keeps the rays on its nonnegative side and adds one ray
+    for every combinatorially adjacent pair of rays on opposite sides.
     """
     rows = []
     seen = set()
@@ -65,45 +76,57 @@ def vcone_from_halfspaces(normals, dim):
     if not rows:
         basis = tuple(tuple(1 if j == i else 0 for j in range(dim)) for i in range(dim))
         return (), basis
-    r = rank(rows)
-    lin = nullspace(rows, dim)
-    if lin:
-        lin_red, lin_pivots = rref(lin)
-    else:
-        lin_red, lin_pivots = [], []
-    rays = set()
-    tested = set()
-    for subset in itertools.combinations(rows, r - 1):
-        if r == dim:
-            w = cross_nullvec(subset, dim)
-            if is_zero(w):
-                continue
-        else:
-            ns = nullspace(list(subset), dim)
-            if len(ns) != dim - r + 1:
-                continue
-            w = None
-            for cand in ns:
-                if not in_span(cand, lin):
-                    w = cand
-                    break
-            if w is None:
-                continue
-        w = primitive(w)
-        if w in tested:
+    independent = echelon(rows, dim)
+    lin = nullspace([b for _, _, b in independent], dim)
+    r = len(independent)
+    start = [i for i, _, _ in independent]
+    # (ray, bitmask of the rows it is tight on); start ray i is tight on
+    # every start row but row i, and orthogonal to the lineality
+    all_start = sum(1 << i for i in start)
+    rays = []
+    for i in start:
+        v = primitive(cross_nullvec([rows[j] for j in start if j != i] + lin, dim))
+        rays.append((v if dot(rows[i], v) > 0 else vec_neg(v), all_start ^ (1 << i)))
+    for k, row in enumerate(rows):
+        if all_start >> k & 1:
             continue
-        tested.add(w)
-        tested.add(vec_neg(w))
-        for cand in (w, vec_neg(w)):
-            if all(dot(row, cand) >= 0 for row in rows):
-                if lin:
-                    red = clear_denominators(reduce_mod_span(cand, lin_red, lin_pivots))
-                else:
-                    red = cand
-                if not is_zero(red):
-                    rays.add(red)
-                break
-    return tuple(sorted(rays)), tuple(lin)
+        bit = 1 << k
+        kept, pos, neg = [], [], []
+        for v, z in rays:
+            s = dot(row, v)
+            if s > 0:
+                kept.append((v, z))
+                pos.append((v, z, s))
+            elif s < 0:
+                neg.append((v, z, s))
+            else:
+                kept.append((v, z | bit))
+        for vp, zp, sp in pos:
+            for vn, zn, sn in neg:
+                common = zp & zn
+                if common.bit_count() < r - 2 or not _adjacent(common, rays):
+                    continue
+                w = primitive(tuple(sp * a - sn * b for a, b in zip(vn, vp)))
+                kept.append((w, common | bit))
+        rays = kept
+    if lin:
+        lin_basis = echelon(lin)
+        out = {reduce_mod(v, lin_basis) for v, _ in rays}
+    else:
+        out = {v for v, _ in rays}
+    return tuple(sorted(out)), tuple(lin)
+
+
+def _adjacent(common, rays):
+    """Combinatorial adjacency test: only the two rays of the pair are tight
+    on every row of their common zero set."""
+    count = 0
+    for _, z in rays:
+        if z & common == common:
+            count += 1
+            if count > 2:
+                return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -189,20 +212,11 @@ class Cone:
             raise ValidationError("face enumeration requires a pointed cone")
         if self._faces is not None:
             return self._faces
-        n = len(self.rays)
-        full = frozenset(range(n))
-        zero_sets = []
-        for g in self.dual.rays:
-            zero_sets.append(frozenset(i for i in range(n) if dot(g, self.rays[i]) == 0))
-        faces = {full}
-        frontier = [full]
-        while frontier:
-            face = frontier.pop()
-            for z in zero_sets:
-                sub = face & z
-                if sub not in faces:
-                    faces.add(sub)
-                    frontier.append(sub)
+        zero_sets = [
+            frozenset(i for i, r in enumerate(self.rays) if dot(g, r) == 0)
+            for g in self.dual.rays
+        ]
+        faces = _intersection_closure(len(self.rays), zero_sets)
         self._faces = sorted(faces, key=lambda s: (len(s), sorted(s)))
         return self._faces
 
@@ -223,6 +237,25 @@ class Cone:
 
     def __hash__(self):
         return hash(self.key())
+
+
+def _intersection_closure(n, zero_sets):
+    """All intersections of {0, ..., n-1} with subfamilies of zero_sets.
+
+    With the facet incidences of a cone or polytope as zero_sets, these are
+    its faces as sets of ray or vertex indices (the empty set included).
+    """
+    full = frozenset(range(n))
+    closed = {full}
+    frontier = [full]
+    while frontier:
+        face = frontier.pop()
+        for z in zero_sets:
+            sub = face & z
+            if sub not in closed:
+                closed.add(sub)
+                frontier.append(sub)
+    return closed
 
 
 def _dual_data(rays, lineality, dim):
@@ -490,7 +523,8 @@ def refine_by_hyperplanes(f: Fan, normals) -> Fan:
     old = len(f.rays)
     new_rays = new_rays[:old] + sorted(new_rays[old:])
     maximal = [frozenset(new_rays.index(r) for r in c.rays) for c in pieces]
-    return Fan(new_rays, maximal, f.ambient_dim)
+    # a common refinement is a fan by construction
+    return Fan(new_rays, maximal, f.ambient_dim, validate=False)
 
 
 def _sign_key(v) -> int:
@@ -617,11 +651,14 @@ class VPolytope:
                 raise ValidationError("ambient dimension required for empty polytope")
             ambient_dim = len(pts[0])
         self.ambient_dim = ambient_dim
-        if pts and not trusted:
-            pts = convex_hull_vertices(pts)
-        self.vertices = tuple(sorted(set(pts)))
         self._hrep = None
         self._faces = None
+        if pts and not trusted:
+            facets = []
+            pts = convex_hull_vertices(pts, facets)
+            if facets:
+                self._hrep = facets[0]
+        self.vertices = tuple(sorted(set(pts)))
 
     @property
     def dim(self) -> int:
@@ -675,21 +712,12 @@ class VPolytope:
             return self._faces
         ineqs, eqs = self.hrep()
         verts = self.vertices
-        incidences = []
-        for n, b in ineqs:
-            incidences.append(frozenset(
-                i for i, v in enumerate(verts) if dot(n, v) == b
-            ))
-        full = frozenset(range(len(verts)))
-        face_sets = {full}
-        frontier = [full]
-        while frontier:
-            face = frontier.pop()
-            for z in incidences:
-                sub = face & z
-                if sub and sub not in face_sets:
-                    face_sets.add(sub)
-                    frontier.append(sub)
+        incidences = [
+            frozenset(i for i, v in enumerate(verts) if dot(n, v) == b)
+            for n, b in ineqs
+        ]
+        face_sets = _intersection_closure(len(verts), incidences)
+        face_sets.discard(frozenset())
         result = []
         for fs in sorted(face_sets, key=lambda s: (len(s), sorted(s))):
             pts = [verts[i] for i in sorted(fs)]
@@ -739,8 +767,13 @@ def _hull2d(points):
     return lower[:-1] + upper[:-1]
 
 
-def convex_hull_vertices(points):
-    """Extreme points of a finite point set (exact, any small dimension)."""
+def convex_hull_vertices(points, facets=None):
+    """Extreme points of a finite point set (exact, any small dimension).
+
+    A hull of affine dimension 3 or more is found by double description.
+    When that route runs and `facets` is a list, the hull's (inequalities,
+    equalities), as `VPolytope.hrep` returns them, are appended to it.
+    """
     pts = sorted(set(tuple(Fraction(x) for x in p) for p in points))
     if not pts:
         return []
@@ -764,7 +797,9 @@ def convex_hull_vertices(points):
         if d == 2:
             return sorted(_hull2d(pts))
         return _hull_planar(pts)
-    verts, _, _ = _hull_data(pts, d)
+    verts, ineqs, eqs = _hull_data(pts, d)
+    if facets is not None:
+        facets.append((tuple(ineqs), tuple(eqs)))
     return verts
 
 
@@ -786,12 +821,10 @@ def _hull_planar(points):
     return sorted(coords[c] for c in hull2)
 
 
-def _hull_data(points, d):
-    """(vertices, inequalities, equalities) of the hull of a point set."""
-    pts = sorted(set(tuple(Fraction(x) for x in p) for p in points))
-    hom_rows = []
-    for p in pts:
-        hom_rows.append(clear_denominators(tuple(p) + (Fraction(1),)))
+def _hull_data(pts, d):
+    """(vertices, inequalities, equalities) of the hull of sorted distinct
+    rational points."""
+    hom_rows = [integral(p + (1,)) for p in pts]
     dual_rays, dual_lin = vcone_from_halfspaces(hom_rows, d + 1)
     eqs = [(g[:d], Fraction(-g[d])) for g in dual_lin]
     ineqs = [
@@ -799,14 +832,21 @@ def _hull_data(points, d):
         for g in dual_rays
         if not is_zero(g[:d])
     ]
+    # a point is a vertex when it is the only point tight on every facet it
+    # is tight on (else the smallest face containing it holds another point)
+    on_facet = [
+        sum(1 << i for i, h in enumerate(hom_rows) if dot(g, h) == 0)
+        for g in dual_rays
+    ]
+    everything = (1 << len(pts)) - 1
     verts = []
-    for p, h in zip(pts, hom_rows):
-        active = list(dual_lin) + [g for g in dual_rays if dot(g, h) == 0]
-        if active and rank(active) == d:
+    for i, p in enumerate(pts):
+        common = everything
+        for f in on_facet:
+            if f >> i & 1:
+                common &= f
+        if common == 1 << i:
             verts.append(p)
-    if not verts and pts:
-        # single point (or hull degenerate to one point)
-        verts = [pts[0]]
     return verts, ineqs, eqs
 
 
@@ -842,7 +882,7 @@ def minkowski_sum(a: VPolytope, b: VPolytope) -> VPolytope:
         for u in a.vertices
         for v in b.vertices
     }
-    return VPolytope(convex_hull_vertices(sums), a.ambient_dim, trusted=True)
+    return VPolytope(sums, a.ambient_dim)
 
 
 def volume(p: VPolytope) -> Fraction:
@@ -871,35 +911,14 @@ def _volume_by_pulling(p: VPolytope, use_max_vertex=False) -> Fraction:
     for k in range(2, d + 1):
         fac *= k
     for simplex in _pulling_triangulation(p, use_max_vertex):
-        base = simplex[0]
-        mat = [vec_sub(v, base) for v in simplex[1:]]
-        total += abs(_frac_det(mat))
+        edges = [vec_sub(v, simplex[0]) for v in simplex[1:]]
+        # `integral` scales each edge by the lcm of its denominators, which
+        # scales the determinant by their product
+        scale = 1
+        for e in edges:
+            scale *= lcm(*(x.denominator for x in e))
+        total += Fraction(abs(det([integral(e) for e in edges])), scale)
     return total / fac
-
-
-def _frac_det(rows):
-    n = len(rows)
-    mat = [list(map(Fraction, r)) for r in rows]
-    sign = 1
-    result = Fraction(1)
-    for k in range(n):
-        pivot = None
-        for i in range(k, n):
-            if mat[i][k] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            return Fraction(0)
-        if pivot != k:
-            mat[k], mat[pivot] = mat[pivot], mat[k]
-            sign = -sign
-        result *= mat[k][k]
-        inv = mat[k][k]
-        for i in range(k + 1, n):
-            if mat[i][k] != 0:
-                f = mat[i][k] / inv
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[k])]
-    return sign * result
 
 
 def _pulling_triangulation(p: VPolytope, use_max_vertex=False):
@@ -970,20 +989,10 @@ def face_alternating_sum(p: HPolyhedron) -> int:
     for r in rays:
         gens.append(tuple(r) + (0,))
     dual_rays, _ = vcone_from_halfspaces(gens, d + 1)
-    n = len(gens)
     zero_sets = [
-        frozenset(i for i in range(n) if dot(g, gens[i]) == 0) for g in dual_rays
+        frozenset(i for i, h in enumerate(gens) if dot(g, h) == 0) for g in dual_rays
     ]
-    full = frozenset(range(n))
-    face_sets = {full}
-    frontier = [full]
-    while frontier:
-        face = frontier.pop()
-        for z in zero_sets:
-            sub = face & z
-            if sub not in face_sets:
-                face_sets.add(sub)
-                frontier.append(sub)
+    face_sets = _intersection_closure(len(gens), zero_sets)
     total = 0
     for fs in face_sets:
         members = [gens[i] for i in fs]

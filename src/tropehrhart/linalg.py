@@ -1,14 +1,17 @@
 """Exact linear algebra over the rationals.
 
 Vectors are plain tuples (of ints or Fractions), matrices are sequences of
-row tuples.  Everything here is fraction-free where possible; nothing ever
-touches floating point.
+row tuples.  Everything here is fraction-free where possible: `rank` is an
+integer echelon form, and `nullspace` runs the Fraction reduction (`rref`)
+only on the independent rows that echelon form picks.  Nothing ever touches
+floating point.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+from operator import mul
 
 
 def vec_sub(a, b):
@@ -20,7 +23,7 @@ def vec_neg(a):
 
 
 def dot(a, b):
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(mul, a, b))
 
 
 def is_zero(a) -> bool:
@@ -40,14 +43,45 @@ def primitive(v):
     return tuple(x // g for x in v)
 
 
+def integral(row):
+    """The row times the lcm of its denominators (ints and Fractions)."""
+    q = lcm(*(x.denominator for x in row))
+    return tuple(x.numerator * (q // x.denominator) for x in row)
+
+
 def clear_denominators(v):
     """Scale a rational vector to a primitive integer vector (same direction)."""
-    fracs = [Fraction(x) for x in v]
-    lcm = 1
-    for f in fracs:
-        d = f.denominator
-        lcm = lcm * d // gcd(lcm, d)
-    return primitive(tuple(int(f * lcm) for f in fracs))
+    return primitive(integral([Fraction(x) for x in v]))
+
+
+def echelon(rows, stop=None):
+    """Fraction-free echelon basis of integer rows, up to `stop` rows.
+
+    Returns (row index, pivot column, reduced row) for every row that is
+    independent of the ones before it.  Each reduced row is primitive, has a
+    positive pivot entry and is zero at the pivots of the earlier rows.
+    """
+    basis = []
+    for i, row in enumerate(rows):
+        v = reduce_mod(row, basis)
+        c = next((j for j, x in enumerate(v) if x), None)
+        if c is None:
+            continue
+        basis.append((i, c, v if v[c] > 0 else vec_neg(v)))
+        if len(basis) == stop:
+            break
+    return basis
+
+
+def reduce_mod(v, basis):
+    """Positive multiple of the integer vector v, reduced modulo the span of
+    an `echelon` basis: zero at every pivot column, and the same for every
+    vector in the class of v.  Primitive when v is."""
+    v = tuple(v)
+    for _, c, b in basis:
+        if v[c]:
+            v = primitive(tuple(b[c] * x - v[c] * y for x, y in zip(v, b)))
+    return v
 
 
 def rref(rows):
@@ -85,8 +119,7 @@ def rref(rows):
 def rank(rows) -> int:
     if not rows:
         return 0
-    _, pivots = rref(rows)
-    return len(pivots)
+    return len(echelon([integral(r) for r in rows], len(rows[0])))
 
 
 def nullspace(rows, ncols=None):
@@ -95,7 +128,11 @@ def nullspace(rows, ncols=None):
         assert ncols is not None
         return [tuple(1 if j == i else 0 for j in range(ncols)) for i in range(ncols)]
     ncols = len(rows[0])
-    red, pivots = rref(rows)
+    # the reduced form depends only on the row space: reduce a basis of it
+    independent = [b for _, _, b in echelon([integral(r) for r in rows], ncols)]
+    if len(independent) == ncols:
+        return []
+    red, pivots = rref(independent)
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for fc in free:
@@ -197,17 +234,3 @@ def in_span(vec, basis) -> bool:
     if not basis:
         return False
     return rank(list(basis)) == rank(list(basis) + [vec])
-
-
-def reduce_mod_span(vec, echelon_basis, pivots):
-    """Eliminate the pivot coordinates of vec using an echelonized basis.
-
-    Canonical representative of vec modulo the span; used to deduplicate
-    ray candidates modulo a lineality space.
-    """
-    v = list(map(Fraction, vec))
-    for row, pc in zip(echelon_basis, pivots):
-        if v[pc] != 0:
-            f = v[pc] / row[pc]
-            v = [x - f * y for x, y in zip(v, row)]
-    return tuple(v)

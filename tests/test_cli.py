@@ -154,6 +154,18 @@ def test_alpha_eval_bundle(files, capsys):
     assert json.loads(out)["alpha_total"] == 27
 
 
+def test_chain_file_above_dimension_cap_exits_2(tmp_path, capsys):
+    # a 5-d simplex: refused before any hull is computed, never evaluated
+    simplex = [[0] * 5] + [[int(i == j) for j in range(5)] for i in range(5)]
+    path = tmp_path / "simplex5.json"
+    path.write_text(json.dumps({"terms": [{"coeff": 1, "vertices": simplex}]}))
+    code, out = run(capsys, "alpha-eval", "--chain", str(path), "--u", "0,0,0,0,0")
+    assert code == 2
+    report = json.loads(out)
+    assert "value" not in report
+    assert report["error"]["type"] == "UnsupportedDimensionError"
+
+
 def test_alpha_eval_chain_file(files, capsys):
     code, out = run(capsys, "alpha-eval", "--chain", files["chain"], "--u", "0,0")
     assert json.loads(out)["value"] == 2

@@ -1,0 +1,288 @@
+"""The integer polyhedral kernel against the brute-force routes it replaced.
+
+`vcone_from_halfspaces` is an incremental double description; the oracle
+here is the subsystem enumeration it replaced, over Fraction elimination.
+Hulls, H-representations and volumes are checked against the same routes
+built on that oracle: the rank test for vertices and the Fraction
+determinant for simplex volumes.
+"""
+
+import itertools
+import random
+from fractions import Fraction
+from math import factorial
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tropehrhart.lattice import (
+    VPolytope,
+    _pulling_triangulation,
+    convex_hull_vertices,
+    vcone_from_halfspaces,
+    volume,
+)
+from tropehrhart.linalg import (
+    clear_denominators,
+    cross_nullvec,
+    dot,
+    is_zero,
+    nullspace,
+    primitive,
+    rank,
+    rref,
+    vec_neg,
+    vec_sub,
+)
+
+from conftest import random_lattice_polytope
+
+SETTINGS = settings(max_examples=300, deadline=None, derandomize=True)
+
+
+# ---------------------------------------------------------------------------
+# oracles: Fraction elimination and subsystem enumeration
+# ---------------------------------------------------------------------------
+
+def _frac_rank(rows):
+    return len(rref(rows)[1]) if rows else 0
+
+
+def _frac_nullspace(rows, ncols):
+    """Null space basis read off the reduced form of all the rows."""
+    if not rows:
+        return [tuple(int(i == j) for j in range(ncols)) for i in range(ncols)]
+    red, pivots = rref(rows)
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        vec = [Fraction(0)] * ncols
+        vec[fc] = Fraction(1)
+        for i, pc in enumerate(pivots):
+            vec[pc] = -red[i][fc]
+        basis.append(clear_denominators(vec))
+    return basis
+
+
+def _frac_in_span(vec, basis):
+    if is_zero(vec):
+        return True
+    return bool(basis) and _frac_rank(list(basis)) == _frac_rank(list(basis) + [vec])
+
+
+def _reduce_mod_span(vec, echelon_basis, pivots):
+    v = list(map(Fraction, vec))
+    for row, pc in zip(echelon_basis, pivots):
+        if v[pc] != 0:
+            f = v[pc] / row[pc]
+            v = [x - f * y for x, y in zip(v, row)]
+    return tuple(v)
+
+
+def _vcone_bruteforce(normals, dim):
+    """Extreme rays (reduced modulo the lineality) and lineality basis of
+    {x : <n, x> >= 0}, by enumerating every rank-(r-1) row subsystem."""
+    rows = []
+    for n in normals:
+        p = primitive(tuple(n))
+        if not is_zero(p) and p not in rows:
+            rows.append(p)
+    if not rows:
+        return (), tuple(tuple(int(i == j) for j in range(dim)) for i in range(dim))
+    r = _frac_rank(rows)
+    lin = _frac_nullspace(rows, dim)
+    lin_red, lin_pivots = rref(lin) if lin else ([], [])
+    rays = set()
+    tested = set()
+    for subset in itertools.combinations(rows, r - 1):
+        if r == dim:
+            w = cross_nullvec(subset, dim)
+            if is_zero(w):
+                continue
+        else:
+            ns = _frac_nullspace(list(subset), dim)
+            if len(ns) != dim - r + 1:
+                continue
+            w = next((c for c in ns if not _frac_in_span(c, lin)), None)
+            if w is None:
+                continue
+        w = primitive(w)
+        if w in tested:
+            continue
+        tested.add(w)
+        tested.add(vec_neg(w))
+        for cand in (w, vec_neg(w)):
+            if all(dot(row, cand) >= 0 for row in rows):
+                red = cand
+                if lin:
+                    red = clear_denominators(_reduce_mod_span(cand, lin_red, lin_pivots))
+                if not is_zero(red):
+                    rays.add(red)
+                break
+    return tuple(sorted(rays)), tuple(lin)
+
+
+def _hull_data_oracle(points, d):
+    """(vertices, inequalities, equalities) of a hull: facets from the
+    brute-force dual cone, vertices by the rank of their active facets."""
+    pts = sorted(set(tuple(Fraction(x) for x in p) for p in points))
+    hom_rows = [clear_denominators(p + (Fraction(1),)) for p in pts]
+    dual_rays, dual_lin = _vcone_bruteforce(hom_rows, d + 1)
+    eqs = [(g[:d], Fraction(-g[d])) for g in dual_lin]
+    ineqs = [(vec_neg(g[:d]), Fraction(g[d])) for g in dual_rays if not is_zero(g[:d])]
+    verts = []
+    for p, h in zip(pts, hom_rows):
+        active = list(dual_lin) + [g for g in dual_rays if dot(g, h) == 0]
+        if active and _frac_rank(active) == d:
+            verts.append(p)
+    return verts or pts[:1], ineqs, eqs
+
+
+def _frac_det(rows):
+    """Determinant by Fraction elimination."""
+    n = len(rows)
+    mat = [list(map(Fraction, r)) for r in rows]
+    sign, result = 1, Fraction(1)
+    for k in range(n):
+        pivot = next((i for i in range(k, n) if mat[i][k] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != k:
+            mat[k], mat[pivot] = mat[pivot], mat[k]
+            sign = -sign
+        result *= mat[k][k]
+        for i in range(k + 1, n):
+            if mat[i][k] != 0:
+                f = mat[i][k] / mat[k][k]
+                mat[i] = [x - f * y for x, y in zip(mat[i], mat[k])]
+    return sign * result
+
+
+def _volume_oracle(p):
+    """Pulling-triangulation volume with Fraction simplex determinants."""
+    d = p.ambient_dim
+    total = Fraction(0)
+    for simplex in _pulling_triangulation(p):
+        total += abs(_frac_det([vec_sub(v, simplex[0]) for v in simplex[1:]]))
+    return total / factorial(d)
+
+
+# ---------------------------------------------------------------------------
+# strategies
+# ---------------------------------------------------------------------------
+
+COORD = st.integers(-3, 3)
+
+
+@st.composite
+def row_sets(draw):
+    """Half-space normals in dimension 1..5.  Rows are integer combinations
+    of at most d generators, so lineality is common, plus repeated,
+    rescaled and opposite copies of drawn rows."""
+    d = draw(st.integers(1, 5))
+    gens = draw(st.lists(st.tuples(*[COORD] * d), min_size=1, max_size=d))
+    rows = []
+    for _ in range(draw(st.integers(1, 8))):
+        cs = draw(st.lists(st.integers(-2, 2), min_size=len(gens), max_size=len(gens)))
+        rows.append(tuple(sum(c * g[j] for c, g in zip(cs, gens)) for j in range(d)))
+    copies = draw(st.lists(
+        st.tuples(st.sampled_from(rows), st.sampled_from([1, -1, 2, -3])), max_size=3
+    ))
+    rows += [tuple(s * x for x in r) for r, s in copies]
+    return d, draw(st.permutations(rows))
+
+
+@st.composite
+def point_clouds(draw):
+    """Rational point clouds in dimension 2..4 whose affine hull has any
+    dimension from 0 to d (so collinear and coplanar clouds are common),
+    with repeated points."""
+    d = draw(st.integers(2, 4))
+    k = draw(st.integers(0, d))
+    origin = draw(st.tuples(*[COORD] * d))
+    dirs = draw(st.lists(st.tuples(*[COORD] * d), min_size=k, max_size=k))
+    q = draw(st.sampled_from([1, 1, 2, 3]))
+    pts = []
+    for _ in range(draw(st.integers(1, 11))):
+        cs = draw(st.lists(st.integers(-2, 2), min_size=k, max_size=k))
+        pt = (o + sum(c * v[j] for c, v in zip(cs, dirs)) for j, o in enumerate(origin))
+        pts.append(tuple(Fraction(x, q) for x in pt))
+    pts += draw(st.lists(st.sampled_from(pts), max_size=3))
+    return d, draw(st.permutations(pts))
+
+
+# ---------------------------------------------------------------------------
+# properties
+# ---------------------------------------------------------------------------
+
+@SETTINGS
+@given(row_sets())
+def test_vcone_equals_bruteforce(case):
+    d, rows = case
+    assert vcone_from_halfspaces(rows, d) == _vcone_bruteforce(rows, d)
+
+
+@SETTINGS
+@given(row_sets())
+def test_integer_rank_and_nullspace_equal_fraction_elimination(case):
+    d, rows = case
+    assert rank(rows) == _frac_rank(rows)
+    assert nullspace(rows, d) == _frac_nullspace(rows, d)
+    halves = [tuple(Fraction(x, 2) for x in r) for r in rows]
+    assert rank(halves) == _frac_rank(halves)
+    assert nullspace(halves, d) == _frac_nullspace(halves, d)
+
+
+@SETTINGS
+@given(point_clouds())
+def test_hull_and_hrep_equal_oracle_route(case):
+    d, pts = case
+    verts, _, _ = _hull_data_oracle(pts, d)
+    assert convex_hull_vertices(pts) == verts
+    _, ineqs, eqs = _hull_data_oracle(verts, d)
+    poly = VPolytope(pts, d)
+    assert poly.vertices == tuple(verts)
+    assert poly.hrep() == (tuple(ineqs), tuple(eqs))
+
+
+def test_vcone_equals_bruteforce_on_degenerate_cases():
+    cases = [
+        ([(1, 0), (-1, 0)], 2),  # a line of lineality, no rays
+        ([(1, 0), (-1, 0), (0, 1)], 2),
+        ([(1, 1, 0)], 3),
+        ([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (-1, -1, -1)], 3),
+        ([(2, 0), (1, 0), (3, 0)], 2),  # repeated after reduction
+        ([(0, 0, 0)], 3),
+        ([], 2),
+    ]
+    for rows, d in cases:
+        assert vcone_from_halfspaces(rows, d) == _vcone_bruteforce(rows, d)
+
+
+def test_hull_of_homogenized_clouds_equals_oracle():
+    # 3-d clouds with a third of their points on one plane: many facets,
+    # coplanar points on them that are not vertices
+    rng = random.Random(41)
+    for n in (8, 14, 20):
+        for _ in range(3):
+            pts = [tuple(rng.randint(-4, 4) for _ in range(3)) for _ in range(n)]
+            pts += [(x, y, 2) for x, y in
+                    ((rng.randint(-4, 4), rng.randint(-4, 4)) for _ in range(n // 3))]
+            verts, ineqs, eqs = _hull_data_oracle(pts, 3)
+            poly = VPolytope(pts, 3)
+            assert list(poly.vertices) == verts
+            assert poly.hrep() == (tuple(ineqs), tuple(eqs))
+
+
+def test_volume_equals_fraction_determinant_route():
+    rng = random.Random(43)
+    checked = 0
+    for dim in (3, 4):
+        for _ in range(12):
+            p = random_lattice_polytope(rng, dim, spread=3, npoints=dim + 4)
+            q = rng.choice([1, 2, 3])
+            p = VPolytope([tuple(Fraction(x, q) for x in v) for v in p.vertices], dim)
+            if p.dim < dim:
+                continue
+            assert volume(p) == _volume_oracle(p)
+            checked += 1
+    assert checked >= 16

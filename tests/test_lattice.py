@@ -366,6 +366,21 @@ def test_refine_existing_wall_is_identity(p1_fan):
     assert refined.rays == p1_fan.rays
 
 
+def test_refinement_passes_fan_validation_3d():
+    # refine_by_hyperplanes skips the fan check, since a common refinement
+    # is a fan by construction; rebuilding one with the check must pass
+    p3 = Fan(
+        [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)],
+        [c for c in itertools.combinations(range(4), 3)],
+        3,
+    )
+    refined = refine_by_hyperplanes(p3, [(1, -1, 0), (0, 1, -1), (1, 0, -2)])
+    assert len(refined.rays) > len(p3.rays)
+    checked = Fan(refined.rays, refined.maximal_keys, 3, validate=True)
+    assert checked.cone_keys == refined.cone_keys
+    assert is_complete(checked) and is_refinement(checked, p3)
+
+
 def test_refine_dimension_cap():
     f = Fan([(1, 0, 0, 0), (-1, 0, 0, 0)], [[0], [1]], 4)
     with pytest.raises(UnsupportedDimensionError):
