@@ -38,7 +38,6 @@ from .lattice import (
     is_complete,
     is_refinement,
     is_smooth,
-    lattice_points,
     min_containing_cone,
     minkowski_sum,
     refine_by_hyperplanes,
@@ -86,7 +85,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Cone", "Fan", "HPolyhedron", "VPolytope",
     "dual_cone", "vertex_enumeration", "minkowski_sum", "volume",
-    "lattice_points", "faces", "min_containing_cone",
+    "faces", "min_containing_cone",
     "refine_by_hyperplanes", "stellar_subdivision",
     "is_refinement", "is_smooth", "is_complete",
     "ConvexChain", "SupportNumbers", "MultiValuedSupportFunction",

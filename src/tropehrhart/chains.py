@@ -13,8 +13,10 @@ The inverse of 1_P is the alternating sum of closed faces of -P.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import floor
 
 from .errors import (
+    BoxTooLargeError,
     BoxTooSmallError,
     InvalidSupportFunctionError,
     NotPiecewiseLinearError,
@@ -26,7 +28,7 @@ from .lattice import (
     Fan,
     HPolyhedron,
     VPolytope,
-    box_points,
+    check_box,
     refine_by_hyperplanes,
     vertex_enumeration,
     volume,
@@ -186,22 +188,106 @@ def brianchon_gram(sn: SupportNumbers) -> ConvexChain:
     return ConvexChain(terms)
 
 
+# rows per block of the box kernel; the int64 proof of `box_values` uses it
+BOX_BLOCK = 256
+_INT64_SAFE = 1 << 62
+
+
+def _integer_hrep(piece):
+    """(normals, bounds) of integer rows <n, u> <= b with the same lattice
+    points as the piece, or None when the piece has no lattice point.
+
+    Normals are integer already; for integer u, <n, u> <= b holds exactly
+    when <n, u> <= floor(b), and <n, u> = b only when b is an integer, in
+    which case it becomes the two rows <n, u> <= b and <-n, u> <= -b.
+    """
+    if isinstance(piece, VPolytope):
+        ineqs, eqs = piece.hrep()
+    else:
+        ineqs, eqs = piece.inequalities, piece.equalities
+    normals = [n for n, _ in ineqs]
+    bounds = [floor(b) for _, b in ineqs]
+    for n, b in eqs:
+        if b.denominator != 1:
+            return None
+        normals += [n, tuple(-x for x in n)]
+        bounds += [int(b), -int(b)]
+    return normals, bounds
+
+
+def box_values(a: ConvexChain, box):
+    """The chain's values on the integer points of a box, streamed.
+
+    Yields (points, values) int64 arrays of at most BOX_BLOCK rows, in the
+    order of `lattice.box_points`.  Each piece costs one integer matrix
+    product per block.  Before any array exists the box is checked
+    (`lattice.check_box`) and int64 safety is proved: every coordinate and
+    every |<n, u>| is at most max(1, max |n|_1) * max |u_i|, every block sum
+    at most sum |c| * BOX_BLOCK, and both must stay below 2^62, else
+    BoxTooLargeError.  Bounds are clipped to one past the first of these,
+    which changes no comparison.
+    """
+    import numpy as np
+
+    lo, hi = box
+    dims = {piece.ambient_dim for _, piece in a.terms}
+    if dims - {len(lo)}:
+        raise ValidationError(
+            f"box has {len(lo)} coordinates but chain pieces have "
+            f"{sorted(dims)}"
+        )
+    d = len(lo)
+    count = check_box(box, d)
+    pieces = []
+    for c, piece in a.terms:
+        rows = _integer_hrep(piece)
+        if rows is not None:
+            pieces.append((c, *rows))
+    norm = max((sum(map(abs, n)) for _, ns, _ in pieces for n in ns), default=0)
+    reach = max(norm, 1) * max(map(abs, (*lo, *hi)), default=0)
+    mass = sum(abs(c) for c, _, _ in pieces)
+    if reach >= _INT64_SAFE or mass * BOX_BLOCK >= _INT64_SAFE:
+        raise BoxTooLargeError(
+            "box values would leave the exact int64 range of the kernel"
+        )
+    arrays = [
+        (
+            c,
+            np.array(ns, dtype=np.int64).reshape(len(ns), d).T,
+            np.array([min(max(b, -reach - 1), reach + 1) for b in bs],
+                     dtype=np.int64),
+        )
+        for c, ns, bs in pieces
+    ]
+    sides = [h - l + 1 for l, h in zip(lo, hi)]
+    for start in range(0, count, BOX_BLOCK):
+        code = np.arange(start, min(start + BOX_BLOCK, count), dtype=np.int64)
+        points = np.empty((code.size, d), dtype=np.int64)
+        for j in range(d - 1, -1, -1):
+            code, digit = np.divmod(code, sides[j])
+            points[:, j] = digit + lo[j]
+        values = np.zeros(points.shape[0], dtype=np.int64)
+        for c, normals, bounds in arrays:
+            values += c * (points @ normals <= bounds).all(axis=1)
+        yield points, values
+
+
 def lattice_sum(a: ConvexChain, box) -> int:
     """Sum of chain values over the integer points of a box.
 
     The box must have a zero margin: the chain is required to evaluate to 0
     everywhere on the outermost shell of the box, which makes "the box is
-    large enough" a checked precondition rather than an assumption.
+    large enough" a checked precondition rather than an assumption.  The
+    error names the first offending point in box order.
     """
     lo, hi = box
     total = 0
-    for u in box_points(lo, hi):
-        val = a.evaluate(u)
-        if val != 0 and any(x == l or x == h for x, l, h in zip(u, lo, hi)):
-            raise BoxTooSmallError(
-                f"chain is nonzero at {u} on the box margin"
-            )
-        total += val
+    for points, values in box_values(a, box):
+        bad = ((points == lo) | (points == hi)).any(axis=1) & (values != 0)
+        if bad.any():
+            u = tuple(int(x) for x in points[bad.argmax()])
+            raise BoxTooSmallError(f"chain is nonzero at {u} on the box margin")
+        total += int(values.sum())
     return total
 
 

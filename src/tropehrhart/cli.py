@@ -157,6 +157,24 @@ def _parse_box(text: str, dim: int):
     return (_parse_vector(lo, dim), _parse_vector(hi, dim))
 
 
+def _user_box(text: str, bundle):
+    """A --box for chi or alpha-eval; it must contain the computed `chi_box()`.
+
+    The margin check alone passes a box that misses the support of chi,
+    because such a box is zero on its shell.  `chi_box()` is padded by one,
+    so a box containing it has hi - lo >= 2 in every coordinate; the point
+    cap is checked where the box is summed.
+    """
+    box = _parse_box(text, bundle.fan.ambient_dim)
+    need = bundle.chi_box()
+    if any(l > nl or h < nh for l, h, nl, nh in zip(*box, *need)):
+        shown = ":".join(",".join(map(str, v)) for v in need)
+        raise ValidationError(
+            f"box {text} does not contain the computed box {shown}"
+        )
+    return box
+
+
 def _cone_label(key) -> str:
     return ",".join(str(i + 1) for i in sorted(key))
 
@@ -190,7 +208,7 @@ def _cmd_h0(args) -> dict:
 def _cmd_chi(args) -> dict:
     bundle = load_bundle(args.bundle)
     dim = bundle.fan.ambient_dim
-    box = _parse_box(args.box, dim) if args.box else None
+    box = _user_box(args.box, bundle) if args.box else None
     if args.u is not None:
         u = _parse_vector(args.u, dim)
         return {
@@ -224,7 +242,7 @@ def _cmd_alpha_eval(args) -> dict:
         alpha = chain.evaluate(u)
         chi = bundle.euler_char_u(u)
         return {"u": list(u), "alpha_u": alpha, "chi_u": chi, "equal": alpha == chi}
-    box = _parse_box(args.box, dim) if args.box else bundle.chi_box()
+    box = _user_box(args.box, bundle) if args.box else bundle.chi_box()
     return {
         "alpha_total": lattice_sum(chain, box),
         "box": [list(b) for b in box],

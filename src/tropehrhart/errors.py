@@ -2,8 +2,8 @@
 
 Validation errors (bad input data: malformed fans, non-Bergman diagram rows,
 inconsistent support functions) are kept separate from resource errors
-(dimension caps, boxes too small) so the command line front-end can map them
-to distinct exit codes.
+(dimension caps, boxes too small or too large) so the command line front-end
+can map them to distinct exit codes.
 """
 
 
@@ -37,6 +37,10 @@ class InvalidSupportFunctionError(ValidationError):
 
 class BoxTooSmallError(TropehrhartError):
     """A lattice sum box has nonzero values on its margin shell."""
+
+
+class BoxTooLargeError(TropehrhartError):
+    """A lattice sum box exceeds the point cap or the int64 kernel's range."""
 
 
 class UnsupportedOperandError(TropehrhartError):

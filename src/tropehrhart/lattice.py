@@ -21,6 +21,7 @@ from fractions import Fraction
 from math import ceil, floor, gcd, lcm
 
 from .errors import (
+    BoxTooLargeError,
     NotInSupportError,
     UnboundedPolyhedronError,
     UnsupportedDimensionError,
@@ -48,6 +49,8 @@ from .linalg import (
 
 VERTEX_ENUM_MAX_DIM = 4
 REFINE_MAX_DIM = 3
+# integer points in one lattice-sum or Euler-characteristic box
+BOX_MAX_POINTS = 1 << 20
 
 
 # ---------------------------------------------------------------------------
@@ -583,6 +586,10 @@ class HPolyhedron:
                 ambient_dim = len(eqs[0][0])
             else:
                 raise ValidationError("ambient dimension required")
+        if any(len(n) != ambient_dim for n, _ in ineqs + eqs):
+            raise ValidationError(
+                f"half-space normals must have {ambient_dim} coordinates"
+            )
         self.ambient_dim = ambient_dim
         self.inequalities = tuple(ineqs)
         self.equalities = tuple(eqs)
@@ -650,6 +657,10 @@ class VPolytope:
             if not pts:
                 raise ValidationError("ambient dimension required for empty polytope")
             ambient_dim = len(pts[0])
+        if any(len(p) != ambient_dim for p in pts):
+            raise ValidationError(
+                f"polytope vertices must have {ambient_dim} coordinates"
+            )
         self.ambient_dim = ambient_dim
         self._hrep = None
         self._faces = None
@@ -951,23 +962,6 @@ def _pulling_triangulation(p: VPolytope, use_max_vertex=False):
     return pull(top)
 
 
-def lattice_points(p: VPolytope):
-    """All integer points of a bounded polytope, by box scan."""
-    if p.is_empty():
-        return []
-    lo = [min(v[i] for v in p.vertices) for i in range(p.ambient_dim)]
-    hi = [max(v[i] for v in p.vertices) for i in range(p.ambient_dim)]
-    ineqs, eqs = p.hrep()
-    pts = []
-    ranges = [range(ceil(l), floor(h) + 1) for l, h in zip(lo, hi)]
-    for u in itertools.product(*ranges):
-        if all(dot(n, u) <= b for n, b in ineqs) and all(
-            dot(n, u) == b for n, b in eqs
-        ):
-            pts.append(u)
-    return pts
-
-
 def faces(p: VPolytope):
     return p.faces()
 
@@ -1013,3 +1007,29 @@ def bounding_box(points, pad=0):
 
 def box_points(lo, hi):
     return itertools.product(*(range(l, h + 1) for l, h in zip(lo, hi)))
+
+
+def check_box(box, dim) -> int:
+    """Number of integer points of a summation box, after checking the box.
+
+    A box must have `dim` coordinates and hi - lo >= 2 in each, so that an
+    interior point lies behind its margin shell, and at most
+    BOX_MAX_POINTS points.  All of it is checked before any point exists.
+    """
+    lo, hi = box
+    if len(lo) != dim or len(hi) != dim:
+        raise ValidationError(
+            f"box has {len(lo)} and {len(hi)} coordinates, expected {dim}"
+        )
+    count = 1
+    for l, h in zip(lo, hi):
+        if h - l < 2:
+            raise ValidationError(
+                f"box side [{l}, {h}] has no interior point (need hi - lo >= 2)"
+            )
+        count *= h - l + 1
+    if count > BOX_MAX_POINTS:
+        raise BoxTooLargeError(
+            f"box has {count} points, above the cap of {BOX_MAX_POINTS}"
+        )
+    return count

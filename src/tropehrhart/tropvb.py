@@ -20,7 +20,12 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .chains import ConvexChain, MultiValuedSupportFunction, support_function_chain
+from .chains import (
+    ConvexChain,
+    MultiValuedSupportFunction,
+    box_values,
+    support_function_chain,
+)
 from .errors import (
     BoxTooSmallError,
     BundleValidationError,
@@ -35,6 +40,7 @@ from .lattice import (
     HPolyhedron,
     bounding_box,
     box_points,
+    check_box,
     cone_is_smooth,
     is_refinement,
     min_containing_cone,
@@ -139,9 +145,14 @@ class TropicalVectorBundle:
         return bounding_box(pts, pad)
 
     def euler_char_total(self, box=None) -> int:
-        """Sum of chi_u over a box whose margin shell must be chi-free."""
+        """Sum of chi_u over a box whose margin shell must be chi-free.
+
+        The box is checked by `lattice.check_box` (shape and point cap)
+        before any point is evaluated.
+        """
         if box is None:
             box = self.chi_box()
+        check_box(box, self.fan.ambient_dim)
         lo, hi = box
         total = 0
         for u in box_points(lo, hi):
@@ -222,16 +233,16 @@ class TropicalVectorBundle:
         """Convex chain whose values equal the equivariant Euler characteristic.
 
         With verify=True the pointwise identity against euler_char_u is
-        checked on the chi box.
+        checked on the chi box, the chain values coming from `box_values`.
         """
         chain = support_function_chain(self.support_function())
         if verify:
-            lo, hi = self.chi_box()
-            for u in box_points(lo, hi):
-                if chain.evaluate(u) != self.euler_char_u(u):
-                    raise BundleValidationError(
-                        f"chain value and chi disagree at {u}"
-                    )
+            for points, values in box_values(chain, self.chi_box()):
+                for u, val in zip(map(tuple, points.tolist()), values.tolist()):
+                    if val != self.euler_char_u(u):
+                        raise BundleValidationError(
+                            f"chain value and chi disagree at {u}"
+                        )
         return chain
 
     # -- pull-back -----------------------------------------------------------

@@ -4,11 +4,12 @@ used to cross-check the exact machinery."""
 
 import itertools
 from fractions import Fraction
+from math import ceil, floor
 
 import pytest
 
 from tropehrhart.lattice import Fan, VPolytope
-from tropehrhart.linalg import solve
+from tropehrhart.linalg import dot, solve
 from tropehrhart.matroid import (
     Matroid,
     bergman_project,
@@ -118,6 +119,24 @@ def oracle_hull_vertices(points):
     pts = sorted(set(tuple(Fraction(x) for x in q) for q in points))
     return [
         p for p in pts if not caratheodory_contains([q for q in pts if q != p], p)
+    ]
+
+
+def lattice_points(p):
+    """All integer points of a bounded polytope, by a scan of its bounding
+    box against the Fraction H-representation."""
+    if p.is_empty():
+        return []
+    ineqs, eqs = p.hrep()
+    ranges = [
+        range(ceil(min(v[i] for v in p.vertices)),
+              floor(max(v[i] for v in p.vertices)) + 1)
+        for i in range(p.ambient_dim)
+    ]
+    return [
+        u for u in itertools.product(*ranges)
+        if all(dot(n, u) <= b for n, b in ineqs)
+        and all(dot(n, u) == b for n, b in eqs)
     ]
 
 

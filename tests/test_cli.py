@@ -1,5 +1,6 @@
 import itertools
 import json
+import time
 
 import pytest
 
@@ -39,6 +40,8 @@ def files(tmp_path_factory):
         ("chain", {"terms": [{"coeff": 2, "vertices": [[0, 0], [1, 0], ["1/1", "2/2"]]}]}),
         ("mixed_chain", {"terms": [{"coeff": 1, "vertices": [[0, 0], [1, 0]]},
                                    {"coeff": 1, "vertices": [[0, 0, 0]]}]}),
+        ("ragged_chain", {"terms": [{"coeff": 1,
+                                     "vertices": [[0, 0], [2, 0, 5], [0, 2]]}]}),
     ]:
         path = root / f"{name}.json"
         path.write_text(json.dumps(data))
@@ -136,6 +139,12 @@ def test_malformed_inputs_exit_2(tmp_path, capsys):
     ["chi", "--bundle", "u23_bundle", "--box=-3,-3:3,x"],
     ["alpha-eval", "--bundle", "u23_bundle", "--box=-3,-3,-3:3,3,3"],
     ["alpha-eval", "--chain", "mixed_chain", "--u", "0,0"],
+    ["alpha-eval", "--chain", "ragged_chain", "--u", "1,0"],
+    # boxes that miss the support of chi: each printed a total of 0
+    ["chi", "--bundle", "u23_bundle", "--box=3,3:-3,-3"],
+    ["chi", "--bundle", "u23_bundle", "--box=40,40:50,50"],
+    ["alpha-eval", "--bundle", "u23_bundle", "--box=40,40:50,50"],
+    ["chi", "--bundle", "u23_bundle", "--box=-2,-2:2,1"],
     ["alpha-eval", "--u", "0,0"],
     ["resolve", "--bundle", "u23_bundle", "--f", "0,x,0"],
 ], ids=lambda argv: " ".join(argv))
@@ -144,6 +153,46 @@ def test_malformed_or_wrong_length_arguments_exit_2(files, capsys, argv):
     code, out = run(capsys, *argv)
     assert code == 2
     assert json.loads(out)["error"]["type"] == "ValidationError"
+
+
+def test_box_above_point_cap_exits_at_once(files, capsys):
+    start = time.monotonic()
+    code, out = run(capsys, "chi", "--bundle", files["u23_bundle"],
+                    "--box=-1000,-1000:1000,1000")
+    assert time.monotonic() - start < 5
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "BoxTooLargeError"
+
+
+def test_box_containing_the_chi_box_is_accepted(files, capsys):
+    code, out = run(capsys, "alpha-eval", "--bundle", files["u23_bundle"],
+                    "--box=-3,-2:2,4")
+    assert code == 0
+    assert out == '{"alpha_total": 8, "box": [[-3, -2], [2, 4]]}\n'
+
+
+# the README examples, byte for byte: reports stay identical across refactors
+GOLDEN = [
+    ("chi --bundle fano",
+     '{"box": [[-3, -3], [3, 3]], "chi_total": 27}'),
+    ("alpha-eval --bundle fano",
+     '{"alpha_total": 27, "box": [[-3, -3], [3, 3]]}'),
+    ("alpha-eval --bundle fano --u 0,0",
+     '{"alpha_u": 3, "chi_u": 3, "equal": true, "u": [0, 0]}'),
+    ("chi --bundle fano --u 0,0",
+     '{"chi_u": 3, "h0_by_codim": [9, 9, 3], "u": [0, 0]}'),
+    ("chi --bundle u23_bundle",
+     '{"box": [[-2, -2], [2, 2]], "chi_total": 8}'),
+    ("alpha-eval --bundle u23_bundle",
+     '{"alpha_total": 8, "box": [[-2, -2], [2, 2]]}'),
+]
+
+
+@pytest.mark.parametrize("argv, stdout", GOLDEN, ids=[a for a, _ in GOLDEN])
+def test_golden_stdout(files, capsys, argv, stdout):
+    code, out = run(capsys, *[files.get(a, a) for a in argv.split()])
+    assert code == 0
+    assert out == stdout + "\n"
 
 
 def test_alpha_eval_bundle(files, capsys):

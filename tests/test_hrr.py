@@ -29,7 +29,6 @@ from tropehrhart.hrr import (
 from tropehrhart.lattice import (
     Fan,
     HPolyhedron,
-    lattice_points,
     minkowski_sum,
     refine_by_hyperplanes,
     vertex_enumeration,
@@ -39,7 +38,12 @@ from tropehrhart.linalg import dot, solve_unique
 from tropehrhart.matroid import uniform_matroid
 from tropehrhart.tropvb import validate
 
-from conftest import random_bundle, random_p1_bundle, zonotope_support_numbers
+from conftest import (
+    lattice_points,
+    random_bundle,
+    random_p1_bundle,
+    zonotope_support_numbers,
+)
 
 # asymmetric smooth fan (a Hirzebruch surface); the last case has negative
 # Euler characteristic, so the associated chain is genuinely virtual

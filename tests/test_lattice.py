@@ -22,7 +22,6 @@ from tropehrhart.lattice import (
     is_complete,
     is_refinement,
     is_smooth,
-    lattice_points,
     min_containing_cone,
     minkowski_sum,
     refine_by_hyperplanes,
@@ -34,6 +33,7 @@ from tropehrhart.linalg import dot, primitive
 from conftest import (
     caratheodory_contains,
     grid_points,
+    lattice_points,
     oracle_hull_vertices,
     random_lattice_polytope,
 )
