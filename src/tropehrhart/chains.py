@@ -57,8 +57,15 @@ class ConvexChain:
         self.terms = tuple(
             (c, pieces[k]) for k, c in merged.items() if c != 0
         )
+        # ambient dimensions of the pieces; one value for a well-formed chain
+        self.dims = frozenset(piece.ambient_dim for _, piece in self.terms)
 
     def evaluate(self, u) -> int:
+        if self.dims - {len(u)}:
+            raise ValidationError(
+                f"point has {len(u)} coordinates but chain pieces have "
+                f"{sorted(self.dims)}"
+            )
         return sum(c for c, piece in self.terms if piece.contains(u))
 
     def __add__(self, other):
@@ -93,12 +100,8 @@ def degree(a: ConvexChain) -> int:
     """Sum of coefficients over nonempty pieces."""
     total = 0
     for c, piece in a.terms:
-        if isinstance(piece, VPolytope):
-            if not piece.is_empty():
-                total += c
-        else:
-            if not piece.is_empty():
-                total += c
+        if not piece.is_empty():
+            total += c
     return total
 
 
@@ -230,11 +233,10 @@ def box_values(a: ConvexChain, box):
     import numpy as np
 
     lo, hi = box
-    dims = {piece.ambient_dim for _, piece in a.terms}
-    if dims - {len(lo)}:
+    if a.dims - {len(lo)}:
         raise ValidationError(
             f"box has {len(lo)} coordinates but chain pieces have "
-            f"{sorted(dims)}"
+            f"{sorted(a.dims)}"
         )
     d = len(lo)
     count = check_box(box, d)

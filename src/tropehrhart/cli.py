@@ -20,7 +20,6 @@ from fractions import Fraction
 from . import hrr, taut
 from .chains import ConvexChain, lattice_sum
 from .errors import (
-    BundleValidationError,
     NoCommonApartmentError,
     RowNotInBergmanError,
     TropehrhartError,
@@ -402,9 +401,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         report = args.fn(args)
-    except (ValidationError, BundleValidationError) as exc:
-        print(_dump(_error_payload(exc)))
-        return 2
     except TropehrhartError as exc:
         print(_dump(_error_payload(exc)))
         return 2

@@ -10,8 +10,10 @@ Dimension caps: vertex enumeration works up to ambient dimension 4 and fan
 refinement up to 3, enforced with explicit errors.  Every conversion between
 rays and half-spaces (dual cones, intersections, hulls, vertex enumeration)
 goes through one incremental double description in integer arithmetic,
-`vcone_from_halfspaces`; face lattices come from one closure of facet
-incidences under intersection, `_intersection_closure`.
+`vcone_from_halfspaces`; hulls of every dimension and affine rank take that
+route through `_hull_data`.  Face lattices come from one closure of facet
+incidences under intersection, `_intersection_closure`, and volumes from one
+pulling triangulation, `_pulling_triangulation`, in every dimension.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ from .linalg import (
     det,
     dot,
     echelon,
-    in_span,
     integral,
     is_zero,
     nullspace,
@@ -42,7 +43,6 @@ from .linalg import (
     rank,
     reduce_mod,
     rref,
-    solve,
     vec_neg,
     vec_sub,
 )
@@ -569,16 +569,23 @@ def stellar_subdivision(f: Fan, v) -> Fan:
 # Polyhedra
 # ---------------------------------------------------------------------------
 
+def _integer_normal(n):
+    """The normal as a tuple of ints; a non-integer entry is refused."""
+    n = tuple(n)
+    row = tuple(int(x) for x in n)
+    if row != n:
+        raise ValidationError(
+            f"half-space normal ({', '.join(map(str, n))}) has a non-integer entry"
+        )
+    return row
+
+
 class HPolyhedron:
     """Intersection of half-spaces <y, v> <= d and hyperplanes <y, v> = d."""
 
     def __init__(self, inequalities=(), equalities=(), ambient_dim=None):
-        ineqs = []
-        for n, b in inequalities:
-            ineqs.append((tuple(int(x) for x in n), Fraction(b)))
-        eqs = []
-        for n, b in equalities:
-            eqs.append((tuple(int(x) for x in n), Fraction(b)))
+        ineqs = [(_integer_normal(n), Fraction(b)) for n, b in inequalities]
+        eqs = [(_integer_normal(n), Fraction(b)) for n, b in equalities]
         if ambient_dim is None:
             if ineqs:
                 ambient_dim = len(ineqs[0][0])
@@ -637,10 +644,6 @@ class HPolyhedron:
     def is_empty(self) -> bool:
         return not self.generators()[0]
 
-    def is_bounded(self) -> bool:
-        verts, rays, lin = self.generators()
-        return not rays and not lin
-
     def __repr__(self):
         return (
             f"HPolyhedron({len(self.inequalities)} inequalities, "
@@ -667,8 +670,7 @@ class VPolytope:
         if pts and not trusted:
             facets = []
             pts = convex_hull_vertices(pts, facets)
-            if facets:
-                self._hrep = facets[0]
+            self._hrep = facets[0]
         self.vertices = tuple(sorted(set(pts)))
 
     @property
@@ -756,80 +758,20 @@ class VPolytope:
 # Convex hulls
 # ---------------------------------------------------------------------------
 
-def _hull2d(points):
-    """Monotone chain; returns hull vertices in counterclockwise order."""
-    pts = sorted(set(points))
-    if len(pts) <= 2:
-        return pts
-
-    def cross(o, a, b):
-        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-    lower = []
-    for p in pts:
-        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper = []
-    for p in reversed(pts):
-        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    return lower[:-1] + upper[:-1]
-
-
 def convex_hull_vertices(points, facets=None):
-    """Extreme points of a finite point set (exact, any small dimension).
+    """Extreme points of a finite point set, in sorted order, by double
+    description (`_hull_data`) in every dimension and affine rank.
 
-    A hull of affine dimension 3 or more is found by double description.
-    When that route runs and `facets` is a list, the hull's (inequalities,
-    equalities), as `VPolytope.hrep` returns them, are appended to it.
+    When `facets` is a list, the hull's (inequalities, equalities), as
+    `VPolytope.hrep` returns them, are appended to it.
     """
     pts = sorted(set(tuple(Fraction(x) for x in p) for p in points))
     if not pts:
         return []
-    d = len(pts[0])
-    ar = affine_rank(pts)
-    if ar <= 0:
-        return [pts[0]]
-    if ar == 1:
-        base = pts[0]
-        direction = None
-        for p in pts[1:]:
-            diff = vec_sub(p, base)
-            if not is_zero(diff):
-                direction = diff
-                break
-        idx = next(i for i, x in enumerate(direction) if x != 0)
-        lo = min(pts, key=lambda p: p[idx] * (1 if direction[idx] > 0 else -1))
-        hi = max(pts, key=lambda p: p[idx] * (1 if direction[idx] > 0 else -1))
-        return sorted({lo, hi})
-    if ar == 2:
-        if d == 2:
-            return sorted(_hull2d(pts))
-        return _hull_planar(pts)
-    verts, ineqs, eqs = _hull_data(pts, d)
+    verts, ineqs, eqs = _hull_data(pts, len(pts[0]))
     if facets is not None:
         facets.append((tuple(ineqs), tuple(eqs)))
     return verts
-
-
-def _hull_planar(points):
-    """Hull of coplanar points in a higher-dimensional ambient space."""
-    base = points[0]
-    basis = []
-    for p in points[1:]:
-        diff = vec_sub(p, base)
-        if not is_zero(diff) and not in_span(diff, basis):
-            basis.append(diff)
-            if len(basis) == 2:
-                break
-    coords = {}
-    for p in points:
-        lam = solve(list(zip(*basis)), vec_sub(p, base))
-        coords[(lam[0], lam[1])] = p
-    hull2 = _hull2d(list(coords))
-    return sorted(coords[c] for c in hull2)
 
 
 def _hull_data(pts, d):
@@ -906,17 +848,6 @@ def volume(p: VPolytope) -> Fraction:
 
 def _volume_by_pulling(p: VPolytope, use_max_vertex=False) -> Fraction:
     d = p.ambient_dim
-    if d == 1:
-        xs = [v[0] for v in p.vertices]
-        return max(xs) - min(xs)
-    if d == 2:
-        ordered = _hull2d(p.vertices)
-        s = Fraction(0)
-        for i in range(len(ordered)):
-            x1, y1 = ordered[i]
-            x2, y2 = ordered[(i + 1) % len(ordered)]
-            s += x1 * y2 - x2 * y1
-        return abs(s) / 2
     total = Fraction(0)
     fac = 1
     for k in range(2, d + 1):
@@ -933,33 +864,37 @@ def _volume_by_pulling(p: VPolytope, use_max_vertex=False) -> Fraction:
 
 
 def _pulling_triangulation(p: VPolytope, use_max_vertex=False):
-    """Triangulate by recursively pulling an extreme vertex of every face."""
-    faces = p.faces()
-    by_verts = {}
-    for face, dim, _ in faces:
-        by_verts[face.vertices] = dim
-    children = {vs: [] for vs in by_verts}
-    for vs, dim in by_verts.items():
-        sset = set(vs)
-        for vs2, dim2 in by_verts.items():
-            if dim2 == dim - 1 and set(vs2) <= sset:
-                children[vs].append(vs2)
+    """Triangulate by pulling: every face is coned from its smallest (or
+    largest) vertex over the triangulations of its facets that miss it.
 
-    def pull(vs):
-        dim = by_verts[vs]
-        v = max(vs) if use_max_vertex else min(vs)
-        if dim == 0:
-            return [(v,)]
-        simplices = []
-        for sub in children[vs]:
-            if v in sub:
-                continue
-            for s in pull(sub):
-                simplices.append(s + (v,))
-        return simplices
+    Faces are sets of vertex indices.  The facets of a face G are the
+    maximal proper sets among G & F over the polytope's facets F.
+    """
+    verts = p.vertices
+    ineqs, _ = p.hrep()
+    facets = [
+        frozenset(i for i, v in enumerate(verts) if dot(n, v) == b)
+        for n, b in ineqs
+    ]
+    pick = max if use_max_vertex else min  # vertices are sorted
+    done = {}
 
-    top = max(by_verts, key=lambda vs: by_verts[vs])
-    return pull(top)
+    def pull(face):
+        if face not in done:
+            v = pick(face)
+            if len(face) == 1:
+                done[face] = [(verts[v],)]
+            else:
+                subs = {face & f for f in facets} - {face}
+                done[face] = [
+                    s + (verts[v],)
+                    for sub in subs
+                    if v not in sub and not any(sub < other for other in subs)
+                    for s in pull(sub)
+                ]
+        return done[face]
+
+    return pull(frozenset(range(len(verts))))
 
 
 def faces(p: VPolytope):

@@ -225,12 +225,3 @@ def affine_rank(points) -> int:
     if not diffs:
         return 0
     return rank(diffs)
-
-
-def in_span(vec, basis) -> bool:
-    """Is vec in the linear span of the given vectors?"""
-    if is_zero(vec):
-        return True
-    if not basis:
-        return False
-    return rank(list(basis)) == rank(list(basis) + [vec])

@@ -70,13 +70,6 @@ def _mask_to_set(mask: int):
     return frozenset(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
 
 
-def _set_to_mask(s) -> int:
-    mask = 0
-    for e in s:
-        mask |= 1 << (e - 1)
-    return mask
-
-
 class PermutahedralFan:
     """Flag-combinatorial model of the permutahedral fan on m letters."""
 

@@ -92,10 +92,16 @@ class TropicalVectorBundle:
         return self.matroid.rank(self.section_flat(frozenset(cone_key), u))
 
     def h0_global(self, u) -> int:
+        self._check_character(u)
         return self.h0_local(frozenset(range(len(self.fan.rays))), u)
 
-    def global_section_flat(self, u) -> frozenset:
-        return self.section_flat(frozenset(range(len(self.fan.rays))), u)
+    def _check_character(self, u):
+        """Refuse a character whose length is not the fan's dimension."""
+        if len(u) != self.fan.ambient_dim:
+            raise ValidationError(
+                f"character has {len(u)} coordinates, expected "
+                f"{self.fan.ambient_dim}"
+            )
 
     # -- parliament -------------------------------------------------------
 
@@ -110,16 +116,10 @@ class TropicalVectorBundle:
             out[e] = HPolyhedron(ineqs, (), self.fan.ambient_dim)
         return out
 
-    def h0_global_parliament(self, u) -> int:
-        """Rank of the set of parliament members containing u (cross path)."""
-        members = frozenset(
-            e for e, p in self.parliament().items() if p.contains(u)
-        )
-        return self.matroid.rank(members)
-
     # -- Euler characteristic ----------------------------------------------
 
     def euler_char_u(self, u) -> int:
+        self._check_character(u)
         total = 0
         for key in self.fan.cone_keys:
             total += (-1) ** self.fan.codim(key) * self.h0_local(key, u)
@@ -127,6 +127,7 @@ class TropicalVectorBundle:
 
     def euler_char_by_codim(self, u):
         """Per-codimension totals of rank h^0 over cones; sums to chi_u."""
+        self._check_character(u)
         n = self.fan.ambient_dim
         byc = [0] * (n + 1)
         for key in self.fan.cone_keys:
@@ -183,11 +184,9 @@ class TropicalVectorBundle:
                 out.append((u, h))
         return out
 
-    def h0_total(self, box=None) -> int:
+    def h0_total(self) -> int:
         """Sum of global section ranks over all characters."""
-        if box is None:
-            return sum(h for _, h in self.h0_nonzero())
-        return sum(self.h0_global(u) for u in box_points(*box))
+        return sum(h for _, h in self.h0_nonzero())
 
     # -- characters and the associated chain --------------------------------
 

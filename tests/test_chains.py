@@ -23,6 +23,7 @@ from tropehrhart.errors import (
     InvalidSupportFunctionError,
     NotPiecewiseLinearError,
     UnsupportedOperandError,
+    ValidationError,
 )
 from tropehrhart.lattice import Fan, HPolyhedron, VPolytope
 
@@ -51,10 +52,23 @@ def test_evaluate_cancellation():
     assert evaluate(chain, (0, 0)) == 0
 
 
+@pytest.mark.parametrize("u", [(5,), (-1, 0, 7)])
+def test_evaluate_refuses_points_of_the_wrong_length(u):
+    halfplane = one(HPolyhedron([((1, 0), 0)]))  # x <= 0
+    assert halfplane.evaluate((-1, 0)) == 1
+    with pytest.raises(ValidationError, match="coordinates"):
+        halfplane.evaluate(u)
+    with pytest.raises(ValidationError, match="coordinates"):
+        one(UNIT_SQUARE).evaluate(u)
+
+
 def test_degree():
     assert degree(one(UNIT_SQUARE)) == 1
     assert degree(invert_polytope(SEGMENT)) == 1
     assert degree(ConvexChain()) == 0
+    halfline = HPolyhedron([((1,), 0)])
+    nothing = HPolyhedron([((1,), 0), ((-1,), -1)])
+    assert degree(ConvexChain([(2, halfline), (5, nothing), (3, SEGMENT)])) == 5
 
 
 # ---------------------------------------------------------------------------

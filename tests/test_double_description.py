@@ -4,7 +4,9 @@
 here is the subsystem enumeration it replaced, over Fraction elimination.
 Hulls, H-representations and volumes are checked against the same routes
 built on that oracle: the rank test for vertices and the Fraction
-determinant for simplex volumes.
+determinant for simplex volumes.  In dimensions 1 and 2, hulls and volumes
+are also checked against the monotone chain and the shoelace formula, and
+pulling triangulations against the same pulling over the full face lattice.
 """
 
 import itertools
@@ -157,13 +159,67 @@ def _frac_det(rows):
     return sign * result
 
 
+def _pulling_triangulation_oracle(p, use_max_vertex=False):
+    """Pulling triangulation over the full face lattice of `VPolytope.faces`,
+    with the facets of a face found by dimension and containment."""
+    by_verts = {face.vertices: dim for face, dim, _ in p.faces()}
+    children = {
+        vs: [ws for ws, dw in by_verts.items() if dw == dim - 1 and set(ws) <= set(vs)]
+        for vs, dim in by_verts.items()
+    }
+
+    def pull(vs):
+        v = max(vs) if use_max_vertex else min(vs)
+        if by_verts[vs] == 0:
+            return [(v,)]
+        return [s + (v,) for sub in children[vs] if v not in sub for s in pull(sub)]
+
+    return pull(max(by_verts, key=by_verts.get))
+
+
 def _volume_oracle(p):
     """Pulling-triangulation volume with Fraction simplex determinants."""
     d = p.ambient_dim
     total = Fraction(0)
-    for simplex in _pulling_triangulation(p):
+    for simplex in _pulling_triangulation_oracle(p):
         total += abs(_frac_det([vec_sub(v, simplex[0]) for v in simplex[1:]]))
     return total / factorial(d)
+
+
+def _monotone_chain(points):
+    """Vertices of a planar hull in counterclockwise order (Andrew's
+    monotone chain); collinear and repeated points are dropped."""
+    pts = sorted(set(points))
+    if len(pts) <= 2:
+        return pts
+
+    def cross(o, a, b):
+        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+    lower = []
+    for p in pts:
+        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0:
+            lower.pop()
+        lower.append(p)
+    upper = []
+    for p in reversed(pts):
+        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
+            upper.pop()
+        upper.append(p)
+    return lower[:-1] + upper[:-1]
+
+
+def _shoelace_volume(points):
+    """Length (d = 1) or area (d = 2, shoelace over the monotone chain) of
+    the hull of a point set."""
+    if len(points[0]) == 1:
+        xs = [p[0] for p in points]
+        return max(xs) - min(xs)
+    ordered = _monotone_chain(points)
+    s = Fraction(0)
+    for (x1, y1), (x2, y2) in zip(ordered, ordered[1:] + ordered[:1]):
+        s += x1 * y2 - x2 * y1
+    return abs(s) / 2
 
 
 # ---------------------------------------------------------------------------
@@ -192,11 +248,11 @@ def row_sets(draw):
 
 
 @st.composite
-def point_clouds(draw):
-    """Rational point clouds in dimension 2..4 whose affine hull has any
-    dimension from 0 to d (so collinear and coplanar clouds are common),
+def point_clouds(draw, max_dim=4):
+    """Rational point clouds in dimension 1..max_dim whose affine hull has
+    any dimension from 0 to d (so collinear and coplanar clouds are common),
     with repeated points."""
-    d = draw(st.integers(2, 4))
+    d = draw(st.integers(1, max_dim))
     k = draw(st.integers(0, d))
     origin = draw(st.tuples(*[COORD] * d))
     dirs = draw(st.lists(st.tuples(*[COORD] * d), min_size=k, max_size=k))
@@ -244,6 +300,18 @@ def test_hull_and_hrep_equal_oracle_route(case):
     assert poly.hrep() == (tuple(ineqs), tuple(eqs))
 
 
+@SETTINGS
+@given(point_clouds(max_dim=2))
+def test_hull_and_volume_equal_monotone_chain_and_shoelace(case):
+    d, pts = case
+    poly = VPolytope(pts, d)
+    if d == 1:
+        assert poly.vertices == tuple(sorted({min(pts), max(pts)}))
+    else:
+        assert poly.vertices == tuple(sorted(_monotone_chain(pts)))
+    assert volume(poly) == _shoelace_volume(pts)
+
+
 def test_vcone_equals_bruteforce_on_degenerate_cases():
     cases = [
         ([(1, 0), (-1, 0)], 2),  # a line of lineality, no rays
@@ -286,3 +354,14 @@ def test_volume_equals_fraction_determinant_route():
             assert volume(p) == _volume_oracle(p)
             checked += 1
     assert checked >= 16
+
+
+@SETTINGS
+@given(point_clouds())
+def test_pulling_triangulation_equals_face_lattice_route(case):
+    d, pts = case
+    poly = VPolytope(pts, d)
+    for use_max_vertex in (False, True):
+        assert sorted(_pulling_triangulation(poly, use_max_vertex)) == sorted(
+            _pulling_triangulation_oracle(poly, use_max_vertex)
+        )

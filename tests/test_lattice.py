@@ -115,6 +115,17 @@ def test_vertex_enumeration_random_vs_hull_oracle():
             )
 
 
+def test_hpolyhedron_refuses_non_integer_normals():
+    # a truncated normal (1/2, 0) -> (0, 0) would contain every point
+    with pytest.raises(ValidationError, match="non-integer"):
+        HPolyhedron([((Fraction(1, 2), 0), 1)])
+    with pytest.raises(ValidationError, match="non-integer"):
+        HPolyhedron([], [((1, Fraction(-3, 2)), 0)])
+    p = HPolyhedron([((Fraction(2), 0), 1)])
+    assert p.inequalities == (((2, 0), Fraction(1)),)
+    assert not p.contains((5, 0))
+
+
 def test_vertex_enumeration_errors():
     with pytest.raises(UnboundedPolyhedronError):
         vertex_enumeration(HPolyhedron([((1, 0), 0)]))

@@ -11,6 +11,7 @@ from tropehrhart.errors import (
     NoCommonApartmentError,
     RowNotInBergmanError,
     UnsupportedConeError,
+    ValidationError,
 )
 from tropehrhart.lattice import (
     Fan,
@@ -28,6 +29,16 @@ from tropehrhart.tropvb import (
 )
 
 from conftest import grid_points, random_p1_bundle, random_split_bundle
+
+
+def h0_global_parliament(bundle, u) -> int:
+    """Oracle for `h0_global`: the rank of the set of parliament members
+    containing u."""
+    members = frozenset(
+        e for e, p in bundle.parliament().items() if p.contains(u)
+    )
+    return bundle.matroid.rank(members)
+
 
 S12 = frozenset({0, 1})
 S23 = frozenset({1, 2})
@@ -137,7 +148,17 @@ def test_h0_total_with_empty_parliament(p2_fan, u23_matroid):
 def test_h0_global_matches_parliament_route(fano_bundle, u23_bundle):
     for bundle in (fano_bundle, u23_bundle):
         for u in grid_points(2, 3):
-            assert bundle.h0_global(u) == bundle.h0_global_parliament(u)
+            assert bundle.h0_global(u) == h0_global_parliament(bundle, u)
+
+
+@pytest.mark.parametrize("u", [(1,), (0, 0, 9), ()])
+def test_characters_of_the_wrong_length_are_refused(u23_bundle, u):
+    with pytest.raises(ValidationError, match="coordinates, expected 2"):
+        u23_bundle.h0_global(u)
+    with pytest.raises(ValidationError, match="coordinates, expected 2"):
+        u23_bundle.euler_char_u(u)
+    with pytest.raises(ValidationError, match="coordinates, expected 2"):
+        u23_bundle.euler_char_by_codim(u)
 
 
 def test_trivial_rank_one_bundle(p2_fan):
