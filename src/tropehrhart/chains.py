@@ -28,12 +28,15 @@ from .lattice import (
     Fan,
     HPolyhedron,
     VPolytope,
+    bounding_box,
     check_box,
+    min_containing_cone,
+    minkowski_sum,
     refine_by_hyperplanes,
     vertex_enumeration,
     volume,
 )
-from .linalg import clear_denominators, dot, is_zero, vec_sub
+from .linalg import clear_denominators, dot, is_zero, solve, vec_sub
 
 
 def _piece_key(piece):
@@ -43,12 +46,24 @@ def _piece_key(piece):
 
 
 class ConvexChain:
-    """Finite signed formal sum of indicator functions of closed polyhedra."""
+    """Finite signed formal sum of indicator functions of closed polyhedra.
+
+    All pieces share one ambient dimension, `ambient_dim` (None for the
+    empty chain).
+    """
 
     def __init__(self, terms=()):
         merged = {}
         pieces = {}
+        self.ambient_dim = None
         for coeff, piece in terms:
+            if self.ambient_dim is None:
+                self.ambient_dim = piece.ambient_dim
+            elif piece.ambient_dim != self.ambient_dim:
+                raise ValidationError(
+                    f"chain pieces differ in dimension: {self.ambient_dim} "
+                    f"and {piece.ambient_dim}"
+                )
             if coeff == 0:
                 continue
             key = _piece_key(piece)
@@ -57,15 +72,16 @@ class ConvexChain:
         self.terms = tuple(
             (c, pieces[k]) for k, c in merged.items() if c != 0
         )
-        # ambient dimensions of the pieces; one value for a well-formed chain
-        self.dims = frozenset(piece.ambient_dim for _, piece in self.terms)
+
+    def _check_length(self, what, n):
+        if self.ambient_dim not in (None, n):
+            raise ValidationError(
+                f"{what} has {n} coordinates but the chain has dimension "
+                f"{self.ambient_dim}"
+            )
 
     def evaluate(self, u) -> int:
-        if self.dims - {len(u)}:
-            raise ValidationError(
-                f"point has {len(u)} coordinates but chain pieces have "
-                f"{sorted(self.dims)}"
-            )
+        self._check_length("point", len(u))
         return sum(c for c, piece in self.terms if piece.contains(u))
 
     def __add__(self, other):
@@ -118,8 +134,6 @@ def _as_vpolytope(piece) -> VPolytope:
 
 def convolve(a: ConvexChain, b: ConvexChain) -> ConvexChain:
     """Bilinear extension of Minkowski summation to chains."""
-    from .lattice import minkowski_sum
-
     a_pieces = [(c, _as_vpolytope(p)) for c, p in a.terms]
     b_pieces = [(c, _as_vpolytope(p)) for c, p in b.terms]
     terms = []
@@ -177,12 +191,7 @@ def brianchon_gram(sn: SupportNumbers) -> ConvexChain:
         vals = [sn[i] for i in sorted(key)]
         if len(rays) > fan.dim(key):
             # non-simplicial cone: the ray values must extend linearly
-            from .linalg import solve
-
-            sol = solve(rays, vals)
-            if sol is None or any(
-                dot(sol, r) != v for r, v in zip(rays, vals)
-            ):
+            if solve(rays, vals) is None:
                 raise NotPiecewiseLinearError(
                     f"ray values do not extend linearly on cone {sorted(key)}"
                 )
@@ -233,11 +242,7 @@ def box_values(a: ConvexChain, box):
     import numpy as np
 
     lo, hi = box
-    if a.dims - {len(lo)}:
-        raise ValidationError(
-            f"box has {len(lo)} coordinates but chain pieces have "
-            f"{sorted(a.dims)}"
-        )
+    a._check_length("box", len(lo))
     d = len(lo)
     count = check_box(box, d)
     pieces = []
@@ -309,8 +314,6 @@ def chain_box(a: ConvexChain, pad: int = 1):
             points.extend(piece.vertices)
     if not points:
         raise ValidationError("chain has no bounded pieces to bound")
-    from .lattice import bounding_box
-
     return bounding_box(points, pad)
 
 
@@ -365,8 +368,6 @@ class MultiValuedSupportFunction:
 
     def values_at(self, x):
         """Sorted tuple of branch values at a point of the fan support."""
-        from .lattice import min_containing_cone
-
         key = min_containing_cone(self.fan, x)
         for mkey in self.fan.maximal_keys:
             if key <= mkey:

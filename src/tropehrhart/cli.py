@@ -226,10 +226,7 @@ def _cmd_alpha_eval(args) -> dict:
         chain = load_chain(args.chain)
         if args.u is None:
             raise ValidationError("alpha-eval on a chain file needs --u")
-        dims = {piece.ambient_dim for _, piece in chain.terms}
-        if len(dims) > 1:
-            raise ValidationError("chain pieces differ in dimension")
-        u = _parse_vector(args.u, dims.pop() if dims else None)
+        u = _parse_vector(args.u, chain.ambient_dim)
         return {"u": list(u), "value": chain.evaluate(u)}
     if not args.bundle:
         raise ValidationError("alpha-eval needs --bundle or --chain")

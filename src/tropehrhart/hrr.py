@@ -30,7 +30,7 @@ from .errors import (
     ValidationError,
 )
 from .lattice import Fan
-from .linalg import solve_unique
+from .linalg import solve
 
 HRR_MAX_DIM = 2
 
@@ -202,7 +202,7 @@ def _extension_forms(fan: Fan, rays):
             continue
         for key in fan.maximal_keys:
             idx = sorted(key)
-            c = solve_unique(
+            c = solve(
                 [tuple(fan.rays[i][t] for i in idx) for t in range(n)], v
             )
             if c is not None and all(x >= 0 for x in c):
@@ -284,7 +284,7 @@ def interpolate_volume_polynomial(h) -> MultiPoly:
     own = [{i: 1} for i in range(s)]
     expected = _branch_sum(_shoelace(fan), [(0,) * s], own, s)
     top = {m: c for m, c in poly.coeffs.items() if sum(m) == n}
-    if top != {m: h.rank * c for m, c in expected.items() if c != 0}:
+    if top != {m: h.rank * c for m, c in expected.items() if h.rank * c != 0}:
         raise InterpolationFailureError(
             "degree-n part is not rank times the volume polynomial of the fan"
         )

@@ -32,7 +32,6 @@ from .errors import (
 from .linalg import (
     affine_rank,
     clear_denominators,
-    cross_nullvec,
     det,
     dot,
     echelon,
@@ -42,7 +41,6 @@ from .linalg import (
     primitive,
     rank,
     reduce_mod,
-    rref,
     vec_neg,
     vec_sub,
 )
@@ -88,7 +86,7 @@ def vcone_from_halfspaces(normals, dim):
     all_start = sum(1 << i for i in start)
     rays = []
     for i in start:
-        v = primitive(cross_nullvec([rows[j] for j in start if j != i] + lin, dim))
+        (v,) = nullspace([rows[j] for j in start if j != i] + lin, dim)
         rays.append((v if dot(rows[i], v) > 0 else vec_neg(v), all_start ^ (1 << i)))
     for k, row in enumerate(rows):
         if all_start >> k & 1:
@@ -139,23 +137,15 @@ def _adjacent(common, rays):
 class Cone:
     """Rational polyhedral cone, generated by rays plus a lineality space."""
 
-    def __init__(self, rays, ambient_dim, lineality=(), canonicalize=False):
+    def __init__(self, rays, ambient_dim, lineality=()):
         rays = tuple(primitive(tuple(r)) for r in rays)
-        lineality = tuple(primitive(tuple(v)) for v in lineality)
         if any(is_zero(r) for r in rays):
             raise ValidationError("zero vector is not a valid ray generator")
+        if len(set(rays)) != len(rays):
+            raise ValidationError("repeated ray generator")
         self.ambient_dim = ambient_dim
-        if canonicalize and (rays or lineality):
-            halfspaces, lin2 = _dual_data(rays, lineality, ambient_dim)
-            rays, lineality = vcone_from_halfspaces(
-                list(halfspaces) + [v for l in lin2 for v in (l, vec_neg(l))],
-                ambient_dim,
-            )
-        else:
-            if len(set(rays)) != len(rays):
-                raise ValidationError("repeated ray generator")
-        self.rays = tuple(rays)
-        self.lineality = tuple(lineality)
+        self.rays = rays
+        self.lineality = tuple(primitive(tuple(v)) for v in lineality)
         self._dual = None
         self._faces = None
 
@@ -225,7 +215,7 @@ class Cone:
 
     def key(self):
         if self.lineality:
-            lin_red, _ = rref(self.lineality)
+            lin_red = (b for _, _, b in echelon(self.lineality))
             return (frozenset(self.rays), frozenset(lin_red))
         return frozenset(self.rays)
 
@@ -261,16 +251,6 @@ def _intersection_closure(n, zero_sets):
     return closed
 
 
-def _dual_data(rays, lineality, dim):
-    """Half-space normals (and equations) cutting out the given cone."""
-    gens = list(rays)
-    for l in lineality:
-        gens.append(l)
-        gens.append(vec_neg(l))
-    dual_rays, dual_lin = vcone_from_halfspaces(gens, dim)
-    return dual_rays, dual_lin
-
-
 def dual_cone(c: Cone) -> Cone:
     """Generators of {u : <u, x> >= 0 on c}, by double description."""
     if c.ambient_dim > VERTEX_ENUM_MAX_DIM:
@@ -302,6 +282,10 @@ class Fan:
             if not rays:
                 raise ValidationError("ambient dimension required for a trivial fan")
             ambient_dim = len(rays[0])
+        if any(len(r) != ambient_dim for r in rays):
+            raise ValidationError(
+                f"every fan ray needs {ambient_dim} coordinates"
+            )
         self.ambient_dim = ambient_dim
         self.rays = tuple(rays)
 
@@ -361,8 +345,8 @@ class Fan:
             cone = self._make_cone(key)
             if cone.lineality:
                 raise ValidationError("fan cones must be strictly convex")
-            canonical = Cone(cone.rays, self.ambient_dim, canonicalize=True)
-            if canonical.lineality or set(canonical.rays) != set(cone.rays):
+            extreme, lin = vcone_from_halfspaces(cone.dual.generators, self.ambient_dim)
+            if lin or set(extreme) != set(cone.rays):
                 raise ValidationError(
                     f"rays of cone {sorted(key)} are not all extreme"
                 )
@@ -940,7 +924,23 @@ def bounding_box(points, pad=0):
     return lo, hi
 
 
+def box_size(lo, hi) -> int:
+    """Number of integer points of the box [lo, hi]; BoxTooLargeError above
+    BOX_MAX_POINTS."""
+    count = 1
+    for l, h in zip(lo, hi):
+        count *= max(h - l + 1, 0)
+    if count > BOX_MAX_POINTS:
+        raise BoxTooLargeError(
+            f"box has {count} points, above the cap of {BOX_MAX_POINTS}"
+        )
+    return count
+
+
 def box_points(lo, hi):
+    """The integer points of the box [lo, hi] in lexicographic order; the
+    point cap (`box_size`) is checked before any point exists."""
+    box_size(lo, hi)
     return itertools.product(*(range(l, h + 1) for l, h in zip(lo, hi)))
 
 
@@ -956,15 +956,9 @@ def check_box(box, dim) -> int:
         raise ValidationError(
             f"box has {len(lo)} and {len(hi)} coordinates, expected {dim}"
         )
-    count = 1
     for l, h in zip(lo, hi):
         if h - l < 2:
             raise ValidationError(
                 f"box side [{l}, {h}] has no interior point (need hi - lo >= 2)"
             )
-        count *= h - l + 1
-    if count > BOX_MAX_POINTS:
-        raise BoxTooLargeError(
-            f"box has {count} points, above the cap of {BOX_MAX_POINTS}"
-        )
-    return count
+    return box_size(lo, hi)

@@ -1,9 +1,10 @@
 """Exact linear algebra over the rationals.
 
 Vectors are plain tuples (of ints or Fractions), matrices are sequences of
-row tuples.  Everything here is fraction-free where possible: `rank` is an
-integer echelon form, and `nullspace` runs the Fraction reduction (`rref`)
-only on the independent rows that echelon form picks.  Nothing ever touches
+row tuples.  There is one elimination, the fraction-free integer `echelon`
+(in the style of Bareiss 1968): its rows are the reduced row echelon form
+scaled to primitive integers, and `rank`, `nullspace` and `solve` are read
+off it.  `det` (Bareiss) is the one determinant.  Nothing ever touches
 floating point.
 """
 
@@ -35,9 +36,7 @@ def primitive(v):
 
     The sign is kept as given; (0,...,0) stays zero.
     """
-    g = 0
-    for x in v:
-        g = gcd(g, abs(x))
+    g = gcd(*v)
     if g <= 1:
         return tuple(v)
     return tuple(x // g for x in v)
@@ -55,11 +54,13 @@ def clear_denominators(v):
 
 
 def echelon(rows, stop=None):
-    """Fraction-free echelon basis of integer rows, up to `stop` rows.
+    """Fraction-free reduced echelon basis of integer rows, up to `stop` rows.
 
     Returns (row index, pivot column, reduced row) for every row that is
     independent of the ones before it.  Each reduced row is primitive, has a
-    positive pivot entry and is zero at the pivots of the earlier rows.
+    positive pivot entry, is zero before its pivot and zero at every other
+    pivot: sorted by pivot, the rows are the reduced row echelon form of the
+    rows seen, each scaled to a primitive integer vector.
     """
     basis = []
     for i, row in enumerate(rows):
@@ -67,7 +68,14 @@ def echelon(rows, stop=None):
         c = next((j for j, x in enumerate(v) if x), None)
         if c is None:
             continue
-        basis.append((i, c, v if v[c] > 0 else vec_neg(v)))
+        v = primitive(v if v[c] > 0 else vec_neg(v))
+        # back-reduce: clear the new pivot column in the earlier rows
+        basis = [
+            (k, pc, primitive(tuple(v[c] * x - b[c] * y for x, y in zip(b, v))))
+            if b[c] else (k, pc, b)
+            for k, pc, b in basis
+        ]
+        basis.append((i, c, v))
         if len(basis) == stop:
             break
     return basis
@@ -84,38 +92,6 @@ def reduce_mod(v, basis):
     return v
 
 
-def rref(rows):
-    """Reduced row echelon form over Fraction.
-
-    Returns (reduced_rows, pivot_columns).  Input rows are not modified.
-    """
-    mat = [list(map(Fraction, r)) for r in rows]
-    nrows = len(mat)
-    ncols = len(mat[0]) if mat else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = None
-        for i in range(r, nrows):
-            if mat[i][c] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        pv = mat[r][c]
-        mat[r] = [x / pv for x in mat[r]]
-        for i in range(nrows):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return [tuple(row) for row in mat], pivots
-
-
 def rank(rows) -> int:
     if not rows:
         return 0
@@ -123,25 +99,29 @@ def rank(rows) -> int:
 
 
 def nullspace(rows, ncols=None):
-    """Basis of the right null space, as primitive integer vectors."""
+    """Basis of the right null space, as primitive integer vectors.
+
+    One vector per free column f of the reduced echelon form: 1 at f and
+    -b[f] / b[pivot] at the pivot of each reduced row b, all scaled by the
+    lcm of the pivot entries.
+    """
     if not rows:
         assert ncols is not None
         return [tuple(1 if j == i else 0 for j in range(ncols)) for i in range(ncols)]
     ncols = len(rows[0])
-    # the reduced form depends only on the row space: reduce a basis of it
-    independent = [b for _, _, b in echelon([integral(r) for r in rows], ncols)]
-    if len(independent) == ncols:
-        return []
-    red, pivots = rref(independent)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            vec[pc] = -red[i][fc]
-        basis.append(clear_denominators(vec))
-    return basis
+    basis = echelon([integral(r) for r in rows], ncols)
+    scale = lcm(*(b[pc] for _, pc, b in basis))
+    pivots = {pc: (scale // b[pc], b) for _, pc, b in basis}
+    out = []
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
+        vec = [0] * ncols
+        vec[fc] = scale
+        for pc, (q, b) in pivots.items():
+            vec[pc] = -q * b[fc]
+        out.append(primitive(vec))
+    return out
 
 
 def solve(rows, rhs):
@@ -153,24 +133,13 @@ def solve(rows, rhs):
     if not rows:
         return ()
     ncols = len(rows[0])
-    aug = [tuple(r) + (b,) for r, b in zip(rows, rhs)]
-    red, pivots = rref(aug)
-    if ncols in pivots:
-        return None
+    basis = echelon([integral(tuple(r) + (b,)) for r, b in zip(rows, rhs)])
     x = [Fraction(0)] * ncols
-    for i, pc in enumerate(pivots):
-        x[pc] = red[i][ncols]
+    for _, pc, b in basis:
+        if pc == ncols:
+            return None
+        x[pc] = Fraction(b[ncols], b[pc])
     return tuple(x)
-
-
-def solve_unique(rows, rhs):
-    """Solve a square full-rank system; None if singular or inconsistent."""
-    if not rows:
-        return ()
-    ncols = len(rows[0])
-    if rank(rows) != ncols:
-        return None
-    return solve(rows, rhs)
 
 
 def det(rows) -> int:
@@ -198,20 +167,6 @@ def det(rows) -> int:
             mat[i][k] = 0
         prev = mat[k][k]
     return sign * mat[n - 1][n - 1]
-
-
-def cross_nullvec(rows, dim):
-    """Integer spanning vector of the null space of (dim-1) independent rows.
-
-    Generalized cross product: component i is the signed cofactor obtained by
-    deleting column i.  Returns the zero vector when the rows are dependent.
-    """
-    assert len(rows) == dim - 1
-    comps = []
-    for i in range(dim):
-        minor = [[r[j] for j in range(dim) if j != i] for r in rows]
-        comps.append(((-1) ** i) * det(minor))
-    return tuple(comps)
 
 
 def affine_rank(points) -> int:

@@ -18,6 +18,7 @@ whose values reproduce the equivariant Euler characteristic.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from fractions import Fraction
 
 from .chains import (
@@ -46,7 +47,7 @@ from .lattice import (
     min_containing_cone,
     vertex_enumeration,
 )
-from .linalg import dot, solve, solve_unique
+from .linalg import dot, rank, solve
 from .matroid import Matroid, apartment_contains, circuit_extension, in_lifted_bergman
 
 
@@ -170,7 +171,8 @@ class TropicalVectorBundle:
 
         A character with sections lies in some parliament polytope, so the
         unpadded bounding box of their vertices holds all of them; when every
-        parliament is empty there are none.
+        parliament is empty there are none.  `box_points` refuses a box
+        above the point cap.
         """
         pts = []
         for p in self.parliament().values():
@@ -212,9 +214,7 @@ class TropicalVectorBundle:
         chars = []
         for b in sorted(self.adapted_bases[key]):
             rhs = [self.diagram[i][b - 1] for i in idx]
-            sol = solve_unique(rows, rhs)
-            vec = tuple(int(x) for x in sol)
-            chars.append(vec)
+            chars.append(tuple(int(x) for x in solve(rows, rhs)))
         result = tuple(sorted(chars))
         self._char_cache[key] = result
         return result
@@ -289,7 +289,9 @@ class TropicalVectorBundle:
         k = self.fan.cone_dims[frozenset(cone_key)]
         for subset in itertools.combinations(range(len(rays)), k):
             sub = [rays[i] for i in subset]
-            lam = solve_unique(list(zip(*sub)), v)
+            if rank(sub) != k:
+                continue
+            lam = solve(list(zip(*sub)), v)
             if lam is None or any(x < 0 for x in lam):
                 continue
             full = [Fraction(0)] * len(rays)
@@ -355,10 +357,7 @@ def validate(fan: Fan, matroid: Matroid, diagram) -> TropicalVectorBundle:
             rays = [fan.rays[i] for i in sorted(key)]
             for b in found:
                 vals = [diagram[i][b - 1] for i in sorted(key)]
-                sol = solve(rays, vals)
-                if sol is None or any(
-                    dot(sol, r) != v for r, v in zip(rays, vals)
-                ):
+                if solve(rays, vals) is None:
                     raise NoCommonApartmentError(frozenset(sorted(key)))
     return TropicalVectorBundle(fan, matroid, diagram, adapted)
 
@@ -405,7 +404,8 @@ def split_resolution(bundle: TropicalVectorBundle, f=None, check_bound=False):
     the sigma-pairing for rays of sigma and to f(v_rho) for the other rays of
     tau.  The twisting numbers f default to the row maxima of the diagram.
     With check_bound=True, f must dominate every row's largest non-loop entry
-    (the condition making each summand's filtrations taper to the loop flat).
+    (the condition making each summand's filtrations taper to the loop flat);
+    without a non-loop element there is no bound to check.
     """
     fan = bundle.fan
     if not fan.is_smooth() or not fan.is_complete():
@@ -418,7 +418,7 @@ def split_resolution(bundle: TropicalVectorBundle, f=None, check_bound=False):
         f = tuple(Fraction(x) for x in f)
         if len(f) != len(fan.rays):
             raise ValidationError("f must give one value per fan ray")
-    if check_bound:
+    if check_bound and nonloops:
         for i, row in enumerate(bundle.diagram):
             limit = max(row[e - 1] for e in nonloops)
             if f[i] < limit:
@@ -442,8 +442,7 @@ def split_resolution(bundle: TropicalVectorBundle, f=None, check_bound=False):
                     rhs = [
                         pairing[i] if i in sigma else f[i] for i in idx
                     ]
-                    sol = solve_unique(rows, rhs)
-                    multiset.append(_intify(sol))
+                    multiset.append(_intify(solve(rows, rhs)))
             chars[tau] = tuple(sorted(multiset))
         result.append(SplitBundle(k, fan, chars))
     return result
@@ -470,8 +469,6 @@ def k_class_identity(bundle: TropicalVectorBundle, resolution) -> bool:
     Checked per maximal cone as a signed multiset identity on the character
     vectors (formal exponents).
     """
-    from collections import Counter
-
     target = k_class(bundle)
     for key in bundle.fan.maximal_keys:
         acc = Counter()

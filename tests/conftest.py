@@ -1,6 +1,8 @@
 """Shared fixtures: the standard fans, the Fano-plane bundle, the rank-2
-uniform bundle on the projective plane, and independent geometric oracles
-used to cross-check the exact machinery."""
+uniform bundle on the projective plane, and independent oracles used to
+cross-check the exact machinery: Fraction Gauss-Jordan elimination (`rref`,
+`rref_solve`, `solve_unique`), the cofactor null vector (`cross_nullvec`)
+and geometric ones."""
 
 import itertools
 from fractions import Fraction
@@ -9,7 +11,7 @@ from math import ceil, floor
 import pytest
 
 from tropehrhart.lattice import Fan, VPolytope
-from tropehrhart.linalg import dot, solve
+from tropehrhart.linalg import det, dot
 from tropehrhart.matroid import (
     Matroid,
     bergman_project,
@@ -90,6 +92,69 @@ def u23_bundle(p2_fan, u23_matroid):
 # Independent oracles
 # ---------------------------------------------------------------------------
 
+def rref(rows):
+    """Reduced row echelon form over Fraction, by Gauss-Jordan elimination.
+
+    Returns (reduced_rows, pivot_columns); zero rows stay at the end.
+    """
+    mat = [list(map(Fraction, r)) for r in rows]
+    nrows = len(mat)
+    ncols = len(mat[0]) if mat else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, nrows) if mat[i][c] != 0), None)
+        if pivot is None:
+            continue
+        mat[r], mat[pivot] = mat[pivot], mat[r]
+        pv = mat[r][c]
+        mat[r] = [x / pv for x in mat[r]]
+        for i in range(nrows):
+            if i != r and mat[i][c] != 0:
+                f = mat[i][c]
+                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return [tuple(row) for row in mat], pivots
+
+
+def rref_solve(rows, rhs):
+    """One solution of A x = b read off `rref` of the augmented rows, with
+    free variables 0; None if inconsistent."""
+    if not rows:
+        return ()
+    ncols = len(rows[0])
+    red, pivots = rref([tuple(r) + (b,) for r, b in zip(rows, rhs)])
+    if ncols in pivots:
+        return None
+    x = [Fraction(0)] * ncols
+    for i, pc in enumerate(pivots):
+        x[pc] = red[i][ncols]
+    return tuple(x)
+
+
+def solve_unique(rows, rhs):
+    """The solution of a square full-rank system; None if it is singular or
+    inconsistent."""
+    if not rows:
+        return ()
+    if len(rref(rows)[1]) != len(rows[0]):
+        return None
+    return rref_solve(rows, rhs)
+
+
+def cross_nullvec(rows, dim):
+    """Generalized cross product of dim - 1 integer rows: component i is the
+    signed minor with column i deleted.  Zero when the rows are dependent."""
+    assert len(rows) == dim - 1
+    return tuple(
+        (-1) ** i * det([[r[j] for j in range(dim) if j != i] for r in rows])
+        for i in range(dim)
+    )
+
+
 def caratheodory_contains(points, p):
     """Is p in the convex hull of the points?  Exact, by enumerating
     barycentric subsystems of size at most dim + 1."""
@@ -102,7 +167,7 @@ def caratheodory_contains(points, p):
         for sub in itertools.combinations(pts, size):
             rows = [tuple(q) for q in zip(*sub)] + [tuple([1] * size)]
             rhs = list(p) + [Fraction(1)]
-            lam = solve(rows, rhs)
+            lam = rref_solve(rows, rhs)
             if lam is None:
                 continue
             if all(

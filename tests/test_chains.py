@@ -62,6 +62,18 @@ def test_evaluate_refuses_points_of_the_wrong_length(u):
         one(UNIT_SQUARE).evaluate(u)
 
 
+def test_chain_refuses_pieces_of_different_dimensions():
+    # a segment and a triangle: `integral` would add a length to an area
+    segment = VPolytope([(0,), (2,)])
+    triangle = VPolytope([(0, 0), (1, 0), (0, 1)])
+    with pytest.raises(ValidationError, match="differ in dimension"):
+        ConvexChain([(1, segment), (1, triangle)])
+    with pytest.raises(ValidationError, match="differ in dimension"):
+        one(segment) + one(triangle)
+    assert ConvexChain([(1, triangle)]).ambient_dim == 2
+    assert ConvexChain().ambient_dim is None
+
+
 def test_degree():
     assert degree(one(UNIT_SQUARE)) == 1
     assert degree(invert_polytope(SEGMENT)) == 1

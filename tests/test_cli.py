@@ -1,12 +1,21 @@
+import copy
 import itertools
 import json
 import time
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from tropehrhart.cli import main
 
 from conftest import FANO_DIAGRAM, FANO_LINES
+
+
+P2_FAN = {"rays": [[1, 0], [0, 1], [-1, -1]], "cones": [[1, 2], [2, 3], [1, 3]]}
+# a rank-zero bundle: the matroid's only basis is empty, both elements loops
+RANK_ZERO = {"fan": P2_FAN, "matroid": {"m": 2, "bases": [[]]},
+             "diagram": [[0, 0], [1, 1], [0, 0]]}
 
 
 @pytest.fixture(scope="module")
@@ -30,12 +39,20 @@ def files(tmp_path_factory):
     bad = dict(u23_bundle, diagram=[[1, 1, 0], [0, 1, 0], [0, 0, 1]])
     # twisted down by one: every parliament polytope is empty
     no_sections = dict(u23_bundle, diagram=[[0, -1, -1], [-1, 0, -1], [-1, -1, 0]])
+    # one parliament reaches 10^6 along the first axis
+    wide = dict(u23_bundle, diagram=[[10**6, 0, 0], [0, 1, 0], [0, 0, 1]])
+    # the second ray has three coordinates in a 2-d fan
+    ragged_fan = dict(u23_bundle, fan={"rays": [[1, 0], [0, 1, 0], [-1, -1]],
+                                       "cones": [[1, 2], [2, 3], [1, 3]]})
     paths = {}
     for name, data in [
         ("fano", fano),
         ("u23_bundle", u23_bundle),
         ("bad", bad),
         ("no_sections", no_sections),
+        ("ragged_fan", ragged_fan),
+        ("wide", wide),
+        ("rank_zero", RANK_ZERO),
         ("u23_matroid", {"m": 3, "bases": [[1, 2], [1, 3], [2, 3]]}),
         ("chain", {"terms": [{"coeff": 2, "vertices": [[0, 0], [1, 0], ["1/1", "2/2"]]}]}),
         ("mixed_chain", {"terms": [{"coeff": 1, "vertices": [[0, 0], [1, 0]]},
@@ -147,6 +164,8 @@ def test_malformed_inputs_exit_2(tmp_path, capsys):
     ["chi", "--bundle", "u23_bundle", "--box=-2,-2:2,1"],
     ["alpha-eval", "--u", "0,0"],
     ["resolve", "--bundle", "u23_bundle", "--f", "0,x,0"],
+    *([cmd, "--bundle", "ragged_fan"]
+      for cmd in ("validate", "chi", "h0", "alpha-eval", "hrr", "resolve")),
 ], ids=lambda argv: " ".join(argv))
 def test_malformed_or_wrong_length_arguments_exit_2(files, capsys, argv):
     argv = [files.get(a, a) for a in argv]
@@ -159,6 +178,15 @@ def test_box_above_point_cap_exits_at_once(files, capsys):
     start = time.monotonic()
     code, out = run(capsys, "chi", "--bundle", files["u23_bundle"],
                     "--box=-1000,-1000:1000,1000")
+    assert time.monotonic() - start < 5
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "BoxTooLargeError"
+
+
+def test_h0_box_above_point_cap_exits_at_once(files, capsys):
+    # the h0 box spans the parliament vertices: about 10^12 points here
+    start = time.monotonic()
+    code, out = run(capsys, "h0", "--bundle", files["wide"])
     assert time.monotonic() - start < 5
     assert code == 2
     assert json.loads(out)["error"]["type"] == "BoxTooLargeError"
@@ -241,6 +269,21 @@ def test_resolve(files, capsys):
     ]
 
 
+def test_hrr_on_a_rank_zero_bundle(files, capsys):
+    code, out = run(capsys, "hrr", "--bundle", files["rank_zero"])
+    assert code == 0
+    assert json.loads(out) == {"equal": True, "lhs": "0/1", "rhs": 0}
+
+
+def test_resolve_check_bound_on_a_rank_zero_bundle(files, capsys):
+    # without a non-loop element there is no row bound to check
+    code, out = run(capsys, "resolve", "--bundle", files["rank_zero"], "--check-bound")
+    assert code == 0
+    report = json.loads(out)
+    assert report["k_class_identity"] is True
+    assert [b["rank"] for b in report["bundles"]] == [0, 0, 0]
+
+
 def test_taut_check(files, capsys):
     code, out = run(capsys, "taut-check", "--matroid", files["u23_matroid"])
     report = json.loads(out)
@@ -271,3 +314,97 @@ def test_reports_are_deterministic(files, capsys):
     _, third = run(capsys, "resolve", "--bundle", files["u23_bundle"])
     _, fourth = run(capsys, "resolve", "--bundle", files["u23_bundle"])
     assert third == fourth
+
+
+# ---------------------------------------------------------------------------
+# malformed input never reaches the internal-error exit
+# ---------------------------------------------------------------------------
+
+FUZZ_BASES = {
+    "u23": {"fan": P2_FAN, "matroid": {"m": 3, "bases": [[1, 2], [1, 3], [2, 3]]},
+            "diagram": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]},
+    "p1xp1": {"fan": {"rays": [[1, 0], [0, 1], [-1, 0], [0, -1]],
+                      "cones": [[1, 2], [2, 3], [3, 4], [4, 1]]},
+              "matroid": {"m": 3, "bases": [[1, 2], [1, 3], [2, 3]]},
+              "diagram": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 0]]},
+    "rank_zero": RANK_ZERO,
+    "chain": {"terms": [{"coeff": 2, "vertices": [[0, 0], [1, 0], ["1/1", "2/2"]]},
+                        {"coeff": -1, "vertices": [[0, 0], [3, 1]]}]},
+}
+FUZZ_LEAVES = st.one_of(
+    st.integers(-3, 3),
+    st.sampled_from([17, 10**6, -10**6, 2**70, 1.5, None, True, "", "x",
+                     "3", "1/2", "-1/3", "1/0", [], [1], [[1]], {}]),
+)
+FUZZ_ARGS = st.one_of(
+    st.sampled_from(["0,0", "1,0", "0", "0,0,0", "0,0,0,0", "a,b", "1.5,0",
+                     "", ",", "1,,2", " 1, 2", "0,x,0", "99999999999999999999,0",
+                     "-3,-3:3,3", "-2,-2:2,2", "3,3:-3,-3", "0:3", "-1,-1:1"]),
+    st.text(alphabet="0123456789,-:x/ .", max_size=12),
+)
+TOTALS = ("chi_total", "alpha_total", "h0_total", "value", "chi_u", "alpha_u",
+          "h0_u", "lhs", "bundles", "valid")
+
+
+def _paths(obj, prefix=()):
+    """Paths to every node below the root of a JSON document."""
+    items = obj.items() if isinstance(obj, dict) else (
+        enumerate(obj) if isinstance(obj, list) else ())
+    out = []
+    for k, v in items:
+        out += [prefix + (k,)] + _paths(v, prefix + (k,))
+    return out
+
+
+@st.composite
+def mutated_cli_cases(draw):
+    """(document, argv) with up to three edits (set a node to a stray value,
+    delete it, or repeat a list entry) and malformed option strings; the
+    argv names the document as FILE."""
+    name = draw(st.sampled_from(sorted(FUZZ_BASES)))
+    doc = copy.deepcopy(FUZZ_BASES[name])
+    for _ in range(draw(st.integers(0, 3))):
+        paths = _paths(doc)
+        if not paths:
+            break
+        path = draw(st.sampled_from(paths))
+        parent = doc
+        for k in path[:-1]:
+            parent = parent[k]
+        edit = draw(st.sampled_from(["set", "set", "delete", "repeat"]))
+        if edit == "set":
+            parent[path[-1]] = copy.deepcopy(draw(FUZZ_LEAVES))
+        elif edit == "delete":
+            del parent[path[-1]]
+        elif isinstance(parent, list):
+            parent.append(copy.deepcopy(parent[path[-1]]))
+    if name == "chain":
+        argv = ["alpha-eval", "--chain", "FILE"]
+        options = ["--u"]
+    else:
+        argv = [draw(st.sampled_from(
+            ["validate", "chi", "h0", "alpha-eval", "hrr", "resolve"])), "--bundle", "FILE"]
+        options = {"chi": ["--u", "--box"], "alpha-eval": ["--u", "--box"],
+                   "h0": ["--u"], "resolve": ["--f"]}.get(argv[0], [])
+    for opt in options:
+        if draw(st.booleans()):
+            argv.append(f"{opt}={draw(FUZZ_ARGS)}")
+    if argv[0] == "resolve" and draw(st.booleans()):
+        argv.append("--check-bound")
+    return doc, argv
+
+
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(mutated_cli_cases())
+def test_mutated_files_and_arguments_never_exit_1(tmp_path, capsys, case):
+    doc, argv = case
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc))
+    code, out = run(capsys, *[str(path) if a == "FILE" else a for a in argv])
+    report = json.loads(out)
+    assert code in (0, 2), report
+    if code == 2:
+        assert set(report) == {"error"}
+    else:
+        assert any(k in report for k in TOTALS)

@@ -26,18 +26,16 @@ from tropehrhart.lattice import (
 )
 from tropehrhart.linalg import (
     clear_denominators,
-    cross_nullvec,
     dot,
     is_zero,
     nullspace,
     primitive,
     rank,
-    rref,
     vec_neg,
     vec_sub,
 )
 
-from conftest import random_lattice_polytope
+from conftest import cross_nullvec, random_lattice_polytope, rref
 
 SETTINGS = settings(max_examples=300, deadline=None, derandomize=True)
 

@@ -34,7 +34,7 @@ from tropehrhart.lattice import (
     vertex_enumeration,
     volume,
 )
-from tropehrhart.linalg import dot, solve_unique
+from tropehrhart.linalg import dot
 from tropehrhart.matroid import uniform_matroid
 from tropehrhart.tropvb import validate
 
@@ -42,6 +42,7 @@ from conftest import (
     lattice_points,
     random_bundle,
     random_p1_bundle,
+    solve_unique,
     zonotope_support_numbers,
 )
 

@@ -426,6 +426,10 @@ def test_fan_rejects_bad_input():
     with pytest.raises(ValidationError):
         # overlapping cones that do not meet in a face
         Fan([(1, 0), (0, 1), (1, 2)], [[0, 1], [0, 2]])
+    for rays, dim in (([(1, 0), (0, 1, 0), (-1, -1)], None),
+                      ([(1, 0), (0, 1)], 3)):
+        with pytest.raises(ValidationError, match="coordinates"):
+            Fan(rays, [[0, 1]], dim)
 
 
 # ---------------------------------------------------------------------------
@@ -451,8 +455,7 @@ def test_convex_support_dual_identity():
     ]
     for fan in cases:
         support_rays = [fan.rays[i] for m in fan.maximal_keys for i in m]
-        c = Cone(support_rays, 2, canonicalize=True)
-        cdual = c.dual
+        cdual = Cone(sorted(set(support_rays)), 2).dual
         for u in grid_points(2, 4):
             expected = 1 if cdual.relint_contains((-u[0], -u[1])) else 0
             assert _fan_dual_sum(fan, u) == expected

@@ -248,7 +248,7 @@ def test_character_multiset_is_basis_independent(u23_bundle):
     # the pairing multiset over any adapted basis is fixed by the filtration
     # ranks, so every adapted basis yields the same character multiset
     from tropehrhart.matroid import apartment_contains
-    from tropehrhart.linalg import solve_unique
+    from conftest import solve_unique
 
     bundle = u23_bundle
     for key in bundle.fan.maximal_keys:
