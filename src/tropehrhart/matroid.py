@@ -2,9 +2,11 @@
 polytope, membership in the lifted Bergman fan, apartments, and the
 level-set projection onto the Bergman fan.
 
-Matroids are given by their bases on a ground set {1, ..., m}; the exchange
-axiom is verified exhaustively at construction (fine for m <= 16 and the
-basis counts this package works with).  Derived data is cached.
+Matroids are given by their bases on a ground set {1, ..., m}, m <= 16, and
+held as the rank of every subset, bytes indexed by bitmask (bit e - 1 is
+element e), built by two numpy subset DPs.  The bases are those of a matroid
+exactly when this table meets the local rank axioms (Oxley, Matroid Theory,
+ch. 1), which construction checks.  Everything else reads the table.
 """
 
 from __future__ import annotations
@@ -12,12 +14,47 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import MatroidAxiomError, ValidationError
 from .lattice import VPolytope
 
 
+def _halves(arr, i):
+    """Views of the masks without and with bit i of a (2^m,) array."""
+    cube = arr.reshape(-1, 2, 1 << i)
+    return cube[:, 0], cube[:, 1]
+
+
+def _rank_table(m: int, basis_masks, rank: int):
+    """Rank of every subset of [m] as a (2^m,) int8 array indexed by mask."""
+    table = np.zeros(1 << m, dtype=np.int8)
+    table[basis_masks] = rank
+    for i in range(m):  # subsets of bases, the independent sets: |S|
+        without, with_ = _halves(table, i)
+        np.maximum(without, with_ - 1, out=without)
+    for i in range(m):  # the largest independent subset
+        without, with_ = _halves(table, i)
+        np.maximum(with_, without, out=with_)
+    return table
+
+
+def _check_rank_axioms(m: int, table):
+    """Raise unless r(S+e) <= r(S) + 1 and r(S+e+f) + r(S) <= r(S+e) + r(S+f)."""
+    cube = table.reshape((2,) * m)  # axis a is bit m - 1 - a
+    for a in range(m):
+        gain = np.diff(cube, axis=a)  # r(S + e) - r(S), e = m - a
+        if gain.max() > 1:
+            raise MatroidAxiomError(f"rank steps by more than one at element {m - a}")
+        for b in range(a + 1, m):
+            if (np.diff(gain, axis=b) > 0).any():
+                raise MatroidAxiomError(
+                    f"bases fail the exchange axiom at elements {m - b}, {m - a}"
+                )
+
+
 class Matroid:
-    """Matroid on ground set {1, ..., m}, defined by its bases."""
+    """Matroid on ground set {1, ..., m}: its bases and its rank table."""
 
     def __init__(self, ground_size: int, bases):
         if ground_size < 1 or ground_size > 16:
@@ -35,97 +72,93 @@ class Matroid:
                 raise MatroidAxiomError(f"basis {sorted(b)} leaves the ground set")
         self.bases = frozenset(bases)
         self.rank_total = sizes.pop()
-        self._verify_exchange()
-        self._rank_cache = {}
-        self._closure_cache = {}
-        self._circuits = None
-        self._flats = None
+        table = _rank_table(self.m, [self.mask(b) for b in self.bases], self.rank_total)
+        _check_rank_axioms(self.m, table)
+        self.rank_table = table.tobytes()
 
-    def _verify_exchange(self):
-        for b1 in self.bases:
-            for b2 in self.bases:
-                for x in b1 - b2:
-                    if not any(
-                        (b1 - {x}) | {y} in self.bases for y in b2 - b1
-                    ):
-                        raise MatroidAxiomError(
-                            f"exchange fails for {sorted(b1)}, {sorted(b2)}, "
-                            f"element {x}"
-                        )
+    def mask(self, subset) -> int:
+        """Bitmask of a subset of the ground set; bit e - 1 is element e."""
+        out = 0
+        for e in subset:
+            if e not in self.ground:
+                raise ValidationError(f"{e!r} is not in the ground set 1..{self.m}")
+            out |= 1 << (e - 1)
+        return out
+
+    @staticmethod
+    def elements(mask: int) -> frozenset:
+        """The subset of a bitmask."""
+        return frozenset(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
 
     # -- rank and closure ---------------------------------------------------
 
     def rank(self, subset) -> int:
-        s = frozenset(subset)
-        if s not in self._rank_cache:
-            self._rank_cache[s] = max(len(b & s) for b in self.bases)
-        return self._rank_cache[s]
+        return self.rank_table[self.mask(subset)]
+
+    def closure_mask(self, s: int) -> int:
+        """Mask of the closure of the subset with mask s."""
+        table, r = self.rank_table, self.rank_table[s]
+        return s | sum(1 << i for i in range(self.m) if table[s | 1 << i] == r)
 
     def closure(self, subset) -> frozenset:
-        s = frozenset(subset)
-        if s not in self._closure_cache:
-            r = self.rank(s)
-            self._closure_cache[s] = frozenset(
-                e for e in self.ground if e in s or self.rank(s | {e}) == r
-            )
-        return self._closure_cache[s]
+        return self.elements(self.closure_mask(self.mask(subset)))
 
     def is_flat(self, subset) -> bool:
-        s = frozenset(subset)
-        return self.closure(s) == s
+        s = self.mask(subset)
+        return self.closure_mask(s) == s
 
     def is_independent(self, subset) -> bool:
-        s = frozenset(subset)
-        return self.rank(s) == len(s)
+        s = self.mask(subset)
+        return self.rank_table[s] == s.bit_count()
 
     @property
     def loops(self) -> frozenset:
-        return self.closure(())
+        return self.elements(self.closure_mask(0))
+
+    def _sorted_subsets(self, selected):
+        """Subsets of the masks where `selected` holds, by size, then sorted."""
+        found = (self.elements(int(s)) for s in np.flatnonzero(selected))
+        return tuple(sorted(found, key=lambda c: (len(c), sorted(c))))
 
     def circuits(self):
-        """Minimal dependent sets (subset enumeration up to rank + 1)."""
-        if self._circuits is None:
-            found = []
-            for size in range(1, self.rank_total + 2):
-                for s in itertools.combinations(sorted(self.ground), size):
-                    fs = frozenset(s)
-                    if self.is_independent(fs):
-                        continue
-                    if any(c <= fs for c in found):
-                        continue
-                    found.append(fs)
-            self._circuits = tuple(sorted(found, key=lambda c: (len(c), sorted(c))))
-        return self._circuits
+        """Minimal dependent sets: dependent, every one-element deletion
+        independent."""
+        table = np.frombuffer(self.rank_table, dtype=np.int8)
+        masks = np.arange(1 << self.m, dtype=np.uint32)
+        indep = table == np.unpackbits(masks.view(np.uint8)).reshape(-1, 32).sum(axis=1)
+        circuit = ~indep
+        for i in range(self.m):
+            _, with_ = _halves(circuit, i)
+            with_ &= _halves(indep, i)[0]
+        return self._sorted_subsets(circuit)
 
     def flats(self):
-        """All flats, built rank by rank from the loop flat."""
-        if self._flats is None:
-            current = {self.closure(())}
-            all_flats = set(current)
-            while current:
-                nxt = set()
-                for f in current:
-                    for e in self.ground - f:
-                        g = self.closure(f | {e})
-                        if g not in all_flats:
-                            nxt.add(g)
-                all_flats |= nxt
-                current = nxt
-            self._flats = tuple(sorted(all_flats, key=lambda f: (len(f), sorted(f))))
-        return self._flats
+        """All flats: subsets that every added element raises in rank."""
+        table = np.frombuffer(self.rank_table, dtype=np.int8)
+        flat = np.ones(table.size, dtype=bool)
+        for i in range(self.m):
+            without, with_ = _halves(table, i)
+            flat_without, _ = _halves(flat, i)
+            flat_without &= with_ > without
+        return self._sorted_subsets(flat)
 
     def fundamental_circuit(self, basis, e) -> frozenset:
-        """The unique circuit inside basis | {e}, for e outside the basis."""
-        b = frozenset(basis)
-        if e in b:
+        """The unique circuit inside basis | {e}, for an independent basis
+        spanning e: e and the elements whose exchange for e keeps it so."""
+        b = self.mask(basis)
+        bit = self.mask((e,))
+        if b & bit:
             raise ValidationError(f"{e} already lies in the basis")
-        for size in range(1, len(b) + 2):
-            for s in itertools.combinations(sorted(b | {e}), size):
-                fs = frozenset(s)
-                if e in fs and not self.is_independent(fs):
-                    if all(self.is_independent(fs - {x}) for x in fs):
-                        return fs
-        raise ValidationError(f"{e} is independent of the basis")
+        table = self.rank_table
+        size = b.bit_count()
+        if table[b] != size:
+            raise ValidationError(f"{sorted(self.elements(b))} is not independent")
+        if table[b | bit] > size:
+            raise ValidationError(f"{e} is independent of the basis")
+        both = b | bit
+        return self.elements(bit | sum(
+            1 << i for i in range(self.m) if b >> i & 1 and table[both ^ 1 << i] == size
+        ))
 
     def __repr__(self):
         return f"Matroid(m={self.m}, rank={self.rank_total}, bases={len(self.bases)})"
@@ -199,18 +232,32 @@ def matroid_polytope(matroid: Matroid) -> VPolytope:
     return VPolytope(verts, matroid.m, trusted=True)
 
 
-def max_weight_basis(matroid: Matroid, w) -> frozenset:
-    """Greedy maximum-weight basis; ties resolved toward smaller elements,
-    which makes the result the lexicographically smallest optimal basis."""
+def _weights(matroid: Matroid, w):
+    """The weight vector as Fractions, refused unless of the ground size."""
     w = tuple(Fraction(x) for x in w)
     if len(w) != matroid.m:
         raise ValidationError("weight vector length must equal the ground size")
-    order = sorted(range(1, matroid.m + 1), key=lambda e: (-w[e - 1], e))
-    chosen = frozenset()
-    for e in order:
-        if matroid.rank(chosen | {e}) > len(chosen):
-            chosen = chosen | {e}
-    return chosen
+    return w
+
+
+def _level_masks(w):
+    """(k, mask of {j : w_j >= k}) for every value k of w, largest first."""
+    return [
+        (k, sum(1 << j for j, x in enumerate(w) if x >= k))
+        for k in sorted(set(w), reverse=True)
+    ]
+
+
+def max_weight_basis(matroid: Matroid, w) -> frozenset:
+    """Greedy maximum-weight basis; ties resolved toward smaller elements,
+    which makes the result the lexicographically smallest optimal basis."""
+    w = _weights(matroid, w)
+    table = matroid.rank_table
+    chosen = 0  # independent, so its rank is its size
+    for i in sorted(range(matroid.m), key=lambda i: (-w[i], i)):
+        if table[chosen | 1 << i] > table[chosen]:
+            chosen |= 1 << i
+    return Matroid.elements(chosen)
 
 
 def bergman_project(matroid: Matroid, w):
@@ -220,39 +267,29 @@ def bergman_project(matroid: Matroid, w):
     in the closure of the level set {j : w_j >= k}.  The projection is the
     identity exactly on the lifted Bergman fan and is idempotent.
     """
-    w = tuple(Fraction(x) for x in w)
-    if len(w) != matroid.m:
-        raise ValidationError("weight vector length must equal the ground size")
-    levels = sorted(set(w), reverse=True)
+    w = _weights(matroid, w)
     # every i sits in its own level set, so values only ever move up; the
     # largest level whose closure picks up i wins
     result = list(w)
-    for k in levels:
-        level_set = frozenset(j + 1 for j, x in enumerate(w) if x >= k)
-        for i in matroid.closure(level_set):
-            if result[i - 1] < k:
-                result[i - 1] = k
+    for k, level in _level_masks(w):
+        closed = matroid.closure_mask(level)
+        for i in range(matroid.m):
+            if closed >> i & 1 and result[i] < k:
+                result[i] = k
     return tuple(result)
 
 
 def in_lifted_bergman(matroid: Matroid, w) -> bool:
     """Is every level set {j : w_j >= k} a flat?"""
-    w = tuple(Fraction(x) for x in w)
-    for k in set(w):
-        level_set = frozenset(j + 1 for j, x in enumerate(w) if x >= k)
-        if not matroid.is_flat(level_set):
-            return False
-    return True
+    return all(
+        matroid.closure_mask(level) == level
+        for _, level in _level_masks(_weights(matroid, w))
+    )
 
 
 def level_flag(matroid: Matroid, w) -> FlagOfFlats:
     """Flag of level-set flats of a lifted Bergman point, smallest first."""
-    w = tuple(Fraction(x) for x in w)
-    chain = []
-    for k in sorted(set(w), reverse=True):
-        level_set = frozenset(j + 1 for j, x in enumerate(w) if x >= k)
-        if not chain or level_set != chain[-1]:
-            chain.append(level_set)
+    chain = [Matroid.elements(level) for _, level in _level_masks(_weights(matroid, w))]
     if chain[-1] != matroid.ground:
         chain.append(matroid.ground)
     return FlagOfFlats(matroid, chain)
@@ -262,21 +299,30 @@ def apartment_contains(matroid: Matroid, basis, vectors) -> bool:
     """Do all given lifted Bergman points lie in the apartment of a basis?
 
     A point lies in the apartment iff the basis is adapted to its level-set
-    flag: every level flat F satisfies |F & B| = rank(F) and the closure of
-    F & B recovers F.
+    flag: every level flat F satisfies |F & B| = rank(F), so that F & B
+    spans F.
     """
     b = frozenset(basis)
     if b not in matroid.bases:
         raise ValidationError(f"{sorted(b)} is not a basis")
+    b = matroid.mask(b)
+    table = matroid.rank_table
     for w in vectors:
-        if not in_lifted_bergman(matroid, w):
-            return False
-        for f in level_flag(matroid, w):
-            if len(f & b) != matroid.rank(f):
-                return False
-            if matroid.closure(f & b) != f:
+        for _, level in _level_masks(_weights(matroid, w)):
+            flat = matroid.closure_mask(level) == level
+            if not flat or (level & b).bit_count() != table[level]:
                 return False
     return True
+
+
+def common_adapted_basis(matroid: Matroid, vectors):
+    """Lexicographically smallest basis adapted to every given lifted Bergman
+    point, or None: when one exists, the maximizers of the points' sum are
+    exactly these bases, and the greedy basis is the smallest of them."""
+    vectors = [_weights(matroid, w) for w in vectors]
+    total = [sum(w[j] for w in vectors) for j in range(matroid.m)]
+    found = max_weight_basis(matroid, total)
+    return found if apartment_contains(matroid, found, vectors) else None
 
 
 def initial_matroid(matroid: Matroid, w) -> Matroid:

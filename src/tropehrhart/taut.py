@@ -66,10 +66,6 @@ def _chains_of_masks(m: int):
     return tuple(sorted(chains, key=lambda c: (len(c), c)))
 
 
-def _mask_to_set(mask: int):
-    return frozenset(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
-
-
 class PermutahedralFan:
     """Flag-combinatorial model of the permutahedral fan on m letters."""
 
@@ -86,7 +82,7 @@ class PermutahedralFan:
     def rays(self):
         """Primitive generators e_S, one per nonempty proper subset."""
         return {
-            _mask_to_set(mask): tuple(
+            Matroid.elements(mask): tuple(
                 1 if mask >> i & 1 else 0 for i in range(self.m)
             )
             for mask in self.ray_masks
@@ -94,11 +90,11 @@ class PermutahedralFan:
 
     def flags(self):
         """All cones, as increasing tuples of subsets (frozensets)."""
-        return [tuple(_mask_to_set(s) for s in c) for c in self.chains]
+        return [tuple(Matroid.elements(s) for s in c) for c in self.chains]
 
     def maximal_flags(self):
         return [
-            tuple(_mask_to_set(s) for s in c)
+            tuple(Matroid.elements(s) for s in c)
             for c in self.chains
             if len(c) == self.m - 1
         ]
@@ -141,10 +137,9 @@ class TautologicalBundle:
         self.fan = permutahedral_fan(matroid.m)
         self.rows = {}
         for mask in self.fan.ray_masks:
-            s = _mask_to_set(mask)
-            cl = matroid.closure(s)
-            self.rows[s] = tuple(
-                1 if e in cl else 0 for e in range(1, matroid.m + 1)
+            closed = matroid.closure_mask(mask)
+            self.rows[Matroid.elements(mask)] = tuple(
+                closed >> i & 1 for i in range(matroid.m)
             )
 
     @property
@@ -297,7 +292,7 @@ def taut_chi_u(matroid: Matroid, u) -> TautChi:
         pairing = sum(u[i] for i in range(m) if s_mask >> i & 1)
         if pairing != 1:
             continue
-        s = _mask_to_set(s_mask)
+        s = Matroid.elements(s_mask)
         signed = _signed_flags_through(u, s_mask, m)
         flag_formula += matroid.rank(s) * signed
 
@@ -429,13 +424,10 @@ def _sweep(matroid: Matroid, blocks):
     m = matroid.m
     full = (1 << m) - 1
     subset_cols, layers = _subset_layers(m)
-    rank_of = np.array(
-        [matroid.rank(_mask_to_set(mask)) for mask in range(full + 1)],
-        dtype=np.int64,
-    )
+    rank_of = np.frombuffer(matroid.rank_table, dtype=np.uint8).astype(np.int64)
     bundle = tautological_bundle(matroid)
     closure_rows = np.array(
-        [bundle.rows[_mask_to_set(mask)] for mask in range(1, full)],
+        [bundle.rows[Matroid.elements(mask)] for mask in range(1, full)],
         dtype=np.int64,
     ).reshape(full - 1, m, 1)
     element_bits = (np.int64(1) << np.arange(m, dtype=np.int64))[:, None]

@@ -48,7 +48,7 @@ from .lattice import (
     vertex_enumeration,
 )
 from .linalg import dot, rank, solve
-from .matroid import Matroid, apartment_contains, circuit_extension, in_lifted_bergman
+from .matroid import Matroid, circuit_extension, common_adapted_basis
 
 
 class TropicalVectorBundle:
@@ -70,31 +70,27 @@ class TropicalVectorBundle:
 
     def klyachko_flat(self, ray_index: int, i: int) -> frozenset:
         """The flat of elements whose diagram entry on this ray is >= i."""
+        return Matroid.elements(self._klyachko_mask(ray_index, i))
+
+    def _klyachko_mask(self, ray_index: int, i: int) -> int:
         row = self.diagram[ray_index]
-        lo = min(row)
-        hi = max(row)
-        i = max(lo, min(i, hi + 1))
+        i = max(min(row), min(i, max(row) + 1))
         key = (ray_index, i)
         if key not in self._flat_cache:
-            level = frozenset(
-                e for e in range(1, self.matroid.m + 1) if row[e - 1] >= i
-            )
-            self._flat_cache[key] = self.matroid.closure(level)
+            level = self.matroid.mask(e for e, x in enumerate(row, 1) if x >= i)
+            self._flat_cache[key] = self.matroid.closure_mask(level)
         return self._flat_cache[key]
 
-    def section_flat(self, cone_key, u) -> frozenset:
-        """Intersection of the ray flats at levels <u, v_rho> over the cone."""
-        flat = self.matroid.ground
-        for i in sorted(cone_key):
-            flat = flat & self.klyachko_flat(i, dot(u, self.fan.rays[i]))
-        return flat
-
     def h0_local(self, cone_key, u) -> int:
-        return self.matroid.rank(self.section_flat(frozenset(cone_key), u))
+        """Rank of the meet of the ray flats at levels <u, v_rho> on the cone."""
+        flat = (1 << self.matroid.m) - 1
+        for i in cone_key:
+            flat &= self._klyachko_mask(i, dot(u, self.fan.rays[i]))
+        return self.matroid.rank_table[flat]
 
     def h0_global(self, u) -> int:
         self._check_character(u)
-        return self.h0_local(frozenset(range(len(self.fan.rays))), u)
+        return self.h0_local(range(len(self.fan.rays)), u)
 
     def _check_character(self, u):
         """Refuse a character whose length is not the fan's dimension."""
@@ -328,26 +324,15 @@ def validate(fan: Fan, matroid: Matroid, diagram) -> TropicalVectorBundle:
         raise BundleValidationError("bundles require a complete fan")
 
     for ri, row in enumerate(diagram):
-        if not in_lifted_bergman(matroid, row):
-            offending = None
-            for k in set(row):
-                level = frozenset(
-                    e for e in range(1, matroid.m + 1) if row[e - 1] >= k
-                )
-                if not matroid.is_flat(level):
-                    offending = level
-                    break
-            raise RowNotInBergmanError(ri + 1, row, offending)
+        for k in set(row):
+            level = frozenset(e for e in range(1, matroid.m + 1) if row[e - 1] >= k)
+            if not matroid.is_flat(level):
+                raise RowNotInBergmanError(ri + 1, row, level)
 
-    sorted_bases = sorted(matroid.bases, key=sorted)
     adapted = {}
     for key in fan.cone_keys:
         rows = [diagram[i] for i in sorted(key)]
-        found = None
-        for b in sorted_bases:
-            if apartment_contains(matroid, b, rows):
-                found = b
-                break
+        found = common_adapted_basis(matroid, rows)
         if found is None:
             raise NoCommonApartmentError(frozenset(sorted(key)))
         adapted[key] = found

@@ -1,8 +1,11 @@
 """Shared fixtures: the standard fans, the Fano-plane bundle, the rank-2
 uniform bundle on the projective plane, and independent oracles used to
 cross-check the exact machinery: Fraction Gauss-Jordan elimination (`rref`,
-`rref_solve`, `solve_unique`), the cofactor null vector (`cross_nullvec`)
-and geometric ones."""
+`rref_solve`, `solve_unique`), the cofactor null vector (`cross_nullvec`),
+matroid ones read off the basis list (the pairwise exchange check, rank as
+the largest basis intersection, subset-enumeration circuits, flats and
+fundamental circuits, the sorted scan for adapted bases) and geometric
+ones."""
 
 import itertools
 from fractions import Fraction
@@ -14,6 +17,7 @@ from tropehrhart.lattice import Fan, VPolytope
 from tropehrhart.linalg import det, dot
 from tropehrhart.matroid import (
     Matroid,
+    apartment_contains,
     bergman_project,
     circuit_extension,
     uniform_matroid,
@@ -153,6 +157,74 @@ def cross_nullvec(rows, dim):
         (-1) ** i * det([[r[j] for j in range(dim) if j != i] for r in rows])
         for i in range(dim)
     )
+
+
+def exchange_holds(bases) -> bool:
+    """Basis exchange, pair by pair: for bases B1, B2 and x in B1 - B2 some
+    y in B2 - B1 makes B1 - x + y a basis."""
+    bases = {frozenset(b) for b in bases}
+    return all(
+        any((b1 - {x}) | {y} in bases for y in b2 - b1)
+        for b1 in bases
+        for b2 in bases
+        for x in b1 - b2
+    )
+
+
+def oracle_rank(bases, subset) -> int:
+    """Rank as the largest intersection of the subset with a basis."""
+    s = frozenset(subset)
+    return max(len(b & s) for b in bases)
+
+
+def _subsets(m):
+    ground = range(1, m + 1)
+    for size in range(m + 1):
+        for s in itertools.combinations(ground, size):
+            yield frozenset(s)
+
+
+def oracle_circuits(m, bases):
+    """Dependent subsets all of whose one-element deletions are independent."""
+    def indep(s):
+        return oracle_rank(bases, s) == len(s)
+
+    return {
+        s for s in _subsets(m)
+        if not indep(s) and all(indep(s - {x}) for x in s)
+    }
+
+
+def oracle_flats(m, bases):
+    """Subsets that every added element raises in rank."""
+    return {
+        s for s in _subsets(m)
+        if all(
+            oracle_rank(bases, s | {e}) > oracle_rank(bases, s)
+            for e in range(1, m + 1) if e not in s
+        )
+    }
+
+
+def oracle_fundamental_circuit(bases, basis, e):
+    """The smallest subset of basis | {e} through e that is a circuit."""
+    b = frozenset(basis)
+    for size in range(1, len(b) + 2):
+        for s in itertools.combinations(sorted(b | {e}), size):
+            fs = frozenset(s)
+            if e in fs and oracle_rank(bases, fs) < len(fs) and all(
+                oracle_rank(bases, fs - {x}) == len(fs) - 1 for x in fs
+            ):
+                return fs
+    return None
+
+
+def scan_adapted_basis(matroid, rows):
+    """The first basis in sorted order whose apartment holds every row."""
+    for b in sorted(matroid.bases, key=sorted):
+        if apartment_contains(matroid, b, rows):
+            return b
+    return None
 
 
 def caratheodory_contains(points, p):

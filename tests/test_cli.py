@@ -284,6 +284,36 @@ def test_resolve_check_bound_on_a_rank_zero_bundle(files, capsys):
     assert [b["rank"] for b in report["bundles"]] == [0, 0, 0]
 
 
+def _u816_bundle():
+    """U(8, 16) on the projective plane; each ray's row holds a flag of
+    flats of size below 8, and the cones' adapted bases differ."""
+    rows = [{1: 2, 2: 1, 3: 1, 4: 1}, {5: 2, 6: 1, 7: 1}, {9: 1, 10: 1, 11: 1}]
+    return {
+        "fan": P2_FAN,
+        "matroid": {"m": 16, "bases": [
+            list(b) for b in itertools.combinations(range(1, 17), 8)]},
+        "diagram": [[row.get(e, 0) for e in range(1, 17)] for row in rows],
+    }
+
+
+def test_uniform_16_element_bundle_validates_and_chi_equals_alpha(tmp_path, capsys):
+    path = tmp_path / "u816.json"
+    path.write_text(json.dumps(_u816_bundle()))
+    code, out = run(capsys, "validate", "--bundle", str(path))
+    assert code == 0
+    report = json.loads(out)
+    assert (report["rank"], report["ground_size"]) == (8, 16)
+    assert report["adapted_bases"]["1,3"] == [1, 2, 3, 4, 5, 9, 10, 11]
+    code, out = run(capsys, "chi", "--bundle", str(path))
+    assert code == 0
+    chi = json.loads(out)
+    code, out = run(capsys, "alpha-eval", "--bundle", str(path))
+    assert code == 0
+    alpha = json.loads(out)
+    assert chi["chi_total"] == alpha["alpha_total"]
+    assert chi["box"] == alpha["box"]
+
+
 def test_taut_check(files, capsys):
     code, out = run(capsys, "taut-check", "--matroid", files["u23_matroid"])
     report = json.loads(out)

@@ -1,15 +1,25 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tropehrhart.errors import MatroidAxiomError, ValidationError
+from tropehrhart.errors import (
+    MatroidAxiomError,
+    NoCommonApartmentError,
+    ValidationError,
+)
+from tropehrhart.lattice import Fan
+from tropehrhart.linalg import det
 from tropehrhart.matroid import (
     Matroid,
     apartment_contains,
     bergman_project,
     circuit_extension,
     circuits,
+    common_adapted_basis,
     closure,
     in_lifted_bergman,
     initial_matroid,
@@ -19,6 +29,16 @@ from tropehrhart.matroid import (
     max_weight_basis,
     rank,
     uniform_matroid,
+)
+from tropehrhart.tropvb import validate
+
+from conftest import (
+    exchange_holds,
+    oracle_circuits,
+    oracle_flats,
+    oracle_fundamental_circuit,
+    oracle_rank,
+    scan_adapted_basis,
 )
 
 
@@ -227,3 +247,203 @@ def test_fundamental_circuit_fano(fano_matroid):
     # adding z1 closes the median line {y1, z1, w}
     c = fano_matroid.fundamental_circuit(frozenset({1, 2, 7}), 4)
     assert c == frozenset({1, 4, 7})
+
+
+# ---------------------------------------------------------------------------
+# refused inputs
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("call", [
+    lambda m: m.rank({1, 99}),
+    lambda m: m.closure({99}),
+    lambda m: m.is_flat({0, 1}),
+    lambda m: m.is_independent({4}),
+    lambda m: m.fundamental_circuit({1, 2}, 99),
+    lambda m: m.fundamental_circuit({1, 99}, 3),
+], ids=["rank", "closure", "is_flat", "is_independent", "fundamental_circuit",
+        "fundamental_circuit_basis"])
+def test_elements_outside_the_ground_set_are_refused(u23_matroid, call):
+    with pytest.raises(ValidationError):
+        call(u23_matroid)
+
+
+@pytest.mark.parametrize("call", [
+    lambda m: in_lifted_bergman(m, (0, 0)),
+    lambda m: level_flag(m, (0, 0, 0, 0)),
+    lambda m: apartment_contains(m, {1, 2}, [(0, 0)]),
+    lambda m: apartment_contains(m, {1, 2}, [(1, 0, 0), (0, 0, 0, 1)]),
+    lambda m: common_adapted_basis(m, [(1, 0, 0), (0, 1)]),
+], ids=["in_lifted_bergman", "level_flag", "apartment_contains",
+        "apartment_contains_second_row", "common_adapted_basis"])
+def test_wrong_length_vectors_are_refused(u23_matroid, call):
+    with pytest.raises(ValidationError):
+        call(u23_matroid)
+
+
+def test_fundamental_circuit_needs_an_independent_set_spanning_e(u23_matroid):
+    with pytest.raises(ValidationError):
+        u23_matroid.fundamental_circuit({1}, 2)  # {1, 2} is independent
+    with pytest.raises(ValidationError):
+        uniform_matroid(1, 3).fundamental_circuit({1, 2}, 3)  # {1, 2} is not
+
+
+def test_uniform_matroid_at_north_star_scale():
+    matroid = uniform_matroid(8, 16)
+    assert len(matroid.bases) == 12870
+    assert len(matroid.rank_table) == 1 << 16
+    assert matroid.rank(range(1, 12)) == 8
+    assert matroid.rank({2, 5, 7}) == 3
+
+
+# ---------------------------------------------------------------------------
+# the rank table against the basis-list oracles of conftest
+# ---------------------------------------------------------------------------
+
+SETTINGS = settings(max_examples=300, deadline=None, derandomize=True)
+P2 = Fan([(1, 0), (0, 1), (-1, -1)], [[0, 1], [1, 2], [0, 2]])
+
+
+@st.composite
+def families(draw):
+    """(m, bases): an equal-size family of subsets of [m], m <= 6.
+
+    Either an arbitrary nonempty family, mostly not the bases of a
+    matroid, or the bases of the column matroid of a small integer matrix,
+    always a matroid, with loops and parallel elements among them.
+    """
+    m = draw(st.integers(1, 6))
+    r = draw(st.integers(0, m))
+    subsets = [frozenset(b) for b in itertools.combinations(range(1, m + 1), r)]
+    if draw(st.booleans()):
+        return m, draw(st.lists(st.sampled_from(subsets), min_size=1, unique=True))
+    cols = [[draw(st.integers(-1, 1)) for _ in range(r)] for _ in range(m)]
+    bases = [b for b in subsets if det([cols[e - 1] for e in sorted(b)]) != 0]
+    return m, bases or subsets
+
+
+def matroids():
+    return families().filter(lambda family: exchange_holds(family[1]))
+
+
+@st.composite
+def bergman_rows(draw, count):
+    """A matroid and `count` integer rows of its lifted Bergman fan."""
+    m, bases = draw(matroids())
+    matroid = Matroid(m, bases)
+    rows = [
+        tuple(int(x) for x in bergman_project(
+            matroid, [draw(st.integers(-2, 2)) for _ in range(m)]))
+        for _ in range(count)
+    ]
+    return matroid, rows
+
+
+@SETTINGS
+@given(families())
+def test_constructor_verdict_equals_the_exchange_check(family):
+    m, bases = family
+    try:
+        Matroid(m, bases)
+    except MatroidAxiomError:
+        assert not exchange_holds(bases)
+    else:
+        assert exchange_holds(bases)
+
+
+def test_families_reach_both_verdicts():
+    seen = set()
+
+    @SETTINGS
+    @given(families())
+    def collect(family):
+        seen.add(exchange_holds(family[1]))
+
+    collect()
+    assert seen == {True, False}
+
+
+@SETTINGS
+@given(matroids())
+def test_rank_table_equals_the_largest_basis_intersection(family):
+    m, bases = family
+    matroid = Matroid(m, bases)
+    assert len(matroid.rank_table) == 1 << m
+    for mask in range(1 << m):
+        s = Matroid.elements(mask)
+        assert matroid.mask(s) == mask
+        assert matroid.rank(s) == oracle_rank(bases, s)
+        assert matroid.is_independent(s) == (oracle_rank(bases, s) == len(s))
+
+
+def _by_size(subsets):
+    return tuple(sorted(subsets, key=lambda c: (len(c), sorted(c))))
+
+
+@SETTINGS
+@given(matroids())
+def test_circuits_flats_and_fundamental_circuits_equal_enumeration(family):
+    m, bases = family
+    matroid = Matroid(m, bases)
+    assert matroid.circuits() == _by_size(oracle_circuits(m, bases))
+    assert matroid.flats() == _by_size(oracle_flats(m, bases))
+    for s in matroid.flats():
+        assert matroid.is_flat(s) and matroid.closure(s) == s
+    for b in bases:
+        for e in sorted(matroid.ground - b):
+            assert matroid.fundamental_circuit(b, e) == oracle_fundamental_circuit(
+                bases, b, e)
+
+
+@SETTINGS
+@given(bergman_rows(1))
+def test_apartment_contains_exactly_the_maximal_weight_bases(case):
+    # the oracle scan runs on apartment_contains, so check it on its own
+    matroid, (w,) = case
+    weight = {b: sum(w[e - 1] for e in b) for b in matroid.bases}
+    top = max(weight.values())
+    for b, wt in weight.items():
+        assert apartment_contains(matroid, b, [w]) == (wt == top)
+
+
+@SETTINGS
+@given(st.integers(0, 4).flatmap(bergman_rows))
+def test_common_adapted_basis_equals_the_sorted_scan(case):
+    matroid, rows = case
+    assert common_adapted_basis(matroid, rows) == scan_adapted_basis(matroid, rows)
+
+
+@SETTINGS
+@given(bergman_rows(3))
+def test_validate_adapted_bases_equal_the_sorted_scan(case):
+    matroid, rows = case
+    want = {
+        key: scan_adapted_basis(matroid, [rows[i] for i in sorted(key)])
+        for key in P2.cone_keys
+    }
+    if None in want.values():
+        with pytest.raises(NoCommonApartmentError):
+            validate(P2, matroid, rows)
+    else:
+        assert validate(P2, matroid, rows).adapted_bases == want
+
+
+def test_row_sets_reach_cones_without_a_common_apartment():
+    seen = set()
+
+    @SETTINGS
+    @given(st.integers(0, 4).flatmap(bergman_rows))
+    def collect_rows(case):
+        seen.add(("rows", scan_adapted_basis(*case) is None))
+
+    @SETTINGS
+    @given(bergman_rows(3))
+    def collect_p2(case):
+        matroid, rows = case
+        seen.add(("p2", any(
+            scan_adapted_basis(matroid, [rows[i] for i in sorted(key)]) is None
+            for key in P2.cone_keys
+        )))
+
+    collect_rows()
+    collect_p2()
+    assert seen == {("rows", False), ("rows", True), ("p2", False), ("p2", True)}

@@ -9,7 +9,6 @@ from tropehrhart.matroid import Matroid, in_lifted_bergman, uniform_matroid
 from tropehrhart.taut import (
     CHUNK,
     _chains_of_masks,
-    _mask_to_set,
     _slice_box,
     _sweep,
     flag_alternating_sum,
@@ -20,6 +19,8 @@ from tropehrhart.taut import (
     tautological_bundle,
     vanishing_check,
 )
+
+from conftest import oracle_rank
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +261,7 @@ def _chain_sweep(matroid, U):
 
     rank_of = np.zeros(full + 1, dtype=np.int64)
     for mask in range(full + 1):
-        rank_of[mask] = matroid.rank(_mask_to_set(mask))
+        rank_of[mask] = oracle_rank(matroid.bases, Matroid.elements(mask))
 
     n_pts = U.shape[0]
     chi = np.zeros(n_pts, dtype=np.int64)
@@ -286,7 +287,7 @@ def _chain_sweep(matroid, U):
     for e in range(1, m + 1):
         ok = np.ones(n_pts, dtype=bool)
         for mask in bundle.fan.ray_masks:
-            row = bundle.rows[_mask_to_set(mask)]
+            row = bundle.rows[Matroid.elements(mask)]
             ok &= sums[:, mask] <= row[e - 1]
         member_mask += ok.astype(np.int64) << (e - 1)
     h0 = rank_of[member_mask]
