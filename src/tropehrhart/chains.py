@@ -28,7 +28,7 @@ from .lattice import (
     Fan,
     HPolyhedron,
     VPolytope,
-    bounding_box,
+    box_size,
     check_box,
     min_containing_cone,
     minkowski_sum,
@@ -101,11 +101,6 @@ class ConvexChain:
 
     def __repr__(self):
         return f"ConvexChain({len(self.terms)} terms)"
-
-
-def point_chain(coords) -> ConvexChain:
-    """The indicator chain of a single point; 1_{{0}} is the unit."""
-    return ConvexChain([(1, VPolytope([tuple(coords)], trusted=True))])
 
 
 def evaluate(a: ConvexChain, u) -> int:
@@ -202,7 +197,7 @@ def brianchon_gram(sn: SupportNumbers) -> ConvexChain:
 
 # rows per block of the box kernel; the int64 proof of `box_values` uses it
 BOX_BLOCK = 256
-_INT64_SAFE = 1 << 62
+INT64_SAFE = 1 << 62
 
 
 def _integer_hrep(piece):
@@ -227,11 +222,35 @@ def _integer_hrep(piece):
     return normals, bounds
 
 
+def box_offsets(lo, hi):
+    """The integer points of the box [lo, hi] as offsets from lo, streamed.
+
+    Returns an iterator of int64 arrays of at most BOX_BLOCK rows in
+    `itertools.product` order (the last coordinate fastest).  The call
+    itself checks the point cap (`lattice.box_size`), before any array
+    exists.  Offsets are at most hi - lo, whatever the size of lo.
+    """
+    import numpy as np
+
+    count = box_size(lo, hi)
+    sides = [h - l + 1 for l, h in zip(lo, hi)]
+
+    def blocks():
+        for start in range(0, count, BOX_BLOCK):
+            code = np.arange(start, min(start + BOX_BLOCK, count), dtype=np.int64)
+            offsets = np.empty((code.size, len(sides)), dtype=np.int64)
+            for j in range(len(sides) - 1, -1, -1):
+                code, offsets[:, j] = np.divmod(code, sides[j])
+            yield offsets
+
+    return blocks()
+
+
 def box_values(a: ConvexChain, box):
     """The chain's values on the integer points of a box, streamed.
 
     Yields (points, values) int64 arrays of at most BOX_BLOCK rows, in the
-    order of `lattice.box_points`.  Each piece costs one integer matrix
+    order of `box_offsets`.  Each piece costs one integer matrix
     product per block.  Before any array exists the box is checked
     (`lattice.check_box`) and int64 safety is proved: every coordinate and
     every |<n, u>| is at most max(1, max |n|_1) * max |u_i|, every block sum
@@ -244,7 +263,7 @@ def box_values(a: ConvexChain, box):
     lo, hi = box
     a._check_length("box", len(lo))
     d = len(lo)
-    count = check_box(box, d)
+    check_box(box, d)
     pieces = []
     for c, piece in a.terms:
         rows = _integer_hrep(piece)
@@ -253,7 +272,7 @@ def box_values(a: ConvexChain, box):
     norm = max((sum(map(abs, n)) for _, ns, _ in pieces for n in ns), default=0)
     reach = max(norm, 1) * max(map(abs, (*lo, *hi)), default=0)
     mass = sum(abs(c) for c, _, _ in pieces)
-    if reach >= _INT64_SAFE or mass * BOX_BLOCK >= _INT64_SAFE:
+    if reach >= INT64_SAFE or mass * BOX_BLOCK >= INT64_SAFE:
         raise BoxTooLargeError(
             "box values would leave the exact int64 range of the kernel"
         )
@@ -266,13 +285,9 @@ def box_values(a: ConvexChain, box):
         )
         for c, ns, bs in pieces
     ]
-    sides = [h - l + 1 for l, h in zip(lo, hi)]
-    for start in range(0, count, BOX_BLOCK):
-        code = np.arange(start, min(start + BOX_BLOCK, count), dtype=np.int64)
-        points = np.empty((code.size, d), dtype=np.int64)
-        for j in range(d - 1, -1, -1):
-            code, digit = np.divmod(code, sides[j])
-            points[:, j] = digit + lo[j]
+    origin = np.array(lo, dtype=np.int64)
+    for offsets in box_offsets(lo, hi):
+        points = offsets + origin
         values = np.zeros(points.shape[0], dtype=np.int64)
         for c, normals, bounds in arrays:
             values += c * (points @ normals <= bounds).all(axis=1)
@@ -304,17 +319,6 @@ def integral(a: ConvexChain) -> Fraction:
     for c, piece in a.terms:
         total += c * volume(_as_vpolytope(piece))
     return total
-
-
-def chain_box(a: ConvexChain, pad: int = 1):
-    """Bounding box of all bounded pieces' vertices, padded outward."""
-    points = []
-    for _, piece in a.terms:
-        if isinstance(piece, VPolytope):
-            points.extend(piece.vertices)
-    if not points:
-        raise ValidationError("chain has no bounded pieces to bound")
-    return bounding_box(points, pad)
 
 
 # ---------------------------------------------------------------------------

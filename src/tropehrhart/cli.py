@@ -64,6 +64,8 @@ def parse_number(v) -> Fraction:
 
 
 def parse_int(v) -> int:
+    if type(v) is int:  # JSON integers; bool, a subclass, is refused below
+        return v
     f = parse_number(v)
     if f.denominator != 1:
         raise ValidationError(f"expected an integer, got {v!r}")
@@ -215,10 +217,9 @@ def _cmd_chi(args) -> dict:
             "chi_u": bundle.euler_char_u(u),
             "h0_by_codim": bundle.euler_char_by_codim(u),
         }
-    return {
-        "chi_total": bundle.euler_char_total(box),
-        "box": [list(b) for b in (box or bundle.chi_box())],
-    }
+    if box is None:
+        box = bundle.chi_box()
+    return {"chi_total": bundle.euler_char_total(box), "box": [list(b) for b in box]}
 
 
 def _cmd_alpha_eval(args) -> dict:

@@ -31,7 +31,6 @@ from .errors import (
 )
 from .linalg import (
     affine_rank,
-    clear_denominators,
     det,
     dot,
     echelon,
@@ -180,12 +179,6 @@ class Cone:
     def contains(self, x) -> bool:
         d = self.dual
         return all(dot(g, x) >= 0 for g in d.rays) and all(
-            dot(l, x) == 0 for l in d.lineality
-        )
-
-    def relint_contains(self, x) -> bool:
-        d = self.dual
-        return all(dot(g, x) > 0 for g in d.rays) and all(
             dot(l, x) == 0 for l in d.lineality
         )
 
@@ -664,13 +657,6 @@ class VPolytope:
     def is_empty(self) -> bool:
         return not self.vertices
 
-    def translate(self, t) -> "VPolytope":
-        return VPolytope(
-            [tuple(x + Fraction(dt) for x, dt in zip(v, t)) for v in self.vertices],
-            self.ambient_dim,
-            trusted=True,
-        )
-
     def negate(self) -> "VPolytope":
         return VPolytope(
             [tuple(-x for x in v) for v in self.vertices],
@@ -885,36 +871,6 @@ def faces(p: VPolytope):
     return p.faces()
 
 
-def face_alternating_sum(p: HPolyhedron) -> int:
-    """Sum of (-1)^dim over all nonempty faces of a line-free polyhedron.
-
-    Equals 1 for bounded and 0 for unbounded polyhedra.
-    """
-    verts, rays, lin = p.generators()
-    if lin:
-        raise ValidationError("face sum requires a polyhedron without lineality")
-    if not verts:
-        return 0
-    d = p.ambient_dim
-    gens = []
-    for v in verts:
-        gens.append(clear_denominators(tuple(v) + (Fraction(1),)))
-    for r in rays:
-        gens.append(tuple(r) + (0,))
-    dual_rays, _ = vcone_from_halfspaces(gens, d + 1)
-    zero_sets = [
-        frozenset(i for i, h in enumerate(gens) if dot(g, h) == 0) for g in dual_rays
-    ]
-    face_sets = _intersection_closure(len(gens), zero_sets)
-    total = 0
-    for fs in face_sets:
-        members = [gens[i] for i in fs]
-        if not any(g[d] > 0 for g in members):
-            continue  # empty face or a face at infinity
-        total += (-1) ** (rank(members) - 1)
-    return total
-
-
 def bounding_box(points, pad=0):
     """Integer bounding box of a set of rational points, padded outward."""
     pts = list(points)
@@ -935,13 +891,6 @@ def box_size(lo, hi) -> int:
             f"box has {count} points, above the cap of {BOX_MAX_POINTS}"
         )
     return count
-
-
-def box_points(lo, hi):
-    """The integer points of the box [lo, hi] in lexicographic order; the
-    point cap (`box_size`) is checked before any point exists."""
-    box_size(lo, hi)
-    return itertools.product(*(range(l, h + 1) for l, h in zip(lo, hi)))
 
 
 def check_box(box, dim) -> int:

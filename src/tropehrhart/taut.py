@@ -92,13 +92,6 @@ class PermutahedralFan:
         """All cones, as increasing tuples of subsets (frozensets)."""
         return [tuple(Matroid.elements(s) for s in c) for c in self.chains]
 
-    def maximal_flags(self):
-        return [
-            tuple(Matroid.elements(s) for s in c)
-            for c in self.chains
-            if len(c) == self.m - 1
-        ]
-
     def codim(self, flag) -> int:
         return self.m - 1 - len(flag)
 

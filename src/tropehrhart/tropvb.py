@@ -21,13 +21,19 @@ import itertools
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
+
 from .chains import (
+    BOX_BLOCK,
+    INT64_SAFE,
     ConvexChain,
     MultiValuedSupportFunction,
+    box_offsets,
     box_values,
     support_function_chain,
 )
 from .errors import (
+    BoxTooLargeError,
     BoxTooSmallError,
     BundleValidationError,
     InvalidBoundError,
@@ -40,7 +46,6 @@ from .lattice import (
     Fan,
     HPolyhedron,
     bounding_box,
-    box_points,
     check_box,
     cone_is_smooth,
     is_refinement,
@@ -142,24 +147,95 @@ class TropicalVectorBundle:
                 pts.extend(vertex_enumeration(p).vertices)
         return bounding_box(pts, pad)
 
+    def section_values(self, box, cones):
+        """Signed sums of section ranks on the integer points of a box.
+
+        `cones` lists (ray indices, sign) pairs; the value at u is the sum of
+        sign * rank(meet of F_rho(<u, v_rho>) over the rays), the empty meet
+        being the ground set.  The cones of the fan with signs (-1)^codim
+        give chi_u; one cone of every ray with sign 1 gives h0_u.
+
+        Yields (offsets, values) int64 arrays per block of
+        `chains.box_offsets`: BOX_BLOCK points in `itertools.product`
+        order, as offsets from lo (the point cap is checked first).  Each
+        block costs one int64 product for the levels, one gather per ray
+        and one AND-reduce and rank lookup for all cones.  Levels are taken
+        relative to lo: <offset, v_rho> is at most (hi - lo) . |v_rho| in
+        absolute value, which must stay below 2^62 (else BoxTooLargeError),
+        and <lo, v_rho> is subtracted, as a Python int, from the row's
+        levels instead.  F_rho is constant below the row's smallest entry
+        and above its largest, so a ray's table holds one Klyachko mask per
+        distinct entry plus the one above, and a level finds its mask by
+        its rank among the entries (clipped to the reachable range, which
+        changes no rank).
+        """
+        lo, hi = box
+        self._check_character(lo)
+        self._check_character(hi)
+        rays = self.fan.rays
+        blocks = box_offsets(lo, hi)  # the point cap before the int64 proof
+        reach = max(
+            sum((h - l) * abs(x) for x, l, h in zip(v, lo, hi)) for v in rays
+        )
+        if reach >= INT64_SAFE:
+            raise BoxTooLargeError(
+                "section levels would leave the exact int64 range of the kernel"
+            )
+        entries, masks = [], []
+        for i, (v, row) in enumerate(zip(rays, self.diagram)):
+            ks = sorted(set(row))
+            base = dot(lo, v)
+            entries.append(np.array(
+                [min(max(k - base, -reach - 1), reach + 1) for k in ks],
+                dtype=np.int64,
+            ))
+            masks.append(np.array(
+                [self._klyachko_mask(i, k) for k in (*ks, ks[-1] + 1)],
+                dtype=np.uint32,
+            ))
+        # row len(rays) of the mask array is the ground set: it pads every
+        # cone to the widest one and is the whole of the zero cone
+        width = max(len(key) for key, _ in cones)
+        index = np.array(
+            [sorted(key) + [len(rays)] * (width - len(key)) for key, _ in cones],
+            dtype=np.intp,
+        )
+        signs = np.array([sign for _, sign in cones], dtype=np.int64)
+        ray_rows = np.array(rays, dtype=np.int64)
+        rank_of = np.frombuffer(self.matroid.rank_table, dtype=np.uint8)
+        flats = np.empty((len(rays) + 1, BOX_BLOCK), dtype=np.uint32)
+        flats[-1] = (1 << self.matroid.m) - 1
+        for offsets in blocks:
+            n = offsets.shape[0]
+            levels = ray_rows @ offsets.T
+            for i in range(len(rays)):
+                flats[i, :n] = masks[i][np.searchsorted(entries[i], levels[i])]
+            meets = np.bitwise_and.reduce(flats[:, :n][index], axis=1)
+            yield offsets, signs @ rank_of[meets].astype(np.int64)
+
+    def _chi_cones(self):
+        """The terms of chi_u for `section_values`: every cone, (-1)^codim."""
+        return [(key, (-1) ** self.fan.codim(key)) for key in self.fan.cone_keys]
+
     def euler_char_total(self, box=None) -> int:
         """Sum of chi_u over a box whose margin shell must be chi-free.
 
         The box is checked by `lattice.check_box` (shape and point cap)
-        before any point is evaluated.
+        before any point is evaluated; the error for a nonzero margin names
+        the first such point in box order.
         """
         if box is None:
             box = self.chi_box()
         check_box(box, self.fan.ambient_dim)
         lo, hi = box
+        top = np.array([h - l for l, h in zip(lo, hi)], dtype=np.int64)
         total = 0
-        for u in box_points(lo, hi):
-            val = self.euler_char_u(u)
-            if val != 0 and any(
-                x == l or x == h for x, l, h in zip(u, lo, hi)
-            ):
+        for offsets, values in self.section_values(box, self._chi_cones()):
+            bad = ((offsets == 0) | (offsets == top)).any(axis=1) & (values != 0)
+            if bad.any():
+                u = tuple(l + x for l, x in zip(lo, offsets[bad.argmax()].tolist()))
                 raise BoxTooSmallError(f"chi is nonzero at {u} on the box margin")
-            total += val
+            total += int(values.sum())
         return total
 
     def h0_nonzero(self):
@@ -167,19 +243,21 @@ class TropicalVectorBundle:
 
         A character with sections lies in some parliament polytope, so the
         unpadded bounding box of their vertices holds all of them; when every
-        parliament is empty there are none.  `box_points` refuses a box
-        above the point cap.
+        parliament is empty there are none.  The box is scanned by
+        `section_values`, which refuses it above the point cap.
         """
         pts = []
         for p in self.parliament().values():
             pts.extend(vertex_enumeration(p).vertices)
         if not pts:
             return []
+        lo, hi = bounding_box(pts, 0)
+        everything = [(range(len(self.fan.rays)), 1)]
         out = []
-        for u in box_points(*bounding_box(pts, 0)):
-            h = self.h0_global(u)
-            if h:
-                out.append((u, h))
+        for offsets, values in self.section_values((lo, hi), everything):
+            found = values != 0
+            for off, h in zip(offsets[found].tolist(), values[found].tolist()):
+                out.append((tuple(l + x for l, x in zip(lo, off)), h))
         return out
 
     def h0_total(self) -> int:
@@ -227,17 +305,20 @@ class TropicalVectorBundle:
     def chain_alpha(self, verify: bool = True) -> ConvexChain:
         """Convex chain whose values equal the equivariant Euler characteristic.
 
-        With verify=True the pointwise identity against euler_char_u is
-        checked on the chi box, the chain values coming from `box_values`.
+        With verify=True the pointwise identity with chi_u is checked on the
+        chi box, block by block: chain values from `box_values`, chi from
+        `section_values`; the error names the first disagreement in box
+        order.
         """
         chain = support_function_chain(self.support_function())
         if verify:
-            for points, values in box_values(chain, self.chi_box()):
-                for u, val in zip(map(tuple, points.tolist()), values.tolist()):
-                    if val != self.euler_char_u(u):
-                        raise BundleValidationError(
-                            f"chain value and chi disagree at {u}"
-                        )
+            box = self.chi_box()
+            chi = self.section_values(box, self._chi_cones())
+            for (points, alpha), (_, values) in zip(box_values(chain, box), chi):
+                bad = alpha != values
+                if bad.any():
+                    u = tuple(points[bad.argmax()].tolist())
+                    raise BundleValidationError(f"chain value and chi disagree at {u}")
         return chain
 
     # -- pull-back -----------------------------------------------------------

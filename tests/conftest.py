@@ -5,7 +5,9 @@ cross-check the exact machinery: Fraction Gauss-Jordan elimination (`rref`,
 matroid ones read off the basis list (the pairwise exchange check, rank as
 the largest basis intersection, subset-enumeration circuits, flats and
 fundamental circuits, the sorted scan for adapted bases) and geometric
-ones."""
+ones, and the small constructions only tests use (box points, point
+chains, chain boxes, translates, relative-interior tests, maximal flags,
+the face alternating sum)."""
 
 import itertools
 from fractions import Fraction
@@ -13,8 +15,17 @@ from math import ceil, floor
 
 import pytest
 
-from tropehrhart.lattice import Fan, VPolytope
-from tropehrhart.linalg import det, dot
+from tropehrhart.chains import ConvexChain
+from tropehrhart.errors import ValidationError
+from tropehrhart.lattice import (
+    Fan,
+    VPolytope,
+    _intersection_closure,
+    bounding_box,
+    box_size,
+    vcone_from_halfspaces,
+)
+from tropehrhart.linalg import clear_denominators, det, dot, rank
 from tropehrhart.matroid import (
     Matroid,
     apartment_contains,
@@ -343,3 +354,85 @@ def random_bundle(fan, matroid, rng, tries=80, lo=-2, hi=2):
 
 def grid_points(dim, radius):
     return itertools.product(range(-radius, radius + 1), repeat=dim)
+
+
+# ---------------------------------------------------------------------------
+# Constructions only tests use
+# ---------------------------------------------------------------------------
+
+def box_points(lo, hi):
+    """The integer points of the box [lo, hi] in lexicographic order, the
+    order of the box kernels; the point cap (`box_size`) is checked before
+    any point exists."""
+    box_size(lo, hi)
+    return itertools.product(*(range(l, h + 1) for l, h in zip(lo, hi)))
+
+
+def point_chain(coords) -> ConvexChain:
+    """The indicator chain of a single point; 1_{{0}} is the unit."""
+    return ConvexChain([(1, VPolytope([tuple(coords)], trusted=True))])
+
+
+def chain_box(a: ConvexChain, pad: int = 1):
+    """Bounding box of all bounded pieces' vertices, padded outward."""
+    points = []
+    for _, piece in a.terms:
+        if isinstance(piece, VPolytope):
+            points.extend(piece.vertices)
+    if not points:
+        raise ValidationError("chain has no bounded pieces to bound")
+    return bounding_box(points, pad)
+
+
+def translate(p: VPolytope, t) -> VPolytope:
+    return VPolytope(
+        [tuple(x + Fraction(dt) for x, dt in zip(v, t)) for v in p.vertices],
+        p.ambient_dim,
+        trusted=True,
+    )
+
+
+def relint_contains(cone, x) -> bool:
+    d = cone.dual
+    return all(dot(g, x) > 0 for g in d.rays) and all(
+        dot(l, x) == 0 for l in d.lineality
+    )
+
+
+def maximal_flags(fan):
+    """The maximal cones of a permutahedral fan, as flags of subsets."""
+    return [
+        tuple(Matroid.elements(s) for s in c)
+        for c in fan.chains
+        if len(c) == fan.m - 1
+    ]
+
+
+def face_alternating_sum(p) -> int:
+    """Sum of (-1)^dim over all nonempty faces of a line-free polyhedron.
+
+    Equals 1 for bounded and 0 for unbounded polyhedra.
+    """
+    verts, rays, lin = p.generators()
+    if lin:
+        raise ValidationError("face sum requires a polyhedron without lineality")
+    if not verts:
+        return 0
+    d = p.ambient_dim
+    gens = []
+    for v in verts:
+        gens.append(clear_denominators(tuple(v) + (Fraction(1),)))
+    for r in rays:
+        gens.append(tuple(r) + (0,))
+    dual_rays, _ = vcone_from_halfspaces(gens, d + 1)
+    zero_sets = [
+        frozenset(i for i, h in enumerate(gens) if dot(g, h) == 0) for g in dual_rays
+    ]
+    face_sets = _intersection_closure(len(gens), zero_sets)
+    total = 0
+    for fs in face_sets:
+        members = [gens[i] for i in fs]
+        if not any(g[d] > 0 for g in members):
+            continue  # empty face or a face at infinity
+        total += (-1) ** (rank(members) - 1)
+    return total

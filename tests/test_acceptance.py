@@ -22,7 +22,6 @@ from tropehrhart.chains import (
 )
 from tropehrhart.lattice import (
     HPolyhedron,
-    face_alternating_sum,
     refine_by_hyperplanes,
     stellar_subdivision,
     vertex_enumeration,
@@ -33,6 +32,7 @@ from tropehrhart.taut import flag_alternating_sum, taut_chi_u, vanishing_check
 from tropehrhart.tropvb import k_class_identity, split_resolution, validate
 
 from conftest import (
+    face_alternating_sum,
     grid_points,
     lattice_points,
     random_bundle,

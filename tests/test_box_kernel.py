@@ -17,7 +17,6 @@ from tropehrhart.chains import (
     BOX_BLOCK,
     ConvexChain,
     box_values,
-    chain_box,
     lattice_sum,
 )
 from tropehrhart.errors import (
@@ -30,13 +29,12 @@ from tropehrhart.lattice import (
     BOX_MAX_POINTS,
     HPolyhedron,
     VPolytope,
-    box_points,
     check_box,
 )
 from tropehrhart.matroid import uniform_matroid
 import tropehrhart.tropvb as tropvb
 
-from conftest import random_bundle, random_split_bundle
+from conftest import box_points, chain_box, random_bundle, random_split_bundle
 
 SETTINGS = settings(max_examples=250, deadline=None, derandomize=True)
 

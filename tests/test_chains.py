@@ -8,14 +8,12 @@ from tropehrhart.chains import (
     MultiValuedSupportFunction,
     SupportNumbers,
     brianchon_gram,
-    chain_box,
     convolve,
     degree,
     evaluate,
     integral,
     invert_polytope,
     lattice_sum,
-    point_chain,
     support_function_chain,
 )
 from tropehrhart.errors import (
@@ -27,7 +25,13 @@ from tropehrhart.errors import (
 )
 from tropehrhart.lattice import Fan, HPolyhedron, VPolytope
 
-from conftest import grid_points, random_lattice_polytope, zonotope_support_numbers
+from conftest import (
+    chain_box,
+    grid_points,
+    point_chain,
+    random_lattice_polytope,
+    zonotope_support_numbers,
+)
 
 
 def one(piece):

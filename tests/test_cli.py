@@ -7,7 +7,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from tropehrhart.cli import main
+from tropehrhart.cli import main, parse_int
+from tropehrhart.errors import ValidationError
 
 from conftest import FANO_DIAGRAM, FANO_LINES
 
@@ -190,6 +191,30 @@ def test_h0_box_above_point_cap_exits_at_once(files, capsys):
     assert time.monotonic() - start < 5
     assert code == 2
     assert json.loads(out)["error"]["type"] == "BoxTooLargeError"
+
+
+def test_chi_on_a_million_point_box_is_fast(files, capsys):
+    # 1001^2 points; the per-point loop over euler_char_u took about 30 s
+    start = time.monotonic()
+    code, out = run(capsys, "chi", "--bundle", files["u23_bundle"],
+                    "--box=-500,-500:500,500")
+    assert time.monotonic() - start < 10
+    assert code == 0
+    assert out == '{"box": [[-500, -500], [500, 500]], "chi_total": 8}\n'
+
+
+@pytest.mark.parametrize("value, expected", [
+    (7, 7), (-(2**70), -(2**70)), ("12", 12), ("-6/2", -3),
+    (True, ValidationError), (False, ValidationError), ("1/2", ValidationError),
+    (1.0, ValidationError), ("x", ValidationError), (None, ValidationError),
+])
+def test_parse_int(value, expected):
+    if expected is ValidationError:
+        with pytest.raises(ValidationError):
+            parse_int(value)
+    else:
+        assert parse_int(value) == expected
+        assert type(parse_int(value)) is int
 
 
 def test_box_containing_the_chi_box_is_accepted(files, capsys):
