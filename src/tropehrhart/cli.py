@@ -13,6 +13,7 @@ indices are 1-indexed in all files.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -324,7 +325,15 @@ def _render_table(report: dict) -> str:
     return "\n".join(lines)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and kept for the process.
+
+    A shell invocation calls `main` once; in-process callers (tests,
+    library use) call it many times, and building the parser cost as much
+    as validating a small bundle.  `parse_args` leaves the parser as it
+    found it, so one parser serves every call.
+    """
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument(
         "--output", choices=["json", "table"], default="json",

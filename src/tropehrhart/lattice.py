@@ -206,6 +206,23 @@ class Cone:
         self._faces = sorted(faces, key=lambda s: (len(s), sorted(s)))
         return self._faces
 
+    def face_dims(self):
+        """Dimension of every face, keyed by its set of local ray indices.
+
+        Read off the face lattice, which is graded: a face is one dimension
+        above the largest of its proper subfaces.  The smallest face is the
+        lineality space, the empty set of rays (dimension 0) when the cone
+        is pointed.
+        """
+        dims = {}
+        for face in self.face_ray_sets():  # by size, so subfaces come first
+            below = [d for sub, d in dims.items() if sub < face]
+            if below:
+                dims[face] = 1 + max(below)
+            else:
+                dims[face] = rank([self.rays[i] for i in face]) if face else 0
+        return dims
+
     def key(self):
         if self.lineality:
             lin_red = (b for _, _, b in echelon(self.lineality))
@@ -295,13 +312,9 @@ class Fan:
         self._cone_cache = {}
         cone_dims = {}
         for key in maximal:
-            cone = self._make_cone(key)
             ordered = sorted(key)
-            for local in cone.face_ray_sets():
-                face_key = frozenset(ordered[i] for i in local)
-                if face_key not in cone_dims:
-                    face_cone = self._make_cone(face_key)
-                    cone_dims[face_key] = face_cone.dim
+            for local, dim in self._make_cone(key).face_dims().items():
+                cone_dims.setdefault(frozenset(ordered[i] for i in local), dim)
         self.cone_dims = cone_dims
         self.maximal_keys = tuple(
             sorted(maximal, key=lambda k: sorted(k))
@@ -338,8 +351,11 @@ class Fan:
             cone = self._make_cone(key)
             if cone.lineality:
                 raise ValidationError("fan cones must be strictly convex")
-            extreme, lin = vcone_from_halfspaces(cone.dual.generators, self.ambient_dim)
-            if lin or set(extreme) != set(cone.rays):
+            # the origin is a face (no ray) exactly when the cone is pointed,
+            # and a ray is extreme exactly when it alone is a face
+            faces = set(cone.face_ray_sets())
+            singles = {frozenset((i,)) for i in range(len(cone.rays))}
+            if frozenset() not in faces or not singles <= faces:
                 raise ValidationError(
                     f"rays of cone {sorted(key)} are not all extreme"
                 )

@@ -251,13 +251,18 @@ def _level_masks(w):
 def max_weight_basis(matroid: Matroid, w) -> frozenset:
     """Greedy maximum-weight basis; ties resolved toward smaller elements,
     which makes the result the lexicographically smallest optimal basis."""
-    w = _weights(matroid, w)
+    return Matroid.elements(greedy_basis_mask(matroid, _weights(matroid, w)))
+
+
+def greedy_basis_mask(matroid: Matroid, w) -> int:
+    """Mask of `max_weight_basis` for a checked weight sequence of length m
+    (integers or Fractions)."""
     table = matroid.rank_table
     chosen = 0  # independent, so its rank is its size
     for i in sorted(range(matroid.m), key=lambda i: (-w[i], i)):
         if table[chosen | 1 << i] > table[chosen]:
             chosen |= 1 << i
-    return Matroid.elements(chosen)
+    return chosen
 
 
 def bergman_project(matroid: Matroid, w):
@@ -313,16 +318,6 @@ def apartment_contains(matroid: Matroid, basis, vectors) -> bool:
             if not flat or (level & b).bit_count() != table[level]:
                 return False
     return True
-
-
-def common_adapted_basis(matroid: Matroid, vectors):
-    """Lexicographically smallest basis adapted to every given lifted Bergman
-    point, or None: when one exists, the maximizers of the points' sum are
-    exactly these bases, and the greedy basis is the smallest of them."""
-    vectors = [_weights(matroid, w) for w in vectors]
-    total = [sum(w[j] for w in vectors) for j in range(matroid.m)]
-    found = max_weight_basis(matroid, total)
-    return found if apartment_contains(matroid, found, vectors) else None
 
 
 def initial_matroid(matroid: Matroid, w) -> Matroid:

@@ -53,7 +53,7 @@ from .lattice import (
     vertex_enumeration,
 )
 from .linalg import dot, rank, solve
-from .matroid import Matroid, circuit_extension, common_adapted_basis
+from .matroid import Matroid, circuit_extension, greedy_basis_mask
 
 
 class TropicalVectorBundle:
@@ -137,15 +137,27 @@ class TropicalVectorBundle:
         return byc
 
     def chi_box(self, pad: int = 1):
-        """Box guaranteed (and then checked) to contain the support of chi."""
-        pts = [tuple(0 for _ in range(self.fan.ambient_dim))]
-        if self.fan.is_smooth():
-            for key in self.fan.maximal_keys:
-                pts.extend(self.characters(key))
-        else:
-            for p in self.parliament().values():
-                pts.extend(vertex_enumeration(p).vertices)
-        return bounding_box(pts, pad)
+        """Bounding box, padded, of the characters of the maximal cones;
+        `euler_char_total` checks that chi vanishes on its margin.
+
+        On a smooth complete fan the support of chi lies in the convex hull
+        of the characters.  By localization at the torus-fixed points, chi
+        is a sum over the maximal cones of the characters of the fibre at
+        that point, each divided by the product of (1 - x^m) over the
+        cone's weights m.  Expand every term as a series in the direction
+        in which a generic linear functional decreases.  Every term is then
+        supported where the functional is at most its value at one of the
+        characters, and so is chi, a Laurent polynomial equal to the sum of
+        the expansions.  The intersection of these half-spaces over all
+        generic functionals is the hull of the characters (Brion's argument
+        for the lattice points of a polytope).  Off smooth cones the
+        characters are rational and the box is rounded outward.  Twisting
+        the bundle by a character w moves chi and the characters by w, so
+        the box moves by w.  The origin seeds the box only when there is no
+        character, on a bundle of rank zero.
+        """
+        pts = [u for key in self.fan.maximal_keys for u in self._cone_characters(key)]
+        return bounding_box(pts or [(0,) * self.fan.ambient_dim], pad)
 
     def section_values(self, box, cones):
         """Signed sums of section ranks on the integer points of a box.
@@ -274,24 +286,26 @@ class TropicalVectorBundle:
         integer vector.  The multiset does not depend on the chosen basis.
         """
         key = frozenset(cone_key)
-        if key in self._char_cache:
-            return self._char_cache[key]
         if key not in self.fan.cone_dims:
             raise KeyError(f"no cone {sorted(key)}")
         if self.fan.cone_dims[key] != self.fan.ambient_dim:
             raise UnsupportedConeError("characters are defined on maximal cones")
-        cone = self.fan.cone(key)
-        if not cone_is_smooth(cone):
+        if not cone_is_smooth(self.fan.cone(key)):
             raise UnsupportedConeError("characters need a smooth cone")
-        idx = sorted(key)
-        rows = [self.fan.rays[i] for i in idx]
-        chars = []
-        for b in sorted(self.adapted_bases[key]):
-            rhs = [self.diagram[i][b - 1] for i in idx]
-            chars.append(tuple(int(x) for x in solve(rows, rhs)))
-        result = tuple(sorted(chars))
-        self._char_cache[key] = result
-        return result
+        return self._cone_characters(key)
+
+    def _cone_characters(self, key):
+        """The sorted solutions u_j of `characters` on any maximal cone:
+        rational vectors off smooth cones, where `validate` proved that
+        they exist."""
+        if key not in self._char_cache:
+            idx = sorted(key)
+            rows = [self.fan.rays[i] for i in idx]
+            self._char_cache[key] = tuple(sorted(
+                _intify(solve(rows, [self.diagram[i][b - 1] for i in idx]))
+                for b in self.adapted_bases[key]
+            ))
+        return self._char_cache[key]
 
     def support_function(self) -> MultiValuedSupportFunction:
         """Multi-valued support function with the characters as branches."""
@@ -390,6 +404,16 @@ def validate(fan: Fan, matroid: Matroid, diagram) -> TropicalVectorBundle:
     Verifies that the fan is complete, that every row lies in the lifted
     Bergman fan of the matroid, and that the rows of every cone admit a
     common adapted basis (recorded per cone, lexicographically smallest).
+
+    The Bergman check keeps the masks of each row's level sets
+    {e : D[rho, e] >= k}, once they are proved to be flats.  A basis B is
+    adapted to a row when |F & B| = rank(F) for each of its level flats F,
+    that is, when B has the row's largest weight.  If the rows of a cone
+    have a common adapted basis, the bases of largest weight for the sum of
+    the rows are therefore exactly the common adapted bases, and the greedy
+    one, with ties toward smaller elements, is the lexicographically
+    smallest.  So a cone has a common adapted basis exactly when its greedy
+    basis passes the level-mask test.
     """
     diagram = tuple(tuple(int(x) for x in row) for row in diagram)
     if len(diagram) != len(fan.rays):
@@ -404,27 +428,33 @@ def validate(fan: Fan, matroid: Matroid, diagram) -> TropicalVectorBundle:
     if not fan.is_complete():
         raise BundleValidationError("bundles require a complete fan")
 
+    row_levels = []
     for ri, row in enumerate(diagram):
+        levels = []
         for k in set(row):
-            level = frozenset(e for e in range(1, matroid.m + 1) if row[e - 1] >= k)
-            if not matroid.is_flat(level):
-                raise RowNotInBergmanError(ri + 1, row, level)
+            level = sum(1 << j for j, x in enumerate(row) if x >= k)
+            if matroid.closure_mask(level) != level:
+                raise RowNotInBergmanError(ri + 1, row, Matroid.elements(level))
+            levels.append(level)
+        row_levels.append(levels)
 
+    table = matroid.rank_table
     adapted = {}
     for key in fan.cone_keys:
-        rows = [diagram[i] for i in sorted(key)]
-        found = common_adapted_basis(matroid, rows)
-        if found is None:
-            raise NoCommonApartmentError(frozenset(sorted(key)))
-        adapted[key] = found
-        cone_dim = fan.cone_dims[key]
-        if len(key) > cone_dim:
+        idx = sorted(key)
+        total = [sum(diagram[i][j] for i in idx) for j in range(matroid.m)]
+        basis = greedy_basis_mask(matroid, total)
+        for i in idx:
+            for level in row_levels[i]:
+                if (level & basis).bit_count() != table[level]:
+                    raise NoCommonApartmentError(key)
+        adapted[key] = Matroid.elements(basis)
+        if len(key) > fan.cone_dims[key]:
             # non-simplicial cone: adapted coordinates must extend linearly
-            rays = [fan.rays[i] for i in sorted(key)]
-            for b in found:
-                vals = [diagram[i][b - 1] for i in sorted(key)]
-                if solve(rays, vals) is None:
-                    raise NoCommonApartmentError(frozenset(sorted(key)))
+            rays = [fan.rays[i] for i in idx]
+            for b in adapted[key]:
+                if solve(rays, [diagram[i][b - 1] for i in idx]) is None:
+                    raise NoCommonApartmentError(key)
     return TropicalVectorBundle(fan, matroid, diagram, adapted)
 
 

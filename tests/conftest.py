@@ -1,13 +1,15 @@
-"""Shared fixtures: the standard fans, the Fano-plane bundle, the rank-2
-uniform bundle on the projective plane, and independent oracles used to
-cross-check the exact machinery: Fraction Gauss-Jordan elimination (`rref`,
-`rref_solve`, `solve_unique`), the cofactor null vector (`cross_nullvec`),
-matroid ones read off the basis list (the pairwise exchange check, rank as
-the largest basis intersection, subset-enumeration circuits, flats and
-fundamental circuits, the sorted scan for adapted bases) and geometric
-ones, and the small constructions only tests use (box points, point
-chains, chain boxes, translates, relative-interior tests, maximal flags,
-the face alternating sum)."""
+"""Shared fixtures: the standard fans (and `FANS`, named fans for property
+tests), the Fano-plane bundle, the rank-2 uniform bundle on the projective
+plane, and independent oracles used to cross-check the exact machinery:
+Fraction Gauss-Jordan elimination (`rref`, `rref_solve`, `solve_unique`),
+the cofactor null vector (`cross_nullvec`), matroid ones read off the basis
+list (the pairwise exchange check, rank as the largest basis intersection,
+subset-enumeration circuits, flats and fundamental circuits, the sorted
+scan for adapted bases), the per-cone Fraction route of bundle validation
+(`common_adapted_basis`, `oracle_adapted_bases`), geometric ones (the
+double-dual check of a cone's rays), and the small constructions only tests
+use (box points, point chains, chain boxes, translates, relative-interior
+tests, maximal flags, the face alternating sum)."""
 
 import itertools
 from fractions import Fraction
@@ -16,7 +18,11 @@ from math import ceil, floor
 import pytest
 
 from tropehrhart.chains import ConvexChain
-from tropehrhart.errors import ValidationError
+from tropehrhart.errors import (
+    NoCommonApartmentError,
+    RowNotInBergmanError,
+    ValidationError,
+)
 from tropehrhart.lattice import (
     Fan,
     VPolytope,
@@ -25,12 +31,13 @@ from tropehrhart.lattice import (
     box_size,
     vcone_from_halfspaces,
 )
-from tropehrhart.linalg import clear_denominators, det, dot, rank
+from tropehrhart.linalg import clear_denominators, det, dot, rank, solve
 from tropehrhart.matroid import (
     Matroid,
     apartment_contains,
     bergman_project,
     circuit_extension,
+    max_weight_basis,
     uniform_matroid,
 )
 from tropehrhart.tropvb import validate
@@ -61,6 +68,27 @@ def hexagon_fan():
         [(1, 0), (0, 1), (-1, -1), (-1, 0), (0, -1), (1, 1)],
         [[0, 5], [5, 1], [1, 3], [3, 2], [2, 4], [4, 0]],
     )
+
+
+CUBE_CORNERS = list(itertools.product((1, -1), repeat=3))
+# named complete fans of dimension 1 to 3 for property tests
+FANS = {
+    "P1": Fan([(1,), (-1,)], [[0], [1]]),
+    "P2": Fan([(1, 0), (0, 1), (-1, -1)], [[0, 1], [1, 2], [0, 2]]),
+    "P1xP1": Fan([(1, 0), (0, 1), (-1, 0), (0, -1)],
+                 [[0, 1], [1, 2], [2, 3], [3, 0]]),
+    "hexagon": Fan([(1, 0), (0, 1), (-1, -1), (-1, 0), (0, -1), (1, 1)],
+                   [[0, 5], [5, 1], [1, 3], [3, 2], [2, 4], [4, 0]]),
+    # not smooth: one cone of determinant 2
+    "weighted": Fan([(1, 0), (1, 2), (-1, 0), (0, -1)],
+                    [[0, 1], [1, 2], [2, 3], [3, 0]]),
+    "P3": Fan([(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)],
+              [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]]),
+    # not simplicial: the cones over the faces of a cube
+    "cube": Fan(CUBE_CORNERS,
+                [[i for i, v in enumerate(CUBE_CORNERS) if v[axis] == sign]
+                 for axis in range(3) for sign in (1, -1)]),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -236,6 +264,52 @@ def scan_adapted_basis(matroid, rows):
         if apartment_contains(matroid, b, rows):
             return b
     return None
+
+
+def common_adapted_basis(matroid, rows):
+    """Lexicographically smallest basis adapted to every given lifted Bergman
+    point, or None, by `Fraction` weights: the greedy basis of the rows' sum
+    (`max_weight_basis`), kept only if `apartment_contains` holds for it."""
+    rows = [tuple(Fraction(x) for x in w) for w in rows]
+    if any(len(w) != matroid.m for w in rows):
+        raise ValidationError("weight vector length must equal the ground size")
+    total = [sum(w[j] for w in rows) for j in range(matroid.m)]
+    found = max_weight_basis(matroid, total)
+    return found if apartment_contains(matroid, found, rows) else None
+
+
+def oracle_adapted_bases(fan, matroid, diagram):
+    """The adapted basis of every cone, or the error, by the per-cone route:
+    `is_flat` on each level set, then `common_adapted_basis` and the
+    non-simplicial `solve` per cone.  The diagram has one row per ray and
+    one column per element, and the fan is complete."""
+    for ri, row in enumerate(diagram):
+        for k in set(row):
+            level = frozenset(e for e in range(1, matroid.m + 1) if row[e - 1] >= k)
+            if not matroid.is_flat(level):
+                raise RowNotInBergmanError(ri + 1, row, level)
+    adapted = {}
+    for key in fan.cone_keys:
+        rows = [diagram[i] for i in sorted(key)]
+        found = common_adapted_basis(matroid, rows)
+        if found is None:
+            raise NoCommonApartmentError(key)
+        adapted[key] = found
+        if len(key) > fan.cone_dims[key]:
+            rays = [fan.rays[i] for i in sorted(key)]
+            for b in found:
+                if solve(rays, [diagram[i][b - 1] for i in sorted(key)]) is None:
+                    raise NoCommonApartmentError(key)
+    return adapted
+
+
+def double_dual_verdict(cone):
+    """"pointed" when the cone is pointed and all its rays are extreme, else
+    "lineality" or "not extreme", read off the double dual."""
+    extreme, lin = vcone_from_halfspaces(cone.dual.generators, cone.ambient_dim)
+    if lin:
+        return "lineality"
+    return "pointed" if set(extreme) == set(cone.rays) else "not extreme"
 
 
 def caratheodory_contains(points, p):

@@ -1,13 +1,18 @@
 import copy
 import itertools
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from tropehrhart.cli import main, parse_int
+import tropehrhart
+from tropehrhart.cli import build_parser, main, parse_int
 from tropehrhart.errors import ValidationError
 
 from conftest import FANO_DIAGRAM, FANO_LINES
@@ -369,6 +374,35 @@ def test_reports_are_deterministic(files, capsys):
     _, third = run(capsys, "resolve", "--bundle", files["u23_bundle"])
     _, fourth = run(capsys, "resolve", "--bundle", files["u23_bundle"])
     assert third == fourth
+
+
+def test_one_parser_serves_every_call_of_a_process(files, capsys):
+    # each call, made in this order in one process, prints what the same
+    # command prints first thing in a fresh interpreter
+    calls = [
+        ["chi", "--bundle", files["fano"], "--u", "0,0", "--table"],
+        ["chi", "--bundle", files["fano"], "--u", "0,0"],
+        ["validate", "--bundle", files["u23_bundle"], "--output", "table"],
+        ["validate", "--bundle", files["u23_bundle"]],
+        ["chi", "--bundle"],  # refused by argparse with SystemExit
+        ["h0", "--bundle", files["u23_bundle"]],
+        ["chi", "--bundle", files["u23_bundle"]],
+        ["chi", "--bundle", files["u23_bundle"], "--u", "1,0"],
+    ]
+    src = str(Path(tropehrhart.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    for argv in calls:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out = capsys.readouterr().out
+        fresh = subprocess.run(
+            [sys.executable, "-m", "tropehrhart.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert (code, out) == (fresh.returncode, fresh.stdout), argv
+    assert build_parser() is build_parser()
 
 
 # ---------------------------------------------------------------------------

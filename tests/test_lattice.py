@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tropehrhart.errors import (
     NotInSupportError,
@@ -30,7 +32,9 @@ from tropehrhart.lattice import (
 from tropehrhart.linalg import dot, primitive
 
 from conftest import (
+    FANS,
     caratheodory_contains,
+    double_dual_verdict,
     face_alternating_sum,
     grid_points,
     lattice_points,
@@ -488,3 +492,65 @@ def test_refinement_fiber_identity(p2_fan):
                 for k in fibers[ckey]
             )
             assert lhs == rhs
+
+
+# ---------------------------------------------------------------------------
+# face dimensions and the extreme-ray check, off the face lattice
+# ---------------------------------------------------------------------------
+
+LATTICE_SETTINGS = settings(max_examples=200, deadline=None, derandomize=True)
+
+
+@st.composite
+def cones(draw):
+    """A cone on one to five distinct primitive rays in dimension 2 or 3;
+    many have a ray that is not extreme, or are not pointed."""
+    d = draw(st.integers(2, 3))
+    vectors = st.tuples(*[st.integers(-2, 2)] * d).filter(any)
+    rays = draw(st.lists(vectors, min_size=1, max_size=5))
+    return Cone(list(dict.fromkeys(primitive(r) for r in rays)), d)
+
+
+@LATTICE_SETTINGS
+@given(cones())
+def test_face_dims_and_fan_check_equal_cone_dims_and_the_double_dual(cone):
+    dims = cone.face_dims()
+    assert dims == {
+        face: Cone([cone.rays[i] for i in face], cone.ambient_dim).dim
+        for face in cone.face_ray_sets()
+    }
+    try:
+        fan = Fan(cone.rays, [range(len(cone.rays))])
+    except ValidationError as exc:
+        assert str(exc).endswith("are not all extreme")
+        assert double_dual_verdict(cone) != "pointed"
+    else:
+        assert double_dual_verdict(cone) == "pointed"
+        assert fan.cone_dims == dims
+
+
+def test_cones_reach_every_double_dual_verdict():
+    seen = set()
+
+    @LATTICE_SETTINGS
+    @given(cones())
+    def collect(cone):
+        seen.add((cone.ambient_dim, double_dual_verdict(cone)))
+
+    collect()
+    assert seen == {(d, v) for d in (2, 3)
+                    for v in ("pointed", "not extreme", "lineality")}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sampled_from(sorted(name for name in FANS if FANS[name].ambient_dim > 1)),
+       st.data())
+def test_fan_and_refinement_face_dims_equal_cone_dims(name, data):
+    fan = FANS[name]
+    d = fan.ambient_dim
+    normals = data.draw(st.lists(st.tuples(*[st.integers(-2, 2)] * d), max_size=2))
+    for f in (fan, refine_by_hyperplanes(fan, normals)):
+        for key in f.cone_keys:
+            assert f.dim(key) == Cone([f.rays[i] for i in sorted(key)], d).dim
+        for key in f.maximal_keys:
+            assert double_dual_verdict(f.cone(key)) == "pointed"

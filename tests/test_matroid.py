@@ -19,7 +19,6 @@ from tropehrhart.matroid import (
     bergman_project,
     circuit_extension,
     circuits,
-    common_adapted_basis,
     closure,
     in_lifted_bergman,
     initial_matroid,
@@ -33,6 +32,7 @@ from tropehrhart.matroid import (
 from tropehrhart.tropvb import validate
 
 from conftest import (
+    common_adapted_basis,
     exchange_holds,
     oracle_circuits,
     oracle_flats,

@@ -122,7 +122,7 @@ FANS = {
                  [[0, 1], [1, 2], [2, 3], [3, 0]]),
     "hexagon": Fan([(1, 0), (0, 1), (-1, -1), (-1, 0), (0, -1), (1, 1)],
                    [[0, 5], [5, 1], [1, 3], [3, 2], [2, 4], [4, 0]]),
-    # not smooth: chi_box comes from the parliament vertices
+    # not smooth: chi_box comes from rational characters
     "weighted": Fan([(1, 0), (1, 2), (-1, 0), (0, -1)],
                     [[0, 1], [1, 2], [2, 3], [3, 0]]),
     "P3": Fan([(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)],
@@ -283,10 +283,10 @@ def test_diagram_entries_near_2_70_get_an_answer(far_line_bundle):
     bundle = far_line_bundle
     assert bundle.h0_nonzero() == _h0_nonzero_loop(bundle)
     assert bundle.h0_total() == 10
-    # chi_box() also spans the origin, far above the point cap; a box
-    # around the triangle is summed relative to its corner
-    with pytest.raises(BoxTooLargeError):
-        bundle.euler_char_total()
+    # chi_box() spans the characters, the triangle's corners, and not the
+    # origin; it and a wider box are summed relative to their corners
+    assert bundle.chi_box() == ((BIG - 4, BIG - 4), (BIG + 1, BIG + 1))
+    assert bundle.euler_char_total() == 10
     box = ((BIG - 40, BIG - 30), (BIG + 25, BIG + 50))
     assert bundle.euler_char_total(box) == _euler_char_total_loop(bundle, box) == 10
     expected = list(box_points(*box))

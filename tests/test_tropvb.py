@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tropehrhart.chains import brianchon_gram, SupportNumbers, lattice_sum
 from tropehrhart.errors import (
@@ -19,8 +21,13 @@ from tropehrhart.lattice import (
     stellar_subdivision,
     vertex_enumeration,
 )
-from tropehrhart.linalg import vec_sub
-from tropehrhart.matroid import uniform_matroid
+from tropehrhart.linalg import dot, vec_sub
+from tropehrhart.matroid import (
+    Matroid,
+    bergman_project,
+    circuit_extension,
+    uniform_matroid,
+)
 from tropehrhart.tropvb import (
     k_class,
     k_class_identity,
@@ -28,7 +35,15 @@ from tropehrhart.tropvb import (
     validate,
 )
 
-from conftest import grid_points, random_p1_bundle, random_split_bundle
+from conftest import (
+    FANS,
+    common_adapted_basis,
+    grid_points,
+    oracle_adapted_bases,
+    random_bundle,
+    random_p1_bundle,
+    random_split_bundle,
+)
 
 
 def h0_global_parliament(bundle, u) -> int:
@@ -435,3 +450,114 @@ def test_random_p1_bundles_alpha_equals_chi(p1_fan):
             lo, hi = bundle.chi_box()
             for u in range(lo[0], hi[0] + 1):
                 assert chain.evaluate((u,)) == bundle.euler_char_u((u,))
+
+
+# ---------------------------------------------------------------------------
+# validation against the per-cone Fraction route, and twists
+# ---------------------------------------------------------------------------
+
+MATROIDS = [
+    uniform_matroid(1, 1),
+    uniform_matroid(1, 2),
+    uniform_matroid(2, 3),
+    uniform_matroid(2, 4),
+    uniform_matroid(3, 5),
+    Matroid(3, [{1, 2}, {1, 3}]),  # 2 and 3 parallel
+    Matroid(3, [{1, 2}]),  # 3 a loop
+]
+ORACLE_SETTINGS = settings(max_examples=300, deadline=None, derandomize=True)
+
+
+def _outcome(call, *args):
+    try:
+        return call(*args)
+    except BundleValidationError as exc:
+        return (type(exc), str(exc), getattr(exc, "row_number", None),
+                getattr(exc, "level_set", None), getattr(exc, "cone_rays", None))
+
+
+@st.composite
+def diagrams(draw):
+    """A fan, a matroid and a diagram with one row per ray: raw integer
+    rows (mostly off the Bergman fan), Bergman rows (mostly without a
+    common apartment on some cone), or the rows of a split bundle whose
+    basis coordinates are linear, with one entry perhaps moved by one (so
+    that it may fail to extend linearly on a non-simplicial cone)."""
+    fan = FANS[draw(st.sampled_from(sorted(FANS)))]
+    matroid = draw(st.sampled_from(MATROIDS))
+    entries = st.integers(-2, 2)
+    kind = draw(st.sampled_from(["raw", "bergman", "linear"]))
+    if kind != "linear":
+        rows = [tuple(draw(entries) for _ in range(matroid.m)) for _ in fan.rays]
+        if kind == "bergman":
+            rows = [tuple(int(x) for x in bergman_project(matroid, w)) for w in rows]
+        return fan, matroid, rows
+    basis = draw(st.sampled_from(sorted(matroid.bases, key=sorted)))
+    chars = {e: [draw(entries) for _ in range(fan.ambient_dim)] for e in basis}
+    coords = [{e: dot(chars[e], v) for e in basis} for v in fan.rays]
+    if basis and draw(st.booleans()):
+        coords[draw(st.integers(0, len(coords) - 1))][min(basis)] += 1
+    return fan, matroid, [
+        tuple(int(x) for x in circuit_extension(matroid, basis, c)) for c in coords
+    ]
+
+
+@ORACLE_SETTINGS
+@given(diagrams())
+def test_validate_equals_the_fraction_route(case):
+    fan, matroid, rows = case
+    got = _outcome(lambda: validate(fan, matroid, rows).adapted_bases)
+    assert got == _outcome(oracle_adapted_bases, fan, matroid, rows)
+
+
+def test_diagrams_reach_every_verdict():
+    seen = set()
+
+    @ORACLE_SETTINGS
+    @given(diagrams())
+    def collect(case):
+        fan, matroid, rows = case
+        got = _outcome(oracle_adapted_bases, fan, matroid, rows)
+        verdict = "valid" if isinstance(got, dict) else got[0].__name__
+        if verdict == "NoCommonApartmentError" and all(
+            common_adapted_basis(matroid, [rows[i] for i in key]) is not None
+            for key in fan.cone_keys
+        ):
+            verdict = "not linear on a non-simplicial cone"
+        seen.add(verdict)
+
+    collect()
+    assert seen == {"valid", "RowNotInBergmanError", "NoCommonApartmentError",
+                    "not linear on a non-simplicial cone"}
+
+
+@ORACLE_SETTINGS
+@given(st.sampled_from(sorted(set(FANS) - {"cube"})), st.sampled_from(MATROIDS),
+       st.integers(0, 10**6), st.data())
+def test_twisting_moves_the_chi_box_and_keeps_chi(name, matroid, seed, data):
+    # the twist by w adds <w, v_rho> to every entry of row rho
+    fan = FANS[name]
+    rng = random.Random(seed)
+    if fan.ambient_dim == 1:
+        bundle = random_p1_bundle(fan, matroid, rng)
+    else:
+        bundle = random_bundle(fan, matroid, rng, tries=20)
+    w = data.draw(st.lists(st.integers(-1000, 1000), min_size=fan.ambient_dim,
+                           max_size=fan.ambient_dim))
+    twisted = validate(fan, matroid, [
+        tuple(x + dot(w, v) for x in row) for row, v in zip(bundle.diagram, fan.rays)
+    ])
+    lo, hi = bundle.chi_box()
+    shifted = tuple(tuple(x + y for x, y in zip(corner, w)) for corner in (lo, hi))
+    assert twisted.chi_box() == shifted
+    total = bundle.euler_char_total()
+    assert twisted.euler_char_total() == total
+    wider = (tuple(x - 3 for x in lo), tuple(x + 3 for x in hi))
+    assert bundle.euler_char_total(wider) == total
+
+
+def test_chi_box_of_a_line_bundle_far_from_the_origin(p2_fan):
+    # the triangle x <= 2000, y <= 2000, x + y >= 3997 holds 10 lattice points
+    bundle = validate(p2_fan, uniform_matroid(1, 1), [(2000,), (2000,), (-3997,)])
+    assert bundle.chi_box() == ((1996, 1996), (2001, 2001))
+    assert bundle.euler_char_total() == bundle.h0_total() == 10
