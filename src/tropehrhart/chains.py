@@ -349,20 +349,20 @@ class MultiValuedSupportFunction:
         self._check_face_agreement()
 
     def _check_face_agreement(self):
+        # two cones of a fan meet in the common face spanned by their
+        # common rays
         fan = self.fan
         keys = list(fan.maximal_keys)
         for i in range(len(keys)):
             for j in range(i + 1, len(keys)):
-                inter = fan.cone(keys[i]).intersect(fan.cone(keys[j]))
-                if not inter.rays:
+                rays = [fan.rays[k] for k in sorted(keys[i] & keys[j])]
+                if not rays:
                     continue
                 sig_i = sorted(
-                    tuple(dot(u, r) for r in inter.rays)
-                    for u in self.branches[keys[i]]
+                    tuple(dot(u, r) for r in rays) for u in self.branches[keys[i]]
                 )
                 sig_j = sorted(
-                    tuple(dot(u, r) for r in inter.rays)
-                    for u in self.branches[keys[j]]
+                    tuple(dot(u, r) for r in rays) for u in self.branches[keys[j]]
                 )
                 if sig_i != sig_j:
                     raise InvalidSupportFunctionError(

@@ -8,31 +8,26 @@ volume polynomially to virtual polytopes (Khovanskii-Pukhlikov; Lawrence,
 refined so that every branch of the bundle's support function is linear,
 I(z) = sum_i V(b_i + L z): b_i are the branch values on the refined rays,
 L z the values there of the piecewise linear extension of z, and V the
-volume form, the segment length in dimension one and the shoelace area over
-the vertices (each linear in the ray values) in dimension two.  As a guard,
-the degree-n part must equal rank times the volume form of the unrefined
-fan.  Applying the truncated Todd operator prod_rho T(d/dz_rho),
-T(t) = t / (1 - e^{-t}), at z = 0 then turns the integral polynomial into
-the lattice sum, i.e. the Euler characteristic.
+volume form.  V is Lawrence's formula in every dimension, a flat sum over
+the simplicial cones of the fan; the generic vector c it needs is fixed
+deterministically, and maximal cones that are not simplicial are split on
+their own rays, independently of each other.  Fan refinement caps the
+dimension at 3.  As a guard, the degree-n part must equal rank times the
+volume form of the unrefined fan.  Applying the truncated Todd operator
+prod_rho T(d/dz_rho), T(t) = t / (1 - e^{-t}), at z = 0 then turns the
+integral polynomial into the lattice sum, i.e. the Euler characteristic.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from functools import cmp_to_key
-from math import comb, factorial
+from math import comb, factorial, prod
 
 from .chains import split_branches
-from .errors import (
-    InterpolationFailureError,
-    UnsupportedDimensionError,
-    ValidationError,
-)
-from .lattice import Fan
-from .linalg import solve
-
-HRR_MAX_DIM = 2
+from .errors import InterpolationFailureError, ValidationError
+from .lattice import Fan, _pulling_triangulation
+from .linalg import det, solve
 
 
 # ---------------------------------------------------------------------------
@@ -135,55 +130,50 @@ def apply_todd(p: MultiPoly) -> Fraction:
 # The closed-form polynomial z -> I(alpha[z])
 # ---------------------------------------------------------------------------
 
-def _sort_rays_ccw(rays):
-    def half(v):
-        return 0 if (v[1] > 0 or (v[1] == 0 and v[0] > 0)) else 1
-
-    def compare(u, v):
-        hu, hv = half(u), half(v)
-        if hu != hv:
-            return hu - hv
-        cr = u[0] * v[1] - u[1] * v[0]
-        return -1 if cr > 0 else (1 if cr < 0 else 0)
-
-    return sorted(rays, key=cmp_to_key(compare))
-
-
-def _shoelace(fan: Fan) -> dict:
+def _volume_form(fan: Fan) -> dict:
     """Volume of P(h) = {x : <v_j, x> <= h_j} as a form in the ray values h_j.
 
-    Returns {ray index tuple: coefficient}, one index per factor h_j.  In
-    dimension one the rays are the primitive +1 and -1, and the length of the
-    segment is h_+ + h_-.  In
-    dimension two the vertex x_j of the cone spanned by consecutive
-    counter-clockwise rays v_j, v_{j+1} solves <v_j, x> = h_j,
-    <v_{j+1}, x> = h_{j+1}, so it is linear in h, and the area is the
-    shoelace sum (1/2) sum_j x_j x x_{j+1}.  The form is the polynomial
-    extension of volume to all, also non-convex, ray values.
+    Returns {ray index tuple: coefficient}, one index per factor h_j.  It is
+    Lawrence's formula, a sum over the simplicial cones s of the fan,
+
+        V(h) = sum_s (sum_k A_sk h_sk)^n / (n! |det V_s| prod_k A_sk),
+
+    with the rays of s as the rows of V_s and A_sk = <c, column k of adj V_s>,
+    the determinant of V_s with row k replaced by c.  Each term is the
+    degree-n part of the integral of exp<c, x> over the tangent cone at the
+    vertex V_s^-1 h_s (Brion), so the sum is the same for every c that makes
+    no A_sk zero: c = (1, t, ..., t^(n-1)) for the smallest such t >= 1,
+    which exists since each A_sk is a nonzero polynomial in t of degree < n.
+    A cone that is not simplicial is split on its own rays by
+    `_pulling_triangulation`, and the splits of different cones need not
+    agree: the dual of a cone is the alternating sum of the duals of the
+    cells and interior faces of its split, and the duals of the
+    lower-dimensional ones contain lines, so they integrate to zero.  The
+    form is thus the fan's own on ray values linear on every cone, and on a
+    simplicial fan it extends volume to all, also non-convex, ray values.
     """
-    if fan.ambient_dim == 1:
-        return {(0,): 1, (1,): 1}
-    index = {r: j for j, r in enumerate(fan.rays)}
-    ordered = [index[r] for r in _sort_rays_ccw(fan.rays)]
-    k = len(ordered)
-    vertices = []  # x_j as ({ray index: coeff}, {ray index: coeff})
-    for t in range(k):
-        a, b = ordered[t], ordered[(t + 1) % k]
-        (p, q), (r, s) = fan.rays[a], fan.rays[b]
-        det = p * s - q * r
-        vertices.append((
-            {a: Fraction(s, det), b: Fraction(-q, det)},
-            {a: Fraction(-r, det), b: Fraction(p, det)},
-        ))
+    n = fan.ambient_dim
+    simplices = []
+    for key in fan.maximal_keys:
+        facets = [f for f in fan.cone_faces[key] if fan.cone_dims[f] == n - 1]
+        simplices += _pulling_triangulation(key, facets)
+    rows = [[fan.rays[i] for i in s] for s in simplices]
+    for t in itertools.count(1):
+        c = tuple(t**i for i in range(n))
+        weights = [[det(r[:k] + [c] + r[k + 1:]) for k in range(n)] for r in rows]
+        if all(all(a) for a in weights):
+            break
     form = {}
-    for t in range(k):
-        (x0, y0), (x1, y1) = vertices[t], vertices[(t + 1) % k]
-        for left, right, sign in ((x0, y1, 1), (y0, x1, -1)):
-            for i, ci in left.items():
-                for j, cj in right.items():
-                    key = (i, j) if i <= j else (j, i)
-                    form[key] = form.get(key, 0) + sign * ci * cj / 2
-    return form
+    for s, r, a in zip(simplices, rows, weights):
+        denom = abs(det(r)) * prod(a)
+        # the multinomial expansion of the n-th power; n! cancels
+        for combo in itertools.combinations_with_replacement(range(n), n):
+            e = [combo.count(k) for k in range(n)]
+            key = tuple(sorted(s[k] for k in combo))
+            form[key] = form.get(key, 0) + Fraction(
+                prod(x**y for x, y in zip(a, e)), denom * prod(map(factorial, e))
+            )
+    return {key: c for key, c in form.items() if c}
 
 
 def _extension_forms(fan: Fan, rays):
@@ -216,7 +206,7 @@ def _extension_forms(fan: Fan, rays):
 def _branch_sum(form: dict, values, lin, num_vars: int) -> dict:
     """sum_i V(values[i] + L z) as {exponent tuple: coefficient}.
 
-    V is the form {ray index tuple: c} of _shoelace and lin[j] the linear
+    V is the form {ray index tuple: c} of _volume_form and lin[j] the linear
     form {variable index: coefficient} of (L z)_j.  Each factor of a term is
     either the constant values[i][j] or the linear form lin[j]; the constants
     are summed over i first, so the branches cost one scalar product each.
@@ -258,9 +248,10 @@ def interpolate_volume_polynomial(h) -> MultiPoly:
     """Exact polynomial z -> I(alpha_h * 1_{P(z)}) in ray coordinates.
 
     h is a multi-valued support function on a complete fan of dimension at
-    most two.  On the refined fan where every branch is linear, the chain of
-    h is the sum of the Brianchon-Gram chains of its branch numbers b_i, and
-    convolving with P(z) adds the values L z of the linear extension of z.
+    most three, the cap of `refine_by_hyperplanes`.  On the refined fan
+    where every branch is linear, the chain of h is the sum of the
+    Brianchon-Gram chains of its branch numbers b_i, and convolving with
+    P(z) adds the values L z of the linear extension of z.
     So I(z) = sum_i V(b_i + L z) with V the volume form of the refined fan.
     The degree-n part must be rank * (volume form of the fan itself); a
     mismatch raises InterpolationFailureError.
@@ -268,21 +259,17 @@ def interpolate_volume_polynomial(h) -> MultiPoly:
     fan = h.fan
     n = fan.ambient_dim
     s = len(fan.rays)
-    if n > HRR_MAX_DIM:
-        raise UnsupportedDimensionError(
-            f"volume interpolation capped at dimension {HRR_MAX_DIM}"
-        )
     if not fan.is_complete():
         raise ValidationError("the volume polynomial needs a complete fan")
 
     fan_r, branch_numbers = split_branches(h)
     lin = _extension_forms(fan, fan_r.rays)
     values = [sn.values for sn in branch_numbers]
-    poly = MultiPoly(s, _branch_sum(_shoelace(fan_r), values, lin, s))
+    poly = MultiPoly(s, _branch_sum(_volume_form(fan_r), values, lin, s))
 
     # with zero constants only the degree-n part survives
     own = [{i: 1} for i in range(s)]
-    expected = _branch_sum(_shoelace(fan), [(0,) * s], own, s)
+    expected = _branch_sum(_volume_form(fan), [(0,) * s], own, s)
     top = {m: c for m, c in poly.coeffs.items() if sum(m) == n}
     if top != {m: h.rank * c for m, c in expected.items() if h.rank * c != 0}:
         raise InterpolationFailureError(
@@ -296,7 +283,7 @@ def interpolate_volume_polynomial(h) -> MultiPoly:
 # ---------------------------------------------------------------------------
 
 def interpolate_I(bundle) -> MultiPoly:
-    """Polynomial z -> I(alpha_E[z]) for a bundle on a fan of dimension <= 2."""
+    """Polynomial z -> I(alpha_E[z]) for a bundle on a fan of dimension <= 3."""
     return interpolate_volume_polynomial(bundle.support_function())
 
 

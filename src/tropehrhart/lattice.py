@@ -12,15 +12,18 @@ rays and half-spaces (dual cones, intersections, hulls, vertex enumeration)
 goes through one incremental double description in integer arithmetic,
 `vcone_from_halfspaces`; hulls of every dimension and affine rank take that
 route through `_hull_data`.  Face lattices come from one closure of facet
-incidences under intersection, `_intersection_closure`, and volumes from one
-pulling triangulation, `_pulling_triangulation`, in every dimension.
+incidences under intersection, `_intersection_closure`.  One pulling
+triangulation on index sets and facet incidences, `_pulling_triangulation`,
+splits polytopes into simplices for `volume` in every dimension and pointed
+cones into simplicial cones on their own rays for the Riemann-Roch volume
+form.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import ceil, floor, gcd, lcm
+from math import ceil, factorial, floor, gcd, lcm
 
 from .errors import (
     BoxTooLargeError,
@@ -299,22 +302,27 @@ class Fan:
         self.ambient_dim = ambient_dim
         self.rays = tuple(rays)
 
-        maximal = []
+        listed = []
         for c in maximal_cones:
             key = frozenset(c)
             if any(i < 0 or i >= len(rays) for i in key):
                 raise ValidationError("cone refers to a missing ray index")
-            if key not in maximal:
-                maximal.append(key)
+            if key not in listed:
+                listed.append(key)
         # drop cones that are faces of other listed cones
-        maximal = [k for k in maximal if not any(k < other for other in maximal)]
+        maximal = [k for k in listed if not any(k < other for other in listed)]
 
         self._cone_cache = {}
         cone_dims = {}
+        # the faces of each maximal cone, as sets of fan ray indices
+        self.cone_faces = {}
         for key in maximal:
             ordered = sorted(key)
+            faces = self.cone_faces[key] = set()
             for local, dim in self._make_cone(key).face_dims().items():
-                cone_dims.setdefault(frozenset(ordered[i] for i in local), dim)
+                face = frozenset(ordered[i] for i in local)
+                faces.add(face)
+                cone_dims.setdefault(face, dim)
         self.cone_dims = cone_dims
         self.maximal_keys = tuple(
             sorted(maximal, key=lambda k: sorted(k))
@@ -325,7 +333,7 @@ class Fan:
         self._complete = None
         self._smooth = None
         if validate:
-            self._validate()
+            self._validate(listed)
 
     def _make_cone(self, key) -> Cone:
         if key not in self._cone_cache:
@@ -346,30 +354,33 @@ class Fan:
     def codim(self, key) -> int:
         return self.ambient_dim - self.cone_dims[frozenset(key)]
 
-    def _validate(self):
+    def _validate(self, listed):
         for key in self.maximal_keys:
             cone = self._make_cone(key)
             if cone.lineality:
                 raise ValidationError("fan cones must be strictly convex")
             # the origin is a face (no ray) exactly when the cone is pointed,
             # and a ray is extreme exactly when it alone is a face
-            faces = set(cone.face_ray_sets())
-            singles = {frozenset((i,)) for i in range(len(cone.rays))}
-            if frozenset() not in faces or not singles <= faces:
+            faces = self.cone_faces[key]
+            if frozenset() not in faces or any(
+                frozenset((i,)) not in faces for i in key
+            ):
                 raise ValidationError(
                     f"rays of cone {sorted(key)} are not all extreme"
                 )
-        for a, b in itertools.combinations(self.maximal_keys, 2):
-            inter = self._make_cone(a).intersect(self._make_cone(b))
-            if inter.lineality:
-                raise ValidationError("cone intersection has lineality")
-            try:
-                ikey = frozenset(self.rays.index(r) for r in inter.rays)
-            except ValueError:
+        for key, other in itertools.product(listed, self.maximal_keys):
+            if key < other and key not in self.cone_faces[other]:
                 raise ValidationError(
-                    f"cones {sorted(a)} and {sorted(b)} do not meet in a face"
-                ) from None
-            if not (ikey <= a and ikey <= b) or ikey not in self.cone_dims:
+                    f"cone {sorted(key)} lies inside cone {sorted(other)} "
+                    "but is not a face of it"
+                )
+        index = {r: i for i, r in enumerate(self.rays)}
+        for a, b in itertools.combinations(self.maximal_keys, 2):
+            # pointed cones meet in a pointed cone; its rays must be fan
+            # rays and span a face of both
+            inter = self._make_cone(a).intersect(self._make_cone(b))
+            ikey = frozenset(index.get(r, -1) for r in inter.rays)
+            if ikey not in self.cone_faces[a] or ikey not in self.cone_faces[b]:
                 raise ValidationError(
                     f"cones {sorted(a)} and {sorted(b)} do not meet in a face"
                 )
@@ -834,28 +845,6 @@ def volume(p: VPolytope) -> Fraction:
 
 def _volume_by_pulling(p: VPolytope, use_max_vertex=False) -> Fraction:
     d = p.ambient_dim
-    total = Fraction(0)
-    fac = 1
-    for k in range(2, d + 1):
-        fac *= k
-    for simplex in _pulling_triangulation(p, use_max_vertex):
-        edges = [vec_sub(v, simplex[0]) for v in simplex[1:]]
-        # `integral` scales each edge by the lcm of its denominators, which
-        # scales the determinant by their product
-        scale = 1
-        for e in edges:
-            scale *= lcm(*(x.denominator for x in e))
-        total += Fraction(abs(det([integral(e) for e in edges])), scale)
-    return total / fac
-
-
-def _pulling_triangulation(p: VPolytope, use_max_vertex=False):
-    """Triangulate by pulling: every face is coned from its smallest (or
-    largest) vertex over the triangulations of its facets that miss it.
-
-    Faces are sets of vertex indices.  The facets of a face G are the
-    maximal proper sets among G & F over the polytope's facets F.
-    """
     verts = p.vertices
     ineqs, _ = p.hrep()
     facets = [
@@ -863,24 +852,45 @@ def _pulling_triangulation(p: VPolytope, use_max_vertex=False):
         for n, b in ineqs
     ]
     pick = max if use_max_vertex else min  # vertices are sorted
+    total = Fraction(0)
+    for simplex in _pulling_triangulation(range(len(verts)), facets, pick):
+        edges = [vec_sub(verts[i], verts[simplex[0]]) for i in simplex[1:]]
+        # `integral` scales each edge by the lcm of its denominators, which
+        # scales the determinant by their product
+        scale = 1
+        for e in edges:
+            scale *= lcm(*(x.denominator for x in e))
+        total += Fraction(abs(det([integral(e) for e in edges])), scale)
+    return total / factorial(d)
+
+
+def _pulling_triangulation(indices, facets, pick=min):
+    """Triangulate by pulling: every face is coned from pick(face) over the
+    triangulations of its facets that miss it.
+
+    Faces are sets of `indices`, the vertices of a polytope or the rays of a
+    pointed cone, which has the face lattice of a cross-section; `facets`
+    are the facet incidences.  The facets of a face G are the maximal proper
+    sets among G & F over the facets F.  Returns index tuples.
+    """
     done = {}
 
     def pull(face):
         if face not in done:
             v = pick(face)
             if len(face) == 1:
-                done[face] = [(verts[v],)]
+                done[face] = [(v,)]
             else:
                 subs = {face & f for f in facets} - {face}
                 done[face] = [
-                    s + (verts[v],)
+                    s + (v,)
                     for sub in subs
                     if v not in sub and not any(sub < other for other in subs)
                     for s in pull(sub)
                 ]
         return done[face]
 
-    return pull(frozenset(range(len(verts))))
+    return pull(frozenset(indices))
 
 
 def faces(p: VPolytope):

@@ -359,7 +359,14 @@ def test_volume_equals_fraction_determinant_route():
 def test_pulling_triangulation_equals_face_lattice_route(case):
     d, pts = case
     poly = VPolytope(pts, d)
-    for use_max_vertex in (False, True):
-        assert sorted(_pulling_triangulation(poly, use_max_vertex)) == sorted(
+    verts = poly.vertices
+    ineqs, _ = poly.hrep()
+    facets = [
+        frozenset(i for i, v in enumerate(verts) if dot(n, v) == b)
+        for n, b in ineqs
+    ]
+    for pick, use_max_vertex in ((min, False), (max, True)):
+        simplices = _pulling_triangulation(range(len(verts)), facets, pick)
+        assert sorted(tuple(verts[i] for i in s) for s in simplices) == sorted(
             _pulling_triangulation_oracle(poly, use_max_vertex)
         )

@@ -1,7 +1,8 @@
 import itertools
 import random
 from fractions import Fraction
-from math import ceil, comb
+from functools import cmp_to_key
+from math import ceil, comb, prod
 
 import pytest
 
@@ -18,7 +19,7 @@ from tropehrhart.errors import (
 )
 from tropehrhart.hrr import (
     MultiPoly,
-    _sort_rays_ccw,
+    _volume_form,
     apply_todd,
     bernoulli,
     hrr_verify,
@@ -34,11 +35,12 @@ from tropehrhart.lattice import (
     vertex_enumeration,
     volume,
 )
-from tropehrhart.linalg import dot
+from tropehrhart.linalg import dot, solve
 from tropehrhart.matroid import uniform_matroid
 from tropehrhart.tropvb import validate
 
 from conftest import (
+    FANS,
     lattice_points,
     random_bundle,
     random_p1_bundle,
@@ -169,9 +171,12 @@ def test_top_degree_part_is_degree_times_volume_polynomial(fano_bundle, p1_fan,
 
 
 def test_interpolation_dimension_cap():
-    rays = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)]
-    fan = Fan(rays, [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]])
-    bundle = validate(fan, uniform_matroid(1, 1), [(0,)] * 4)
+    # fan refinement, capped at dimension 3, is the only cap: a line bundle
+    # on P^4 has no branch to split and is still refused
+    rays = [tuple(int(i == j) for j in range(4)) for i in range(4)]
+    rays.append((-1, -1, -1, -1))
+    fan = Fan(rays, [list(c) for c in itertools.combinations(range(5), 4)])
+    bundle = validate(fan, uniform_matroid(1, 1), [(1,)] + [(0,)] * 4)
     with pytest.raises(UnsupportedDimensionError):
         interpolate_I(bundle)
 
@@ -209,6 +214,146 @@ def test_todd_counts_lattice_points_of_random_polygons(hexagon_fan):
         p = interpolate_volume_polynomial(h)
         assert apply_todd(p) == len(lattice_points(poly))
         checked += 1
+
+
+# ---------------------------------------------------------------------------
+# the volume form against the shoelace and against polytope volumes
+# ---------------------------------------------------------------------------
+
+def sort_rays_ccw(rays):
+    def half(v):
+        return 0 if (v[1] > 0 or (v[1] == 0 and v[0] > 0)) else 1
+
+    def compare(u, v):
+        hu, hv = half(u), half(v)
+        if hu != hv:
+            return hu - hv
+        cr = u[0] * v[1] - u[1] * v[0]
+        return -1 if cr > 0 else (1 if cr < 0 else 0)
+
+    return sorted(rays, key=cmp_to_key(compare))
+
+
+def shoelace_form(fan):
+    """The volume form of a fan of dimension <= 2, by the shoelace formula.
+
+    In dimension one the length of the segment is h_+ + h_-.  In dimension
+    two the vertex x_j of the cone spanned by consecutive counter-clockwise
+    rays v_j, v_{j+1} solves <v_j, x> = h_j, <v_{j+1}, x> = h_{j+1}, so it is
+    linear in h, and the area is (1/2) sum_j x_j x x_{j+1}.  Zero
+    coefficients are dropped.
+    """
+    if fan.ambient_dim == 1:
+        return {(0,): 1, (1,): 1}
+    index = {r: j for j, r in enumerate(fan.rays)}
+    ordered = [index[r] for r in sort_rays_ccw(fan.rays)]
+    k = len(ordered)
+    vertices = []  # x_j as ({ray index: coeff}, {ray index: coeff})
+    for t in range(k):
+        a, b = ordered[t], ordered[(t + 1) % k]
+        (p, q), (r, s) = fan.rays[a], fan.rays[b]
+        det = p * s - q * r
+        vertices.append((
+            {a: Fraction(s, det), b: Fraction(-q, det)},
+            {a: Fraction(-r, det), b: Fraction(p, det)},
+        ))
+    form = {}
+    for t in range(k):
+        (x0, y0), (x1, y1) = vertices[t], vertices[(t + 1) % k]
+        for left, right, sign in ((x0, y1, 1), (y0, x1, -1)):
+            for i, ci in left.items():
+                for j, cj in right.items():
+                    key = (i, j) if i <= j else (j, i)
+                    form[key] = form.get(key, 0) + sign * ci * cj / 2
+    return {key: c for key, c in form.items() if c}
+
+
+P1_CUBED_FAN = Fan(
+    [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, 0, 0), (0, -1, 0), (0, 0, -1)],
+    [[a, b, c] for a in (0, 3) for b in (1, 4) for c in (2, 5)],
+)
+# the vertices of the simplex whose normal fan is FANS["P3"]
+P3_SIMPLEX = [(1, 1, 1), (1, 1, -3), (1, -3, 1), (-3, 1, 1)]
+P3_NORMALS = [(1, 2, 0), (0, 1, -2)]
+
+
+def test_volume_form_equals_shoelace_on_named_fans():
+    for name, fan in FANS.items():
+        if fan.ambient_dim <= 2:
+            assert _volume_form(fan) == shoelace_form(fan), name
+
+
+def test_volume_form_equals_shoelace_on_refined_fans():
+    rng = random.Random(23)
+    for name in ("P2", "P1xP1", "hexagon"):
+        for r, m in ((2, 4), (3, 5)):
+            for _ in range(3):
+                bundle = random_bundle(FANS[name], uniform_matroid(r, m), rng)
+                fan = split_branches(bundle.support_function())[0]
+                assert _volume_form(fan) == shoelace_form(fan)
+
+
+def _cone_vertices_in_polytope(fan, h):
+    """Does every maximal cone have a point x with <v, x> = h_v on its rays
+    and <v, x> <= h_v on every ray of the fan?"""
+    for key in fan.maximal_keys:
+        idx = sorted(key)
+        x = solve([fan.rays[i] for i in idx], [h[i] for i in idx])
+        if x is None or any(dot(v, x) > hv for v, hv in zip(fan.rays, h)):
+            return False
+    return True
+
+
+def _random_values(fan, rng):
+    return [rng.randint(-2, 3) for _ in fan.rays]
+
+
+def _minkowski_values(fan, rng):
+    """Support numbers of a*simplex + sum_j b_j*[0, n_j] + shift, linear on
+    every cone of FANS["P3"] refined by the hyperplanes of P3_NORMALS."""
+    a = rng.randint(0, 2)
+    b = [rng.randint(0, 2) for _ in P3_NORMALS]
+    shift = [rng.randint(-2, 2) for _ in range(3)]
+    return [
+        a * max(dot(v, x) for x in P3_SIMPLEX)
+        + sum(bj * max(0, dot(n, v)) for bj, n in zip(b, P3_NORMALS))
+        + dot(shift, v)
+        for v in fan.rays
+    ]
+
+
+@pytest.mark.parametrize("name", ["P3", "P1^3", "refined P3"])
+def test_volume_form_is_the_volume_of_polytopes_in_3d(name):
+    if name == "refined P3":
+        fan = refine_by_hyperplanes(FANS["P3"], P3_NORMALS)
+        assert any(len(key) > 3 for key in fan.maximal_keys)
+        draw = _minkowski_values
+    else:
+        fan = FANS["P3"] if name == "P3" else P1_CUBED_FAN
+        draw = _random_values
+    form = _volume_form(fan)
+    rng = random.Random(31)
+    checked = 0
+    while checked < 30:
+        h = draw(fan, rng)
+        if not _cone_vertices_in_polytope(fan, h):
+            assert draw is _random_values
+            continue
+        p = vertex_enumeration(HPolyhedron(list(zip(fan.rays, h))))
+        value = sum(c * prod(h[i] for i in key) for key, c in form.items())
+        assert value == volume(p)
+        checked += 1
+
+
+@pytest.mark.parametrize("name, r, m", [
+    ("P3", 2, 4), ("P3", 3, 5), ("P1^3", 2, 4), ("P1^3", 3, 5),
+])
+def test_todd_equals_euler_characteristic_on_3d_bundles(name, r, m):
+    fan = FANS["P3"] if name == "P3" else P1_CUBED_FAN
+    rng = random.Random(41)
+    for _ in range(3):
+        bundle = random_bundle(fan, uniform_matroid(r, m), rng)
+        assert apply_todd(interpolate_I(bundle)) == bundle.euler_char_total()
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +438,7 @@ def _walls(fan):
     if fan.ambient_dim == 1:
         r0, r1 = fan.rays
         return [(r0, r1, Fraction(1), Fraction(0), None)]
-    ordered = _sort_rays_ccw(fan.rays)
+    ordered = sort_rays_ccw(fan.rays)
     k = len(ordered)
     walls = []
     for i in range(k):

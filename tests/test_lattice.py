@@ -438,6 +438,39 @@ def test_fan_rejects_bad_input():
             Fan(rays, [[0, 1]], dim)
 
 
+def test_fan_refuses_cones_that_meet_off_a_common_face():
+    # a pyramid over a square and a simplicial cone that meet in a diagonal
+    # of the square, which is a face of the second cone but not of the first
+    rays = [(1, 1, 1, 0), (-1, 1, 1, 0), (-1, -1, 1, 0), (1, -1, 1, 0),
+            (0, 0, 1, 1), (1, -1, 1, -1), (0, 0, 1, -1)]
+    with pytest.raises(ValidationError, match="do not meet in a face"):
+        Fan(rays, [[0, 1, 2, 3, 4], [0, 2, 5, 6]])
+
+
+def test_fan_refuses_a_listed_cone_inside_another_that_is_not_its_face():
+    # the cone over a square, listed with one of its diagonals
+    corners = [(1, 1, 1), (-1, 1, 1), (-1, -1, 1), (1, -1, 1)]
+    with pytest.raises(ValidationError, match="is not a face of it"):
+        Fan(corners, [[0, 1, 2, 3], [0, 2]])
+    # a listed edge is a face, and is dropped as before
+    assert Fan(corners, [[0, 1, 2, 3], [0, 1]]).maximal_keys == (
+        frozenset(range(4)),
+    )
+
+
+@pytest.mark.parametrize("name", sorted(FANS))
+def test_common_rays_span_the_intersection_of_two_maximal_cones(name):
+    # the fan property, read by MultiValuedSupportFunction from ray indices,
+    # against one double description per pair of maximal cones
+    fan = FANS[name]
+    normals = {1: [], 2: [(1, -1), (1, 2)], 3: [(1, -1, 0), (0, 1, -2)]}
+    for f in (fan, refine_by_hyperplanes(fan, normals[fan.ambient_dim])):
+        for a, b in itertools.combinations(f.maximal_keys, 2):
+            inter = f.cone(a).intersect(f.cone(b))
+            assert not inter.lineality
+            assert set(inter.rays) == {f.rays[i] for i in a & b}
+
+
 # ---------------------------------------------------------------------------
 # dual-cone fan identities
 # ---------------------------------------------------------------------------
