@@ -176,6 +176,10 @@ def brianchon_gram(sn: SupportNumbers) -> ConvexChain:
     support numbers the chain evaluates pointwise to the indicator function
     of the corresponding polytope.
     """
+    return ConvexChain(_brianchon_gram_terms(sn))
+
+
+def _brianchon_gram_terms(sn: SupportNumbers):
     fan = sn.fan
     if not fan.is_complete():
         raise ValidationError("Brianchon-Gram expansion requires a complete fan")
@@ -188,11 +192,11 @@ def brianchon_gram(sn: SupportNumbers) -> ConvexChain:
             # non-simplicial cone: the ray values must extend linearly
             if solve(rays, vals) is None:
                 raise NotPiecewiseLinearError(
-                    f"ray values do not extend linearly on cone {sorted(key)}"
+                    "ray values do not extend linearly on cone {}", key
                 )
         piece = HPolyhedron(list(zip(rays, vals)), (), d)
         terms.append(((-1) ** fan.codim(key), piece))
-    return ConvexChain(terms)
+    return terms
 
 
 # rows per block of the box kernel; the int64 proof of `box_values` uses it
@@ -366,8 +370,8 @@ class MultiValuedSupportFunction:
                 )
                 if sig_i != sig_j:
                     raise InvalidSupportFunctionError(
-                        f"branch multisets disagree on the face shared by "
-                        f"{sorted(keys[i])} and {sorted(keys[j])}"
+                        "branch multisets disagree on the face shared by {} and {}",
+                        keys[i], keys[j],
                     )
 
     def values_at(self, x):
@@ -413,7 +417,6 @@ def support_function_chain(
     refined fan.  The result does not depend on extra refinements.
     """
     _, branch_numbers = split_branches(h, extra_normals)
-    chain = ConvexChain()
-    for sn in branch_numbers:
-        chain = chain + brianchon_gram(sn)
-    return chain
+    return ConvexChain(
+        [t for sn in branch_numbers for t in _brianchon_gram_terms(sn)]
+    )

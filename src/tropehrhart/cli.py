@@ -393,7 +393,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _error_payload(exc: Exception) -> dict:
-    err = {"type": type(exc).__name__, "message": str(exc)}
+    # cones are named by the file's 1-based ray numbers, as in every report
+    message = exc.message(1) if isinstance(exc, ValidationError) else str(exc)
+    err = {"type": type(exc).__name__, "message": message}
     if isinstance(exc, RowNotInBergmanError):
         err["row"] = exc.row_number
         err["entries"] = list(exc.row)

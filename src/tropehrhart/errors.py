@@ -12,7 +12,23 @@ class TropehrhartError(Exception):
 
 
 class ValidationError(TropehrhartError):
-    """Input data violates a structural invariant."""
+    """Input data violates a structural invariant.
+
+    An error about particular cones takes its message as a template with
+    one `{}` per cone, followed by the cones' ray-index sets.  `str()` names
+    each cone by its sorted 0-based ray indices, as the library counts
+    them; `message(1)` names it by the 1-based ray numbers of input files.
+    """
+
+    def __init__(self, message="", *cones):
+        self.template = message
+        self.cones = tuple(sorted(c) for c in cones)
+        super().__init__(self.message(0))
+
+    def message(self, base: int) -> str:
+        if not self.cones:
+            return self.template
+        return self.template.format(*([i + base for i in c] for c in self.cones))
 
 
 class UnsupportedDimensionError(TropehrhartError):
@@ -71,9 +87,7 @@ class RowNotInBergmanError(BundleValidationError):
 class NoCommonApartmentError(BundleValidationError):
     def __init__(self, cone_rays):
         self.cone_rays = cone_rays
-        super().__init__(
-            f"rows of cone with rays {sorted(cone_rays)} lie in no common apartment"
-        )
+        super().__init__("rows of cone with rays {} lie in no common apartment", cone_rays)
 
 
 class InvalidBoundError(TropehrhartError):

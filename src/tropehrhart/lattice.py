@@ -10,8 +10,19 @@ Dimension caps: vertex enumeration works up to ambient dimension 4 and fan
 refinement up to 3, enforced with explicit errors.  Every conversion between
 rays and half-spaces (dual cones, intersections, hulls, vertex enumeration)
 goes through one incremental double description in integer arithmetic,
-`vcone_from_halfspaces`; hulls of every dimension and affine rank take that
-route through `_hull_data`.  Face lattices come from one closure of facet
+`_double_description`, which returns each ray with the bitmask of the rows
+tight on it; `vcone_from_halfspaces` is its public form without the masks.
+It starts from the simplicial cone that one elimination gives (the inverse
+of the independent rows and a lineality basis) and cuts it one row at a
+time (`_cut`).  A pointed cone whose rays are all extreme keeps its facet
+masks, so `Cone.intersect` and `Cone.intersect_halfspace` continue its
+double description by the new rows only, and the result reads its dual and
+facets off the masks.  That way the fan check's pairwise intersections, the
+pieces of `refine_by_hyperplanes` and the refined fan's faces start no new
+double description, and `min_containing_cone` reads the smallest cone off
+the facets of one maximal cone.  Hulls of every dimension and affine rank
+take the double description through `_hull_data`, which reads each facet's
+points off the masks.  Face lattices come from one closure of facet
 incidences under intersection, `_intersection_closure`.  One pulling
 triangulation on index sets and facet incidences, `_pulling_triangulation`,
 splits polytopes into simplices for `volume` in every dimension and pointed
@@ -37,6 +48,7 @@ from .linalg import (
     det,
     dot,
     echelon,
+    echelon_nullspace,
     integral,
     is_zero,
     nullspace,
@@ -62,13 +74,13 @@ def vcone_from_halfspaces(normals, dim):
 
     Rays are primitive integer vectors, reduced modulo the lineality space so
     the output is canonical; the lineality basis is `nullspace` of the rows.
-
-    Incremental double description (Fukuda-Prodon 1996) in integers: start
-    from the simplicial cone of r independent rows inside the orthogonal
-    complement of the lineality, then cut it by the other rows one at a
-    time.  Each cut keeps the rays on its nonnegative side and adds one ray
-    for every combinatorially adjacent pair of rays on opposite sides.
     """
+    rays, lin = _double_description(_distinct_rows(normals), dim)
+    return tuple(v for v, _ in rays), lin
+
+
+def _distinct_rows(normals):
+    """The nonzero normals as distinct primitive rows, in first-seen order."""
     rows = []
     seen = set()
     for n in normals:
@@ -76,48 +88,92 @@ def vcone_from_halfspaces(normals, dim):
         if not is_zero(p) and p not in seen:
             seen.add(p)
             rows.append(p)
+    return rows
+
+
+def _double_description(rows, dim):
+    """Sorted (ray, tight mask) pairs and the lineality basis of the cone
+    {x : <row, x> >= 0} of distinct primitive nonzero rows.
+
+    Incremental double description (Fukuda-Prodon 1996) in integers: start
+    from the simplicial cone of r independent rows inside the orthogonal
+    complement of the lineality, then cut it by the other rows one at a
+    time (`_cut`).  Bit k of a ray's mask is set when the ray is tight on
+    rows[k].  Rays are reduced modulo the lineality, which keeps every
+    <row, ray> and so the masks.
+    """
     if not rows:
-        basis = tuple(tuple(1 if j == i else 0 for j in range(dim)) for i in range(dim))
-        return (), basis
+        return [], tuple(_unit_basis(dim))
     independent = echelon(rows, dim)
-    lin = nullspace([b for _, _, b in independent], dim)
-    r = len(independent)
+    lin = echelon_nullspace(independent, dim)
     start = [i for i, _, _ in independent]
-    # (ray, bitmask of the rows it is tight on); start ray i is tight on
-    # every start row but row i, and orthogonal to the lineality
     all_start = sum(1 << i for i in start)
-    rays = []
-    for i in start:
-        (v,) = nullspace([rows[j] for j in start if j != i] + lin, dim)
-        rays.append((v if dot(rows[i], v) > 0 else vec_neg(v), all_start ^ (1 << i)))
+    rays = [
+        (v, all_start ^ (1 << i))
+        for i, v in zip(start, _inverse_columns([rows[i] for i in start] + lin))
+    ]
+    r = len(start)
     for k, row in enumerate(rows):
-        if all_start >> k & 1:
-            continue
-        bit = 1 << k
-        kept, pos, neg = [], [], []
-        for v, z in rays:
-            s = dot(row, v)
-            if s > 0:
-                kept.append((v, z))
-                pos.append((v, z, s))
-            elif s < 0:
-                neg.append((v, z, s))
-            else:
-                kept.append((v, z | bit))
-        for vp, zp, sp in pos:
-            for vn, zn, sn in neg:
-                common = zp & zn
-                if common.bit_count() < r - 2 or not _adjacent(common, rays):
-                    continue
-                w = primitive(tuple(sp * a - sn * b for a, b in zip(vn, vp)))
-                kept.append((w, common | bit))
-        rays = kept
+        if not all_start >> k & 1:
+            rays = _cut(rays, row, 1 << k, r)
     if lin:
         lin_basis = echelon(lin)
-        out = {reduce_mod(v, lin_basis) for v, _ in rays}
-    else:
-        out = {v for v, _ in rays}
-    return tuple(sorted(out)), tuple(lin)
+        rays = [(reduce_mod(v, lin_basis), z) for v, z in rays]
+    return sorted(rays), tuple(lin)
+
+
+def _unit_basis(dim):
+    return [tuple(1 if j == i else 0 for j in range(dim)) for i in range(dim)]
+
+
+def _inverse_columns(square):
+    """Primitive positive multiples of the columns of the inverse of an
+    invertible integer matrix, one `echelon` of [square | identity].
+
+    Column i is tight on every row of `square` but row i and positive on
+    row i.  With r independent rows followed by a lineality basis, the
+    first r columns span the simplicial start cone of the double
+    description.
+    """
+    n = len(square)
+    unit = _unit_basis(n)
+    basis = echelon([row + e for row, e in zip(square, unit)])
+    # the left block of every reduced row is b[pc] at its pivot pc and
+    # zero elsewhere, so row pc of the inverse is b[n:] / b[pc]
+    scale = lcm(*(b[pc] for _, pc, b in basis))
+    rows = {pc: (scale // b[pc], b) for _, pc, b in basis}
+    return [
+        primitive(tuple(q * b[n + i] for q, b in (rows[pc] for pc in range(n))))
+        for i in range(n)
+    ]
+
+
+def _cut(rays, row, bit, r):
+    """One double-description step: the rays, with their tight masks, of a
+    cone cut out by rows of rank r, cut by <row, x> >= 0 with tight bit
+    `bit`.
+
+    Keeps the rays on the nonnegative side and adds one ray for every
+    combinatorially adjacent pair of rays on opposite sides.
+    """
+    kept, pos, neg = [], [], []
+    for v, z in rays:
+        s = dot(row, v)
+        if s > 0:
+            kept.append((v, z))
+            pos.append((v, z, s))
+        elif s < 0:
+            neg.append((v, z, s))
+        else:
+            kept.append((v, z | bit))
+    for vp, zp, sp in pos:
+        for vn, zn, sn in neg:
+            common = zp & zn
+            if common.bit_count() < r - 2 or not _adjacent(common, rays):
+                continue
+            w = primitive(tuple(sp * a - sn * b for a, b in zip(vn, vp)))
+            kept.append((w, common | bit))
+    return kept
 
 
 def _adjacent(common, rays):
@@ -132,12 +188,33 @@ def _adjacent(common, rays):
     return True
 
 
+def _meet(masks, full):
+    """Intersection of bitmasks, `full` for none."""
+    for z in masks:
+        full &= z
+    return full
+
+
+def _bits(mask):
+    """Indices of the set bits of a mask, in increasing order."""
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
 # ---------------------------------------------------------------------------
 # Cones
 # ---------------------------------------------------------------------------
 
 class Cone:
-    """Rational polyhedral cone, generated by rays plus a lineality space."""
+    """Rational polyhedral cone, generated by rays plus a lineality space.
+
+    A pointed cone keeps, next to its dual, the zero set of each dual ray
+    (each facet) on its rays as a bitmask.  When its rays are exactly the
+    extreme rays (`_is_exact`), the rays with their facet masks are a
+    finished double description of the cone by its facet rows, and
+    `intersect` and `intersect_halfspace` continue it instead of starting
+    over.  The result of such a cut keeps the masks over all the rows it
+    was cut by and reads its own dual off them.
+    """
 
     def __init__(self, rays, ambient_dim, lineality=()):
         rays = tuple(primitive(tuple(r)) for r in rays)
@@ -149,6 +226,9 @@ class Cone:
         self.rays = rays
         self.lineality = tuple(primitive(tuple(v)) for v in lineality)
         self._dual = None
+        self._facets = None  # per dual ray, the mask of the rays tight on it
+        self._tight = None  # (rows, per ray the mask of rows tight on it)
+        self._exact = None
         self._faces = None
 
     @property
@@ -174,10 +254,99 @@ class Cone:
     def dual(self) -> "Cone":
         """The dual cone {u : <u, x> >= 0 for all x in this cone}."""
         if self._dual is None:
-            rays, lin = vcone_from_halfspaces(self.generators, self.ambient_dim)
+            facets = None
+            if self._tight is not None:
+                rays, lin, facets = self._dual_from_tight()
+            elif self.lineality:
+                rays, lin = vcone_from_halfspaces(self.generators, self.ambient_dim)
+            else:
+                found, lin = _double_description(self.rays, self.ambient_dim)
+                rays = tuple(g for g, _ in found)
+                facets = tuple(z for _, z in found)
             self._dual = Cone(rays, self.ambient_dim, lineality=lin)
             self._dual._dual = self  # duality is involutive for closed cones
+            self._facets = facets
         return self._dual
+
+    def _dual_from_tight(self):
+        """(rays, lineality, facet masks) of the dual of a cone cut out by
+        `_tight` rows, without a double description.
+
+        The dual is generated by the rows; its lineality is the orthogonal
+        complement of the rays, and its rays are the facet normals, the rows
+        whose zero sets are maximal among the proper ones, reduced modulo
+        the lineality as `vcone_from_halfspaces` reduces them.
+        """
+        rows, masks = self._tight
+        dim = self.ambient_dim
+        lin = nullspace(self.rays, dim)
+        zero = [0] * len(rows)
+        for i, z in enumerate(masks):
+            for k in _bits(z):
+                zero[k] |= 1 << i
+        full = (1 << len(self.rays)) - 1
+        proper = {z for z in zero if z != full}
+        maximal = {
+            z for z in proper if not any(z != o and z & o == z for o in proper)
+        }
+        lin_basis = echelon(lin)
+        facets = {
+            reduce_mod(row, lin_basis): z
+            for row, z in zip(rows, zero)
+            if z in maximal
+        }
+        rays = tuple(sorted(facets))
+        return rays, tuple(lin), tuple(facets[g] for g in rays)
+
+    def _facet_masks(self):
+        """Per ray of the dual, the mask of this pointed cone's rays that are
+        tight on it."""
+        dual = self.dual
+        if self._facets is None:
+            self._facets = tuple(
+                sum(1 << i for i, r in enumerate(self.rays) if dot(g, r) == 0)
+                for g in dual.rays
+            )
+        return self._facets
+
+    def _is_exact(self) -> bool:
+        """Is the cone pointed with every ray extreme?  Then each ray alone
+        is the face cut out by the facets it is tight on."""
+        if self._exact is None:
+            self._exact = False
+            if not self.lineality:
+                facets = self._facet_masks()
+                full = (1 << len(self.rays)) - 1
+                self._exact = all(
+                    _meet((z for z in facets if z >> i & 1), full) == 1 << i
+                    for i in range(len(self.rays))
+                )
+        return self._exact
+
+    def _continue(self, normals) -> "Cone":
+        """This exact cone cut by <n, x> >= 0 for every normal: its rays,
+        with their masks over its facet rows (both signs of the dual's
+        lineality included), are the double description to continue."""
+        dual = self.dual
+        rows = list(dual.generators)
+        lin_bits = (1 << len(rows)) - (1 << len(dual.rays))
+        facets = self._facet_masks()
+        rays = [
+            (v, lin_bits | sum(1 << j for j, z in enumerate(facets) if z >> i & 1))
+            for i, v in enumerate(self.rays)
+        ]
+        seen = set(rows)
+        for row in _distinct_rows(normals):
+            if row not in seen:
+                # the facet rows of a pointed cone have full rank
+                rays = _cut(rays, row, 1 << len(rows), self.ambient_dim)
+                rows.append(row)
+                seen.add(row)
+        rays.sort()
+        out = Cone([v for v, _ in rays], self.ambient_dim)
+        out._tight = (rows, [z for _, z in rays])
+        out._exact = True
+        return out
 
     def contains(self, x) -> bool:
         d = self.dual
@@ -185,12 +354,33 @@ class Cone:
             dot(l, x) == 0 for l in d.lineality
         )
 
+    def _face_of(self, x):
+        """Mask of the rays of the smallest face containing x, read off the
+        facets tight at x; None when x is outside.  Pointed cones only."""
+        d = self.dual
+        if any(dot(l, x) for l in d.lineality):
+            return None
+        face = (1 << len(self.rays)) - 1
+        for g, z in zip(d.rays, self._facet_masks()):
+            s = dot(g, x)
+            if s < 0:
+                return None
+            if s == 0:
+                face &= z
+        return face
+
     def intersect(self, other: "Cone") -> "Cone":
+        if self._is_exact():
+            return self._continue(other.dual.generators)
+        if other._is_exact():
+            return other._continue(self.dual.generators)
         normals = list(self.dual.generators) + list(other.dual.generators)
         rays, lin = vcone_from_halfspaces(normals, self.ambient_dim)
         return Cone(rays, self.ambient_dim, lineality=lin)
 
     def intersect_halfspace(self, normal) -> "Cone":
+        if self._is_exact():
+            return self._continue([normal])
         normals = list(self.dual.generators) + [tuple(normal)]
         rays, lin = vcone_from_halfspaces(normals, self.ambient_dim)
         return Cone(rays, self.ambient_dim, lineality=lin)
@@ -201,10 +391,7 @@ class Cone:
             raise ValidationError("face enumeration requires a pointed cone")
         if self._faces is not None:
             return self._faces
-        zero_sets = [
-            frozenset(i for i, r in enumerate(self.rays) if dot(g, r) == 0)
-            for g in self.dual.rays
-        ]
+        zero_sets = [frozenset(_bits(z)) for z in self._facet_masks()]
         faces = _intersection_closure(len(self.rays), zero_sets)
         self._faces = sorted(faces, key=lambda s: (len(s), sorted(s)))
         return self._faces
@@ -282,10 +469,13 @@ class Fan:
 
     Rays are indexed; cones are stored as frozensets of ray indices.  The fan
     property (any two cones intersect in a common face) is verified at
-    construction.
+    construction.  `duals` may map maximal cone keys to their dual cones,
+    when those are known already; those cones then take them instead of
+    running a double description.
     """
 
-    def __init__(self, rays, maximal_cones, ambient_dim=None, *, validate=True):
+    def __init__(self, rays, maximal_cones, ambient_dim=None, *, validate=True,
+                 duals=None):
         rays = [primitive(tuple(r)) for r in rays]
         if any(is_zero(r) for r in rays):
             raise ValidationError("zero vector cannot be a fan ray")
@@ -313,6 +503,7 @@ class Fan:
         maximal = [k for k in listed if not any(k < other for other in listed)]
 
         self._cone_cache = {}
+        self._duals = duals or {}
         cone_dims = {}
         # the faces of each maximal cone, as sets of fan ray indices
         self.cone_faces = {}
@@ -337,9 +528,9 @@ class Fan:
 
     def _make_cone(self, key) -> Cone:
         if key not in self._cone_cache:
-            self._cone_cache[key] = Cone(
-                tuple(self.rays[i] for i in sorted(key)), self.ambient_dim
-            )
+            cone = Cone(tuple(self.rays[i] for i in sorted(key)), self.ambient_dim)
+            cone._dual = self._duals.get(key)
+            self._cone_cache[key] = cone
         return self._cone_cache[key]
 
     def cone(self, key) -> Cone:
@@ -365,14 +556,11 @@ class Fan:
             if frozenset() not in faces or any(
                 frozenset((i,)) not in faces for i in key
             ):
-                raise ValidationError(
-                    f"rays of cone {sorted(key)} are not all extreme"
-                )
+                raise ValidationError("rays of cone {} are not all extreme", key)
         for key, other in itertools.product(listed, self.maximal_keys):
             if key < other and key not in self.cone_faces[other]:
                 raise ValidationError(
-                    f"cone {sorted(key)} lies inside cone {sorted(other)} "
-                    "but is not a face of it"
+                    "cone {} lies inside cone {} but is not a face of it", key, other
                 )
         index = {r: i for i, r in enumerate(self.rays)}
         for a, b in itertools.combinations(self.maximal_keys, 2):
@@ -381,9 +569,7 @@ class Fan:
             inter = self._make_cone(a).intersect(self._make_cone(b))
             ikey = frozenset(index.get(r, -1) for r in inter.rays)
             if ikey not in self.cone_faces[a] or ikey not in self.cone_faces[b]:
-                raise ValidationError(
-                    f"cones {sorted(a)} and {sorted(b)} do not meet in a face"
-                )
+                raise ValidationError("cones {} and {} do not meet in a face", a, b)
 
     # -- global predicates --------------------------------------------------
 
@@ -481,10 +667,16 @@ def is_refinement(f2: Fan, f1: Fan) -> bool:
 
 
 def min_containing_cone(f: Fan, x) -> frozenset:
-    """Ray-index key of the unique smallest cone of f containing x."""
-    for key in f.cone_keys:  # sorted by dimension
-        if f.cone(key).contains(x):
-            return key
+    """Ray-index key of the unique smallest cone of f containing x.
+
+    That cone is the face of any maximal cone containing x that the facets
+    tight at x cut out.
+    """
+    for key in f.maximal_keys:
+        face = f.cone(key)._face_of(x)
+        if face is not None:
+            ordered = sorted(key)
+            return frozenset(ordered[i] for i in _bits(face))
     raise NotInSupportError(f"point {tuple(x)} is outside the fan support")
 
 
@@ -529,9 +721,10 @@ def refine_by_hyperplanes(f: Fan, normals) -> Fan:
                 new_rays.append(r)
     old = len(f.rays)
     new_rays = new_rays[:old] + sorted(new_rays[old:])
-    maximal = [frozenset(new_rays.index(r) for r in c.rays) for c in pieces]
+    index = {r: i for i, r in enumerate(new_rays)}
+    duals = {frozenset(index[r] for r in c.rays): c.dual for c in pieces}
     # a common refinement is a fan by construction
-    return Fan(new_rays, maximal, f.ambient_dim, validate=False)
+    return Fan(new_rays, list(duals), f.ambient_dim, validate=False, duals=duals)
 
 
 def _sign_key(v) -> int:
@@ -774,29 +967,24 @@ def convex_hull_vertices(points, facets=None):
 def _hull_data(pts, d):
     """(vertices, inequalities, equalities) of the hull of sorted distinct
     rational points."""
+    # distinct points homogenize to distinct primitive rows, so bit i of a
+    # dual ray's tight mask is point i lying on that facet
     hom_rows = [integral(p + (1,)) for p in pts]
-    dual_rays, dual_lin = vcone_from_halfspaces(hom_rows, d + 1)
+    dual_rays, dual_lin = _double_description(hom_rows, d + 1)
     eqs = [(g[:d], Fraction(-g[d])) for g in dual_lin]
     ineqs = [
         (vec_neg(g[:d]), Fraction(g[d]))
-        for g in dual_rays
+        for g, _ in dual_rays
         if not is_zero(g[:d])
     ]
     # a point is a vertex when it is the only point tight on every facet it
     # is tight on (else the smallest face containing it holds another point)
-    on_facet = [
-        sum(1 << i for i, h in enumerate(hom_rows) if dot(g, h) == 0)
-        for g in dual_rays
-    ]
+    on_facet = [z for _, z in dual_rays]
     everything = (1 << len(pts)) - 1
-    verts = []
-    for i, p in enumerate(pts):
-        common = everything
-        for f in on_facet:
-            if f >> i & 1:
-                common &= f
-        if common == 1 << i:
-            verts.append(p)
+    verts = [
+        p for i, p in enumerate(pts)
+        if _meet((z for z in on_facet if z >> i & 1), everything) == 1 << i
+    ]
     return verts, ineqs, eqs
 
 

@@ -109,7 +109,11 @@ def nullspace(rows, ncols=None):
         assert ncols is not None
         return [tuple(1 if j == i else 0 for j in range(ncols)) for i in range(ncols)]
     ncols = len(rows[0])
-    basis = echelon([integral(r) for r in rows], ncols)
+    return echelon_nullspace(echelon([integral(r) for r in rows], ncols), ncols)
+
+
+def echelon_nullspace(basis, ncols):
+    """`nullspace` of the rows of an `echelon` basis, read off the basis."""
     scale = lcm(*(b[pc] for _, pc, b in basis))
     pivots = {pc: (scale // b[pc], b) for _, pc, b in basis}
     out = []

@@ -7,9 +7,11 @@ list (the pairwise exchange check, rank as the largest basis intersection,
 subset-enumeration circuits, flats and fundamental circuits, the sorted
 scan for adapted bases), the per-cone Fraction route of bundle validation
 (`common_adapted_basis`, `oracle_adapted_bases`), geometric ones (the
-double-dual check of a cone's rays), and the small constructions only tests
-use (box points, point chains, chain boxes, translates, relative-interior
-tests, maximal flags, the face alternating sum)."""
+double-dual check of a cone's rays; duals, cuts and face lattices by a
+fresh `vcone_from_halfspaces` and dot products; the smallest cone of a fan
+containing a point by a scan by dimension), and the small constructions
+only tests use (box points, point chains, chain boxes, translates,
+relative-interior tests, maximal flags, the face alternating sum)."""
 
 import itertools
 from fractions import Fraction
@@ -20,10 +22,12 @@ import pytest
 from tropehrhart.chains import ConvexChain
 from tropehrhart.errors import (
     NoCommonApartmentError,
+    NotInSupportError,
     RowNotInBergmanError,
     ValidationError,
 )
 from tropehrhart.lattice import (
+    Cone,
     Fan,
     VPolytope,
     _intersection_closure,
@@ -310,6 +314,44 @@ def double_dual_verdict(cone):
     if lin:
         return "lineality"
     return "pointed" if set(extreme) == set(cone.rays) else "not extreme"
+
+
+def fresh_dual(cone):
+    """The dual cone by one `vcone_from_halfspaces` of the generators."""
+    rays, lin = vcone_from_halfspaces(cone.generators, cone.ambient_dim)
+    return Cone(rays, cone.ambient_dim, lineality=lin)
+
+
+def fresh_cut(cone, normals):
+    """The cone cut by <n, x> >= 0 for every normal, by one
+    `vcone_from_halfspaces` of its fresh dual's generators and the normals."""
+    rows = list(fresh_dual(cone).generators) + [tuple(n) for n in normals]
+    rays, lin = vcone_from_halfspaces(rows, cone.ambient_dim)
+    return Cone(rays, cone.ambient_dim, lineality=lin)
+
+
+def fresh_faces(cone):
+    """The faces of a pointed cone as sets of its ray indices, in the order
+    of `Cone.face_ray_sets`: the closure of the zero sets of its fresh
+    dual's rays, found by dot products."""
+    zero_sets = [
+        frozenset(i for i, r in enumerate(cone.rays) if dot(g, r) == 0)
+        for g in fresh_dual(cone).rays
+    ]
+    faces = _intersection_closure(len(cone.rays), zero_sets)
+    return sorted(faces, key=lambda s: (len(s), sorted(s)))
+
+
+def scan_min_containing_cone(fan, x):
+    """The first cone of the fan, by dimension, whose fresh dual is
+    nonnegative on x and zero on x along its lineality."""
+    for key in fan.cone_keys:
+        d = fresh_dual(fan.cone(key))
+        if all(dot(g, x) >= 0 for g in d.rays) and all(
+            dot(l, x) == 0 for l in d.lineality
+        ):
+            return key
+    raise NotInSupportError(f"point {tuple(x)} is outside the fan support")
 
 
 def caratheodory_contains(points, p):

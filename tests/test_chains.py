@@ -5,6 +5,7 @@ import pytest
 
 from tropehrhart.chains import (
     ConvexChain,
+    _piece_key,
     MultiValuedSupportFunction,
     SupportNumbers,
     brianchon_gram,
@@ -14,6 +15,7 @@ from tropehrhart.chains import (
     integral,
     invert_polytope,
     lattice_sum,
+    split_branches,
     support_function_chain,
 )
 from tropehrhart.errors import (
@@ -24,11 +26,14 @@ from tropehrhart.errors import (
     ValidationError,
 )
 from tropehrhart.lattice import Fan, HPolyhedron, VPolytope
+from tropehrhart.matroid import uniform_matroid
 
 from conftest import (
+    FANS,
     chain_box,
     grid_points,
     point_chain,
+    random_bundle,
     random_lattice_polytope,
     zonotope_support_numbers,
 )
@@ -323,3 +328,25 @@ def test_support_function_chain_refinement_independence(u23_bundle):
     finer = support_function_chain(h, extra_normals=[(2, 1), (1, 3)])
     for u in grid_points(2, 4):
         assert base.evaluate(u) == finer.evaluate(u)
+
+
+@pytest.mark.parametrize("name", ["P2", "hexagon", "P3"])
+def test_support_function_chain_is_the_sum_of_branch_chains_term_by_term(
+    name, fano_bundle
+):
+    # one merge of all Brianchon-Gram terms equals the running sum of the
+    # branch chains: the same coefficients and pieces in the same order
+    rng = random.Random(5)
+    bundles = [random_bundle(FANS[name], uniform_matroid(r, m), rng)
+               for r, m in ((2, 4), (3, 5))]
+    if name == "P2":
+        bundles.append(fano_bundle)
+    for bundle in bundles:
+        h = bundle.support_function()
+        total = ConvexChain()
+        for sn in split_branches(h)[1]:
+            total = total + brianchon_gram(sn)
+        got = support_function_chain(h)
+        assert [(c, _piece_key(p)) for c, p in got.terms] == [
+            (c, _piece_key(p)) for c, p in total.terms
+        ]

@@ -121,6 +121,29 @@ def test_validate_bad_row(files, capsys):
     assert err["level_set"] == [1, 2]
 
 
+def test_cone_errors_name_the_file_ray_numbers(tmp_path, capsys):
+    # the star pentagon fan covers the plane twice; file cones [1, 3] and
+    # [2, 4] are the first pair that overlaps
+    rays = [[1, 0], [1, 3], [-3, 1], [-3, -2], [1, -3]]
+    star = {"fan": {"rays": rays, "cones": [[i, (i + 1) % 5 + 1] for i in range(1, 6)]},
+            "matroid": {"m": 1, "bases": [[1]]}, "diagram": [[0]] * 5}
+    # two flags demanding disjoint triples as adapted bases on cone [1, 2]
+    apart = {"fan": P2_FAN,
+             "matroid": {"m": 4, "bases": [list(b) for b in itertools.combinations(range(1, 5), 3)]},
+             "diagram": [[2, 1, 0, 0], [0, 0, 2, 1], [0, 0, 0, 0]]}
+    errors = []
+    for name, data in (("star", star), ("apart", apart)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(data))
+        code, out = run(capsys, "validate", "--bundle", str(path))
+        assert code == 2
+        errors.append(json.loads(out)["error"])
+    assert errors[0] == {"type": "ValidationError",
+                         "message": "cones [1, 3] and [2, 4] do not meet in a face"}
+    assert errors[1] == {"type": "NoCommonApartmentError", "cone": [1, 2],
+                         "message": "rows of cone with rays [1, 2] lie in no common apartment"}
+
+
 def test_missing_file(capsys):
     code, out = run(capsys, "validate", "--bundle", "/nonexistent.json")
     assert code == 2

@@ -2,6 +2,9 @@
 
 `vcone_from_halfspaces` is an incremental double description; the oracle
 here is the subsystem enumeration it replaced, over Fraction elimination.
+Cone intersections, half-space cuts, carried duals and face lattices, which
+continue a cone's double description, are checked against one fresh
+`vcone_from_halfspaces` each.
 Hulls, H-representations and volumes are checked against the same routes
 built on that oracle: the rank test for vertices and the Fraction
 determinant for simplex volumes.  In dimensions 1 and 2, hulls and volumes
@@ -18,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tropehrhart.lattice import (
+    Cone,
     VPolytope,
     _pulling_triangulation,
     convex_hull_vertices,
@@ -35,7 +39,14 @@ from tropehrhart.linalg import (
     vec_sub,
 )
 
-from conftest import cross_nullvec, random_lattice_polytope, rref
+from conftest import (
+    cross_nullvec,
+    fresh_cut,
+    fresh_dual,
+    fresh_faces,
+    random_lattice_polytope,
+    rref,
+)
 
 SETTINGS = settings(max_examples=300, deadline=None, derandomize=True)
 
@@ -370,3 +381,77 @@ def test_pulling_triangulation_equals_face_lattice_route(case):
         assert sorted(tuple(verts[i] for i in s) for s in simplices) == sorted(
             _pulling_triangulation_oracle(poly, use_max_vertex)
         )
+
+
+# ---------------------------------------------------------------------------
+# continued double descriptions against fresh ones
+# ---------------------------------------------------------------------------
+
+@st.composite
+def pointed_cones(draw, d):
+    """A pointed cone in dimension d whose rays span 1..d dimensions, all
+    on the positive side of one functional; some are not extreme (sums of
+    two drawn rays), and a cone may be the origin alone."""
+    k = draw(st.integers(1, d))
+    basis = draw(st.lists(st.tuples(*[COORD] * d), min_size=k, max_size=k))
+    w = draw(st.tuples(*[COORD] * d))
+    vecs = []
+    for _ in range(draw(st.integers(0, 5))):
+        cs = draw(st.lists(st.integers(-2, 2), min_size=k, max_size=k))
+        v = tuple(sum(c * b[j] for c, b in zip(cs, basis)) for j in range(d))
+        s = dot(w, v)
+        if s:
+            vecs.append(v if s > 0 else vec_neg(v))
+    if len(vecs) >= 2 and draw(st.booleans()):
+        a, b = draw(st.permutations(vecs))[:2]
+        vecs.append(tuple(x + y for x, y in zip(a, b)))
+    return Cone(list(dict.fromkeys(primitive(v) for v in vecs)), d)
+
+
+@st.composite
+def cone_cases(draw):
+    """Two pointed cones and two normals in one dimension d = 2..4."""
+    d = draw(st.integers(2, 4))
+    normal = st.tuples(*[COORD] * d)
+    return draw(pointed_cones(d)), draw(pointed_cones(d)), draw(normal), draw(normal)
+
+
+def _assert_equals_fresh(got, want):
+    """Rays, lineality, dual and faces equal to the fresh route's, exactly."""
+    assert (got.rays, got.lineality) == (want.rays, want.lineality)
+    dual, fresh = got.dual, fresh_dual(got)
+    assert (dual.rays, dual.lineality) == (fresh.rays, fresh.lineality)
+    if not got.lineality:
+        assert got.face_ray_sets() == fresh_faces(got)
+
+
+@SETTINGS
+@given(cone_cases())
+def test_continued_cuts_equal_fresh_double_descriptions(case):
+    a, b, n1, n2 = case
+    for cone in (a, b):
+        _assert_equals_fresh(cone, cone)
+    both = fresh_dual(b).generators
+    _assert_equals_fresh(a.intersect(b), fresh_cut(a, both))
+    _assert_equals_fresh(b.intersect(a), fresh_cut(a, both))
+    once = a.intersect_halfspace(n1)
+    _assert_equals_fresh(once, fresh_cut(a, [n1]))
+    # a continued cut continues again, as the pieces of a refinement do
+    _assert_equals_fresh(once.intersect_halfspace(n2), fresh_cut(a, [n1, n2]))
+    _assert_equals_fresh(once.intersect(b), fresh_cut(a, [n1] + list(both)))
+
+
+def test_cone_cases_reach_every_kind_of_cone():
+    seen = set()
+
+    @SETTINGS
+    @given(cone_cases())
+    def collect(case):
+        a = case[0]
+        seen.add((a.ambient_dim, a._is_exact(), a.dim == a.ambient_dim))
+
+    collect()
+    # a pointed cone below dimension 2 is one ray, so its rays are extreme
+    assert seen == {(d, exact, full) for d in (2, 3, 4)
+                    for exact in (True, False) for full in (True, False)
+                    if exact or full or d > 2}

@@ -41,6 +41,7 @@ from conftest import (
     oracle_hull_vertices,
     random_lattice_polytope,
     relint_contains,
+    scan_min_containing_cone,
     translate,
 )
 
@@ -359,6 +360,37 @@ def test_min_containing_cone(p2_fan):
         min_containing_cone(Fan([(1, 0), (0, 1)], [[0, 1]], 2), (-1, 0))
 
 
+REFINING_NORMALS = {1: [], 2: [(1, -1), (1, 2)], 3: [(1, -1, 0), (0, 1, -2)]}
+# fans that miss points: a quadrant, and two rays whose cones are not
+# full-dimensional
+PARTIAL_FANS = {"quadrant": Fan([(1, 0), (0, 1)], [[0, 1]], 2),
+                "two rays": Fan([(1, 0), (0, 1)], [[0], [1]], 2)}
+
+
+def _smallest_cone(find, f, x):
+    try:
+        return find(f, x)
+    except NotInSupportError:
+        return None
+
+
+@pytest.mark.parametrize("name", sorted(FANS) + sorted(PARTIAL_FANS))
+def test_min_containing_cone_equals_the_scan_by_dimension(name):
+    # at every ray, inside every face (the sum of its rays) and at random
+    # points, on the named fans and their refinements
+    fan = FANS.get(name) or PARTIAL_FANS[name]
+    rng = random.Random(name)
+    d = fan.ambient_dim
+    for f in (fan, refine_by_hyperplanes(fan, REFINING_NORMALS[d])):
+        points = [tuple(sum(f.rays[i][j] for i in key) for j in range(d))
+                  for key in f.cone_keys]
+        points += [tuple(rng.randint(-4, 4) for _ in range(d)) for _ in range(40)]
+        for x in points:
+            assert _smallest_cone(min_containing_cone, f, x) == _smallest_cone(
+                scan_min_containing_cone, f, x
+            )
+
+
 def test_refine_by_hyperplanes_p2(p2_fan):
     refined = refine_by_hyperplanes(p2_fan, [(1, -1)])
     # the wall x1 = x2 splits exactly the cone containing (1,1)
@@ -445,6 +477,18 @@ def test_fan_refuses_cones_that_meet_off_a_common_face():
             (0, 0, 1, 1), (1, -1, 1, -1), (0, 0, 1, -1)]
     with pytest.raises(ValidationError, match="do not meet in a face"):
         Fan(rays, [[0, 1, 2, 3, 4], [0, 2, 5, 6]])
+    # rays at the corners of a star pentagon, cone i joining ray i to ray
+    # i + 2: the five cones cover the plane twice
+    star = [(1, 0), (1, 3), (-3, 1), (-3, -2), (1, -3)]
+    with pytest.raises(ValidationError, match="do not meet in a face") as info:
+        Fan(star, [[i, (i + 2) % 5] for i in range(5)])
+    # the library names cones by 0-based ray indices
+    assert str(info.value) == "cones [0, 2] and [1, 3] do not meet in a face"
+    # two 3-d simplicial cones that overlap: a ray of the second lies
+    # inside the first
+    rays = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (1, -2, 0), (-2, 1, 0)]
+    with pytest.raises(ValidationError, match="do not meet in a face"):
+        Fan(rays, [[0, 1, 2], [3, 4, 5]])
 
 
 def test_fan_refuses_a_listed_cone_inside_another_that_is_not_its_face():
@@ -463,8 +507,7 @@ def test_common_rays_span_the_intersection_of_two_maximal_cones(name):
     # the fan property, read by MultiValuedSupportFunction from ray indices,
     # against one double description per pair of maximal cones
     fan = FANS[name]
-    normals = {1: [], 2: [(1, -1), (1, 2)], 3: [(1, -1, 0), (0, 1, -2)]}
-    for f in (fan, refine_by_hyperplanes(fan, normals[fan.ambient_dim])):
+    for f in (fan, refine_by_hyperplanes(fan, REFINING_NORMALS[fan.ambient_dim])):
         for a, b in itertools.combinations(f.maximal_keys, 2):
             inter = f.cone(a).intersect(f.cone(b))
             assert not inter.lineality
