@@ -65,9 +65,6 @@ from .taut import (
     TautologicalBundle,
     flag_alternating_sum,
     permutahedral_fan,
-    taut_chi_u,
-    taut_h0_global,
-    taut_h0_local,
     tautological_bundle,
     vanishing_check,
 )
@@ -100,6 +97,5 @@ __all__ = [
     "MultiPoly", "bernoulli", "todd_coeffs", "interpolate_I",
     "apply_todd", "hrr_verify",
     "PermutahedralFan", "TautologicalBundle", "permutahedral_fan",
-    "tautological_bundle", "taut_h0_global", "taut_h0_local",
-    "taut_chi_u", "vanishing_check", "flag_alternating_sum",
+    "tautological_bundle", "vanishing_check", "flag_alternating_sum",
 ]

@@ -53,8 +53,7 @@ class ConvexChain:
     """
 
     def __init__(self, terms=()):
-        merged = {}
-        pieces = {}
+        merged = {}  # key -> [coefficient, last piece with that key]
         self.ambient_dim = None
         for coeff, piece in terms:
             if self.ambient_dim is None:
@@ -66,12 +65,10 @@ class ConvexChain:
                 )
             if coeff == 0:
                 continue
-            key = _piece_key(piece)
-            merged[key] = merged.get(key, 0) + int(coeff)
-            pieces[key] = piece
-        self.terms = tuple(
-            (c, pieces[k]) for k, c in merged.items() if c != 0
-        )
+            entry = merged.setdefault(_piece_key(piece), [0, None])
+            entry[0] += int(coeff)
+            entry[1] = piece
+        self.terms = tuple((c, p) for c, p in merged.values() if c != 0)
 
     def _check_length(self, what, n):
         if self.ambient_dim not in (None, n):

@@ -13,27 +13,44 @@ indicators, but those rows are not Bergman points; the closure rows are, and
 ranks, sections and Euler characteristics are unchanged).  Character sums are
 restricted to the slice {u : sum u_j = 1}, which carries all sections.
 
-The vanishing check sweeps the slice box {sum u = 1, |u_i| <= b}.  The box is
-built in numpy (the first m - 1 coordinates run over the cube, the last is
-solved for) and streamed in blocks of CHUNK points, so memory stays bounded
-for any m and b.  On each block chi_u comes from the flag formula: the flags
+The vanishing check sweeps the slice box {sum u = 1, |u_i| <= b}, one point
+per orbit of the group generated by the transpositions (i j) that fix the
+matroid's rank table.  The bundle is equivariant for these automorphisms
+(Berget-Eur-Spink-Tseng), so chi_u and h0_u are constant on orbits, and the
+box and its margin shell are invariant under every coordinate permutation.
+"(i j) fixes the table" is an equivalence relation, since (i k) = (i j)(j k)
+(i j); its classes take O(m^2 2^m) to find, and the group is the product of
+the symmetric groups on the classes.  The representative of an orbit is its
+point that is nondecreasing within every class, which is also the orbit's
+first point in lexicographic order.  The representatives are built in numpy
+one coordinate at a time, each coordinate's range cut by the running sum so
+that every partial point extends, and streamed in lexicographic order in
+blocks of CHUNK points, so memory stays bounded for any m and b.  Each point
+counts with its orbit size, a product of multinomial coefficients.  A matroid
+with no transposition symmetry (the Fano matroid) has singleton classes, and
+its stream is the whole box.
+
+On each block chi_u comes from the flag formula: the flags
 whose first pairing-one entry is S factor into signed chains below S with
 pairings <= 0 and above S with pairings <= 1, and both signed counts are
 subset DPs over submasks, O(3^m) per point with one numpy gather per layer
 of subsets of one size.  h0_u is parliament membership of the diagram
 columns, one broadcast comparison per block.  The DP values count chains of
 subsets, so they are at most the number of flags (47,293 at m = 7) in
-absolute value and int64 arithmetic stays exact.  The per-flag-chain sweep
-this replaces is kept in the tests as the oracle.
+absolute value and int64 arithmetic stays exact.  The cost is the number of
+orbits times 3^m.  The per-flag-chain sweep, the full box sweep and the
+pointwise Euler characteristic and section routes are kept in the tests as
+oracles.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+import itertools
+from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import TropehrhartError, ValidationError
+from .errors import ValidationError
 from .matroid import Matroid, max_weight_basis
 
 MAX_GROUND = 7
@@ -73,11 +90,15 @@ class PermutahedralFan:
         if not 1 <= m <= MAX_GROUND:
             raise ValidationError(f"permutahedral fan supported for m <= {MAX_GROUND}")
         self.m = m
-        self.chains = _chains_of_masks(m)
+
+    @cached_property
+    def chains(self):
+        return _chains_of_masks(self.m)
 
     @property
     def ray_masks(self):
-        return tuple(c[0] for c in self.chains if len(c) == 1)
+        """The nonempty proper subsets, in the order of the chains of length 1."""
+        return range(1, (1 << self.m) - 1)
 
     def rays(self):
         """Primitive generators e_S, one per nonempty proper subset."""
@@ -164,179 +185,6 @@ def tautological_bundle(matroid: Matroid) -> TautologicalBundle:
     return TautologicalBundle(matroid)
 
 
-def _check_slice(matroid: Matroid, u):
-    u = tuple(int(x) for x in u)
-    if len(u) != matroid.m:
-        raise ValidationError("character length must equal the ground size")
-    if sum(u) != 1:
-        raise ValidationError("characters are restricted to the slice sum(u) = 1")
-    return u
-
-
-def taut_h0_local(matroid: Matroid, flag, u) -> int:
-    """Sections of the tautological bundle on the chart of a flag cone.
-
-    Zero when some flag pairing exceeds 1; otherwise the rank of the first
-    flag entry (the full set included) whose pairing equals 1.
-    """
-    u = _check_slice(matroid, u)
-    entries = [frozenset(s) for s in flag] + [matroid.ground]
-    pairings = [sum(u[e - 1] for e in s) for s in entries]
-    if any(p > 1 for p in pairings):
-        return 0
-    for s, p in zip(entries, pairings):
-        if p == 1:
-            return matroid.rank(s)
-    return 0
-
-
-def _h0_local_filtration(bundle: TautologicalBundle, flag, u) -> int:
-    """Chart sections via the diagram filtrations (independent route)."""
-    matroid = bundle.matroid
-    flat = matroid.ground
-    for s in flag:
-        pairing = sum(u[e - 1] for e in s)
-        if pairing <= 0:
-            continue
-        row = bundle.rows[frozenset(s)]
-        level = frozenset(
-            e for e in range(1, matroid.m + 1) if row[e - 1] >= pairing
-        )
-        flat = flat & matroid.closure(level)
-    return matroid.rank(flat)
-
-
-def taut_h0_global(matroid: Matroid, u) -> int:
-    """Global sections at u: 1 exactly at e_i for a non-loop i.
-
-    Computed both from the closed form and from parliament membership of the
-    diagram columns; the two must agree.
-    """
-    u = _check_slice(matroid, u)
-    nonloops = matroid.ground - matroid.loops
-    closed = 0
-    for i in nonloops:
-        if all(u[e - 1] == (1 if e == i else 0) for e in matroid.ground):
-            closed = 1
-            break
-
-    bundle = tautological_bundle(matroid)
-    members = []
-    for e in range(1, matroid.m + 1):
-        ok = True
-        for s, row in bundle.rows.items():
-            if sum(u[j - 1] for j in s) > row[e - 1]:
-                ok = False
-                break
-        if ok:
-            members.append(e)
-    parliament = matroid.rank(frozenset(members))
-    if closed != parliament:
-        raise TropehrhartError(
-            f"section formulas disagree at {u}: {closed} vs {parliament}"
-        )
-    return closed
-
-
-class TautChi:
-    """Equivariant Euler characteristic at one character, both routes."""
-
-    def __init__(self, flag_formula, cone_sum, by_codim):
-        self.flag_formula = flag_formula
-        self.cone_sum = cone_sum
-        self.by_codim = tuple(by_codim)
-        self.equal = flag_formula == cone_sum
-
-    @property
-    def value(self) -> int:
-        return self.cone_sum
-
-    def __repr__(self):
-        return (
-            f"TautChi(value={self.cone_sum}, flag_formula={self.flag_formula}, "
-            f"by_codim={list(self.by_codim)})"
-        )
-
-
-def taut_chi_u(matroid: Matroid, u) -> TautChi:
-    """Euler characteristic at u via two independent computations.
-
-    The cone sum runs over all flag cones with the filtration-based chart
-    sections; the flag formula sums rank(S) over subsets pairing to 1,
-    weighted by signed counts of flags through S in which S is the first
-    pairing-one entry.
-    """
-    u = _check_slice(matroid, u)
-    bundle = tautological_bundle(matroid)
-    fan = bundle.fan
-    m = matroid.m
-
-    by_codim = [0] * m
-    cone_sum = 0
-    for flag in fan.flags():
-        h0 = _h0_local_filtration(bundle, flag, u)
-        codim = fan.codim(flag)
-        by_codim[codim] += h0
-        cone_sum += (-1) ** codim * h0
-
-    flag_formula = 0
-    full_mask = (1 << m) - 1
-    for s_mask in range(1, full_mask + 1):
-        pairing = sum(u[i] for i in range(m) if s_mask >> i & 1)
-        if pairing != 1:
-            continue
-        s = Matroid.elements(s_mask)
-        signed = _signed_flags_through(u, s_mask, m)
-        flag_formula += matroid.rank(s) * signed
-
-    return TautChi(flag_formula, cone_sum, by_codim[: m])
-
-
-def _signed_flags_through(u, s_mask: int, m: int) -> int:
-    """Signed count sum of (-1)^(m - l(pi)) over flags in which the subset
-    is the first entry pairing to 1, all pairings at most 1."""
-    full = (1 << m) - 1
-
-    def pairing(mask):
-        return sum(u[i] for i in range(m) if mask >> i & 1)
-
-    def chains_between(lo, hi, bound):
-        """Signed count sum of (-1)^len over chains lo < c_1 < ... < c_k < hi
-        of nonempty subsets with pairing <= bound."""
-        total = 1  # the empty chain, sign (+1)
-        stack = [(lo, 1)]
-        while stack:
-            cur, sign = stack.pop()
-            for nxt in _strict_between(cur, hi):
-                if pairing(nxt) <= bound:
-                    total += -sign
-                    stack.append((nxt, -sign))
-        return total
-
-    def _strict_between(lo, hi):
-        rest = hi & ~lo
-        for sub in _nonempty_subsets(rest):
-            cand = lo | sub
-            if cand != hi:
-                yield cand
-
-    def _nonempty_subsets(mask):
-        sub = mask
-        while sub:
-            yield sub
-            sub = (sub - 1) & mask
-
-    below = chains_between(0, s_mask, 0)
-    if s_mask == full:
-        # flags: lower chain + (G); l = len(lower) + 1
-        # sign (-1)^(m - l); signed count of lowers with weight (-1)^len is
-        # "below" with sign convention (+1 for empty)
-        return (-1) ** (m - 1) * below
-    above = chains_between(s_mask, full, 1)
-    # l = len(lower) + 1 + len(upper) + 1
-    return (-1) ** (m - 2) * below * above
-
-
 # ---------------------------------------------------------------------------
 # Streamed subset-DP sweep and the vanishing check
 # ---------------------------------------------------------------------------
@@ -348,29 +196,96 @@ def _signed_flags_through(u, s_mask: int, m: int) -> int:
 CHUNK = 1024
 
 
-def _slice_box(m: int, bound: int):
-    """All integer u with coordinates in [-bound, bound] and sum 1.
+def _symmetry_classes(matroid: Matroid):
+    """Classes of 0-based elements swapped by automorphisms of the matroid.
+
+    i and j share a class when the transposition (i j) fixes the rank table.
+    That is an equivalence relation, since (i k) = (i j)(j k)(i j), so each
+    element is compared with the first member of every class found so far,
+    one comparison of the table with its swapped copy per pair.  Classes are
+    ascending and ordered by their first member.
+    """
+    rank_of = np.frombuffer(matroid.rank_table, dtype=np.uint8)
+    masks = np.arange(1 << matroid.m)
+    classes = []
+    for i in range(matroid.m):
+        for members in classes:
+            j = members[0]
+            differ = ((masks >> i) ^ (masks >> j)) & 1
+            swapped = masks ^ (differ * ((1 << i) | (1 << j)))
+            if np.array_equal(rank_of[swapped], rank_of):
+                members.append(i)
+                break
+        else:
+            classes.append([i])
+    return tuple(tuple(members) for members in classes)
+
+
+def _slice_box(m: int, bound: int, classes):
+    """Integer u with coordinates in [-bound, bound], sum 1, nondecreasing
+    along each class of coordinates.
 
     Yields int64 blocks of CHUNK rows (the last one may be shorter) in
-    lexicographic order: the first m - 1 coordinates run over the cube in
-    blocks of CHUNK prefixes and the last one is solved for.
+    lexicographic order; with singleton classes that is the whole box.
+    Points grow one coordinate at a time.  Coordinate j runs from its class
+    predecessor (or -bound) to bound, cut by the running sum s: the later
+    coordinates are at most bound each, and at least their class
+    predecessors, where the later members of j's class are at least u_j.
+    So every partial point extends to a point of the box.  Partial points
+    wait on a stack in batches of at most CHUNK rows, which keeps memory
+    bounded.
     """
-    side = 2 * bound + 1
-    n_prefix = side ** (m - 1)
+    prev = [-1] * m  # the previous member of each coordinate's class, or -1
+    later = [0] * m  # the number of later members
+    for members in classes:
+        for k, j in enumerate(members):
+            prev[j] = members[k - 1] if k else -1
+            later[j] = len(members) - 1 - k
+    # The coordinates after j outside j's class sum to at least
+    # u[:j] @ rest[j, :j] - bound * free[j]: each is at least the last
+    # member of its class before j, or -bound when there is none.
+    rest = np.zeros((m, m), dtype=np.int64)
+    free = [0] * m
+    for j in range(m):
+        mine = next(members for members in classes if j in members)
+        for p in range(j + 1, m):
+            if p in mine:
+                continue
+            q = prev[p]
+            while q > j:
+                q = prev[q]
+            if q >= 0:
+                rest[j, q] += 1
+            else:
+                free[j] += 1
+
+    stack = [np.zeros((1, 0), dtype=np.int64)]
     pending, held = [], 0
-    for start in range(0, n_prefix, CHUNK):
-        code = np.arange(start, min(start + CHUNK, n_prefix), dtype=np.int64)
-        block = np.empty((code.size, m), dtype=np.int64)
-        for j in range(m - 2, -1, -1):
-            code, digit = np.divmod(code, side)
-            block[:, j] = digit - bound
-        block[:, m - 1] = 1 - block[:, : m - 1].sum(axis=1)
-        pending.append(block[np.abs(block[:, m - 1]) <= bound])
-        held += pending[-1].shape[0]
-        if held >= CHUNK:  # each block adds at most CHUNK rows
-            rows = np.concatenate(pending)
-            yield rows[:CHUNK]
-            pending, held = [rows[CHUNK:]], held - CHUNK
+    while stack:
+        rows = stack.pop()
+        j = rows.shape[1]
+        if j == m:
+            pending.append(rows)
+            held += rows.shape[0]
+            if held >= CHUNK:  # each batch adds at most CHUNK rows
+                rows = np.concatenate(pending)
+                yield rows[:CHUNK]
+                pending, held = [rows[CHUNK:]], held - CHUNK
+            continue
+        s = rows.sum(axis=1)
+        lo = np.maximum(
+            rows[:, prev[j]] if prev[j] >= 0 else -bound,
+            1 - s - bound * (m - 1 - j),
+        )
+        floor = rows @ rest[j, :j] - bound * free[j]
+        hi = np.minimum(bound, (1 - s - floor) // (1 + later[j]))
+        counts = np.maximum(hi - lo + 1, 0)
+        grown = np.empty((int(counts.sum()), j + 1), dtype=np.int64)
+        grown[:, :j] = np.repeat(rows, counts, axis=0)
+        starts = np.repeat(np.cumsum(counts) - counts, counts)
+        grown[:, j] = np.repeat(lo, counts) + np.arange(grown.shape[0]) - starts
+        stack += [grown[k:k + CHUNK]
+                  for k in reversed(range(0, grown.shape[0], CHUNK))]
     if held:
         yield np.concatenate(pending)
 
@@ -450,14 +365,57 @@ def _sweep(matroid: Matroid, blocks):
         yield U, chi, h0
 
 
+def _orbit_sizes(U, classes):
+    """Orbit size of each row of U, a point nondecreasing along each class,
+    under the permutations within classes: the product over classes of the
+    multinomial coefficients of their runs of equal values.  Members join
+    one at a time: the n-th multiplies the coefficient by n and divides it
+    by the length of the run of equal values it extends, exactly."""
+    sizes = np.ones(U.shape[0], dtype=np.int64)
+    for members in classes:
+        run = np.ones_like(sizes)
+        for k in range(1, len(members)):
+            run = np.where(U[:, members[k]] == U[:, members[k - 1]], run + 1, 1)
+            sizes = sizes * (k + 1) // run
+    return sizes
+
+
+def _orbit(u, classes):
+    """The distinct points made from u by permuting within classes."""
+    arrangements = [
+        set(itertools.permutations([u[i] for i in members]))
+        for members in classes
+    ]
+    point = list(u)
+    for choice in itertools.product(*arrangements):
+        for members, values in zip(classes, choice):
+            for i, x in zip(members, values):
+                point[i] = x
+        yield tuple(point)
+
+
+def _first_failures(failures, u, classes):
+    """The 20 smallest points among `failures` and the orbit of u."""
+    from heapq import nsmallest  # only a failing check needs it
+
+    return nsmallest(20, itertools.chain(failures, _orbit(u, classes)))
+
+
 def vanishing_check(matroid: Matroid, max_coord=None) -> dict:
     """Verify chi_u = h0_u on the character slice box.
 
     The box is {u : sum u = 1, |u_i| <= max_coord} (default max(m, 2)); both
     functions must vanish on the box's margin shell, so the verified region
     genuinely contains all of the support.  A bound below 2 is rejected: such
-    a box lies entirely on its shell and verifies nothing.  The box is
-    streamed in blocks of CHUNK points, so memory stays bounded.
+    a box lies entirely on its shell and verifies nothing.
+
+    One point per orbit of the matroid's transposition symmetries is swept,
+    in blocks of CHUNK points, so memory stays bounded.  `points` counts
+    each orbit with its size.  The shell is symmetric, so its test on a
+    representative is exact.  `failures` lists the first 20 failing points
+    of the whole box in lexicographic order: a representative is the first
+    point of its orbit and they come in order, so once 20 failures are held
+    no later representative beyond the last of them can add one.
     """
     m = matroid.m
     bound = max_coord if max_coord is not None else max(m, 2)
@@ -466,14 +424,19 @@ def vanishing_check(matroid: Matroid, max_coord=None) -> dict:
             f"max_coord must be at least 2, got {bound}: every point of a "
             "smaller box lies on its margin shell"
         )
+    classes = _symmetry_classes(matroid)
     points, shell_ok, mismatches, failures = 0, True, 0, []
-    for U, chi, h0 in _sweep(matroid, _slice_box(m, bound)):
-        points += U.shape[0]
+    for U, chi, h0 in _sweep(matroid, _slice_box(m, bound, classes)):
+        points += int(_orbit_sizes(U, classes).sum())
         on_shell = (np.abs(U) == bound).any(axis=1)
         shell_ok = shell_ok and not (chi[on_shell].any() or h0[on_shell].any())
         bad = np.nonzero(chi != h0)[0]
         mismatches += bad.size
-        failures += [tuple(int(x) for x in U[i]) for i in bad[: 20 - len(failures)]]
+        for i in bad:
+            u = tuple(int(x) for x in U[i])
+            if len(failures) == 20 and u > failures[-1]:
+                break
+            failures = _first_failures(failures, u, classes)
     return {
         "m": m,
         "max_coord": bound,

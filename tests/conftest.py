@@ -9,9 +9,12 @@ scan for adapted bases), the per-cone Fraction route of bundle validation
 (`common_adapted_basis`, `oracle_adapted_bases`), geometric ones (the
 double-dual check of a cone's rays; duals, cuts and face lattices by a
 fresh `vcone_from_halfspaces` and dot products; the smallest cone of a fan
-containing a point by a scan by dimension), and the small constructions
-only tests use (box points, point chains, chain boxes, translates,
-relative-interior tests, maximal flags, the face alternating sum)."""
+containing a point by a scan by dimension), the pointwise routes of the
+tautological bundle (chart sections, global sections and the Euler
+characteristic at one character, each computed two ways), and the small
+constructions only tests use (box points, point chains, chain boxes,
+translates, relative-interior tests, maximal flags, the face alternating
+sum)."""
 
 import itertools
 from fractions import Fraction
@@ -24,6 +27,7 @@ from tropehrhart.errors import (
     NoCommonApartmentError,
     NotInSupportError,
     RowNotInBergmanError,
+    TropehrhartError,
     ValidationError,
 )
 from tropehrhart.lattice import (
@@ -44,6 +48,7 @@ from tropehrhart.matroid import (
     max_weight_basis,
     uniform_matroid,
 )
+from tropehrhart.taut import TautologicalBundle, tautological_bundle
 from tropehrhart.tropvb import validate
 
 
@@ -552,3 +557,180 @@ def face_alternating_sum(p) -> int:
             continue  # empty face or a face at infinity
         total += (-1) ** (rank(members) - 1)
     return total
+
+
+# ---------------------------------------------------------------------------
+# Tautological bundles: the pointwise routes of chi_u and h0_u
+# ---------------------------------------------------------------------------
+
+def _check_slice(matroid: Matroid, u):
+    u = tuple(int(x) for x in u)
+    if len(u) != matroid.m:
+        raise ValidationError("character length must equal the ground size")
+    if sum(u) != 1:
+        raise ValidationError("characters are restricted to the slice sum(u) = 1")
+    return u
+
+
+def taut_h0_local(matroid: Matroid, flag, u) -> int:
+    """Sections of the tautological bundle on the chart of a flag cone.
+
+    Zero when some flag pairing exceeds 1; otherwise the rank of the first
+    flag entry (the full set included) whose pairing equals 1.
+    """
+    u = _check_slice(matroid, u)
+    entries = [frozenset(s) for s in flag] + [matroid.ground]
+    pairings = [sum(u[e - 1] for e in s) for s in entries]
+    if any(p > 1 for p in pairings):
+        return 0
+    for s, p in zip(entries, pairings):
+        if p == 1:
+            return matroid.rank(s)
+    return 0
+
+
+def _h0_local_filtration(bundle: TautologicalBundle, flag, u) -> int:
+    """Chart sections via the diagram filtrations (independent route)."""
+    matroid = bundle.matroid
+    flat = matroid.ground
+    for s in flag:
+        pairing = sum(u[e - 1] for e in s)
+        if pairing <= 0:
+            continue
+        row = bundle.rows[frozenset(s)]
+        level = frozenset(
+            e for e in range(1, matroid.m + 1) if row[e - 1] >= pairing
+        )
+        flat = flat & matroid.closure(level)
+    return matroid.rank(flat)
+
+
+def taut_h0_global(matroid: Matroid, u) -> int:
+    """Global sections at u: 1 exactly at e_i for a non-loop i.
+
+    Computed both from the closed form and from parliament membership of the
+    diagram columns; the two must agree.
+    """
+    u = _check_slice(matroid, u)
+    nonloops = matroid.ground - matroid.loops
+    closed = 0
+    for i in nonloops:
+        if all(u[e - 1] == (1 if e == i else 0) for e in matroid.ground):
+            closed = 1
+            break
+
+    bundle = tautological_bundle(matroid)
+    members = []
+    for e in range(1, matroid.m + 1):
+        ok = True
+        for s, row in bundle.rows.items():
+            if sum(u[j - 1] for j in s) > row[e - 1]:
+                ok = False
+                break
+        if ok:
+            members.append(e)
+    parliament = matroid.rank(frozenset(members))
+    if closed != parliament:
+        raise TropehrhartError(
+            f"section formulas disagree at {u}: {closed} vs {parliament}"
+        )
+    return closed
+
+
+class TautChi:
+    """Equivariant Euler characteristic at one character, both routes."""
+
+    def __init__(self, flag_formula, cone_sum, by_codim):
+        self.flag_formula = flag_formula
+        self.cone_sum = cone_sum
+        self.by_codim = tuple(by_codim)
+        self.equal = flag_formula == cone_sum
+
+    @property
+    def value(self) -> int:
+        return self.cone_sum
+
+    def __repr__(self):
+        return (
+            f"TautChi(value={self.cone_sum}, flag_formula={self.flag_formula}, "
+            f"by_codim={list(self.by_codim)})"
+        )
+
+
+def taut_chi_u(matroid: Matroid, u) -> TautChi:
+    """Euler characteristic at u via two independent computations.
+
+    The cone sum runs over all flag cones with the filtration-based chart
+    sections; the flag formula sums rank(S) over subsets pairing to 1,
+    weighted by signed counts of flags through S in which S is the first
+    pairing-one entry.
+    """
+    u = _check_slice(matroid, u)
+    bundle = tautological_bundle(matroid)
+    fan = bundle.fan
+    m = matroid.m
+
+    by_codim = [0] * m
+    cone_sum = 0
+    for flag in fan.flags():
+        h0 = _h0_local_filtration(bundle, flag, u)
+        codim = fan.codim(flag)
+        by_codim[codim] += h0
+        cone_sum += (-1) ** codim * h0
+
+    flag_formula = 0
+    full_mask = (1 << m) - 1
+    for s_mask in range(1, full_mask + 1):
+        pairing = sum(u[i] for i in range(m) if s_mask >> i & 1)
+        if pairing != 1:
+            continue
+        s = Matroid.elements(s_mask)
+        signed = _signed_flags_through(u, s_mask, m)
+        flag_formula += matroid.rank(s) * signed
+
+    return TautChi(flag_formula, cone_sum, by_codim[: m])
+
+
+def _signed_flags_through(u, s_mask: int, m: int) -> int:
+    """Signed count sum of (-1)^(m - l(pi)) over flags in which the subset
+    is the first entry pairing to 1, all pairings at most 1."""
+    full = (1 << m) - 1
+
+    def pairing(mask):
+        return sum(u[i] for i in range(m) if mask >> i & 1)
+
+    def chains_between(lo, hi, bound):
+        """Signed count sum of (-1)^len over chains lo < c_1 < ... < c_k < hi
+        of nonempty subsets with pairing <= bound."""
+        total = 1  # the empty chain, sign (+1)
+        stack = [(lo, 1)]
+        while stack:
+            cur, sign = stack.pop()
+            for nxt in _strict_between(cur, hi):
+                if pairing(nxt) <= bound:
+                    total += -sign
+                    stack.append((nxt, -sign))
+        return total
+
+    def _strict_between(lo, hi):
+        rest = hi & ~lo
+        for sub in _nonempty_subsets(rest):
+            cand = lo | sub
+            if cand != hi:
+                yield cand
+
+    def _nonempty_subsets(mask):
+        sub = mask
+        while sub:
+            yield sub
+            sub = (sub - 1) & mask
+
+    below = chains_between(0, s_mask, 0)
+    if s_mask == full:
+        # flags: lower chain + (G); l = len(lower) + 1
+        # sign (-1)^(m - l); signed count of lowers with weight (-1)^len is
+        # "below" with sign convention (+1 for empty)
+        return (-1) ** (m - 1) * below
+    above = chains_between(s_mask, full, 1)
+    # l = len(lower) + 1 + len(upper) + 1
+    return (-1) ** (m - 2) * below * above

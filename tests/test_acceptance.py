@@ -28,7 +28,7 @@ from tropehrhart.lattice import (
 )
 from tropehrhart.hrr import hrr_verify
 from tropehrhart.matroid import Matroid, uniform_matroid
-from tropehrhart.taut import flag_alternating_sum, taut_chi_u, vanishing_check
+from tropehrhart.taut import flag_alternating_sum, vanishing_check
 from tropehrhart.tropvb import k_class_identity, split_resolution, validate
 
 from conftest import (
@@ -39,6 +39,7 @@ from conftest import (
     random_lattice_polytope,
     random_p1_bundle,
     random_split_bundle,
+    taut_chi_u,
     zonotope_support_numbers,
 )
 

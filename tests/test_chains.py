@@ -61,6 +61,17 @@ def test_evaluate_cancellation():
     assert evaluate(chain, (0, 0)) == 0
 
 
+def test_chain_merges_equal_pieces_in_first_order_keeping_the_last():
+    square = VPolytope([(0, 0), (1, 0), (0, 1), (1, 1)])
+    same = VPolytope([(1, 1), (0, 1), (1, 0), (0, 0)])
+    point = VPolytope([(5, 5)])
+    assert _piece_key(square) == _piece_key(same) and square is not same
+    chain = ConvexChain([(2, square), (1, point), (-1, same), (0, point)])
+    assert [c for c, _ in chain.terms] == [1, 1]
+    assert chain.terms[0][1] is same and chain.terms[1][1] is point
+    assert len(ConvexChain([(1, square), (-1, same), (3, point)])) == 1
+
+
 @pytest.mark.parametrize("u", [(5,), (-1, 0, 7)])
 def test_evaluate_refuses_points_of_the_wrong_length(u):
     halfplane = one(HPolyhedron([((1, 0), 0)]))  # x <= 0

@@ -1,26 +1,35 @@
 import itertools
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tropehrhart.errors import ValidationError
+from tropehrhart.linalg import rank
 from tropehrhart.matroid import Matroid, in_lifted_bergman, uniform_matroid
 from tropehrhart.taut import (
     CHUNK,
     _chains_of_masks,
+    _orbit_sizes,
     _slice_box,
     _sweep,
+    _symmetry_classes,
     flag_alternating_sum,
     permutahedral_fan,
-    taut_chi_u,
-    taut_h0_global,
-    taut_h0_local,
     tautological_bundle,
     vanishing_check,
 )
 
-from conftest import maximal_flags, oracle_rank
+from conftest import (
+    maximal_flags,
+    oracle_rank,
+    taut_chi_u,
+    taut_h0_global,
+    taut_h0_local,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -54,6 +63,18 @@ def test_fan_codim():
 def test_fan_cap():
     with pytest.raises(ValidationError):
         permutahedral_fan(8)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
+def test_ray_masks_are_the_flags_of_length_one(m):
+    fan = permutahedral_fan(m)
+    assert list(fan.ray_masks) == [c[0] for c in fan.chains if len(c) == 1]
+
+
+def test_bundle_builds_no_flags():
+    bundle = tautological_bundle(uniform_matroid(3, 7))
+    assert "chains" not in vars(bundle.fan)
+    assert len(bundle.rows) == 2 ** 7 - 2
 
 
 # ---------------------------------------------------------------------------
@@ -294,8 +315,12 @@ def _chain_sweep(matroid, U):
     return chi, h0
 
 
+def _singletons(m):
+    return tuple((i,) for i in range(m))
+
+
 def _streamed(matroid, bound):
-    blocks = list(_sweep(matroid, _slice_box(matroid.m, bound)))
+    blocks = list(_sweep(matroid, _slice_box(matroid.m, bound, _singletons(matroid.m))))
     return tuple(np.concatenate([b[i] for b in blocks]) for i in range(3))
 
 
@@ -340,7 +365,7 @@ def test_sweep_matches_chain_oracle_m6():
 def test_slice_box_matches_product_order(m):
     bounds = {2, 3} | ({max(m, 2)} if m <= 5 else set())
     for bound in sorted(bounds):
-        blocks = list(_slice_box(m, bound))
+        blocks = list(_slice_box(m, bound, _singletons(m)))
         assert all(b.shape[0] == CHUNK for b in blocks[:-1])
         assert np.array_equal(np.concatenate(blocks), _product_box(m, bound))
 
@@ -349,7 +374,7 @@ def test_sweep_with_partial_last_chunk():
     matroid = uniform_matroid(2, 5)
     points = _product_box(5, 5).shape[0]
     assert points > CHUNK and points % CHUNK != 0
-    blocks = list(_slice_box(5, 5))
+    blocks = list(_slice_box(5, 5, _singletons(5)))
     assert blocks[-1].shape[0] == points % CHUNK
     _assert_matches_oracle(matroid, 5)
 
@@ -376,3 +401,176 @@ def test_vanishing_reports_first_failures_across_chunks(monkeypatch):
     assert report["points"] == box.shape[0]
     assert report["failures"] == [tuple(int(x) for x in u) for u in box[:20]]
     assert not report["shell_ok"] and not report["all_equal"]
+
+
+# ---------------------------------------------------------------------------
+# one point per orbit of the transposition symmetries, against the full box
+# ---------------------------------------------------------------------------
+
+def _full_report(matroid, bound, sweep=_sweep):
+    """The vanishing report by the whole box, one point at a time: the
+    singleton-class stream (the box itself, pinned to itertools.product
+    order above) swept and folded with weight 1."""
+    points, shell_ok, mismatches, failures = 0, True, 0, []
+    box = _slice_box(matroid.m, bound, _singletons(matroid.m))
+    for U, chi, h0 in sweep(matroid, box):
+        points += U.shape[0]
+        on_shell = (np.abs(U) == bound).any(axis=1)
+        shell_ok = shell_ok and not (chi[on_shell].any() or h0[on_shell].any())
+        bad = np.nonzero(chi != h0)[0]
+        mismatches += bad.size
+        failures += [tuple(int(x) for x in U[i]) for i in bad[: 20 - len(failures)]]
+    return {
+        "m": matroid.m,
+        "max_coord": bound,
+        "points": points,
+        "shell_ok": shell_ok,
+        "all_equal": mismatches == 0 and shell_ok,
+        "failures": failures,
+    }
+
+
+def _column_matroid(cols):
+    """The matroid of the columns `cols` (rank zero when all are zero)."""
+    m, r = len(cols), rank(cols)
+    if r == 0:
+        return Matroid(m, [frozenset()])
+    return Matroid(m, [
+        frozenset(b) for b in itertools.combinations(range(1, m + 1), r)
+        if rank([cols[e - 1] for e in b]) == r
+    ])
+
+
+@st.composite
+def column_matroids(draw):
+    """Column matroids of small integer matrices whose columns repeat a few
+    drawn vectors: zero columns are loops, repeated columns parallel
+    classes, a column off the span of the others a coloop, and columns in
+    general position a uniform block, in any order of the ground set."""
+    m = draw(st.integers(1, 6))
+    r = draw(st.integers(1, 3))
+    vectors = st.lists(st.integers(-1, 1), min_size=r, max_size=r)
+    pool = draw(st.lists(vectors, min_size=1, max_size=m))
+    return _column_matroid([draw(st.sampled_from(pool)) for _ in range(m)])
+
+
+TAUT_SETTINGS = settings(max_examples=120, deadline=None, derandomize=True)
+
+
+def _brute_force_classes(matroid):
+    """Classes of the transpositions fixing every rank, by oracle_rank."""
+    m = matroid.m
+
+    def fixes(i, j):
+        swap = {i + 1: j + 1, j + 1: i + 1}
+        return all(
+            oracle_rank(matroid.bases, s)
+            == oracle_rank(matroid.bases, {swap.get(e, e) for e in s})
+            for k in range(m + 1)
+            for s in itertools.combinations(range(1, m + 1), k)
+        )
+
+    classes = []
+    for i in range(m):
+        home = next((c for c in classes if all(fixes(j, i) for j in c)), None)
+        if home is None:
+            classes.append([i])
+        else:
+            home.append(i)
+    return tuple(tuple(c) for c in classes)
+
+
+@TAUT_SETTINGS
+@given(column_matroids(), st.sampled_from([2, 3]))
+def test_orbit_report_equals_full_box_report(matroid, bound):
+    assert vanishing_check(matroid, bound) == _full_report(matroid, bound)
+
+
+@TAUT_SETTINGS
+@given(column_matroids())
+def test_symmetry_classes_equal_brute_force(matroid):
+    assert _symmetry_classes(matroid) == _brute_force_classes(matroid)
+
+
+def test_symmetry_classes_by_hand(fano_matroid):
+    assert _symmetry_classes(fano_matroid) == _singletons(7)
+    assert _symmetry_classes(uniform_matroid(3, 7)) == (tuple(range(7)),)
+    # {1, 3} and {2, 4} parallel pairs: U(1,2) + U(1,2), interleaved
+    assert _symmetry_classes(Matroid(4, [{1, 2}, {1, 4}, {3, 2}, {3, 4}])) == (
+        (0, 2), (1, 3))
+
+
+@pytest.mark.parametrize("classes", [
+    ((0,), (1,), (2,), (3,), (4,)),
+    ((0, 1, 2, 3, 4),),
+    ((0, 2), (1, 3), (4,)),
+    ((0, 3, 4), (1,), (2, 5)),
+    ((0, 5), (1, 2, 3, 4)),
+])
+def test_orbit_stream_equals_sorted_box(classes, monkeypatch):
+    # the stream is the box's points that are nondecreasing within every
+    # class, in product order and blocks of CHUNK, each counting its orbit
+    import tropehrhart.taut as taut
+
+    monkeypatch.setattr(taut, "CHUNK", 7)
+    m = sum(len(c) for c in classes)
+    for bound in (2, 3):
+        orbits = Counter()
+        for u in _product_box(m, bound):
+            key = list(u)
+            for c in classes:
+                for i, x in zip(c, sorted(u[list(c)])):
+                    key[i] = int(x)
+            orbits[tuple(key)] += 1
+        blocks = list(_slice_box(m, bound, classes))
+        assert all(b.shape[0] == 7 for b in blocks[:-1])
+        assert all(b.dtype == np.int64 for b in blocks)
+        rows = np.concatenate(blocks)
+        assert [tuple(int(x) for x in u) for u in rows] == sorted(orbits)
+        assert _orbit_sizes(rows, classes).tolist() == [
+            orbits[tuple(int(x) for x in u)] for u in rows]
+
+
+@pytest.mark.parametrize("matroid", [
+    uniform_matroid(2, 4),
+    Matroid(4, [{1, 2}, {1, 4}, {3, 2}, {3, 4}]),  # classes (0, 2), (1, 3)
+    Matroid(5, [set(b) | {e} for b in [{1, 2}, {1, 3}, {2, 3}] for e in (4, 5)]),
+])
+def test_vanishing_reports_first_failures_of_symmetric_perturbation(
+        matroid, monkeypatch):
+    # a sweep that disagrees wherever max(u) = 2, a permutation-invariant
+    # condition: failing orbits are expanded back to the box's first points
+    import tropehrhart.taut as taut
+
+    def perturbed(matroid, blocks):
+        for U in blocks:
+            yield U, np.zeros(U.shape[0], dtype=np.int64), (U.max(axis=1) == 2).astype(np.int64)
+
+    monkeypatch.setattr(taut, "CHUNK", 3)
+    monkeypatch.setattr(taut, "_sweep", perturbed)
+    box = _product_box(matroid.m, 3)
+    report = vanishing_check(matroid, max_coord=3)
+    assert report["points"] == box.shape[0]
+    assert report["failures"] == [
+        tuple(int(x) for x in u) for u in box if u.max() == 2][:20]
+    assert not report["shell_ok"] and not report["all_equal"]
+    assert report == _full_report(matroid, 3, perturbed)
+
+
+def _slice_count(m, bound):
+    """Integer points of [-bound, bound]^m with sum 1, by a DP on sums."""
+    counts = {0: 1}
+    for _ in range(m):
+        grown = Counter()
+        for total, n in counts.items():
+            for x in range(-bound, bound + 1):
+                grown[total + x] += n
+        counts = grown
+    return counts[1]
+
+
+def test_vanishing_u37_default_box():
+    report = vanishing_check(uniform_matroid(3, 7))
+    assert report["max_coord"] == 7
+    assert report["points"] == _slice_count(7, 7) == 5_812_380
+    assert report["all_equal"] and report["failures"] == []
