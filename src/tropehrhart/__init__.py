@@ -20,14 +20,7 @@ from .chains import (
     lattice_sum,
     support_function_chain,
 )
-from .hrr import (
-    MultiPoly,
-    apply_todd,
-    bernoulli,
-    hrr_verify,
-    interpolate_I,
-    todd_coeffs,
-)
+from .hrr import hrr_verify, todd_coeffs
 from .lattice import (
     Cone,
     Fan,
@@ -46,7 +39,6 @@ from .lattice import (
     volume,
 )
 from .matroid import (
-    FlagOfFlats,
     Matroid,
     apartment_contains,
     bergman_project,
@@ -88,14 +80,13 @@ __all__ = [
     "ConvexChain", "SupportNumbers", "MultiValuedSupportFunction",
     "evaluate", "degree", "convolve", "invert_polytope", "brianchon_gram",
     "lattice_sum", "integral", "support_function_chain",
-    "Matroid", "FlagOfFlats", "uniform_matroid",
+    "Matroid", "uniform_matroid",
     "rank", "closure", "circuits", "loops", "matroid_polytope",
     "max_weight_basis", "bergman_project", "in_lifted_bergman",
     "apartment_contains", "initial_matroid",
     "TropicalVectorBundle", "SplitBundle", "validate",
     "split_resolution", "k_class", "k_class_identity",
-    "MultiPoly", "bernoulli", "todd_coeffs", "interpolate_I",
-    "apply_todd", "hrr_verify",
+    "todd_coeffs", "hrr_verify",
     "PermutahedralFan", "TautologicalBundle", "permutahedral_fan",
     "tautological_bundle", "vanishing_check", "flag_alternating_sum",
 ]

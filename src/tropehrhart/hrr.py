@@ -2,53 +2,41 @@
 
 The function z -> I(alpha[z]) (integral of the chain convolved with the
 virtual polytope of support numbers z) is a polynomial of total degree at
-most the ambient dimension: on a fixed complete fan, integration extends
+most the ambient dimension n: on a fixed complete fan, integration extends
 volume polynomially to virtual polytopes (Khovanskii-Pukhlikov; Lawrence,
-"Polytope volume computation").  It is built in closed form.  On the fan
-refined so that every branch of the bundle's support function is linear,
-I(z) = sum_i V(b_i + L z): b_i are the branch values on the refined rays,
-L z the values there of the piecewise linear extension of z, and V the
-volume form.  V is Lawrence's formula in every dimension, a flat sum over
-the simplicial cones of the fan; the generic vector c it needs is fixed
-deterministically, and maximal cones that are not simplicial are split on
-their own rays, independently of each other.  Fan refinement caps the
-dimension at 3.  As a guard, the degree-n part must equal rank times the
-volume form of the unrefined fan.  Applying the truncated Todd operator
-prod_rho T(d/dz_rho), T(t) = t / (1 - e^{-t}), at z = 0 then turns the
-integral polynomial into the lattice sum, i.e. the Euler characteristic.
+"Polytope volume computation").  On the fan refined so that every branch of
+the bundle's support function is linear, I(z) = sum_i V(b_i + L z): b_i are
+the branch values on the refined rays, L z the values there of the piecewise
+linear extension of z, and V the volume form.  V is Lawrence's formula in
+every dimension, a sum of n-th powers of linear forms over the simplicial
+cones s of the fan, V(h) = sum_s l_s(h)^n / (n! D_s); the generic vector c
+it needs is fixed deterministically, and maximal cones that are not
+simplicial are split on their own rays, independently of each other.  So
+I(z) = sum_s sum_i (beta_si + lambda_s . z)^n / (n! D_s) with
+beta_si = l_s(b_i), and the truncated Todd operator prod_rho T(d/dz_rho),
+T(t) = t / (1 - e^{-t}), has a closed form on each power (Brion-Vergne):
+
+    Todd (beta + lambda . z)^n at z = 0 = n! sum_k tau_k beta^(n-k) / (n-k)!,
+    tau_k = [t^k] prod_rho T(lambda_rho t).
+
+The sum is the lattice sum of the chain, i.e. the Euler characteristic; no
+polynomial in z is built.  As a guard, the degree-n part of I, the number of
+branches times sum_s (lambda_s . z)^n / (n! D_s), must equal rank times the
+volume form of the unrefined fan.  Fan refinement and vertex enumeration
+share one dimension cap, `lattice.VERTEX_ENUM_MAX_DIM`.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from fractions import Fraction
-from math import comb, factorial, prod
+from math import factorial, prod
 
 from .chains import split_branches
 from .errors import InterpolationFailureError, ValidationError
 from .lattice import Fan, _pulling_triangulation
 from .linalg import det, solve
-
-
-# ---------------------------------------------------------------------------
-# Bernoulli numbers and the Todd series
-# ---------------------------------------------------------------------------
-
-def bernoulli(n: int) -> Fraction:
-    """Bernoulli number B_n in the convention with B_1 = +1/2.
-
-    Computed from the recurrence sum_{j<=n} C(n+1, j) B_j = 0 (which yields
-    B_1 = -1/2) and flipping the sign of the odd entries.
-    """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    b = [Fraction(1)]
-    for m in range(1, n + 1):
-        acc = Fraction(0)
-        for j in range(m):
-            acc += comb(m + 1, j) * b[j]
-        b.append(-acc / (m + 1))
-    return -b[n] if n % 2 else b[n]
 
 
 def todd_coeffs(deg: int):
@@ -68,86 +56,25 @@ def todd_coeffs(deg: int):
 
 
 # ---------------------------------------------------------------------------
-# Exact multivariate polynomials
+# Lawrence's volume form as a sum of powers of linear forms
 # ---------------------------------------------------------------------------
 
-class MultiPoly:
-    """Polynomial over Q in one variable per fan ray, stored sparsely."""
+def _simplicial_cones(fan: Fan):
+    """(s, A_s, D_s) per simplicial cone s of Lawrence's volume formula
 
-    def __init__(self, num_vars: int, coeffs=()):
-        self.num_vars = num_vars
-        self.coeffs = {}
-        for mono, c in dict(coeffs).items():
-            c = Fraction(c)
-            if c != 0:
-                self.coeffs[tuple(mono)] = c
-
-    @property
-    def total_degree(self) -> int:
-        if not self.coeffs:
-            return 0
-        return max(sum(m) for m in self.coeffs)
-
-    def evaluate(self, z) -> Fraction:
-        z = tuple(Fraction(x) for x in z)
-        total = Fraction(0)
-        for mono, c in self.coeffs.items():
-            term = c
-            for zi, e in zip(z, mono):
-                term *= zi**e
-            total += term
-        return total
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, MultiPoly)
-            and self.num_vars == other.num_vars
-            and self.coeffs == other.coeffs
-        )
-
-    def __repr__(self):
-        if not self.coeffs:
-            return "MultiPoly(0)"
-        parts = []
-        for mono in sorted(self.coeffs, key=lambda m: (sum(m), m)):
-            parts.append(f"{self.coeffs[mono]}*z^{mono}")
-        return "MultiPoly(" + " + ".join(parts) + ")"
-
-
-def apply_todd(p: MultiPoly) -> Fraction:
-    """Evaluate prod_rho T(d/dz_rho) p at z = 0, truncated at deg(p)."""
-    b = todd_coeffs(p.total_degree)
-    total = Fraction(0)
-    for mono, c in p.coeffs.items():
-        term = c
-        for e in mono:
-            term *= b[e] * factorial(e)
-        total += term
-    return total
-
-
-# ---------------------------------------------------------------------------
-# The closed-form polynomial z -> I(alpha[z])
-# ---------------------------------------------------------------------------
-
-def _volume_form(fan: Fan) -> dict:
-    """Volume of P(h) = {x : <v_j, x> <= h_j} as a form in the ray values h_j.
-
-    Returns {ray index tuple: coefficient}, one index per factor h_j.  It is
-    Lawrence's formula, a sum over the simplicial cones s of the fan,
-
-        V(h) = sum_s (sum_k A_sk h_sk)^n / (n! |det V_s| prod_k A_sk),
+        V(h) = sum_s l_s(h)^n / (n! D_s),  l_s(h) = sum_k A_sk h_sk,
+        D_s = |det V_s| prod_k A_sk,
 
     with the rays of s as the rows of V_s and A_sk = <c, column k of adj V_s>,
     the determinant of V_s with row k replaced by c.  Each term is the
     degree-n part of the integral of exp<c, x> over the tangent cone at the
-    vertex V_s^-1 h_s (Brion), so the sum is the same for every c that makes
-    no A_sk zero: c = (1, t, ..., t^(n-1)) for the smallest such t >= 1,
-    which exists since each A_sk is a nonzero polynomial in t of degree < n.
-    A cone that is not simplicial is split on its own rays by
-    `_pulling_triangulation`, and the splits of different cones need not
-    agree: the dual of a cone is the alternating sum of the duals of the
-    cells and interior faces of its split, and the duals of the
+    vertex V_s^-1 h_s of P(h) = {x : <v_j, x> <= h_j} (Brion), so the sum is
+    the same for every c that makes no A_sk zero: c = (1, t, ..., t^(n-1))
+    for the smallest such t >= 1, which exists since each A_sk is a nonzero
+    polynomial in t of degree < n.  A cone that is not simplicial is split
+    on its own rays by `_pulling_triangulation`, and the splits of different
+    cones need not agree: the dual of a cone is the alternating sum of the
+    duals of the cells and interior faces of its split, and the duals of the
     lower-dimensional ones contain lines, so they integrate to zero.  The
     form is thus the fan's own on ray values linear on every cone, and on a
     simplicial fan it extends volume to all, also non-convex, ray values.
@@ -163,17 +90,54 @@ def _volume_form(fan: Fan) -> dict:
         weights = [[det(r[:k] + [c] + r[k + 1:]) for k in range(n)] for r in rows]
         if all(all(a) for a in weights):
             break
+    return [
+        (s, a, abs(det(r)) * prod(a)) for s, r, a in zip(simplices, rows, weights)
+    ]
+
+
+def _pulled_back(cones, lin):
+    """lambda_s = sum_k A_sk lin[s_k] per cone s, so lambda_s . z = l_s(L z).
+
+    lin[j] is the linear form {variable index: coefficient} that gives the
+    value on ray j; each lambda_s is such a map too, with sorted keys.
+    """
+    out = []
+    for s, a, _ in cones:
+        lam = {}
+        for j, ak in zip(s, a):
+            for i, x in lin[j].items():
+                lam[i] = lam.get(i, 0) + ak * x
+        out.append({i: x for i, x in sorted(lam.items()) if x})
+    return out
+
+
+def _power_form(cones, lams) -> dict:
+    """sum_s (lambda_s . z)^n / (n! D_s) as {variable index tuple: coefficient}.
+
+    One index per factor of a monomial, sorted; zero coefficients are
+    dropped.
+    """
     form = {}
-    for s, r, a in zip(simplices, rows, weights):
-        denom = abs(det(r)) * prod(a)
+    for (s, _, denom), lam in zip(cones, lams):
         # the multinomial expansion of the n-th power; n! cancels
-        for combo in itertools.combinations_with_replacement(range(n), n):
-            e = [combo.count(k) for k in range(n)]
-            key = tuple(sorted(s[k] for k in combo))
-            form[key] = form.get(key, 0) + Fraction(
-                prod(x**y for x, y in zip(a, e)), denom * prod(map(factorial, e))
+        for combo in itertools.combinations_with_replacement(lam, len(s)):
+            e = Counter(combo)
+            form[combo] = form.get(combo, 0) + Fraction(
+                prod(lam[i] ** k for i, k in e.items()),
+                denom * prod(map(factorial, e.values())),
             )
     return {key: c for key, c in form.items() if c}
+
+
+def _volume_form(fan: Fan) -> dict:
+    """Volume of P(h) = {x : <v_j, x> <= h_j} as a form in the ray values h_j.
+
+    Returns {ray index tuple: coefficient}, one index per factor h_j: the
+    power form of `_simplicial_cones` with l_s itself as lambda_s.
+    """
+    cones = _simplicial_cones(fan)
+    own = [{i: 1} for i in range(len(fan.rays))]
+    return _power_form(cones, _pulled_back(cones, own))
 
 
 def _extension_forms(fan: Fan, rays):
@@ -203,92 +167,57 @@ def _extension_forms(fan: Fan, rays):
     return forms
 
 
-def _branch_sum(form: dict, values, lin, num_vars: int) -> dict:
-    """sum_i V(values[i] + L z) as {exponent tuple: coefficient}.
-
-    V is the form {ray index tuple: c} of _volume_form and lin[j] the linear
-    form {variable index: coefficient} of (L z)_j.  Each factor of a term is
-    either the constant values[i][j] or the linear form lin[j]; the constants
-    are summed over i first, so the branches cost one scalar product each.
-    """
-    out = {}
-    for key, c in form.items():
-        for picks in itertools.product((False, True), repeat=len(key)):
-            weight = 0
-            for vals in values:
-                w = c
-                for j, p in zip(key, picks):
-                    if not p:
-                        w *= vals[j]
-                weight += w
-            if not weight:
-                continue
-            terms = {(): weight}
-            for j, p in zip(key, picks):
-                if not p:
-                    continue
-                nxt = {}
-                for used, t in terms.items():
-                    for i, a in lin[j].items():
-                        m = tuple(sorted(used + (i,)))
-                        nxt[m] = nxt.get(m, 0) + t * a
-                terms = nxt
-            for used, t in terms.items():
-                out[used] = out.get(used, 0) + t
-    exponents = {}
-    for used, t in out.items():
-        mono = [0] * num_vars
-        for i in used:
-            mono[i] += 1
-        exponents[tuple(mono)] = t
-    return exponents
-
-
-def interpolate_volume_polynomial(h) -> MultiPoly:
-    """Exact polynomial z -> I(alpha_h * 1_{P(z)}) in ray coordinates.
-
-    h is a multi-valued support function on a complete fan of dimension at
-    most three, the cap of `refine_by_hyperplanes`.  On the refined fan
-    where every branch is linear, the chain of h is the sum of the
-    Brianchon-Gram chains of its branch numbers b_i, and convolving with
-    P(z) adds the values L z of the linear extension of z.
-    So I(z) = sum_i V(b_i + L z) with V the volume form of the refined fan.
-    The degree-n part must be rank * (volume form of the fan itself); a
-    mismatch raises InterpolationFailureError.
-    """
-    fan = h.fan
-    n = fan.ambient_dim
-    s = len(fan.rays)
-    if not fan.is_complete():
-        raise ValidationError("the volume polynomial needs a complete fan")
-
-    fan_r, branch_numbers = split_branches(h)
-    lin = _extension_forms(fan, fan_r.rays)
-    values = [sn.values for sn in branch_numbers]
-    poly = MultiPoly(s, _branch_sum(_volume_form(fan_r), values, lin, s))
-
-    # with zero constants only the degree-n part survives
-    own = [{i: 1} for i in range(s)]
-    expected = _branch_sum(_volume_form(fan), [(0,) * s], own, s)
-    top = {m: c for m, c in poly.coeffs.items() if sum(m) == n}
-    if top != {m: h.rank * c for m, c in expected.items() if h.rank * c != 0}:
-        raise InterpolationFailureError(
-            "degree-n part is not rank times the volume polynomial of the fan"
-        )
-    return poly
-
-
 # ---------------------------------------------------------------------------
 # The Riemann-Roch check for bundles
 # ---------------------------------------------------------------------------
 
-def interpolate_I(bundle) -> MultiPoly:
-    """Polynomial z -> I(alpha_E[z]) for a bundle on a fan of dimension <= 3."""
-    return interpolate_volume_polynomial(bundle.support_function())
+def todd_lhs(h) -> Fraction:
+    """Todd(d/dz) I(alpha_h * 1_{P(z)}) at z = 0, in closed form.
+
+    h is a multi-valued support function on a complete fan.  Per simplicial
+    cone s of the refined fan the left side needs one truncated series
+    product tau(lambda_s) of degree n and the power sums of the branch
+    values beta_si.  The degree-n part of the polynomial in z must be
+    rank * (volume form of the fan itself); a mismatch raises
+    InterpolationFailureError.
+    """
+    fan = h.fan
+    n = fan.ambient_dim
+    if not fan.is_complete():
+        raise ValidationError("the volume polynomial needs a complete fan")
+
+    fan_r, branch_numbers = split_branches(h)
+    values = [sn.values for sn in branch_numbers]
+    cones = _simplicial_cones(fan_r)
+    lams = _pulled_back(cones, _extension_forms(fan, fan_r.rays))
+
+    # the degree-n part is len(values) = rank times the power form, so both
+    # sides vanish on a bundle of rank zero
+    if h.rank and _power_form(cones, lams) != _volume_form(fan):
+        raise InterpolationFailureError(
+            "degree-n part is not rank times the volume polynomial of the fan"
+        )
+
+    todd = todd_coeffs(n)
+    total = Fraction(0)
+    for (s, a, denom), lam in zip(cones, lams):
+        tau = [Fraction(1)] + [Fraction(0)] * n
+        for x in lam.values():
+            series = [t * x**j for j, t in enumerate(todd)]
+            tau = [
+                sum(tau[j] * series[k - j] for j in range(k + 1))
+                for k in range(n + 1)
+            ]
+        betas = [sum(ak * vals[j] for j, ak in zip(s, a)) for vals in values]
+        total += sum(
+            tau[k] * sum(b ** (n - k) for b in betas) / factorial(n - k)
+            for k in range(n + 1)
+        ) / denom
+    return total
 
 
 def hrr_verify(bundle) -> dict:
     """Compare Todd(d/dz) I(alpha_E[z]) at z = 0 with the Euler characteristic."""
-    lhs = apply_todd(interpolate_I(bundle))
+    lhs = todd_lhs(bundle.support_function())
     rhs = bundle.euler_char_total()
     return {"lhs": lhs, "rhs": rhs, "equal": lhs == rhs}

@@ -60,7 +60,6 @@ from .linalg import (
 )
 
 VERTEX_ENUM_MAX_DIM = 4
-REFINE_MAX_DIM = 3
 # integer points in one lattice-sum or Euler-characteristic box
 BOX_MAX_POINTS = 1 << 20
 
@@ -682,9 +681,9 @@ def min_containing_cone(f: Fan, x) -> frozenset:
 
 def refine_by_hyperplanes(f: Fan, normals) -> Fan:
     """Common refinement of f with the sign cells of linear hyperplanes."""
-    if f.ambient_dim > REFINE_MAX_DIM:
+    if f.ambient_dim > VERTEX_ENUM_MAX_DIM:
         raise UnsupportedDimensionError(
-            f"hyperplane refinement capped at ambient dimension {REFINE_MAX_DIM}"
+            f"hyperplane refinement capped at ambient dimension {VERTEX_ENUM_MAX_DIM}"
         )
     todo = []
     seen = set()

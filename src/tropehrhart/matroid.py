@@ -178,32 +178,6 @@ def uniform_matroid(r: int, m: int) -> Matroid:
     return Matroid(m, itertools.combinations(range(1, m + 1), r))
 
 
-class FlagOfFlats:
-    """Strictly increasing chain of flats ending at the full ground set."""
-
-    def __init__(self, matroid: Matroid, chain):
-        chain = tuple(frozenset(f) for f in chain)
-        if not chain or chain[-1] != matroid.ground:
-            raise ValidationError("flag must end at the full ground set")
-        for f in chain:
-            if not matroid.is_flat(f):
-                raise ValidationError(f"{sorted(f)} is not a flat")
-        for a, b in zip(chain, chain[1:]):
-            if not a < b:
-                raise ValidationError("flag entries must strictly increase")
-        self.matroid = matroid
-        self.chain = chain
-
-    def __len__(self):
-        return len(self.chain)
-
-    def __iter__(self):
-        return iter(self.chain)
-
-    def __repr__(self):
-        return "FlagOfFlats(" + " < ".join(str(sorted(f)) for f in self.chain) + ")"
-
-
 # ---------------------------------------------------------------------------
 # Module-level operations
 # ---------------------------------------------------------------------------
@@ -290,14 +264,6 @@ def in_lifted_bergman(matroid: Matroid, w) -> bool:
         matroid.closure_mask(level) == level
         for _, level in _level_masks(_weights(matroid, w))
     )
-
-
-def level_flag(matroid: Matroid, w) -> FlagOfFlats:
-    """Flag of level-set flats of a lifted Bergman point, smallest first."""
-    chain = [Matroid.elements(level) for _, level in _level_masks(_weights(matroid, w))]
-    if chain[-1] != matroid.ground:
-        chain.append(matroid.ground)
-    return FlagOfFlats(matroid, chain)
 
 
 def apartment_contains(matroid: Matroid, basis, vectors) -> bool:

@@ -11,19 +11,24 @@ double-dual check of a cone's rays; duals, cuts and face lattices by a
 fresh `vcone_from_halfspaces` and dot products; the smallest cone of a fan
 containing a point by a scan by dimension), the pointwise routes of the
 tautological bundle (chart sections, global sections and the Euler
-characteristic at one character, each computed two ways), and the small
-constructions only tests use (box points, point chains, chain boxes,
+characteristic at one character, each computed two ways), the monomial
+route of the Riemann-Roch left side (the polynomial z -> I(alpha[z])
+expanded from the volume form by `_branch_sum` into a `MultiPoly`, the
+Todd operator on monomials by `apply_todd`, the Bernoulli numbers), and the
+small constructions only tests use (box points, point chains, chain boxes,
 translates, relative-interior tests, maximal flags, the face alternating
 sum)."""
 
 import itertools
 from fractions import Fraction
-from math import ceil, floor
+from math import ceil, comb, factorial, floor
 
 import pytest
 
-from tropehrhart.chains import ConvexChain
+from tropehrhart import hrr
+from tropehrhart.chains import ConvexChain, split_branches
 from tropehrhart.errors import (
+    InterpolationFailureError,
     NoCommonApartmentError,
     NotInSupportError,
     RowNotInBergmanError,
@@ -48,6 +53,7 @@ from tropehrhart.matroid import (
     max_weight_basis,
     uniform_matroid,
 )
+from tropehrhart.hrr import todd_coeffs
 from tropehrhart.taut import TautologicalBundle, tautological_bundle
 from tropehrhart.tropvb import validate
 
@@ -734,3 +740,158 @@ def _signed_flags_through(u, s_mask: int, m: int) -> int:
     above = chains_between(s_mask, full, 1)
     # l = len(lower) + 1 + len(upper) + 1
     return (-1) ** (m - 2) * below * above
+
+
+# ---------------------------------------------------------------------------
+# Riemann-Roch: the polynomial z -> I(alpha[z]) in monomials, and its Todd
+# ---------------------------------------------------------------------------
+
+def bernoulli(n: int) -> Fraction:
+    """Bernoulli number B_n in the convention with B_1 = +1/2.
+
+    Computed from the recurrence sum_{j<=n} C(n+1, j) B_j = 0 (which yields
+    B_1 = -1/2) and flipping the sign of the odd entries.
+    """
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    b = [Fraction(1)]
+    for m in range(1, n + 1):
+        acc = Fraction(0)
+        for j in range(m):
+            acc += comb(m + 1, j) * b[j]
+        b.append(-acc / (m + 1))
+    return -b[n] if n % 2 else b[n]
+
+
+class MultiPoly:
+    """Polynomial over Q in one variable per fan ray, stored sparsely."""
+
+    def __init__(self, num_vars: int, coeffs=()):
+        self.num_vars = num_vars
+        self.coeffs = {}
+        for mono, c in dict(coeffs).items():
+            c = Fraction(c)
+            if c != 0:
+                self.coeffs[tuple(mono)] = c
+
+    @property
+    def total_degree(self) -> int:
+        if not self.coeffs:
+            return 0
+        return max(sum(m) for m in self.coeffs)
+
+    def evaluate(self, z) -> Fraction:
+        z = tuple(Fraction(x) for x in z)
+        total = Fraction(0)
+        for mono, c in self.coeffs.items():
+            term = c
+            for zi, e in zip(z, mono):
+                term *= zi**e
+            total += term
+        return total
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, MultiPoly)
+            and self.num_vars == other.num_vars
+            and self.coeffs == other.coeffs
+        )
+
+    def __repr__(self):
+        if not self.coeffs:
+            return "MultiPoly(0)"
+        parts = []
+        for mono in sorted(self.coeffs, key=lambda m: (sum(m), m)):
+            parts.append(f"{self.coeffs[mono]}*z^{mono}")
+        return "MultiPoly(" + " + ".join(parts) + ")"
+
+
+def apply_todd(p: MultiPoly) -> Fraction:
+    """Evaluate prod_rho T(d/dz_rho) p at z = 0, truncated at deg(p)."""
+    b = todd_coeffs(p.total_degree)
+    total = Fraction(0)
+    for mono, c in p.coeffs.items():
+        term = c
+        for e in mono:
+            term *= b[e] * factorial(e)
+        total += term
+    return total
+
+
+def _branch_sum(form: dict, values, lin, num_vars: int) -> dict:
+    """sum_i V(values[i] + L z) as {exponent tuple: coefficient}.
+
+    V is the form {ray index tuple: c} of `hrr._volume_form` and lin[j] the
+    linear form {variable index: coefficient} of (L z)_j.  Each factor of a
+    term is either the constant values[i][j] or the linear form lin[j]; the
+    constants are summed over i first, so the branches cost one scalar
+    product each.
+    """
+    out = {}
+    for key, c in form.items():
+        for picks in itertools.product((False, True), repeat=len(key)):
+            weight = 0
+            for vals in values:
+                w = c
+                for j, p in zip(key, picks):
+                    if not p:
+                        w *= vals[j]
+                weight += w
+            if not weight:
+                continue
+            terms = {(): weight}
+            for j, p in zip(key, picks):
+                if not p:
+                    continue
+                nxt = {}
+                for used, t in terms.items():
+                    for i, a in lin[j].items():
+                        m = tuple(sorted(used + (i,)))
+                        nxt[m] = nxt.get(m, 0) + t * a
+                terms = nxt
+            for used, t in terms.items():
+                out[used] = out.get(used, 0) + t
+    exponents = {}
+    for used, t in out.items():
+        mono = [0] * num_vars
+        for i in used:
+            mono[i] += 1
+        exponents[tuple(mono)] = t
+    return exponents
+
+
+def interpolate_volume_polynomial(h) -> MultiPoly:
+    """Exact polynomial z -> I(alpha_h * 1_{P(z)}) in ray coordinates.
+
+    On the refined fan where every branch of h is linear, the chain of h is
+    the sum of the Brianchon-Gram chains of its branch numbers b_i, and
+    convolving with P(z) adds the values L z of the linear extension of z.
+    So I(z) = sum_i V(b_i + L z) with V the volume form of the refined fan,
+    expanded here into monomials.  The degree-n part must be rank * (volume
+    form of the fan itself); a mismatch raises InterpolationFailureError.
+    """
+    fan = h.fan
+    n = fan.ambient_dim
+    s = len(fan.rays)
+    if not fan.is_complete():
+        raise ValidationError("the volume polynomial needs a complete fan")
+
+    fan_r, branch_numbers = split_branches(h)
+    lin = hrr._extension_forms(fan, fan_r.rays)
+    values = [sn.values for sn in branch_numbers]
+    poly = MultiPoly(s, _branch_sum(hrr._volume_form(fan_r), values, lin, s))
+
+    # with zero constants only the degree-n part survives
+    own = [{i: 1} for i in range(s)]
+    expected = _branch_sum(hrr._volume_form(fan), [(0,) * s], own, s)
+    top = {m: c for m, c in poly.coeffs.items() if sum(m) == n}
+    if top != {m: h.rank * c for m, c in expected.items() if h.rank * c != 0}:
+        raise InterpolationFailureError(
+            "degree-n part is not rank times the volume polynomial of the fan"
+        )
+    return poly
+
+
+def interpolate_I(bundle) -> MultiPoly:
+    """Polynomial z -> I(alpha_E[z]) of a bundle."""
+    return interpolate_volume_polynomial(bundle.support_function())

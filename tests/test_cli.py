@@ -309,6 +309,24 @@ def test_hrr(files, capsys):
     assert json.loads(out) == {"equal": True, "lhs": "8/1", "rhs": 8}
 
 
+def test_alpha_eval_and_hrr_on_p4(tmp_path, capsys):
+    # the line bundle O(1) on P^4: chi counts the 5 lattice points of the
+    # standard simplex, and both chain commands answer in dimension 4
+    rays = [[int(i == j) for j in range(4)] for i in range(4)] + [[-1] * 4]
+    cones = [list(c) for c in itertools.combinations(range(1, 6), 4)]
+    path = tmp_path / "p4.json"
+    path.write_text(json.dumps({
+        "fan": {"rays": rays, "cones": cones},
+        "matroid": {"m": 1, "bases": [[1]]},
+        "diagram": [[1], [0], [0], [0], [0]],
+    }))
+    code, out = run(capsys, "alpha-eval", "--bundle", str(path))
+    assert code == 0 and json.loads(out)["alpha_total"] == 5
+    code, out = run(capsys, "hrr", "--bundle", str(path))
+    assert code == 0
+    assert out == '{"equal": true, "lhs": "5/1", "rhs": 5}\n'
+
+
 def test_resolve(files, capsys):
     code, out = run(
         capsys, "resolve", "--bundle", files["u23_bundle"], "--f", "0,0,0"

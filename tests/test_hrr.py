@@ -2,7 +2,7 @@ import itertools
 import random
 from fractions import Fraction
 from functools import cmp_to_key
-from math import ceil, comb, prod
+from math import ceil, comb, factorial, prod
 
 import pytest
 
@@ -17,16 +17,7 @@ from tropehrhart.errors import (
     UnsupportedDimensionError,
     ValidationError,
 )
-from tropehrhart.hrr import (
-    MultiPoly,
-    _volume_form,
-    apply_todd,
-    bernoulli,
-    hrr_verify,
-    interpolate_I,
-    interpolate_volume_polynomial,
-    todd_coeffs,
-)
+from tropehrhart.hrr import _volume_form, hrr_verify, todd_coeffs, todd_lhs
 from tropehrhart.lattice import (
     Fan,
     HPolyhedron,
@@ -41,6 +32,11 @@ from tropehrhart.tropvb import validate
 
 from conftest import (
     FANS,
+    MultiPoly,
+    apply_todd,
+    bernoulli,
+    interpolate_I,
+    interpolate_volume_polynomial,
     lattice_points,
     random_bundle,
     random_p1_bundle,
@@ -84,27 +80,14 @@ def test_bernoulli_convention():
 
 
 def test_todd_matches_bernoulli_recurrence():
-    # independent route: the recurrence sum C(n+1, j) B_j = 0 with B_0 = 1
-    # gives the first-kind values; the series coefficients are
-    # (-1)^k B_k / k!
+    # independent route: T(t) = sum_k B_k t^k / k! with B_1 = +1/2, the
+    # Bernoulli numbers read off their recurrence
     deg = 8
-    b = [Fraction(1)]
-    for m in range(1, deg + 1):
-        acc = Fraction(0)
-        for j in range(m):
-            acc += comb(m + 1, j) * b[j]
-        b.append(-acc / (m + 1))
-    fact = 1
-    expected = []
-    for k in range(deg + 1):
-        if k:
-            fact *= k
-        expected.append((-1) ** k * b[k] / fact)
-    assert todd_coeffs(deg) == expected
+    assert todd_coeffs(deg) == [bernoulli(k) / factorial(k) for k in range(deg + 1)]
 
 
 # ---------------------------------------------------------------------------
-# the Todd operator on polynomials
+# the monomial oracle: the Todd operator on polynomials
 # ---------------------------------------------------------------------------
 
 def test_apply_todd_linear():
@@ -129,7 +112,7 @@ def test_multipoly_shift():
 
 
 # ---------------------------------------------------------------------------
-# interpolation of the integral polynomial
+# the monomial oracle: the integral polynomial
 # ---------------------------------------------------------------------------
 
 def test_interpolate_trivial_bundle_on_p1(p1_fan):
@@ -170,15 +153,31 @@ def test_top_degree_part_is_degree_times_volume_polynomial(fano_bundle, p1_fan,
         assert top == expected
 
 
+# ---------------------------------------------------------------------------
+# the Todd-of-powers route
+# ---------------------------------------------------------------------------
+
+def projective_fan(n):
+    """The fan of P^n: rays e_1, ..., e_n, -(e_1 + ... + e_n)."""
+    rays = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    rays.append((-1,) * n)
+    return Fan(rays, [list(c) for c in itertools.combinations(range(n + 1), n)])
+
+
+def p1_power_fan(n):
+    """The fan of (P^1)^n: rays +-e_i, one cone per choice of signs."""
+    rays = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    rays += [tuple(-x for x in r) for r in rays]
+    return Fan(rays, [[i + n * b for i, b in enumerate(bits)]
+                      for bits in itertools.product((0, 1), repeat=n)])
+
+
 def test_interpolation_dimension_cap():
-    # fan refinement, capped at dimension 3, is the only cap: a line bundle
-    # on P^4 has no branch to split and is still refused
-    rays = [tuple(int(i == j) for j in range(4)) for i in range(4)]
-    rays.append((-1, -1, -1, -1))
-    fan = Fan(rays, [list(c) for c in itertools.combinations(range(5), 4)])
-    bundle = validate(fan, uniform_matroid(1, 1), [(1,)] + [(0,)] * 4)
+    # fan refinement shares the cap of vertex enumeration, dimension 4: a
+    # line bundle on P^5 has no branch to split and is still refused
+    bundle = validate(projective_fan(5), uniform_matroid(1, 1), [(1,)] + [(0,)] * 5)
     with pytest.raises(UnsupportedDimensionError):
-        interpolate_I(bundle)
+        hrr_verify(bundle)
 
 
 def test_volume_polynomial_needs_complete_fan():
@@ -188,7 +187,7 @@ def test_volume_polynomial_needs_complete_fan():
         fan, {key: ((0, 0),) for key in fan.maximal_keys}
     )
     with pytest.raises(ValidationError):
-        interpolate_volume_polynomial(h)
+        todd_lhs(h)
 
 
 def test_todd_counts_lattice_points_of_random_polygons(hexagon_fan):
@@ -211,8 +210,7 @@ def test_todd_counts_lattice_points_of_random_polygons(hexagon_fan):
             )
             branches[key] = (tuple(u),)
         h = MultiValuedSupportFunction(hexagon_fan, branches)
-        p = interpolate_volume_polynomial(h)
-        assert apply_todd(p) == len(lattice_points(poly))
+        assert todd_lhs(h) == len(lattice_points(poly))
         checked += 1
 
 
@@ -308,15 +306,16 @@ def _random_values(fan, rng):
     return [rng.randint(-2, 3) for _ in fan.rays]
 
 
-def _minkowski_values(fan, rng):
+def _minkowski_values(fan, rng, simplex=P3_SIMPLEX, normals=P3_NORMALS):
     """Support numbers of a*simplex + sum_j b_j*[0, n_j] + shift, linear on
-    every cone of FANS["P3"] refined by the hyperplanes of P3_NORMALS."""
+    every cone of the simplex's normal fan refined by the hyperplanes of
+    normals (by default FANS["P3"] and P3_NORMALS)."""
     a = rng.randint(0, 2)
-    b = [rng.randint(0, 2) for _ in P3_NORMALS]
-    shift = [rng.randint(-2, 2) for _ in range(3)]
+    b = [rng.randint(0, 2) for _ in normals]
+    shift = [rng.randint(-2, 2) for _ in range(fan.ambient_dim)]
     return [
-        a * max(dot(v, x) for x in P3_SIMPLEX)
-        + sum(bj * max(0, dot(n, v)) for bj, n in zip(b, P3_NORMALS))
+        a * max(dot(v, x) for x in simplex)
+        + sum(bj * max(0, dot(n, v)) for bj, n in zip(b, normals))
         + dot(shift, v)
         for v in fan.rays
     ]
@@ -353,7 +352,88 @@ def test_todd_equals_euler_characteristic_on_3d_bundles(name, r, m):
     rng = random.Random(41)
     for _ in range(3):
         bundle = random_bundle(fan, uniform_matroid(r, m), rng)
-        assert apply_todd(interpolate_I(bundle)) == bundle.euler_char_total()
+        assert hrr_verify(bundle)["equal"]
+
+
+# the vertices of the simplex whose normal fan is projective_fan(4): the
+# vertex (1, 1, 1, 1) and the four with one entry -4
+P4_SIMPLEX = [(1, 1, 1, 1)] + [
+    tuple(-4 if i == j else 1 for j in range(4)) for i in range(4)
+]
+P4_NORMALS = [(1, 2, 0, 0), (0, 1, -2, 1)]
+
+
+@pytest.mark.parametrize("name", ["P4", "P1^4", "refined P4"])
+def test_volume_form_is_the_volume_of_polytopes_in_4d(name):
+    if name == "refined P4":
+        fan = refine_by_hyperplanes(projective_fan(4), P4_NORMALS)
+        assert any(len(key) > 4 for key in fan.maximal_keys)
+
+        def draw(fan, rng):
+            return _minkowski_values(fan, rng, P4_SIMPLEX, P4_NORMALS)
+    else:
+        fan = projective_fan(4) if name == "P4" else p1_power_fan(4)
+        draw = _random_values
+    form = _volume_form(fan)
+    rng = random.Random(37)
+    checked = 0
+    while checked < 12:
+        h = draw(fan, rng)
+        if not _cone_vertices_in_polytope(fan, h):
+            assert draw is _random_values
+            continue
+        p = vertex_enumeration(HPolyhedron(list(zip(fan.rays, h))))
+        value = sum(c * prod(h[i] for i in key) for key, c in form.items())
+        assert value == volume(p)
+        checked += 1
+
+
+@pytest.mark.parametrize("name, r, m", [
+    ("P4", 1, 1), ("P4", 2, 3), ("P4", 2, 4), ("P1^4", 1, 1), ("P1^4", 2, 4),
+])
+def test_todd_equals_euler_characteristic_on_4d_bundles(name, r, m):
+    # (P^1)^4 with U(2, 3) is left out: its draws refine to 60-odd rays and
+    # take seconds each
+    fan = projective_fan(4) if name == "P4" else p1_power_fan(4)
+    bundle = random_bundle(fan, uniform_matroid(r, m), random.Random(5))
+    assert hrr_verify(bundle)["equal"]
+    bundle.chain_alpha(verify=True)  # raises where chain and chi disagree
+
+
+def _guard_polynomial(h):
+    """Degree-n part of I(alpha_h[z]) as the Todd-of-powers route has it:
+    the number of branches times its power form, in exponent tuples."""
+    fan = h.fan
+    s = len(fan.rays)
+    fan_r, branch_numbers = split_branches(h)
+    cones = hrr._simplicial_cones(fan_r)
+    lams = hrr._pulled_back(cones, hrr._extension_forms(fan, fan_r.rays))
+    poly = {}
+    for key, c in hrr._power_form(cones, lams).items():
+        mono = tuple(key.count(i) for i in range(s))
+        poly[mono] = len(branch_numbers) * c
+    return MultiPoly(s, poly)
+
+
+@pytest.mark.parametrize("name", ["P1", "P2", "P1xP1", "hexagon", "P3"])
+def test_todd_of_powers_matches_the_monomial_oracle(name):
+    # the left side and the top-degree guard polynomial of the product
+    # route against Todd of the monomial expansion of sum_i V(b_i + L z)
+    fan = FANS[name]
+    n = fan.ambient_dim
+    rng = random.Random(43)
+    draws = 2 if name == "P3" else 3
+    for r, m in ((1, 1), (2, 3), (2, 4), (3, 5)):
+        for _ in range(draws):
+            if name == "P1":
+                bundle = random_p1_bundle(fan, uniform_matroid(r, m), rng)
+            else:
+                bundle = random_bundle(fan, uniform_matroid(r, m), rng)
+            h = bundle.support_function()
+            poly = interpolate_volume_polynomial(h)
+            assert todd_lhs(h) == apply_todd(poly)
+            top = {mono: c for mono, c in poly.coeffs.items() if sum(mono) == n}
+            assert _guard_polynomial(h) == MultiPoly(len(fan.rays), top)
 
 
 # ---------------------------------------------------------------------------
@@ -557,7 +637,9 @@ def _fitted_polynomial(h):
 
 def _assert_matches_oracle(bundle):
     h = bundle.support_function()
-    assert interpolate_volume_polynomial(h) == _fitted_polynomial(h)
+    fitted = _fitted_polynomial(h)
+    assert interpolate_volume_polynomial(h) == fitted
+    assert todd_lhs(h) == apply_todd(fitted)
 
 
 def test_honest_polytope_guard(hexagon_fan):
@@ -621,4 +703,4 @@ def test_top_degree_guard(fano_bundle, monkeypatch):
 
     monkeypatch.setattr(hrr, "_extension_forms", skewed)
     with pytest.raises(InterpolationFailureError):
-        interpolate_volume_polynomial(h)
+        todd_lhs(h)

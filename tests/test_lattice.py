@@ -431,9 +431,14 @@ def test_refinement_passes_fan_validation_3d():
 
 
 def test_refine_dimension_cap():
-    f = Fan([(1, 0, 0, 0), (-1, 0, 0, 0)], [[0], [1]], 4)
+    # refinement shares the cap of vertex enumeration: dimension 4 is
+    # refined, dimension 5 refused
+    orthant = Fan([tuple(int(i == j) for j in range(4)) for i in range(4)],
+                  [[0, 1, 2, 3]], 4)
+    assert len(refine_by_hyperplanes(orthant, [(1, -1, 0, 0)]).maximal_keys) == 2
+    f = Fan([(1, 0, 0, 0, 0), (-1, 0, 0, 0, 0)], [[0], [1]], 5)
     with pytest.raises(UnsupportedDimensionError):
-        refine_by_hyperplanes(f, [(1, 0, 0, 0)])
+        refine_by_hyperplanes(f, [(1, 0, 0, 0, 0)])
 
 
 def test_smooth_and_complete(p2_fan, p1xp1_fan):

@@ -22,7 +22,6 @@ from tropehrhart.matroid import (
     closure,
     in_lifted_bergman,
     initial_matroid,
-    level_flag,
     loops,
     matroid_polytope,
     max_weight_basis,
@@ -159,7 +158,6 @@ def test_bergman_project_idempotent_and_flags():
             p1 = bergman_project(m, w)
             assert in_lifted_bergman(m, p1)
             assert bergman_project(m, p1) == p1
-            level_flag(m, p1)  # raises unless the level sets form a flag
             # membership is exactly the fixed-point property
             fixed = p1 == tuple(map(Fraction, w))
             assert in_lifted_bergman(m, w) == fixed
@@ -269,11 +267,10 @@ def test_elements_outside_the_ground_set_are_refused(u23_matroid, call):
 
 @pytest.mark.parametrize("call", [
     lambda m: in_lifted_bergman(m, (0, 0)),
-    lambda m: level_flag(m, (0, 0, 0, 0)),
     lambda m: apartment_contains(m, {1, 2}, [(0, 0)]),
     lambda m: apartment_contains(m, {1, 2}, [(1, 0, 0), (0, 0, 0, 1)]),
     lambda m: common_adapted_basis(m, [(1, 0, 0), (0, 1)]),
-], ids=["in_lifted_bergman", "level_flag", "apartment_contains",
+], ids=["in_lifted_bergman", "apartment_contains",
         "apartment_contains_second_row", "common_adapted_basis"])
 def test_wrong_length_vectors_are_refused(u23_matroid, call):
     with pytest.raises(ValidationError):
