@@ -36,7 +36,7 @@ from math import factorial, prod
 from .chains import split_branches
 from .errors import InterpolationFailureError, ValidationError
 from .lattice import Fan, _pulling_triangulation
-from .linalg import det, solve
+from .linalg import det, dot, quotient
 
 
 def todd_coeffs(deg: int):
@@ -145,22 +145,21 @@ def _extension_forms(fan: Fan, rays):
 
     v is written in the ray basis of a maximal cone of the (simplicial) fan
     that contains it, v = sum_i c_i r_i, and the value is sum_i c_i z_i.
+    The coordinates c are A^T v / d on the cone's `Fan.cone_inverse`.
     Returns one {variable index: c_i} map per ray.
     """
     index = {r: i for i, r in enumerate(fan.rays)}
-    n = fan.ambient_dim
     forms = []
     for v in rays:
         if v in index:
             forms.append({index[v]: 1})
             continue
         for key in fan.maximal_keys:
-            idx = sorted(key)
-            c = solve(
-                [tuple(fan.rays[i][t] for i in idx) for t in range(n)], v
-            )
-            if c is not None and all(x >= 0 for x in c):
-                forms.append({i: x for i, x in zip(idx, c) if x != 0})
+            pos, a, d = fan.cone_inverse(key)
+            c = quotient([dot(col, v) for col in zip(*a)], d)
+            if all(x >= 0 for x in c):
+                idx = sorted(key)
+                forms.append({idx[p]: x for p, x in zip(pos, c) if x != 0})
                 break
         else:
             raise InterpolationFailureError(f"ray {v} lies in no maximal cone")

@@ -6,12 +6,13 @@ needed, e.g. for dual cones of low-dimensional cones).  Polytopes carry exact
 rational vertices; half-space descriptions use integer normals with rational
 bounds, read as <y, normal> <= bound.
 
-Dimension caps: vertex enumeration works up to ambient dimension 4 and fan
-refinement up to 3, enforced with explicit errors.  Every conversion between
-rays and half-spaces (dual cones, intersections, hulls, vertex enumeration)
-goes through one incremental double description in integer arithmetic,
-`_double_description`, which returns each ray with the bitmask of the rows
-tight on it; `vcone_from_halfspaces` is its public form without the masks.
+Dimension cap: vertex enumeration and fan refinement work up to ambient
+dimension `VERTEX_ENUM_MAX_DIM` (4), enforced with explicit errors.  Every
+conversion between rays and half-spaces (dual cones, intersections, hulls,
+vertex enumeration) goes through one incremental double description in
+integer arithmetic, `_double_description`, which returns each ray with the
+bitmask of the rows tight on it; `vcone_from_halfspaces` is its public form
+without the masks.
 It starts from the simplicial cone that one elimination gives (the inverse
 of the independent rows and a lineality basis) and cuts it one row at a
 time (`_cut`).  A pointed cone whose rays are all extreme keeps its facet
@@ -50,6 +51,7 @@ from .linalg import (
     echelon,
     echelon_nullspace,
     integral,
+    inverse,
     is_zero,
     nullspace,
     primitive,
@@ -127,24 +129,15 @@ def _unit_basis(dim):
 
 def _inverse_columns(square):
     """Primitive positive multiples of the columns of the inverse of an
-    invertible integer matrix, one `echelon` of [square | identity].
+    invertible integer matrix: the primitive columns of `linalg.inverse`.
 
     Column i is tight on every row of `square` but row i and positive on
     row i.  With r independent rows followed by a lineality basis, the
     first r columns span the simplicial start cone of the double
     description.
     """
-    n = len(square)
-    unit = _unit_basis(n)
-    basis = echelon([row + e for row, e in zip(square, unit)])
-    # the left block of every reduced row is b[pc] at its pivot pc and
-    # zero elsewhere, so row pc of the inverse is b[n:] / b[pc]
-    scale = lcm(*(b[pc] for _, pc, b in basis))
-    rows = {pc: (scale // b[pc], b) for _, pc, b in basis}
-    return [
-        primitive(tuple(q * b[n + i] for q, b in (rows[pc] for pc in range(n))))
-        for i in range(n)
-    ]
+    a, _ = inverse(square)
+    return [primitive(col) for col in zip(*a)]
 
 
 def _cut(rays, row, bit, r):
@@ -521,7 +514,8 @@ class Fan:
             sorted(cone_dims, key=lambda k: (cone_dims[k], sorted(k)))
         )
         self._complete = None
-        self._smooth = None
+        self._smooth_cones = {}
+        self._inverses = {}
         if validate:
             self._validate(listed)
 
@@ -603,11 +597,31 @@ class Fan:
 
     def is_smooth(self) -> bool:
         """Does every maximal cone's ray set extend to a lattice basis?"""
-        if self._smooth is None:
-            self._smooth = all(
-                cone_is_smooth(self._make_cone(k)) for k in self.maximal_keys
-            )
-        return self._smooth
+        return all(self.is_smooth_cone(k) for k in self.maximal_keys)
+
+    def is_smooth_cone(self, key) -> bool:
+        """`cone_is_smooth` of a cone of the fan, computed once per cone."""
+        key = frozenset(key)
+        if key not in self._smooth_cones:
+            self._smooth_cones[key] = cone_is_smooth(self.cone(key))
+        return self._smooth_cones[key]
+
+    def cone_inverse(self, key):
+        """(positions, A, d) of a full-dimensional cone, computed once per cone.
+
+        positions are the places, in sorted(key), of the n independent rays
+        that `echelon` keeps (all of them on a simplicial cone), and (A, d)
+        is `inverse` of the matrix with those rays as rows.  So the u with
+        <u, v> = c_v on the kept rays v is A c / d, and the coordinates of a
+        point x over the kept rays are A^T x / d.
+        """
+        key = frozenset(key)
+        if key not in self._inverses:
+            rays = [self.rays[i] for i in sorted(key)]
+            kept = [i for i, _, _ in echelon(rays, self.ambient_dim)]
+            a, d = inverse([rays[i] for i in kept])
+            self._inverses[key] = kept, a, d
+        return self._inverses[key]
 
     def support_contains(self, x) -> bool:
         return any(self._make_cone(k).contains(x) for k in self.maximal_keys)

@@ -3,9 +3,12 @@
 Vectors are plain tuples (of ints or Fractions), matrices are sequences of
 row tuples.  There is one elimination, the fraction-free integer `echelon`
 (in the style of Bareiss 1968): its rows are the reduced row echelon form
-scaled to primitive integers, and `rank`, `nullspace` and `solve` are read
-off it.  `det` (Bareiss) is the one determinant.  Nothing ever touches
-floating point.
+scaled to primitive integers, and `rank`, `nullspace`, `solve` and
+`inverse` are read off it.  `inverse` gives an invertible integer matrix's
+inverse as an integer matrix over one common denominator, so the many
+systems that share one matrix cost one elimination and then an integer
+product each (`quotient` divides that product exactly).  `det` (Bareiss)
+is the one determinant.  Nothing ever touches floating point.
 """
 
 from __future__ import annotations
@@ -144,6 +147,38 @@ def solve(rows, rhs):
             return None
         x[pc] = Fraction(b[ncols], b[pc])
     return tuple(x)
+
+
+def inverse(square):
+    """(A, d) with integer A and the least positive d such that M A = d I,
+    for an invertible integer matrix M, from one `echelon` of [M | I].
+
+    Every reduced row b has the left block b[pc] at its pivot pc and zero
+    elsewhere, so row pc of M^-1 is b[n:] / b[pc], in lowest terms since b
+    is primitive.  The least common denominator d is therefore the lcm of
+    the pivot entries.  Raises ValueError when M is singular.
+    """
+    n = len(square)
+    unit = [tuple(int(j == i) for j in range(n)) for i in range(n)]
+    basis = echelon([tuple(row) + e for row, e in zip(square, unit)])
+    if any(pc >= n for _, pc, _ in basis):
+        raise ValueError("singular matrix has no inverse")
+    d = lcm(*(b[pc] for _, pc, b in basis))
+    rows = {pc: (d // b[pc], b[n:]) for _, pc, b in basis}
+    return [tuple(q * x for x in row) for q, row in map(rows.get, range(n))], d
+
+
+def quotient(v, d):
+    """v / d entrywise and exactly: an int where the entry is integral,
+    else a Fraction (entries may be ints or Fractions)."""
+    out = []
+    for x in v:
+        if type(x) is int and not x % d:
+            out.append(x // d)
+        else:
+            q = Fraction(x, d)
+            out.append(q.numerator if q.denominator == 1 else q)
+    return tuple(out)
 
 
 def det(rows) -> int:

@@ -47,12 +47,11 @@ from .lattice import (
     HPolyhedron,
     bounding_box,
     check_box,
-    cone_is_smooth,
     is_refinement,
     min_containing_cone,
     vertex_enumeration,
 )
-from .linalg import dot, rank, solve
+from .linalg import dot, quotient, rank, solve
 from .matroid import Matroid, circuit_extension, greedy_basis_mask
 
 
@@ -290,19 +289,21 @@ class TropicalVectorBundle:
             raise KeyError(f"no cone {sorted(key)}")
         if self.fan.cone_dims[key] != self.fan.ambient_dim:
             raise UnsupportedConeError("characters are defined on maximal cones")
-        if not cone_is_smooth(self.fan.cone(key)):
+        if not self.fan.is_smooth_cone(key):
             raise UnsupportedConeError("characters need a smooth cone")
         return self._cone_characters(key)
 
     def _cone_characters(self, key):
         """The sorted solutions u_j of `characters` on any maximal cone:
         rational vectors off smooth cones, where `validate` proved that
-        they exist."""
+        they exist.  Each is A c / d on the `Fan.cone_inverse` of the cone,
+        so the equations of the kept rays determine it."""
         if key not in self._char_cache:
+            pos, a, d = self.fan.cone_inverse(key)
             idx = sorted(key)
-            rows = [self.fan.rays[i] for i in idx]
+            kept = [idx[p] for p in pos]
             self._char_cache[key] = tuple(sorted(
-                _intify(solve(rows, [self.diagram[i][b - 1] for i in idx]))
+                _character(a, d, [self.diagram[i][b - 1] for i in kept])
                 for b in self.adapted_bases[key]
             ))
         return self._char_cache[key]
@@ -370,8 +371,19 @@ class TropicalVectorBundle:
         return validate(refined, self.matroid, new_rows)
 
     def _barycentric(self, cone_key, v):
-        """Nonnegative coordinates of v over the cone's rays, in sorted order."""
+        """Nonnegative coordinates of v over the cone's rays, in sorted order.
+
+        In a simplicial maximal cone tau they are A^T v / d on tau's
+        `Fan.cone_inverse`, zero off the cone; other cones search their
+        ray subsets for a conic combination.
+        """
         idx = sorted(cone_key)
+        n = self.fan.ambient_dim
+        for tau in self.fan.maximal_keys:
+            if len(tau) == n and cone_key <= tau:
+                _, a, d = self.fan.cone_inverse(tau)
+                lam = quotient([dot(col, v) for col in zip(*a)], d)
+                return tuple(x for i, x in zip(sorted(tau), lam) if i in cone_key)
         rays = [self.fan.rays[i] for i in idx]
         cols = list(zip(*rays))
         lam = solve(cols, v)
@@ -525,31 +537,30 @@ def split_resolution(bundle: TropicalVectorBundle, f=None, check_bound=False):
     by_codim = {k: [] for k in range(n + 1)}
     for key in fan.cone_keys:
         by_codim[fan.codim(key)].append(key)
+    pairings = {key: _pairing_values(bundle, key) for key in fan.cone_keys}
 
     result = []
     for k in range(n + 1):
         chars = {}
         for tau in fan.maximal_keys:
+            # a smooth fan is simplicial: the inverse keeps every ray of tau
+            _, a, d = fan.cone_inverse(tau)
             idx = sorted(tau)
-            rows = [fan.rays[i] for i in idx]
             multiset = []
             for sigma in by_codim[k]:
-                for pairing in _pairing_values(bundle, sigma):
-                    rhs = [
-                        pairing[i] if i in sigma else f[i] for i in idx
-                    ]
-                    multiset.append(_intify(solve(rows, rhs)))
+                for pairing in pairings[sigma]:
+                    rhs = [pairing[i] if i in sigma else f[i] for i in idx]
+                    multiset.append(_character(a, d, rhs))
             chars[tau] = tuple(sorted(multiset))
         result.append(SplitBundle(k, fan, chars))
     return result
 
 
-def _intify(vec):
-    out = []
-    for x in vec:
-        fx = Fraction(x)
-        out.append(int(fx) if fx.denominator == 1 else fx)
-    return tuple(out)
+def _character(a, d, values):
+    """The u with <u, v> = values[k] on the k-th kept ray of a
+    `Fan.cone_inverse` (A, d): A c / d, an int where integral, else a
+    Fraction."""
+    return quotient([dot(row, values) for row in a], d)
 
 
 def k_class(bundle: TropicalVectorBundle):

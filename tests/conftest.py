@@ -6,7 +6,10 @@ the cofactor null vector (`cross_nullvec`), matroid ones read off the basis
 list (the pairwise exchange check, rank as the largest basis intersection,
 subset-enumeration circuits, flats and fundamental circuits, the sorted
 scan for adapted bases), the per-cone Fraction route of bundle validation
-(`common_adapted_basis`, `oracle_adapted_bases`), geometric ones (the
+(`common_adapted_basis`, `oracle_adapted_bases`), the per-character
+`solve` routes of characters, split resolutions and the Riemann-Roch
+extension forms (`oracle_cone_characters`, `oracle_split_characters`,
+`oracle_extension_forms`), geometric ones (the
 double-dual check of a cone's rays; duals, cuts and face lattices by a
 fresh `vcone_from_halfspaces` and dot products; the smallest cone of a fan
 containing a point by a scan by dimension), the pointwise routes of the
@@ -316,6 +319,67 @@ def oracle_adapted_bases(fan, matroid, diagram):
                 if solve(rays, [diagram[i][b - 1] for i in sorted(key)]) is None:
                     raise NoCommonApartmentError(key)
     return adapted
+
+
+def intify(vec):
+    """A rational vector with every integral entry as an int, the others
+    as Fractions."""
+    return tuple(
+        int(x) if Fraction(x).denominator == 1 else Fraction(x) for x in vec
+    )
+
+
+def oracle_cone_characters(bundle, key):
+    """The sorted characters of a maximal cone by one `solve` over all the
+    cone's rays per adapted basis element."""
+    idx = sorted(key)
+    rows = [bundle.fan.rays[i] for i in idx]
+    return tuple(sorted(
+        intify(solve(rows, [bundle.diagram[i][b - 1] for i in idx]))
+        for b in bundle.adapted_bases[key]
+    ))
+
+
+def oracle_split_characters(bundle, f=None):
+    """The character multisets of `split_resolution`, one {maximal cone:
+    sorted characters} map per codimension, by one `solve` per (maximal
+    cone tau, cone sigma, basis element): the pairing on the rays of sigma,
+    f off them."""
+    fan = bundle.fan
+    if f is None:
+        f = tuple(max(row) for row in bundle.diagram)
+    else:
+        f = tuple(Fraction(x) for x in f)
+    out = [{} for _ in range(fan.ambient_dim + 1)]
+    for tau in fan.maximal_keys:
+        idx = sorted(tau)
+        rows = [fan.rays[i] for i in idx]
+        for sigma in fan.cone_keys:
+            chars = out[fan.codim(sigma)].setdefault(tau, [])
+            for b in bundle.adapted_bases[sigma]:
+                rhs = [bundle.diagram[i][b - 1] if i in sigma else f[i] for i in idx]
+                chars.append(intify(solve(rows, rhs)))
+    return [{tau: tuple(sorted(us)) for tau, us in piece.items()} for piece in out]
+
+
+def oracle_extension_forms(fan, rays):
+    """`hrr._extension_forms` by one `solve` per (ray, maximal cone): the
+    coordinates of each ray that is not a fan ray over the rays of the
+    first maximal cone in which they are nonnegative."""
+    index = {r: i for i, r in enumerate(fan.rays)}
+    forms = []
+    for v in rays:
+        if v in index:
+            forms.append({index[v]: 1})
+            continue
+        for key in fan.maximal_keys:
+            idx = sorted(key)
+            c = solve([tuple(fan.rays[i][t] for i in idx)
+                       for t in range(fan.ambient_dim)], v)
+            if c is not None and all(x >= 0 for x in c):
+                forms.append({i: x for i, x in zip(idx, intify(c)) if x != 0})
+                break
+    return forms
 
 
 def double_dual_verdict(cone):

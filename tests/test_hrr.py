@@ -38,6 +38,7 @@ from conftest import (
     interpolate_I,
     interpolate_volume_polynomial,
     lattice_points,
+    oracle_extension_forms,
     random_bundle,
     random_p1_bundle,
     solve_unique,
@@ -413,6 +414,26 @@ def _guard_polynomial(h):
         mono = tuple(key.count(i) for i in range(s))
         poly[mono] = len(branch_numbers) * c
     return MultiPoly(s, poly)
+
+
+@pytest.mark.parametrize("name", ["P1", "P2", "P1xP1", "hexagon", "P3", "P1^3"])
+def test_extension_forms_equal_the_solve_route(name):
+    # coordinates of the refined rays over the cones' inverses, in value
+    # and type, against one solve per ray and cone
+    fan = P1_CUBED_FAN if name == "P1^3" else FANS[name]
+    rng = random.Random(47)
+    for r, m in ((2, 3), (3, 5)):
+        for _ in range(2):
+            if name == "P1":
+                bundle = random_p1_bundle(fan, uniform_matroid(r, m), rng)
+            else:
+                bundle = random_bundle(fan, uniform_matroid(r, m), rng)
+            rays = split_branches(bundle.support_function())[0].rays
+            got = hrr._extension_forms(fan, rays)
+            want = oracle_extension_forms(fan, rays)
+            assert [{i: (type(x), x) for i, x in form.items()} for form in got] == [
+                {i: (type(x), x) for i, x in form.items()} for form in want
+            ]
 
 
 @pytest.mark.parametrize("name", ["P1", "P2", "P1xP1", "hexagon", "P3"])

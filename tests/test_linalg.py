@@ -1,17 +1,29 @@
 """The integer elimination kernel against Fraction Gauss-Jordan elimination.
 
-`echelon` is the one elimination of `linalg`; `rank`, `nullspace` and
-`solve` are read off it.  The oracle is the Fraction reduced row echelon
-form `rref` and the solve built on it, `rref_solve`, from conftest.
+`echelon` is the one elimination of `linalg`; `rank`, `nullspace`,
+`solve` and `inverse` are read off it.  The oracle is the Fraction reduced
+row echelon form `rref` and the solve built on it, `rref_solve`, from
+conftest; `inverse` is checked against one `solve` per unit vector.
 """
 
 from fractions import Fraction
+from math import gcd, lcm
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tropehrhart.lattice import Cone
-from tropehrhart.linalg import dot, echelon, integral, primitive, rank, solve
+from tropehrhart.lattice import Cone, _inverse_columns
+from tropehrhart.linalg import (
+    clear_denominators,
+    dot,
+    echelon,
+    integral,
+    inverse,
+    primitive,
+    rank,
+    solve,
+)
 
 from conftest import rref, rref_solve
 
@@ -120,3 +132,58 @@ def test_cone_key_reads_lineality_off_the_reduced_form():
     c = Cone([(1, 0, 0)], 3, lineality=[(0, 1, 0), (1, 0, 1)])
     assert a == b and hash(a) == hash(b)
     assert a != c
+
+
+@st.composite
+def invertible_matrices(draw):
+    """A square invertible integer matrix of size 1 to 4: random small
+    entries (mostly not unimodular), or a unimodular product L U of
+    triangular matrices with units on the diagonal."""
+    n = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        row = st.tuples(*[st.integers(-4, 4)] * n)
+        return draw(st.lists(row, min_size=n, max_size=n).filter(lambda m: rank(m) == n))
+    entry = st.integers(-2, 2)
+    low = [[1 if i == j else draw(entry) if j < i else 0 for j in range(n)]
+           for i in range(n)]
+    up = [[draw(st.sampled_from([1, -1])) if i == j else draw(entry) if j > i else 0
+           for j in range(n)] for i in range(n)]
+    return [tuple(dot(row, col) for col in zip(*up)) for row in low]
+
+
+@SETTINGS
+@given(invertible_matrices())
+def test_inverse_is_solve_over_the_least_common_denominator(m):
+    n = len(m)
+    a, d = inverse(m)
+    # column i of the inverse solves M x = e_i
+    cols = [solve(m, [int(j == i) for j in range(n)]) for i in range(n)]
+    assert d == lcm(*(x.denominator for col in cols for x in col))
+    assert a == [tuple(col[r] * d for col in cols) for r in range(n)]
+    assert all(type(x) is int for row in a for x in row)
+    assert [[dot(row, col) for col in zip(*a)] for row in m] == [
+        [d * (i == j) for j in range(n)] for i in range(n)
+    ]
+    # no smaller positive d leaves A / d an integer matrix times 1 / d
+    assert gcd(d, *(x for row in a for x in row)) == 1
+    # the double description's start cone keeps its rays
+    assert _inverse_columns(m) == [clear_denominators(col) for col in cols]
+
+
+def test_inverses_cover_unimodular_and_other_matrices():
+    seen = set()
+
+    @SETTINGS
+    @given(invertible_matrices())
+    def collect(m):
+        seen.add((len(m), inverse(m)[1] == 1))
+
+    collect()
+    assert seen == {(n, unimodular) for n in range(1, 5) for unimodular in (True, False)}
+
+
+def test_inverse_refuses_a_singular_matrix():
+    with pytest.raises(ValueError):
+        inverse([(1, 2), (2, 4)])
+    assert inverse([]) == ([], 1)
+    assert inverse([(2, 0), (1, 1)]) == ([(1, 0), (-1, 2)], 2)

@@ -17,11 +17,12 @@ from tropehrhart.errors import (
 )
 from tropehrhart.lattice import (
     Fan,
+    min_containing_cone,
     refine_by_hyperplanes,
     stellar_subdivision,
     vertex_enumeration,
 )
-from tropehrhart.linalg import dot, vec_sub
+from tropehrhart.linalg import dot, solve, vec_sub
 from tropehrhart.matroid import (
     Matroid,
     bergman_project,
@@ -39,7 +40,10 @@ from conftest import (
     FANS,
     common_adapted_basis,
     grid_points,
+    intify,
     oracle_adapted_bases,
+    oracle_cone_characters,
+    oracle_split_characters,
     random_bundle,
     random_p1_bundle,
     random_split_bundle,
@@ -561,3 +565,123 @@ def test_chi_box_of_a_line_bundle_far_from_the_origin(p2_fan):
     bundle = validate(p2_fan, uniform_matroid(1, 1), [(2000,), (2000,), (-3997,)])
     assert bundle.chi_box() == ((1996, 1996), (2001, 2001))
     assert bundle.euler_char_total() == bundle.h0_total() == 10
+
+
+# ---------------------------------------------------------------------------
+# characters and split resolutions against the per-character solve route
+# ---------------------------------------------------------------------------
+
+CHARACTER_FANS = {
+    **{name: FANS[name] for name in ("P2", "P1xP1", "hexagon", "P3", "cube")},
+    "P1^3": Fan([(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, 0, 0), (0, -1, 0), (0, 0, -1)],
+                [[a, b, c] for a in (0, 3) for b in (1, 4) for c in (2, 5)]),
+    # P(1,1,2): the cone {3, 1} has determinant 2
+    "P(1,1,2)": Fan([(1, 0), (0, 1), (-1, -2)], [[0, 1], [1, 2], [2, 0]]),
+}
+rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 3))
+
+
+def _typed(vectors):
+    """Vectors with the type of every entry, since 1 == Fraction(1)."""
+    return [tuple((type(x), x) for x in u) for u in vectors]
+
+
+@st.composite
+def character_bundles(draw, fan):
+    """A bundle on the fan.  The cube fan has non-simplicial cones, on which
+    random rows rarely extend linearly: its rows are the split bundle whose
+    basis coordinates k_e max|v_i| + <w_e, v> are linear on every cone over
+    a face of the cube."""
+    matroid = draw(st.sampled_from(MATROIDS))
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    if all(len(key) == fan.ambient_dim for key in fan.maximal_keys):
+        return random_bundle(fan, matroid, rng, tries=20)
+    basis = rng.choice(sorted(matroid.bases, key=sorted))
+    k = {e: rng.randint(-2, 2) for e in basis}
+    w = {e: [rng.randint(-2, 2) for _ in range(fan.ambient_dim)] for e in basis}
+    return validate(fan, matroid, [
+        tuple(int(x) for x in circuit_extension(
+            matroid, basis, {e: k[e] * max(map(abs, v)) + dot(w[e], v) for e in basis}
+        ))
+        for v in fan.rays
+    ])
+
+
+@pytest.mark.parametrize("name", sorted(CHARACTER_FANS))
+def test_characters_and_split_resolutions_equal_the_solve_route(name):
+    fan = CHARACTER_FANS[name]
+    twists = st.one_of(
+        st.none(),
+        st.lists(st.integers(-6, 6), min_size=len(fan.rays), max_size=len(fan.rays)),
+        st.lists(rationals, min_size=len(fan.rays), max_size=len(fan.rays)),
+    )
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(character_bundles(fan), twists)
+    def check(bundle, f):
+        for key in fan.maximal_keys:
+            want = oracle_cone_characters(bundle, key)
+            assert _typed(bundle._cone_characters(key)) == _typed(want)
+            if fan.is_smooth_cone(key):
+                assert _typed(bundle.characters(key)) == _typed(want)
+        if not fan.is_smooth():
+            with pytest.raises(UnsupportedConeError):
+                split_resolution(bundle, f)
+            return
+        res = split_resolution(bundle, f)
+        for piece, want in zip(res, oracle_split_characters(bundle, f), strict=True):
+            for tau in fan.maximal_keys:
+                assert _typed(piece.characters[tau]) == _typed(want[tau])
+        if f is None:
+            assert k_class_identity(bundle, res)
+
+    check()
+
+
+def test_characters_on_a_cone_of_determinant_two():
+    fan = CHARACTER_FANS["P(1,1,2)"]
+    bundle = validate(fan, uniform_matroid(2, 3), [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+    key = frozenset({2, 0})
+    assert fan.cone_inverse(key)[2] == 2
+    half = Fraction(-1, 2)
+    assert _typed(bundle._cone_characters(key)) == _typed(((0, half), (1, half)))
+    assert bundle._cone_characters(key) == oracle_cone_characters(bundle, key)
+    with pytest.raises(UnsupportedConeError):
+        bundle.characters(key)
+    # the other two cones are smooth and keep integer characters
+    assert bundle.characters(frozenset({0, 1})) == ((0, 1), (1, 0))
+    assert bundle.characters(frozenset({1, 2})) == ((-2, 1), (-1, 0))
+
+
+def test_smoothness_is_computed_once_per_cone(monkeypatch):
+    from tropehrhart import lattice
+
+    fan = Fan([(1, 0), (0, 1), (-1, -2)], [[0, 1], [1, 2], [2, 0]])
+    bundle = validate(fan, uniform_matroid(1, 1), [(0,), (0,), (0,)])
+    calls = []
+    real = lattice.cone_is_smooth
+    monkeypatch.setattr(lattice, "cone_is_smooth", lambda c: calls.append(c) or real(c))
+    for _ in range(3):
+        assert not fan.is_smooth()
+        assert bundle.characters(frozenset({0, 1})) == ((0, 0),)
+        assert bundle.characters(frozenset({1, 2})) == ((0, 0),)
+        with pytest.raises(UnsupportedConeError):
+            bundle.characters(frozenset({0, 2}))
+    # one answer per maximal cone, whichever caller asked first
+    assert sorted(c.rays for c in calls) == sorted(
+        fan.cone(key).rays for key in fan.maximal_keys
+    )
+
+
+@pytest.mark.parametrize("name", ["P2", "hexagon", "P3"])
+def test_barycentric_coordinates_equal_the_solve_route(name):
+    # refined rays in simplicial cones read their coordinates off the inverse
+    fan = CHARACTER_FANS[name]
+    bundle = validate(fan, uniform_matroid(1, 1), [(0,)] * len(fan.rays))
+    for v in itertools.product(range(-2, 3), repeat=fan.ambient_dim):
+        if not any(v):
+            continue
+        key = min_containing_cone(fan, v)
+        cols = list(zip(*(fan.rays[i] for i in sorted(key))))
+        want = intify(solve(cols, v))
+        assert _typed([bundle._barycentric(key, v)]) == _typed([want])
