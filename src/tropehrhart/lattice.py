@@ -613,7 +613,8 @@ class Fan:
         that `echelon` keeps (all of them on a simplicial cone), and (A, d)
         is `inverse` of the matrix with those rays as rows.  So the u with
         <u, v> = c_v on the kept rays v is A c / d, and the coordinates of a
-        point x over the kept rays are A^T x / d.
+        point x over the kept rays are A^T x / d.  Raises ValueError on a
+        cone that is not full-dimensional.
         """
         key = frozenset(key)
         if key not in self._inverses:

@@ -156,9 +156,11 @@ def inverse(square):
     Every reduced row b has the left block b[pc] at its pivot pc and zero
     elsewhere, so row pc of M^-1 is b[n:] / b[pc], in lowest terms since b
     is primitive.  The least common denominator d is therefore the lcm of
-    the pivot entries.  Raises ValueError when M is singular.
+    the pivot entries.  Raises ValueError when M is not square or singular.
     """
     n = len(square)
+    if any(len(row) != n for row in square):
+        raise ValueError("only a square matrix has an inverse")
     unit = [tuple(int(j == i) for j in range(n)) for i in range(n)]
     basis = echelon([tuple(row) + e for row, e in zip(square, unit)])
     if any(pc >= n for _, pc, _ in basis):

@@ -377,18 +377,13 @@ class TropicalVectorBundle:
         `Fan.cone_inverse`, zero off the cone; other cones search their
         ray subsets for a conic combination.
         """
-        idx = sorted(cone_key)
         n = self.fan.ambient_dim
         for tau in self.fan.maximal_keys:
             if len(tau) == n and cone_key <= tau:
                 _, a, d = self.fan.cone_inverse(tau)
                 lam = quotient([dot(col, v) for col in zip(*a)], d)
                 return tuple(x for i, x in zip(sorted(tau), lam) if i in cone_key)
-        rays = [self.fan.rays[i] for i in idx]
-        cols = list(zip(*rays))
-        lam = solve(cols, v)
-        if lam is not None and all(x >= 0 for x in lam):
-            return tuple(lam)
+        rays = [self.fan.rays[i] for i in sorted(cone_key)]
         k = self.fan.cone_dims[frozenset(cone_key)]
         for subset in itertools.combinations(range(len(rays)), k):
             sub = [rays[i] for i in subset]

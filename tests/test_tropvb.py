@@ -643,6 +643,8 @@ def test_characters_on_a_cone_of_determinant_two():
     bundle = validate(fan, uniform_matroid(2, 3), [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
     key = frozenset({2, 0})
     assert fan.cone_inverse(key)[2] == 2
+    with pytest.raises(ValueError):
+        fan.cone_inverse({0})
     half = Fraction(-1, 2)
     assert _typed(bundle._cone_characters(key)) == _typed(((0, half), (1, half)))
     assert bundle._cone_characters(key) == oracle_cone_characters(bundle, key)
