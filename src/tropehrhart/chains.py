@@ -36,7 +36,7 @@ from .lattice import (
     vertex_enumeration,
     volume,
 )
-from .linalg import clear_denominators, dot, is_zero, solve, vec_sub
+from .linalg import clear_denominators, dot, is_zero, vec_sub
 
 
 def _piece_key(piece):
@@ -187,7 +187,7 @@ def _brianchon_gram_terms(sn: SupportNumbers):
         vals = [sn[i] for i in sorted(key)]
         if len(rays) > fan.dim(key):
             # non-simplicial cone: the ray values must extend linearly
-            if solve(rays, vals) is None:
+            if fan.solve_on(key, vals) is None:
                 raise NotPiecewiseLinearError(
                     "ray values do not extend linearly on cone {}", key
                 )

@@ -336,11 +336,8 @@ def build_parser() -> argparse.ArgumentParser:
     """
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument(
-        "--output", choices=["json", "table"], default="json",
-        help="report format (default json)",
-    )
-    shared.add_argument(
-        "--table", action="store_true", help="shorthand for --output table"
+        "--table", action="store_true",
+        help="print an aligned text table instead of JSON",
     )
     parser = argparse.ArgumentParser(
         prog="tropehrhart",
@@ -416,7 +413,7 @@ def main(argv=None) -> int:
     except Exception as exc:  # pragma: no cover - internal failure path
         print(_dump({"error": {"type": type(exc).__name__, "message": str(exc)}}))
         return 1
-    if args.output == "table" or args.table:
+    if args.table:
         print(_render_table(report))
     else:
         print(_dump(report))

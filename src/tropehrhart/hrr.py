@@ -35,8 +35,8 @@ from math import factorial, prod
 
 from .chains import split_branches
 from .errors import InterpolationFailureError, ValidationError
-from .lattice import Fan, _pulling_triangulation
-from .linalg import det, dot, quotient
+from .lattice import Fan, _pulling_triangulation, min_containing_cone
+from .linalg import det
 
 
 def todd_coeffs(deg: int):
@@ -143,10 +143,9 @@ def _volume_form(fan: Fan) -> dict:
 def _extension_forms(fan: Fan, rays):
     """Value at each ray v of the piecewise linear function with values z on fan.
 
-    v is written in the ray basis of a maximal cone of the (simplicial) fan
-    that contains it, v = sum_i c_i r_i, and the value is sum_i c_i z_i.
-    The coordinates c are A^T v / d on the cone's `Fan.cone_inverse`.
-    Returns one {variable index: c_i} map per ray.
+    v is written in the rays of its smallest cone of the (simplicial) fan,
+    v = sum_i c_i r_i, by `Fan.coordinates`, and the value is
+    sum_i c_i z_i.  Returns one {variable index: c_i} map per ray.
     """
     index = {r: i for i, r in enumerate(fan.rays)}
     forms = []
@@ -154,15 +153,9 @@ def _extension_forms(fan: Fan, rays):
         if v in index:
             forms.append({index[v]: 1})
             continue
-        for key in fan.maximal_keys:
-            pos, a, d = fan.cone_inverse(key)
-            c = quotient([dot(col, v) for col in zip(*a)], d)
-            if all(x >= 0 for x in c):
-                idx = sorted(key)
-                forms.append({idx[p]: x for p, x in zip(pos, c) if x != 0})
-                break
-        else:
-            raise InterpolationFailureError(f"ray {v} lies in no maximal cone")
+        key = min_containing_cone(fan, v)
+        c = fan.coordinates(key, v)
+        forms.append({i: x for i, x in zip(sorted(key), c) if x != 0})
     return forms
 
 

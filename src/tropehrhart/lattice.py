@@ -28,7 +28,11 @@ incidences under intersection, `_intersection_closure`.  One pulling
 triangulation on index sets and facet incidences, `_pulling_triangulation`,
 splits polytopes into simplices for `volume` in every dimension and pointed
 cones into simplicial cones on their own rays for the Riemann-Roch volume
-form.
+form.  Every linear system on the rays of a fan cone, of any dimension and
+simplicial or not, is solved through one cached inverse per cone,
+`Fan.cone_inverse`: `Fan.solve_on` gives the linear function with given ray
+values (or None when there is none) and `Fan.coordinates` a point's
+coordinates over the rays.
 """
 
 from __future__ import annotations
@@ -55,6 +59,7 @@ from .linalg import (
     is_zero,
     nullspace,
     primitive,
+    quotient,
     rank,
     reduce_mod,
     vec_neg,
@@ -607,22 +612,67 @@ class Fan:
         return self._smooth_cones[key]
 
     def cone_inverse(self, key):
-        """(positions, A, d) of a full-dimensional cone, computed once per cone.
+        """(positions, pivots, A, d) of a cone, computed once per cone.
 
-        positions are the places, in sorted(key), of the n independent rays
-        that `echelon` keeps (all of them on a simplicial cone), and (A, d)
-        is `inverse` of the matrix with those rays as rows.  So the u with
-        <u, v> = c_v on the kept rays v is A c / d, and the coordinates of a
-        point x over the kept rays are A^T x / d.  Raises ValueError on a
-        cone that is not full-dimensional.
+        positions are the places, in sorted(key), of the k independent rays
+        that `echelon` keeps (all of them on a simplicial cone), pivots are
+        their sorted pivot columns, and (A, d) is `inverse` of the k x k
+        matrix of the kept rays restricted to the pivots.  So the u that is
+        zero off the pivots and has <u, v> = c_v on the kept rays v is A c / d
+        at the pivots (`solve_on`), and a point of the cone's span has
+        coordinates A^T x / d over the kept rays, where x is restricted to
+        the pivots (`coordinates`).  On a simplicial full-dimensional cone
+        both lists are range(n) and A is the inverse of the cone's rays.
         """
         key = frozenset(key)
         if key not in self._inverses:
             rays = [self.rays[i] for i in sorted(key)]
-            kept = [i for i, _, _ in echelon(rays, self.ambient_dim)]
-            a, d = inverse([rays[i] for i in kept])
-            self._inverses[key] = kept, a, d
+            basis = echelon(rays, self.ambient_dim)
+            pos = [i for i, _, _ in basis]
+            piv = sorted(c for _, c, _ in basis)
+            a, d = inverse([tuple(rays[i][c] for c in piv) for i in pos])
+            self._inverses[key] = pos, piv, a, d
         return self._inverses[key]
+
+    def solve_on(self, key, values):
+        """The u with <u, v> = values[k] on the k-th ray of sorted(key), zero
+        off the pivots of `cone_inverse`; None when the values on the rays
+        that `echelon` does not keep disagree with it.  Entries are ints
+        where integral, else Fractions."""
+        pos, piv, a, d = self.cone_inverse(key)
+        n = self.ambient_dim
+        if len(values) == len(pos) == n:
+            # simplicial and full-dimensional: one bare integer product
+            return quotient([dot(row, values) for row in a], d)
+        up = quotient([dot(row, [values[p] for p in pos]) for row in a], d)
+        u = [0] * n
+        for c, x in zip(piv, up):
+            u[c] = x
+        if len(pos) < len(values):
+            kept = set(pos)
+            for p, i in enumerate(sorted(key)):
+                if p not in kept and dot(u, self.rays[i]) != values[p]:
+                    return None
+        return tuple(u)
+
+    def coordinates(self, key, x):
+        """Coordinates of x over the rays of sorted(key): A^T x / d on the
+        rays that `cone_inverse` keeps, zero on the others.  Raises
+        NotInSupportError when x is off the cone's span."""
+        pos, piv, a, d = self.cone_inverse(key)
+        lam = quotient([dot(col, [x[c] for c in piv]) for col in zip(*a)], d)
+        idx = sorted(key)
+        if len(pos) < self.ambient_dim:
+            span = [sum(l * self.rays[idx[p]][t] for l, p in zip(lam, pos))
+                    for t in range(self.ambient_dim)]
+            if span != list(x):
+                raise NotInSupportError(
+                    f"point {tuple(x)} is off the span of cone {idx}"
+                )
+        out = [0] * len(idx)
+        for p, l in zip(pos, lam):
+            out[p] = l
+        return tuple(out)
 
     def support_contains(self, x) -> bool:
         return any(self._make_cone(k).contains(x) for k in self.maximal_keys)
@@ -1042,20 +1092,14 @@ def volume(p: VPolytope) -> Fraction:
     d = p.ambient_dim
     if p.dim < d:
         return Fraction(0)
-    return _volume_by_pulling(p)
-
-
-def _volume_by_pulling(p: VPolytope, use_max_vertex=False) -> Fraction:
-    d = p.ambient_dim
     verts = p.vertices
     ineqs, _ = p.hrep()
     facets = [
         frozenset(i for i, v in enumerate(verts) if dot(n, v) == b)
         for n, b in ineqs
     ]
-    pick = max if use_max_vertex else min  # vertices are sorted
     total = Fraction(0)
-    for simplex in _pulling_triangulation(range(len(verts)), facets, pick):
+    for simplex in _pulling_triangulation(range(len(verts)), facets):
         edges = [vec_sub(verts[i], verts[simplex[0]]) for i in simplex[1:]]
         # `integral` scales each edge by the lcm of its denominators, which
         # scales the determinant by their product

@@ -3,12 +3,14 @@
 Vectors are plain tuples (of ints or Fractions), matrices are sequences of
 row tuples.  There is one elimination, the fraction-free integer `echelon`
 (in the style of Bareiss 1968): its rows are the reduced row echelon form
-scaled to primitive integers, and `rank`, `nullspace`, `solve` and
-`inverse` are read off it.  `inverse` gives an invertible integer matrix's
-inverse as an integer matrix over one common denominator, so the many
-systems that share one matrix cost one elimination and then an integer
-product each (`quotient` divides that product exactly).  `det` (Bareiss)
-is the one determinant.  Nothing ever touches floating point.
+scaled to primitive integers, and `rank`, `nullspace` and `inverse` are read
+off it.  `inverse` gives an invertible integer matrix's inverse as an
+integer matrix over one common denominator, so the many systems that share
+one matrix cost one elimination and then an integer product each
+(`quotient` divides that product exactly).  It is the one solver: a linear
+system on the rays of a cone is solved through `lattice.Fan.cone_inverse`.
+`det` (Bareiss) is the one determinant.  Nothing ever touches floating
+point.
 """
 
 from __future__ import annotations
@@ -129,24 +131,6 @@ def echelon_nullspace(basis, ncols):
             vec[pc] = -q * b[fc]
         out.append(primitive(vec))
     return out
-
-
-def solve(rows, rhs):
-    """Solve A x = b exactly.
-
-    Returns one solution as a tuple of Fractions, or None if inconsistent.
-    The system may be underdetermined; free variables are set to 0.
-    """
-    if not rows:
-        return ()
-    ncols = len(rows[0])
-    basis = echelon([integral(tuple(r) + (b,)) for r, b in zip(rows, rhs)])
-    x = [Fraction(0)] * ncols
-    for _, pc, b in basis:
-        if pc == ncols:
-            return None
-        x[pc] = Fraction(b[ncols], b[pc])
-    return tuple(x)
 
 
 def inverse(square):

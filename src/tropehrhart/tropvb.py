@@ -17,7 +17,6 @@ whose values reproduce the equivariant Euler characteristic.
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from fractions import Fraction
 
@@ -51,7 +50,7 @@ from .lattice import (
     min_containing_cone,
     vertex_enumeration,
 )
-from .linalg import dot, quotient, rank, solve
+from .linalg import dot
 from .matroid import Matroid, circuit_extension, greedy_basis_mask
 
 
@@ -296,14 +295,11 @@ class TropicalVectorBundle:
     def _cone_characters(self, key):
         """The sorted solutions u_j of `characters` on any maximal cone:
         rational vectors off smooth cones, where `validate` proved that
-        they exist.  Each is A c / d on the `Fan.cone_inverse` of the cone,
-        so the equations of the kept rays determine it."""
+        they exist.  Each is `Fan.solve_on` of the cone's rays."""
         if key not in self._char_cache:
-            pos, a, d = self.fan.cone_inverse(key)
             idx = sorted(key)
-            kept = [idx[p] for p in pos]
             self._char_cache[key] = tuple(sorted(
-                _character(a, d, [self.diagram[i][b - 1] for i in kept])
+                self.fan.solve_on(key, [self.diagram[i][b - 1] for i in idx])
                 for b in self.adapted_bases[key]
             ))
         return self._char_cache[key]
@@ -344,7 +340,9 @@ class TropicalVectorBundle:
         Rows for surviving rays are copied; a new ray gets the linear
         interpolation of its containing cone's rows in adapted-basis
         coordinates, extended to the other columns by the circuit-minimum
-        formula.
+        formula.  Any coordinates of the new ray over the rays of its
+        smallest cone give the same row, since `validate` proved the adapted
+        coordinates linear on that cone.
         """
         if not is_refinement(refined, self.fan):
             raise ValidationError("pullback target does not refine the fan")
@@ -354,7 +352,7 @@ class TropicalVectorBundle:
                 new_rows.append(self.diagram[self.fan.rays.index(v)])
                 continue
             key = min_containing_cone(self.fan, v)
-            lam = self._barycentric(key, v)
+            lam = self.fan.coordinates(key, v)
             basis = self.adapted_bases[key]
             coords = {}
             for b in basis:
@@ -369,34 +367,6 @@ class TropicalVectorBundle:
                 )
             new_rows.append(tuple(int(x) for x in row))
         return validate(refined, self.matroid, new_rows)
-
-    def _barycentric(self, cone_key, v):
-        """Nonnegative coordinates of v over the cone's rays, in sorted order.
-
-        In a simplicial maximal cone tau they are A^T v / d on tau's
-        `Fan.cone_inverse`, zero off the cone; other cones search their
-        ray subsets for a conic combination.
-        """
-        n = self.fan.ambient_dim
-        for tau in self.fan.maximal_keys:
-            if len(tau) == n and cone_key <= tau:
-                _, a, d = self.fan.cone_inverse(tau)
-                lam = quotient([dot(col, v) for col in zip(*a)], d)
-                return tuple(x for i, x in zip(sorted(tau), lam) if i in cone_key)
-        rays = [self.fan.rays[i] for i in sorted(cone_key)]
-        k = self.fan.cone_dims[frozenset(cone_key)]
-        for subset in itertools.combinations(range(len(rays)), k):
-            sub = [rays[i] for i in subset]
-            if rank(sub) != k:
-                continue
-            lam = solve(list(zip(*sub)), v)
-            if lam is None or any(x < 0 for x in lam):
-                continue
-            full = [Fraction(0)] * len(rays)
-            for pos, x in zip(subset, lam):
-                full[pos] = x
-            return tuple(full)
-        raise ValidationError(f"{v} admits no conic combination in {sorted(cone_key)}")
 
     def __repr__(self):
         return (
@@ -458,9 +428,8 @@ def validate(fan: Fan, matroid: Matroid, diagram) -> TropicalVectorBundle:
         adapted[key] = Matroid.elements(basis)
         if len(key) > fan.cone_dims[key]:
             # non-simplicial cone: adapted coordinates must extend linearly
-            rays = [fan.rays[i] for i in idx]
             for b in adapted[key]:
-                if solve(rays, [diagram[i][b - 1] for i in idx]) is None:
+                if fan.solve_on(key, [diagram[i][b - 1] for i in idx]) is None:
                     raise NoCommonApartmentError(key)
     return TropicalVectorBundle(fan, matroid, diagram, adapted)
 
@@ -538,24 +507,15 @@ def split_resolution(bundle: TropicalVectorBundle, f=None, check_bound=False):
     for k in range(n + 1):
         chars = {}
         for tau in fan.maximal_keys:
-            # a smooth fan is simplicial: the inverse keeps every ray of tau
-            _, a, d = fan.cone_inverse(tau)
             idx = sorted(tau)
             multiset = []
             for sigma in by_codim[k]:
                 for pairing in pairings[sigma]:
                     rhs = [pairing[i] if i in sigma else f[i] for i in idx]
-                    multiset.append(_character(a, d, rhs))
+                    multiset.append(fan.solve_on(tau, rhs))
             chars[tau] = tuple(sorted(multiset))
         result.append(SplitBundle(k, fan, chars))
     return result
-
-
-def _character(a, d, values):
-    """The u with <u, v> = values[k] on the k-th kept ray of a
-    `Fan.cone_inverse` (A, d): A c / d, an int where integral, else a
-    Fraction."""
-    return quotient([dot(row, values) for row in a], d)
 
 
 def k_class(bundle: TropicalVectorBundle):

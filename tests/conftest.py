@@ -7,9 +7,10 @@ list (the pairwise exchange check, rank as the largest basis intersection,
 subset-enumeration circuits, flats and fundamental circuits, the sorted
 scan for adapted bases), the per-cone Fraction route of bundle validation
 (`common_adapted_basis`, `oracle_adapted_bases`), the per-character
-`solve` routes of characters, split resolutions and the Riemann-Roch
+`rref_solve` routes of characters, split resolutions and the Riemann-Roch
 extension forms (`oracle_cone_characters`, `oracle_split_characters`,
-`oracle_extension_forms`), geometric ones (the
+`oracle_extension_forms`), the pull-back row of a new ray by a search of the
+ray subsets of its smallest cone (`oracle_pullback_row`), geometric ones (the
 double-dual check of a cone's rays; duals, cuts and face lattices by a
 fresh `vcone_from_halfspaces` and dot products; the smallest cone of a fan
 containing a point by a scan by dimension), the pointwise routes of the
@@ -47,7 +48,7 @@ from tropehrhart.lattice import (
     box_size,
     vcone_from_halfspaces,
 )
-from tropehrhart.linalg import clear_denominators, det, dot, rank, solve
+from tropehrhart.linalg import clear_denominators, det, dot, rank
 from tropehrhart.matroid import (
     Matroid,
     apartment_contains,
@@ -107,6 +108,19 @@ FANS = {
                 [[i for i, v in enumerate(CUBE_CORNERS) if v[axis] == sign]
                  for axis in range(3) for sign in (1, -1)]),
 }
+CHARACTER_FANS = {
+    **{name: FANS[name] for name in ("P2", "P1xP1", "hexagon", "P3", "cube")},
+    "P1^3": Fan([(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, 0, 0), (0, -1, 0), (0, 0, -1)],
+                [[a, b, c] for a in (0, 3) for b in (1, 4) for c in (2, 5)]),
+    # P(1,1,2): the cone {3, 1} has determinant 2
+    "P(1,1,2)": Fan([(1, 0), (0, 1), (-1, -2)], [[0, 1], [1, 2], [2, 0]]),
+}
+CUBE4_CORNERS = list(itertools.product((1, -1), repeat=4))
+# the cones over the facets of the 4-cube; its 3-d cones, over the squares,
+# are not simplicial either
+CUBE4_FAN = Fan(CUBE4_CORNERS,
+                [[i for i, v in enumerate(CUBE4_CORNERS) if v[axis] == sign]
+                 for axis in range(4) for sign in (1, -1)])
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +313,7 @@ def common_adapted_basis(matroid, rows):
 def oracle_adapted_bases(fan, matroid, diagram):
     """The adapted basis of every cone, or the error, by the per-cone route:
     `is_flat` on each level set, then `common_adapted_basis` and the
-    non-simplicial `solve` per cone.  The diagram has one row per ray and
+    non-simplicial `rref_solve` per cone.  The diagram has one row per ray and
     one column per element, and the fan is complete."""
     for ri, row in enumerate(diagram):
         for k in set(row):
@@ -316,7 +330,7 @@ def oracle_adapted_bases(fan, matroid, diagram):
         if len(key) > fan.cone_dims[key]:
             rays = [fan.rays[i] for i in sorted(key)]
             for b in found:
-                if solve(rays, [diagram[i][b - 1] for i in sorted(key)]) is None:
+                if rref_solve(rays, [diagram[i][b - 1] for i in sorted(key)]) is None:
                     raise NoCommonApartmentError(key)
     return adapted
 
@@ -330,19 +344,19 @@ def intify(vec):
 
 
 def oracle_cone_characters(bundle, key):
-    """The sorted characters of a maximal cone by one `solve` over all the
+    """The sorted characters of a maximal cone by one `rref_solve` over all the
     cone's rays per adapted basis element."""
     idx = sorted(key)
     rows = [bundle.fan.rays[i] for i in idx]
     return tuple(sorted(
-        intify(solve(rows, [bundle.diagram[i][b - 1] for i in idx]))
+        intify(rref_solve(rows, [bundle.diagram[i][b - 1] for i in idx]))
         for b in bundle.adapted_bases[key]
     ))
 
 
 def oracle_split_characters(bundle, f=None):
     """The character multisets of `split_resolution`, one {maximal cone:
-    sorted characters} map per codimension, by one `solve` per (maximal
+    sorted characters} map per codimension, by one `rref_solve` per (maximal
     cone tau, cone sigma, basis element): the pairing on the rays of sigma,
     f off them."""
     fan = bundle.fan
@@ -358,12 +372,12 @@ def oracle_split_characters(bundle, f=None):
             chars = out[fan.codim(sigma)].setdefault(tau, [])
             for b in bundle.adapted_bases[sigma]:
                 rhs = [bundle.diagram[i][b - 1] if i in sigma else f[i] for i in idx]
-                chars.append(intify(solve(rows, rhs)))
+                chars.append(intify(rref_solve(rows, rhs)))
     return [{tau: tuple(sorted(us)) for tau, us in piece.items()} for piece in out]
 
 
 def oracle_extension_forms(fan, rays):
-    """`hrr._extension_forms` by one `solve` per (ray, maximal cone): the
+    """`hrr._extension_forms` by one `rref_solve` per (ray, maximal cone): the
     coordinates of each ray that is not a fan ray over the rays of the
     first maximal cone in which they are nonnegative."""
     index = {r: i for i, r in enumerate(fan.rays)}
@@ -374,12 +388,46 @@ def oracle_extension_forms(fan, rays):
             continue
         for key in fan.maximal_keys:
             idx = sorted(key)
-            c = solve([tuple(fan.rays[i][t] for i in idx)
+            c = rref_solve([tuple(fan.rays[i][t] for i in idx)
                        for t in range(fan.ambient_dim)], v)
             if c is not None and all(x >= 0 for x in c):
                 forms.append({i: x for i, x in zip(idx, intify(c)) if x != 0})
                 break
     return forms
+
+
+def conic_coordinates(fan, key, v):
+    """Nonnegative coordinates of v over the rays of sorted(key), by a search
+    of the independent ray subsets of the cone's dimension for a conic
+    combination, zero off the subset found; None when there is none."""
+    rays = [fan.rays[i] for i in sorted(key)]
+    k = fan.cone_dims[frozenset(key)]
+    for subset in itertools.combinations(range(len(rays)), k):
+        sub = [rays[i] for i in subset]
+        if rank(sub) != k:
+            continue
+        lam = rref_solve(list(zip(*sub)), v)
+        if lam is None or any(x < 0 for x in lam):
+            continue
+        full = [Fraction(0)] * len(rays)
+        for pos, x in zip(subset, lam):
+            full[pos] = x
+        return tuple(full)
+    return None
+
+
+def oracle_pullback_row(bundle, v):
+    """The row that a pull-back gives a new ray v: the adapted coordinates
+    of the rows of v's smallest cone, combined by `conic_coordinates`,
+    extended by the circuit-minimum formula."""
+    key = scan_min_containing_cone(bundle.fan, v)
+    lam = conic_coordinates(bundle.fan, key, v)
+    basis = bundle.adapted_bases[key]
+    coords = {
+        b: sum(l * bundle.diagram[i][b - 1] for l, i in zip(lam, sorted(key)))
+        for b in basis
+    }
+    return circuit_extension(bundle.matroid, basis, coords)
 
 
 def double_dual_verdict(cone):

@@ -29,6 +29,7 @@ from tropehrhart.lattice import Fan, HPolyhedron, VPolytope
 from tropehrhart.matroid import uniform_matroid
 
 from conftest import (
+    CUBE4_FAN,
     FANS,
     chain_box,
     grid_points,
@@ -244,6 +245,11 @@ def test_brianchon_gram_nonlinear_values_rejected():
     values[0] = 1
     with pytest.raises(NotPiecewiseLinearError):
         brianchon_gram(SupportNumbers(cube_fan, values))
+    # on the 4-d cube fan the first non-linear cones are the 3-d ones
+    values = [0] * len(CUBE4_FAN.rays)
+    values[0] = 1
+    with pytest.raises(NotPiecewiseLinearError, match="extend linearly"):
+        brianchon_gram(SupportNumbers(CUBE4_FAN, values))
 
 
 # ---------------------------------------------------------------------------

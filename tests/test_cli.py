@@ -423,7 +423,7 @@ def test_one_parser_serves_every_call_of_a_process(files, capsys):
     calls = [
         ["chi", "--bundle", files["fano"], "--u", "0,0", "--table"],
         ["chi", "--bundle", files["fano"], "--u", "0,0"],
-        ["validate", "--bundle", files["u23_bundle"], "--output", "table"],
+        ["validate", "--bundle", files["u23_bundle"], "--table"],
         ["validate", "--bundle", files["u23_bundle"]],
         ["chi", "--bundle"],  # refused by argparse with SystemExit
         ["h0", "--bundle", files["u23_bundle"]],

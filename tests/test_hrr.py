@@ -14,6 +14,7 @@ from tropehrhart.chains import (
 )
 from tropehrhart.errors import (
     InterpolationFailureError,
+    NotInSupportError,
     UnsupportedDimensionError,
     ValidationError,
 )
@@ -26,7 +27,7 @@ from tropehrhart.lattice import (
     vertex_enumeration,
     volume,
 )
-from tropehrhart.linalg import dot, solve
+from tropehrhart.linalg import dot
 from tropehrhart.matroid import uniform_matroid
 from tropehrhart.tropvb import validate
 
@@ -41,6 +42,7 @@ from conftest import (
     oracle_extension_forms,
     random_bundle,
     random_p1_bundle,
+    rref_solve,
     solve_unique,
     zonotope_support_numbers,
 )
@@ -297,7 +299,7 @@ def _cone_vertices_in_polytope(fan, h):
     and <v, x> <= h_v on every ray of the fan?"""
     for key in fan.maximal_keys:
         idx = sorted(key)
-        x = solve([fan.rays[i] for i in idx], [h[i] for i in idx])
+        x = rref_solve([fan.rays[i] for i in idx], [h[i] for i in idx])
         if x is None or any(dot(v, x) > hv for v, hv in zip(fan.rays, h)):
             return False
     return True
@@ -418,8 +420,8 @@ def _guard_polynomial(h):
 
 @pytest.mark.parametrize("name", ["P1", "P2", "P1xP1", "hexagon", "P3", "P1^3"])
 def test_extension_forms_equal_the_solve_route(name):
-    # coordinates of the refined rays over the cones' inverses, in value
-    # and type, against one solve per ray and cone
+    # coordinates of the refined rays over their smallest cones, in value
+    # and type, against one rref_solve per ray and maximal cone
     fan = P1_CUBED_FAN if name == "P1^3" else FANS[name]
     rng = random.Random(47)
     for r, m in ((2, 3), (3, 5)):
@@ -434,6 +436,13 @@ def test_extension_forms_equal_the_solve_route(name):
             assert [{i: (type(x), x) for i, x in form.items()} for form in got] == [
                 {i: (type(x), x) for i, x in form.items()} for form in want
             ]
+
+
+def test_extension_forms_refuse_a_ray_outside_the_fan():
+    fan = Fan([(1, 0), (0, 1)], [[0, 1]])
+    assert hrr._extension_forms(fan, [(1, 1), (0, 1)]) == [{0: 1, 1: 1}, {1: 1}]
+    with pytest.raises(NotInSupportError):
+        hrr._extension_forms(fan, [(-1, 0)])
 
 
 @pytest.mark.parametrize("name", ["P1", "P2", "P1xP1", "hexagon", "P3"])

@@ -1,11 +1,14 @@
 """The integer elimination kernel against Fraction Gauss-Jordan elimination.
 
-`echelon` is the one elimination of `linalg`; `rank`, `nullspace`,
-`solve` and `inverse` are read off it.  The oracle is the Fraction reduced
-row echelon form `rref` and the solve built on it, `rref_solve`, from
-conftest; `inverse` is checked against one `solve` per unit vector.
+`echelon` is the one elimination of `linalg`; `rank`, `nullspace` and
+`inverse` are read off it, and every linear system on the rays of a fan
+cone is solved through one `inverse` per cone, `Fan.solve_on` and
+`Fan.coordinates`.  The oracle is the Fraction reduced row echelon form
+`rref` and the solve built on it, `rref_solve`, from conftest; `inverse` is
+checked against one `rref_solve` per unit vector.
 """
 
+import random
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -13,6 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from tropehrhart.errors import NotInSupportError
 from tropehrhart.lattice import Cone, _inverse_columns
 from tropehrhart.linalg import (
     clear_denominators,
@@ -22,10 +26,9 @@ from tropehrhart.linalg import (
     inverse,
     primitive,
     rank,
-    solve,
 )
 
-from conftest import rref, rref_solve
+from conftest import CHARACTER_FANS, CUBE4_FAN, FANS, intify, rref, rref_solve
 
 SETTINGS = settings(max_examples=400, deadline=None, derandomize=True)
 
@@ -73,32 +76,107 @@ def _kind(rows, sol):
     return "underdetermined" if r < n else "overdetermined"
 
 
-@SETTINGS
-@given(systems())
-def test_solve_equals_rref_solve(case):
-    rows, rhs = case
-    sol = solve(rows, rhs)
-    assert sol == rref_solve(rows, rhs)
-    if sol is not None:
-        assert all(isinstance(x, Fraction) for x in sol)
-        assert all(dot(r, sol) == b for r, b in zip(rows, rhs))
+# every cone of every dimension, simplicial or not; the 4-d cube fan's 3-d
+# cones, over the squares of the 4-cube, are not simplicial
+SOLVER_FANS = {**FANS, **CHARACTER_FANS, "cube4": CUBE4_FAN}
+SOLVER_SETTINGS = settings(max_examples=30, deadline=None, derandomize=True)
+
+
+def _typed(vec):
+    """A vector with the type of every entry, since 1 == Fraction(1)."""
+    return None if vec is None else tuple((type(x), x) for x in vec)
+
+
+def _cone_systems(seed):
+    """(fan, cone key, values, point) for every cone of every solver fan.
+
+    The values on the cone's rays, in sorted order, are <u0, v> for a random
+    rational u0, or random ints and Fractions, which disagree with every
+    linear function on a cone that is not simplicial.  The point is a
+    random rational combination of the rays, or a random point, mostly off
+    the span of a cone that is not full-dimensional.
+    """
+    rng = random.Random(seed)
+
+    def number():
+        return Fraction(rng.randint(-4, 4), rng.choice((1, 1, 2, 3)))
+
+    for name in sorted(SOLVER_FANS):
+        fan = SOLVER_FANS[name]
+        n = fan.ambient_dim
+        for key in fan.cone_keys:
+            rays = [fan.rays[i] for i in sorted(key)]
+            if rng.random() < 0.5:
+                u0 = [number() for _ in range(n)]
+                values = [dot(r, u0) for r in rays]
+            else:
+                values = [rng.choice((rng.randint(-4, 4), number())) for _ in rays]
+            if rng.random() < 0.5:
+                lam = [number() for _ in rays]
+                x = tuple(sum(l * r[t] for l, r in zip(lam, rays)) for t in range(n))
+            else:
+                x = tuple(rng.randint(-4, 4) for _ in range(n))
+            yield fan, key, values, x
+
+
+def _rref_solve_on(fan, key, values):
+    """`rref_solve` of <u, v> = values on the cone's rays, the zero vector
+    on the cone with no rays."""
+    rays = [fan.rays[i] for i in sorted(key)]
+    if not rays:
+        return (0,) * fan.ambient_dim
+    sol = rref_solve(rays, values)
+    return None if sol is None else intify(sol)
+
+
+def _rref_coordinates(fan, key, x):
+    """`rref_solve` of x as a combination of the cone's rays; only the zero
+    point is a combination of no rays."""
+    rays = [fan.rays[i] for i in sorted(key)]
+    if not rays:
+        return None if any(x) else ()
+    sol = rref_solve(list(zip(*rays)), x)
+    return None if sol is None else intify(sol)
+
+
+def _coordinates_or_none(fan, key, x):
+    try:
+        return fan.coordinates(key, x)
+    except NotInSupportError:
+        return None
+
+
+@SOLVER_SETTINGS
+@given(st.integers(0, 2**32))
+def test_solve_equals_rref_solve(seed):
+    # Fan.solve_on and Fan.coordinates equal rref_solve, in value and type
+    for fan, key, values, x in _cone_systems(seed):
+        sol = fan.solve_on(key, values)
+        assert _typed(sol) == _typed(_rref_solve_on(fan, key, values))
+        if sol is not None:
+            rays = [fan.rays[i] for i in sorted(key)]
+            assert [dot(r, sol) for r in rays] == values
+        assert _typed(_coordinates_or_none(fan, key, x)) == _typed(
+            _rref_coordinates(fan, key, x)
+        )
 
 
 def test_system_cases_cover_every_kind():
     seen = set()
 
-    @SETTINGS
-    @given(systems())
-    def collect(case):
-        rows, rhs = case
-        seen.add(_kind(rows, solve(rows, rhs)))
-        if any(not any(r) for r in rows):
-            seen.add("zero row")
+    @SOLVER_SETTINGS
+    @given(st.integers(0, 2**32))
+    def collect(seed):
+        for fan, key, values, x in _cone_systems(seed):
+            rays = [fan.rays[i] for i in sorted(key)]
+            seen.add(_kind(rays, fan.solve_on(key, values)))
+            if _coordinates_or_none(fan, key, x) is None:
+                seen.add("off the span")
 
     collect()
     assert seen == {
         "no rows", "inconsistent", "square", "underdetermined",
-        "overdetermined", "zero row",
+        "overdetermined", "off the span",
     }
 
 
@@ -159,7 +237,7 @@ def test_inverse_is_solve_over_the_least_common_denominator(m):
     n = len(m)
     a, d = inverse(m)
     # column i of the inverse solves M x = e_i
-    cols = [solve(m, [int(j == i) for j in range(n)]) for i in range(n)]
+    cols = [rref_solve(m, [int(j == i) for j in range(n)]) for i in range(n)]
     assert d == lcm(*(x.denominator for col in cols for x in col))
     assert a == [tuple(col[r] * d for col in cols) for r in range(n)]
     assert all(type(x) is int for row in a for x in row)
@@ -179,3 +257,20 @@ def test_inverse_refuses_a_singular_or_non_square_matrix():
         inverse([(1, 0, 0)])
     assert inverse([]) == ([], 1)
     assert inverse([(2, 0), (1, 1)]) == ([(1, 0), (-1, 2)], 2)
+
+
+def test_coordinates_refuse_a_point_off_the_span():
+    fan = FANS["cube"]
+    # the cone over a square of the cube: 4 rays spanning 3 dimensions,
+    # and an edge of it, whose span misses (1, 0, 0)
+    square = next(k for k in fan.cone_keys if len(k) == 4)
+    edge = next(k for k in fan.cone_keys if len(k) == 2 and k < square)
+    centre = tuple(sum(fan.rays[i][t] for i in square) for t in range(3))
+    lam = fan.coordinates(square, centre)
+    assert tuple(
+        sum(l * fan.rays[i][t] for l, i in zip(lam, sorted(square))) for t in range(3)
+    ) == centre
+    with pytest.raises(NotInSupportError):
+        fan.coordinates(edge, centre)
+    with pytest.raises(NotInSupportError):
+        fan.coordinates(frozenset(), (0, 0, 1))

@@ -22,7 +22,7 @@ from tropehrhart.lattice import (
     stellar_subdivision,
     vertex_enumeration,
 )
-from tropehrhart.linalg import dot, solve, vec_sub
+from tropehrhart.linalg import dot, vec_sub
 from tropehrhart.matroid import (
     Matroid,
     bergman_project,
@@ -37,16 +37,20 @@ from tropehrhart.tropvb import (
 )
 
 from conftest import (
+    CHARACTER_FANS,
+    CUBE4_FAN,
     FANS,
     common_adapted_basis,
     grid_points,
     intify,
     oracle_adapted_bases,
     oracle_cone_characters,
+    oracle_pullback_row,
     oracle_split_characters,
     random_bundle,
     random_p1_bundle,
     random_split_bundle,
+    rref_solve,
 )
 
 
@@ -571,13 +575,6 @@ def test_chi_box_of_a_line_bundle_far_from_the_origin(p2_fan):
 # characters and split resolutions against the per-character solve route
 # ---------------------------------------------------------------------------
 
-CHARACTER_FANS = {
-    **{name: FANS[name] for name in ("P2", "P1xP1", "hexagon", "P3", "cube")},
-    "P1^3": Fan([(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, 0, 0), (0, -1, 0), (0, 0, -1)],
-                [[a, b, c] for a in (0, 3) for b in (1, 4) for c in (2, 5)]),
-    # P(1,1,2): the cone {3, 1} has determinant 2
-    "P(1,1,2)": Fan([(1, 0), (0, 1), (-1, -2)], [[0, 1], [1, 2], [2, 0]]),
-}
 rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 3))
 
 
@@ -586,25 +583,29 @@ def _typed(vectors):
     return [tuple((type(x), x) for x in u) for u in vectors]
 
 
-@st.composite
-def character_bundles(draw, fan):
-    """A bundle on the fan.  The cube fan has non-simplicial cones, on which
-    random rows rarely extend linearly: its rows are the split bundle whose
-    basis coordinates k_e max|v_i| + <w_e, v> are linear on every cone over
-    a face of the cube."""
-    matroid = draw(st.sampled_from(MATROIDS))
-    rng = random.Random(draw(st.integers(0, 10**6)))
-    if all(len(key) == fan.ambient_dim for key in fan.maximal_keys):
-        return random_bundle(fan, matroid, rng, tries=20)
+def _linear_split_rows(fan, matroid, rng):
+    """The rows of a split bundle whose basis coordinates
+    k_e max|v_i| + <w_e, v> are linear on every cone over a face of a cube."""
     basis = rng.choice(sorted(matroid.bases, key=sorted))
     k = {e: rng.randint(-2, 2) for e in basis}
     w = {e: [rng.randint(-2, 2) for _ in range(fan.ambient_dim)] for e in basis}
-    return validate(fan, matroid, [
+    return [
         tuple(int(x) for x in circuit_extension(
             matroid, basis, {e: k[e] * max(map(abs, v)) + dot(w[e], v) for e in basis}
         ))
         for v in fan.rays
-    ])
+    ]
+
+
+@st.composite
+def character_bundles(draw, fan):
+    """A bundle on the fan.  The cube fan has non-simplicial cones, on which
+    random rows rarely extend linearly: its rows are `_linear_split_rows`."""
+    matroid = draw(st.sampled_from(MATROIDS))
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    if all(len(key) == fan.ambient_dim for key in fan.maximal_keys):
+        return random_bundle(fan, matroid, rng, tries=20)
+    return validate(fan, matroid, _linear_split_rows(fan, matroid, rng))
 
 
 @pytest.mark.parametrize("name", sorted(CHARACTER_FANS))
@@ -642,9 +643,9 @@ def test_characters_on_a_cone_of_determinant_two():
     fan = CHARACTER_FANS["P(1,1,2)"]
     bundle = validate(fan, uniform_matroid(2, 3), [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
     key = frozenset({2, 0})
-    assert fan.cone_inverse(key)[2] == 2
-    with pytest.raises(ValueError):
-        fan.cone_inverse({0})
+    assert fan.cone_inverse(key)[3] == 2
+    # a ray is a cone too: it keeps itself and its first nonzero column
+    assert fan.cone_inverse({0}) == ([0], [0], [(1,)], 1)
     half = Fraction(-1, 2)
     assert _typed(bundle._cone_characters(key)) == _typed(((0, half), (1, half)))
     assert bundle._cone_characters(key) == oracle_cone_characters(bundle, key)
@@ -677,13 +678,46 @@ def test_smoothness_is_computed_once_per_cone(monkeypatch):
 
 @pytest.mark.parametrize("name", ["P2", "hexagon", "P3"])
 def test_barycentric_coordinates_equal_the_solve_route(name):
-    # refined rays in simplicial cones read their coordinates off the inverse
+    # points in simplicial cones read their coordinates off the inverse
     fan = CHARACTER_FANS[name]
-    bundle = validate(fan, uniform_matroid(1, 1), [(0,)] * len(fan.rays))
     for v in itertools.product(range(-2, 3), repeat=fan.ambient_dim):
         if not any(v):
             continue
         key = min_containing_cone(fan, v)
         cols = list(zip(*(fan.rays[i] for i in sorted(key))))
-        want = intify(solve(cols, v))
-        assert _typed([bundle._barycentric(key, v)]) == _typed([want])
+        want = intify(rref_solve(cols, v))
+        assert _typed([fan.coordinates(key, v)]) == _typed([want])
+
+
+@pytest.mark.parametrize("fan, points", [
+    # face centres, in the non-simplicial maximal cones, and edge midpoints,
+    # in simplicial cones of no simplicial maximal cone
+    (FANS["cube"], [(1, 0, 0), (0, -1, 0), (0, 0, 1), (1, 1, 0), (-1, 0, 1)]),
+    # centres of squares, whose 3-d cones are not simplicial, and of facets
+    (CUBE4_FAN, [(1, 1, 0, 0), (0, -1, 0, 1), (1, 0, 0, 0)]),
+], ids=["cube", "cube4"])
+def test_pullback_rows_in_non_simplicial_cones_equal_the_subset_search(fan, points):
+    # any coordinates over the smallest cone's rays give the subset search's
+    # row, since the adapted coordinates are linear on that cone
+    rng = random.Random(61)
+    for matroid in (uniform_matroid(2, 3), uniform_matroid(2, 4)):
+        for _ in range(3):
+            bundle = validate(fan, matroid, _linear_split_rows(fan, matroid, rng))
+            refined = fan
+            for v in points:
+                refined = stellar_subdivision(refined, v)
+            pulled = bundle.pullback(refined)
+            for i, v in enumerate(refined.rays):
+                if v not in fan.rays:
+                    assert pulled.diagram[i] == oracle_pullback_row(bundle, v)
+
+
+@pytest.mark.parametrize("fan", [FANS["cube"], CUBE4_FAN], ids=["cube", "cube4"])
+def test_a_perturbed_cube_row_lies_in_no_common_apartment(fan):
+    # a line bundle whose values extend linearly on every cone but the ones
+    # through the first ray, once that row is moved
+    rows = [(dot((1, 2, 3, 4)[:fan.ambient_dim], v),) for v in fan.rays]
+    validate(fan, uniform_matroid(1, 1), rows)
+    rows[0] = (rows[0][0] + 1,)
+    with pytest.raises(NoCommonApartmentError):
+        validate(fan, uniform_matroid(1, 1), rows)
