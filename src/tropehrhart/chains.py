@@ -251,8 +251,13 @@ def box_values(a: ConvexChain, box):
     """The chain's values on the integer points of a box, streamed.
 
     Yields (points, values) int64 arrays of at most BOX_BLOCK rows, in the
-    order of `box_offsets`.  Each piece costs one integer matrix
-    product per block.  Before any array exists the box is checked
+    order of `box_offsets`.  Pieces share their half-spaces: a chain of
+    Brianchon-Gram pieces has one per cone and branch but only one normal
+    per ray.  So each block costs the same few numpy calls whatever the
+    number of pieces: one int64 product with the distinct normals, one
+    compare with the distinct (normal, bound) rows, one gather and
+    AND-reduce of every piece's rows, and one product with the
+    coefficients.  Before any array exists the box is checked
     (`lattice.check_box`) and int64 safety is proved: every coordinate and
     every |<n, u>| is at most max(1, max |n|_1) * max |u_i|, every block sum
     at most sum |c| * BOX_BLOCK, and both must stay below 2^62, else
@@ -265,34 +270,47 @@ def box_values(a: ConvexChain, box):
     a._check_length("box", len(lo))
     d = len(lo)
     check_box(box, d)
-    pieces = []
+    # number the distinct normals, then the distinct (normal, bound) rows;
+    # a piece is the set of its row numbers
+    normal_ids, row_ids, coeffs, piece_rows = {}, {}, [], []
     for c, piece in a.terms:
         rows = _integer_hrep(piece)
         if rows is not None:
-            pieces.append((c, *rows))
-    norm = max((sum(map(abs, n)) for _, ns, _ in pieces for n in ns), default=0)
+            coeffs.append(c)
+            piece_rows.append(sorted({
+                row_ids.setdefault(
+                    (normal_ids.setdefault(n, len(normal_ids)), b), len(row_ids)
+                )
+                for n, b in zip(*rows)
+            }))
+    norm = max((sum(map(abs, n)) for n in normal_ids), default=0)
     reach = max(norm, 1) * max(map(abs, (*lo, *hi)), default=0)
-    mass = sum(abs(c) for c, _, _ in pieces)
-    if reach >= INT64_SAFE or mass * BOX_BLOCK >= INT64_SAFE:
+    if reach >= INT64_SAFE or sum(map(abs, coeffs)) * BOX_BLOCK >= INT64_SAFE:
         raise BoxTooLargeError(
             "box values would leave the exact int64 range of the kernel"
         )
-    arrays = [
-        (
-            c,
-            np.array(ns, dtype=np.int64).reshape(len(ns), d).T,
-            np.array([min(max(b, -reach - 1), reach + 1) for b in bs],
-                     dtype=np.int64),
-        )
-        for c, ns, bs in pieces
-    ]
+    normals = np.array(list(normal_ids), dtype=np.int64).reshape(-1, d)
+    row_normal = np.array([k for k, _ in row_ids], dtype=np.intp)
+    row_bound = np.array(
+        [min(max(b, -reach - 1), reach + 1) for _, b in row_ids], dtype=np.int64
+    )[:, None]
+    # row len(row_ids) of `holds` is always true: it pads every piece to the
+    # widest one and is the whole of a piece without rows
+    width = max(map(len, piece_rows), default=0)
+    index = np.array(
+        [rows + [len(row_ids)] * (width - len(rows)) for rows in piece_rows],
+        dtype=np.intp,
+    ).reshape(len(piece_rows), width)
+    coeffs = np.array(coeffs, dtype=np.int64)
+    holds = np.ones((len(row_ids) + 1, BOX_BLOCK), dtype=bool)
     origin = np.array(lo, dtype=np.int64)
     for offsets in box_offsets(lo, hi):
         points = offsets + origin
-        values = np.zeros(points.shape[0], dtype=np.int64)
-        for c, normals, bounds in arrays:
-            values += c * (points @ normals <= bounds).all(axis=1)
-        yield points, values
+        n = points.shape[0]
+        np.less_equal((normals @ points.T)[row_normal], row_bound,
+                      out=holds[:-1, :n])
+        inside = holds[:, :n][index].all(axis=1)
+        yield points, coeffs @ inside.astype(np.int64)
 
 
 def lattice_sum(a: ConvexChain, box) -> int:

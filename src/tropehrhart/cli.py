@@ -389,6 +389,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# options whose value is a comma-separated vector, or two of them for a box
+_VECTOR_OPTIONS = ("--u", "--f", "--box")
+
+
+def _attach_vector_values(argv):
+    """argv with `--u -1,0` written as `--u=-1,0`, and so for --f and --box.
+
+    argparse takes a value such as -1,0, which starts with a minus sign but
+    is not a plain number, for an unknown option, and stops with "expected
+    one argument"; the `=` spelling it reads as a value.
+    """
+    out = []
+    for arg in argv:
+        if out and out[-1] in _VECTOR_OPTIONS and arg[:1] == "-" and arg[1:2].isdigit():
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def _error_payload(exc: Exception) -> dict:
     # cones are named by the file's 1-based ray numbers, as in every report
     message = exc.message(1) if isinstance(exc, ValidationError) else str(exc)
@@ -404,7 +424,9 @@ def _error_payload(exc: Exception) -> dict:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(
+        _attach_vector_values(sys.argv[1:] if argv is None else argv)
+    )
     try:
         report = args.fn(args)
     except TropehrhartError as exc:

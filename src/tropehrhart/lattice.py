@@ -831,7 +831,13 @@ def stellar_subdivision(f: Fan, v) -> Fan:
 # ---------------------------------------------------------------------------
 
 def _integer_normal(n):
-    """The normal as a tuple of ints; a non-integer entry is refused."""
+    """The normal as a tuple of ints; a non-integer entry is refused.
+
+    A tuple of ints is returned as given; bools, integral Fractions and
+    other integral numbers become ints.
+    """
+    if type(n) is tuple and all(type(x) is int for x in n):
+        return n
     n = tuple(n)
     row = tuple(int(x) for x in n)
     if row != n:
@@ -845,8 +851,14 @@ class HPolyhedron:
     """Intersection of half-spaces <y, v> <= d and hyperplanes <y, v> = d."""
 
     def __init__(self, inequalities=(), equalities=(), ambient_dim=None):
-        ineqs = [(_integer_normal(n), Fraction(b)) for n, b in inequalities]
-        eqs = [(_integer_normal(n), Fraction(b)) for n, b in equalities]
+        ineqs = [
+            (_integer_normal(n), b if type(b) is Fraction else Fraction(b))
+            for n, b in inequalities
+        ]
+        eqs = [
+            (_integer_normal(n), b if type(b) is Fraction else Fraction(b))
+            for n, b in equalities
+        ]
         if ambient_dim is None:
             if ineqs:
                 ambient_dim = len(ineqs[0][0])

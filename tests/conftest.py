@@ -18,8 +18,9 @@ tautological bundle (chart sections, global sections and the Euler
 characteristic at one character, each computed two ways), the monomial
 route of the Riemann-Roch left side (the polynomial z -> I(alpha[z])
 expanded from the volume form by `_branch_sum` into a `MultiPoly`, the
-Todd operator on monomials by `apply_todd`, the Bernoulli numbers), and the
-small constructions only tests use (box points, point chains, chain boxes,
+Todd operator on monomials by `apply_todd`, the Bernoulli numbers), the
+per-piece box kernel of chains (`oracle_box_values`), and the small
+constructions only tests use (box points, point chains, chain boxes,
 translates, relative-interior tests, maximal flags, the face alternating
 sum)."""
 
@@ -30,8 +31,16 @@ from math import ceil, comb, factorial, floor
 import pytest
 
 from tropehrhart import hrr
-from tropehrhart.chains import ConvexChain, split_branches
+from tropehrhart.chains import (
+    BOX_BLOCK,
+    INT64_SAFE,
+    ConvexChain,
+    _integer_hrep,
+    box_offsets,
+    split_branches,
+)
 from tropehrhart.errors import (
+    BoxTooLargeError,
     InterpolationFailureError,
     NoCommonApartmentError,
     NotInSupportError,
@@ -46,6 +55,7 @@ from tropehrhart.lattice import (
     _intersection_closure,
     bounding_box,
     box_size,
+    check_box,
     vcone_from_halfspaces,
 )
 from tropehrhart.linalg import clear_denominators, det, dot, rank
@@ -605,6 +615,47 @@ def box_points(lo, hi):
     any point exists."""
     box_size(lo, hi)
     return itertools.product(*(range(l, h + 1) for l, h in zip(lo, hi)))
+
+
+def oracle_box_values(a: ConvexChain, box):
+    """The per-piece box kernel that `chains.box_values` replaced: the same
+    checks, int64 proof, clipping and blocks, but one int64 product,
+    compare, AND-reduce and multiply-add per piece and block, on the piece's
+    own rows."""
+    import numpy as np
+
+    lo, hi = box
+    a._check_length("box", len(lo))
+    d = len(lo)
+    check_box(box, d)
+    pieces = []
+    for c, piece in a.terms:
+        rows = _integer_hrep(piece)
+        if rows is not None:
+            pieces.append((c, *rows))
+    norm = max((sum(map(abs, n)) for _, ns, _ in pieces for n in ns), default=0)
+    reach = max(norm, 1) * max(map(abs, (*lo, *hi)), default=0)
+    mass = sum(abs(c) for c, _, _ in pieces)
+    if reach >= INT64_SAFE or mass * BOX_BLOCK >= INT64_SAFE:
+        raise BoxTooLargeError(
+            "box values would leave the exact int64 range of the kernel"
+        )
+    arrays = [
+        (
+            c,
+            np.array(ns, dtype=np.int64).reshape(len(ns), d).T,
+            np.array([min(max(b, -reach - 1), reach + 1) for b in bs],
+                     dtype=np.int64),
+        )
+        for c, ns, bs in pieces
+    ]
+    origin = np.array(lo, dtype=np.int64)
+    for offsets in box_offsets(lo, hi):
+        points = offsets + origin
+        values = np.zeros(points.shape[0], dtype=np.int64)
+        for c, normals, bounds in arrays:
+            values += c * (points @ normals <= bounds).all(axis=1)
+        yield points, values
 
 
 def point_chain(coords) -> ConvexChain:

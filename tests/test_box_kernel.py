@@ -1,14 +1,18 @@
-"""The int64 box kernel of `chains` against the per-point loop it replaced.
+"""The int64 box kernel of `chains` against the routes it replaced.
 
-`box_values` evaluates a chain on a whole box from integer H-representations,
-one matrix product per piece and block; `lattice_sum` sums it and checks the
-margin shell.  The oracle is the loop that called `piece.contains(u)` with
-Fraction bounds once per point and piece.
+`box_values` evaluates a chain on a whole box from integer H-representations:
+per block, one product with the chain's distinct normals, one compare with
+its distinct rows, and one gather and AND-reduce of every piece's rows;
+`lattice_sum` sums it and checks the margin shell.  The oracles are the loop
+that called `piece.contains(u)` with Fraction bounds once per point and
+piece, and the per-piece kernel `conftest.oracle_box_values`, whose blocks
+must be equal array for array.
 """
 
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +20,7 @@ from hypothesis import strategies as st
 from tropehrhart.chains import (
     BOX_BLOCK,
     ConvexChain,
+    _integer_hrep,
     box_values,
     lattice_sum,
 )
@@ -34,7 +39,14 @@ from tropehrhart.lattice import (
 from tropehrhart.matroid import uniform_matroid
 import tropehrhart.tropvb as tropvb
 
-from conftest import box_points, chain_box, random_bundle, random_split_bundle
+from conftest import (
+    CHARACTER_FANS,
+    box_points,
+    chain_box,
+    oracle_box_values,
+    random_bundle,
+    random_split_bundle,
+)
 
 SETTINGS = settings(max_examples=250, deadline=None, derandomize=True)
 
@@ -89,9 +101,11 @@ def inner_point(draw, box):
 
 
 @st.composite
-def h_pieces(draw, box):
+def h_pieces(draw, box, pool):
     """Half-spaces with rational bounds and equalities whose right-hand side
-    may be a non-integer; bounded by the interior of the box or not."""
+    may be a non-integer; bounded by the interior of the box or not.  Some
+    rows come from the chain's shared pool, maybe twice, and a pool row may
+    be an equality, two rows when its bound is an integer."""
     lo, hi = box
     d = len(lo)
     normal = st.tuples(*[st.integers(-3, 3)] * d)
@@ -103,7 +117,9 @@ def h_pieces(draw, box):
             ineqs.append((tuple(-x for x in e), -draw(st.integers(lo[i] + 1, hi[i] - 1))))
     for n in draw(st.lists(normal, max_size=4)):
         ineqs.append((n, draw(RATIONAL)))
+    ineqs += draw(st.lists(st.sampled_from(pool), max_size=4))
     eqs = [(n, draw(RATIONAL)) for n in draw(st.lists(normal, max_size=1))]
+    eqs += draw(st.lists(st.sampled_from(pool), max_size=1))
     return HPolyhedron(ineqs, eqs, d)
 
 
@@ -116,11 +132,37 @@ def v_pieces(draw, box):
 @st.composite
 def chains_on_boxes(draw):
     box = draw(boxes())
+    d = len(box[0])
+    # rows the H-pieces of the chain share; integer bounds are common
+    pool = draw(st.lists(
+        st.tuples(st.tuples(*[st.integers(-2, 2)] * d),
+                  st.one_of(st.integers(-4, 4), RATIONAL)),
+        min_size=1, max_size=4,
+    ))
+    pieces = st.one_of(
+        h_pieces(box, pool), v_pieces(box), st.just(HPolyhedron([], [], d))
+    )
     terms = []
-    for _ in range(draw(st.integers(0, 4))):
-        piece = draw(st.one_of(h_pieces(box), v_pieces(box)))
-        terms.append((draw(st.integers(-3, 3)), piece))
+    for _ in range(draw(st.integers(0, 5))):
+        terms.append((draw(st.integers(-3, 3)), draw(pieces)))
     return ConvexChain(terms), box
+
+
+def _kinds(chain):
+    """The row kinds a chain reaches: "shared rows" when two of its pieces
+    have an integer row in common, "no rows" when a piece has none."""
+    kinds, seen = set(), set()
+    for _, piece in chain.terms:
+        hrep = _integer_hrep(piece)
+        if hrep is None:
+            continue
+        rows = set(zip(*hrep))
+        if not rows:
+            kinds.add("no rows")
+        if rows & seen:
+            kinds.add("shared rows")
+        seen |= rows
+    return kinds
 
 
 # ---------------------------------------------------------------------------
@@ -141,6 +183,40 @@ def test_box_values_equal_pointwise_evaluation(case):
     assert values == [chain.evaluate(u) for u in expected]
 
 
+def _assert_blocks_equal_the_oracle(chain, box):
+    blocks = list(box_values(chain, box))
+    expected = list(oracle_box_values(chain, box))
+    assert len(blocks) == len(expected)
+    for (points, values), (want_points, want_values) in zip(blocks, expected):
+        assert points.dtype == values.dtype == want_values.dtype == np.int64
+        assert np.array_equal(points, want_points)
+        assert np.array_equal(values, want_values)
+
+
+@SETTINGS
+@given(chains_on_boxes())
+def test_box_values_equal_the_per_piece_kernel(case):
+    _assert_blocks_equal_the_oracle(*case)
+
+
+BUNDLE_SHAPES = [(1, 1), (2, 3), (2, 4), (3, 5)]
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    st.sampled_from(["P2", "P3", "P1^3"]),
+    st.sampled_from(BUNDLE_SHAPES),
+    st.integers(0, 1 << 16),
+)
+def test_box_values_equal_the_per_piece_kernel_on_bundle_chains(name, shape, seed):
+    bundle = random_bundle(
+        CHARACTER_FANS[name], uniform_matroid(*shape), random.Random(seed)
+    )
+    _assert_blocks_equal_the_oracle(
+        bundle.chain_alpha(verify=False), bundle.chi_box()
+    )
+
+
 @SETTINGS
 @given(chains_on_boxes())
 def test_lattice_sum_equals_per_point_loop(case):
@@ -151,8 +227,9 @@ def test_lattice_sum_equals_per_point_loop(case):
 
 
 def test_property_cases_cover_totals_margins_and_blocks():
-    # the strategies must reach both outcomes and boxes of several blocks
-    # that are not a whole number of blocks
+    # the strategies must reach both outcomes, boxes of several blocks that
+    # are not a whole number of blocks, pieces that share rows and pieces
+    # without rows
     seen = set()
 
     @SETTINGS
@@ -163,9 +240,10 @@ def test_property_cases_cover_totals_margins_and_blocks():
         seen.add(_outcome(lattice_sum, chain, box)[0])
         if count > BOX_BLOCK and count % BOX_BLOCK:
             seen.add("ragged")
+        seen.update(_kinds(chain))
 
     collect()
-    assert seen == {"total", "margin", "ragged"}
+    assert seen == {"total", "margin", "ragged", "shared rows", "no rows"}
 
 
 def test_margin_error_names_first_point_in_box_order():

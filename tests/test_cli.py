@@ -252,6 +252,25 @@ def test_box_containing_the_chi_box_is_accepted(files, capsys):
     assert out == '{"alpha_total": 8, "box": [[-3, -2], [2, 4]]}\n'
 
 
+# a vector that starts with a minus sign, given after a space, is read as
+# the same value as after `=`
+@pytest.mark.parametrize("argv", [
+    ["chi", "--bundle", "fano", "--u", "-1,0"],
+    ["h0", "--bundle", "fano", "--u", "-1,-1"],
+    ["alpha-eval", "--bundle", "fano", "--u", "-1,0"],
+    ["alpha-eval", "--chain", "chain", "--u", "-1,0"],
+    ["resolve", "--bundle", "u23_bundle", "--f", "-1,0,0"],
+    ["chi", "--bundle", "fano", "--box", "-4,-3:3,3"],
+    ["alpha-eval", "--bundle", "fano", "--box", "-4,-3:3,3"],
+], ids=lambda argv: " ".join(argv))
+def test_negative_vector_after_a_space_reads_as_after_equals(files, capsys, argv):
+    argv = [files.get(a, a) for a in argv]
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert "error" not in json.loads(out)
+    assert run(capsys, *argv[:-2], f"{argv[-2]}={argv[-1]}") == (code, out)
+
+
 # the README examples, byte for byte: reports stay identical across refactors
 GOLDEN = [
     ("chi --bundle fano",

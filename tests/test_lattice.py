@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 from math import factorial
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -132,6 +133,22 @@ def test_hpolyhedron_refuses_non_integer_normals():
     p = HPolyhedron([((Fraction(2), 0), 1)])
     assert p.inequalities == (((2, 0), Fraction(1)),)
     assert not p.contains((5, 0))
+
+
+def test_hpolyhedron_normals_are_tuples_of_ints():
+    # bools, integral Fractions and numpy integers become ints; a tuple of
+    # ints and a Fraction bound are kept as given
+    normal, bound = (3, -1), Fraction(7, 2)
+    p = HPolyhedron(
+        [(normal, bound), ((True, Fraction(-2)), 0), ([np.int64(4), 0], 1)],
+        [((Fraction(6, 3), False), Fraction(1))],
+    )
+    assert p.inequalities[0][0] is normal and p.inequalities[0][1] is bound
+    rows = p.inequalities + p.equalities
+    assert [n for n, _ in rows] == [(3, -1), (1, -2), (4, 0), (2, 0)]
+    for n, b in rows:
+        assert type(n) is tuple and all(type(x) is int for x in n)
+        assert type(b) is Fraction
 
 
 def test_vertex_enumeration_errors():
