@@ -5,9 +5,11 @@ JSON report (deterministic key and array order) or an aligned text table.
 Exit codes: 0 success, 2 input/validation errors (with a structured error
 object naming the offending row or cone), 1 internal errors.
 
-Integers are emitted as JSON numbers while |x| < 2^53 and as decimal strings
-beyond; rationals are always "p/q" strings.  Ground set elements and ray
-indices are 1-indexed in all files.
+Every integer of a report, an error payload included, is emitted as a JSON
+number while |x| < 2^53 and as a decimal string beyond (`_dump` applies the
+rule once, to the whole report; booleans stay true and false); rationals are
+always "p/q" strings.  Ground set elements and ray indices are 1-indexed in
+all files.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .errors import (
 )
 from .lattice import VERTEX_ENUM_MAX_DIM, Fan, VPolytope
 from .matroid import Matroid
-from .tropvb import k_class_identity, split_resolution, validate
+from .tropvb import alternating_sum, k_class_identity, split_resolution, validate
 
 
 # ---------------------------------------------------------------------------
@@ -73,8 +75,19 @@ def parse_int(v) -> int:
     return int(f)
 
 
+def _encoded(obj):
+    """The report with every int, but no bool, through `encode_int`."""
+    if type(obj) is int:
+        return encode_int(obj)
+    if isinstance(obj, dict):
+        return {k: _encoded(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_encoded(v) for v in obj]
+    return obj
+
+
 def _dump(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(", ", ": "))
+    return json.dumps(_encoded(obj), sort_keys=True, separators=(", ", ": "))
 
 
 # ---------------------------------------------------------------------------
@@ -213,10 +226,11 @@ def _cmd_chi(args) -> dict:
     box = _user_box(args.box, bundle) if args.box else None
     if args.u is not None:
         u = _parse_vector(args.u, dim)
+        by_codim = bundle.euler_char_by_codim(u)
         return {
             "u": list(u),
-            "chi_u": bundle.euler_char_u(u),
-            "h0_by_codim": bundle.euler_char_by_codim(u),
+            "chi_u": alternating_sum(by_codim),
+            "h0_by_codim": by_codim,
         }
     if box is None:
         box = bundle.chi_box()
@@ -252,7 +266,7 @@ def _cmd_hrr(args) -> dict:
     result = hrr.hrr_verify(bundle)
     return {
         "lhs": encode_rational(result["lhs"]),
-        "rhs": encode_int(result["rhs"]),
+        "rhs": result["rhs"],
         "equal": result["equal"],
     }
 
@@ -268,8 +282,7 @@ def _cmd_resolve(args) -> dict:
                 "codim": piece.codim,
                 "rank": piece.rank,
                 "characters": {
-                    _cone_label(k): [[encode_int(x) for x in u] for u in us]
-                    for k, us in piece.characters.items()
+                    _cone_label(k): us for k, us in piece.characters.items()
                 },
             }
         )

@@ -82,8 +82,7 @@ def _simplicial_cones(fan: Fan):
     n = fan.ambient_dim
     simplices = []
     for key in fan.maximal_keys:
-        facets = [f for f in fan.cone_faces[key] if fan.cone_dims[f] == n - 1]
-        simplices += _pulling_triangulation(key, facets)
+        simplices += _pulling_triangulation(key, fan.facets(key))
     rows = [[fan.rays[i] for i in s] for s in simplices]
     for t in itertools.count(1):
         c = tuple(t**i for i in range(n))

@@ -15,13 +15,20 @@ bitmask of the rows tight on it; `vcone_from_halfspaces` is its public form
 without the masks.
 It starts from the simplicial cone that one elimination gives (the inverse
 of the independent rows and a lineality basis) and cuts it one row at a
-time (`_cut`).  A pointed cone whose rays are all extreme keeps its facet
-masks, so `Cone.intersect` and `Cone.intersect_halfspace` continue its
-double description by the new rows only, and the result reads its dual and
-facets off the masks.  That way the fan check's pairwise intersections, the
-pieces of `refine_by_hyperplanes` and the refined fan's faces start no new
-double description, and `min_containing_cone` reads the smallest cone off
-the facets of one maximal cone.  Hulls of every dimension and affine rank
+time (`_cut`).  A cone's dual is one such double description of its
+generators.  A pointed cone whose rays are all extreme (`Cone._is_exact`)
+keeps its facet masks, so `Cone.intersect` and `Cone.intersect_halfspace`,
+through the one cut `Cone._cut_by`, continue its double description by the
+new rows only, and the result reads its dual and facets off the masks; any
+other cone takes one fresh double description.  That way the fan check's
+pairwise intersections, the pieces of `refine_by_hyperplanes` and the
+refined fan's faces start no new double description, and
+`min_containing_cone` reads the smallest cone off the facets of one maximal
+cone.  A fan refuses a maximal cone that is not exact, lists the facets of
+a cone off the same masks (`Fan.facets`), and is complete when each facet
+of its maximal cones, all full-dimensional, is shared by exactly two of
+them.  A fan given the `duals` of its maximal cones is a refinement known
+by construction and is not checked again.  Hulls of every dimension and affine rank
 take the double description through `_hull_data`, which reads each facet's
 points off the masks.  Face lattices come from one closure of facet
 incidences under intersection, `_intersection_closure`.  One pulling
@@ -38,6 +45,7 @@ coordinates over the rays.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from fractions import Fraction
 from math import ceil, factorial, floor, gcd, lcm
 
@@ -254,12 +262,13 @@ class Cone:
             facets = None
             if self._tight is not None:
                 rays, lin, facets = self._dual_from_tight()
-            elif self.lineality:
-                rays, lin = vcone_from_halfspaces(self.generators, self.ambient_dim)
             else:
-                found, lin = _double_description(self.rays, self.ambient_dim)
+                found, lin = _double_description(
+                    _distinct_rows(self.generators), self.ambient_dim
+                )
                 rays = tuple(g for g, _ in found)
-                facets = tuple(z for _, z in found)
+                if not self.lineality:  # the tight masks index the rays
+                    facets = tuple(z for _, z in found)
             self._dual = Cone(rays, self.ambient_dim, lineality=lin)
             self._dual._dual = self  # duality is involutive for closed cones
             self._facets = facets
@@ -320,10 +329,18 @@ class Cone:
                 )
         return self._exact
 
-    def _continue(self, normals) -> "Cone":
-        """This exact cone cut by <n, x> >= 0 for every normal: its rays,
-        with their masks over its facet rows (both signs of the dual's
-        lineality included), are the double description to continue."""
+    def _cut_by(self, normals) -> "Cone":
+        """This cone cut by <n, x> >= 0 for every normal.
+
+        An exact cone continues its double description: its rays, with
+        their masks over its facet rows (both signs of the dual's lineality
+        included), are cut by the new rows only.  Any other cone, such as a
+        library cone with lineality, takes one fresh double description.
+        """
+        if not self._is_exact():
+            rows = list(self.dual.generators) + [tuple(n) for n in normals]
+            rays, lin = vcone_from_halfspaces(rows, self.ambient_dim)
+            return Cone(rays, self.ambient_dim, lineality=lin)
         dual = self.dual
         rows = list(dual.generators)
         lin_bits = (1 << len(rows)) - (1 << len(dual.rays))
@@ -367,20 +384,12 @@ class Cone:
         return face
 
     def intersect(self, other: "Cone") -> "Cone":
-        if self._is_exact():
-            return self._continue(other.dual.generators)
-        if other._is_exact():
-            return other._continue(self.dual.generators)
-        normals = list(self.dual.generators) + list(other.dual.generators)
-        rays, lin = vcone_from_halfspaces(normals, self.ambient_dim)
-        return Cone(rays, self.ambient_dim, lineality=lin)
+        if other._is_exact() and not self._is_exact():
+            return other._cut_by(self.dual.generators)
+        return self._cut_by(other.dual.generators)
 
     def intersect_halfspace(self, normal) -> "Cone":
-        if self._is_exact():
-            return self._continue([normal])
-        normals = list(self.dual.generators) + [tuple(normal)]
-        rays, lin = vcone_from_halfspaces(normals, self.ambient_dim)
-        return Cone(rays, self.ambient_dim, lineality=lin)
+        return self._cut_by([normal])
 
     def face_ray_sets(self):
         """All faces of a pointed cone, as frozensets of local ray indices."""
@@ -466,13 +475,12 @@ class Fan:
 
     Rays are indexed; cones are stored as frozensets of ray indices.  The fan
     property (any two cones intersect in a common face) is verified at
-    construction.  `duals` may map maximal cone keys to their dual cones,
-    when those are known already; those cones then take them instead of
-    running a double description.
+    construction, unless `duals` is given: it maps the maximal cone keys of
+    a fan known by construction, such as a common refinement, to their dual
+    cones, which those cones then take instead of a double description.
     """
 
-    def __init__(self, rays, maximal_cones, ambient_dim=None, *, validate=True,
-                 duals=None):
+    def __init__(self, rays, maximal_cones, ambient_dim=None, *, duals=None):
         rays = [primitive(tuple(r)) for r in rays]
         if any(is_zero(r) for r in rays):
             raise ValidationError("zero vector cannot be a fan ray")
@@ -521,7 +529,7 @@ class Fan:
         self._complete = None
         self._smooth_cones = {}
         self._inverses = {}
-        if validate:
+        if duals is None:
             self._validate(listed)
 
     def _make_cone(self, key) -> Cone:
@@ -545,15 +553,9 @@ class Fan:
 
     def _validate(self, listed):
         for key in self.maximal_keys:
-            cone = self._make_cone(key)
-            if cone.lineality:
-                raise ValidationError("fan cones must be strictly convex")
-            # the origin is a face (no ray) exactly when the cone is pointed,
-            # and a ray is extreme exactly when it alone is a face
-            faces = self.cone_faces[key]
-            if frozenset() not in faces or any(
-                frozenset((i,)) not in faces for i in key
-            ):
+            # a cone on rays alone is exact when it is pointed and every ray
+            # is extreme; the pairwise intersections below continue it
+            if not self._make_cone(key)._is_exact():
                 raise ValidationError("rays of cone {} are not all extreme", key)
         for key, other in itertools.product(listed, self.maximal_keys):
             if key < other and key not in self.cone_faces[other]:
@@ -582,23 +584,21 @@ class Fan:
         return self._complete
 
     def _check_complete(self) -> bool:
-        if not self.maximal_keys:
-            return False
         n = self.ambient_dim
-        for key in self.maximal_keys:
-            if self.cone_dims[key] != n:
-                return False
-        for key in self.maximal_keys:
-            cone = self._make_cone(key)
-            ordered = sorted(key)
-            for local in cone.face_ray_sets():
-                face_key = frozenset(ordered[i] for i in local)
-                if self.cone_dims.get(face_key) != n - 1:
-                    continue
-                count = sum(1 for m in self.maximal_keys if face_key <= m)
-                if count != 2:
-                    return False
-        return True
+        if not self.maximal_keys or any(
+            self.cone_dims[key] != n for key in self.maximal_keys
+        ):
+            return False
+        counts = Counter(f for key in self.maximal_keys for f in self.facets(key))
+        return all(c == 2 for c in counts.values())
+
+    def facets(self, key):
+        """The facets of a cone of the fan, as sorted ray-index keys: the
+        zero sets of its dual's rays."""
+        ordered = sorted(key)
+        masks = self.cone(key)._facet_masks()
+        return sorted((frozenset(ordered[i] for i in _bits(z)) for z in masks),
+                      key=sorted)
 
     def is_smooth(self) -> bool:
         """Does every maximal cone's ray set extend to a lattice basis?"""
@@ -788,7 +788,7 @@ def refine_by_hyperplanes(f: Fan, normals) -> Fan:
     index = {r: i for i, r in enumerate(new_rays)}
     duals = {frozenset(index[r] for r in c.rays): c.dual for c in pieces}
     # a common refinement is a fan by construction
-    return Fan(new_rays, list(duals), f.ambient_dim, validate=False, duals=duals)
+    return Fan(new_rays, list(duals), f.ambient_dim, duals=duals)
 
 
 def _sign_key(v) -> int:
@@ -815,14 +815,9 @@ def stellar_subdivision(f: Fan, v) -> Fan:
         if not cone.contains(v):
             maximal.append(key)
             continue
-        ordered = sorted(key)
-        for local in cone.face_ray_sets():
-            face_key = frozenset(ordered[i] for i in local)
-            if f.cone_dims[face_key] != f.cone_dims[key] - 1:
-                continue
-            if f.cone(face_key).contains(v):
-                continue
-            maximal.append(face_key | {vi})
+        for facet in f.facets(key):
+            if not f.cone(facet).contains(v):
+                maximal.append(facet | {vi})
     return Fan(new_rays, maximal, f.ambient_dim)
 
 

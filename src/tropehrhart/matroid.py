@@ -103,14 +103,6 @@ class Matroid:
     def closure(self, subset) -> frozenset:
         return self.elements(self.closure_mask(self.mask(subset)))
 
-    def is_flat(self, subset) -> bool:
-        s = self.mask(subset)
-        return self.closure_mask(s) == s
-
-    def is_independent(self, subset) -> bool:
-        s = self.mask(subset)
-        return self.rank_table[s] == s.bit_count()
-
     @property
     def loops(self) -> frozenset:
         return self.elements(self.closure_mask(0))

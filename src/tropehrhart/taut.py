@@ -50,10 +50,11 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import BoxTooLargeError, ValidationError
 from .matroid import Matroid, max_weight_basis
 
 MAX_GROUND = 7
+INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 # ---------------------------------------------------------------------------
@@ -232,8 +233,12 @@ def _slice_box(m: int, bound: int, classes):
     coordinates are at most bound each, and at least their class
     predecessors, where the later members of j's class are at least u_j.
     So every partial point extends to a point of the box.  Partial points
-    wait on a stack in batches of at most CHUNK rows, which keeps memory
-    bounded.
+    wait on a stack in batches of at most CHUNK rows, with the range of
+    their next coordinate once it is known.  A batch grows by at most CHUNK
+    rows at a time: its longest prefix whose ranges hold at most CHUNK
+    values in all grows, and the rest goes back on the stack; a first row
+    with more values grows by the first CHUNK of them and goes back with
+    its range cut.  So memory stays O(m * CHUNK) for any bound.
     """
     prev = [-1] * m  # the previous member of each coordinate's class, or -1
     later = [0] * m  # the number of later members
@@ -259,10 +264,10 @@ def _slice_box(m: int, bound: int, classes):
             else:
                 free[j] += 1
 
-    stack = [np.zeros((1, 0), dtype=np.int64)]
+    stack = [(np.zeros((1, 0), dtype=np.int64), None, None)]
     pending, held = [], 0
     while stack:
-        rows = stack.pop()
+        rows, lo, hi = stack.pop()
         j = rows.shape[1]
         if j == m:
             pending.append(rows)
@@ -272,20 +277,29 @@ def _slice_box(m: int, bound: int, classes):
                 yield rows[:CHUNK]
                 pending, held = [rows[CHUNK:]], held - CHUNK
             continue
-        s = rows.sum(axis=1)
-        lo = np.maximum(
-            rows[:, prev[j]] if prev[j] >= 0 else -bound,
-            1 - s - bound * (m - 1 - j),
-        )
-        floor = rows @ rest[j, :j] - bound * free[j]
-        hi = np.minimum(bound, (1 - s - floor) // (1 + later[j]))
-        counts = np.maximum(hi - lo + 1, 0)
-        grown = np.empty((int(counts.sum()), j + 1), dtype=np.int64)
+        if lo is None:
+            s = rows.sum(axis=1)
+            lo = np.maximum(
+                rows[:, prev[j]] if prev[j] >= 0 else -bound,
+                1 - s - bound * (m - 1 - j),
+            )
+            floor = rows @ rest[j, :j] - bound * free[j]
+            hi = np.minimum(bound, (1 - s - floor) // (1 + later[j]))
+        # clipped above CHUNK, so that the running total stays small
+        counts = np.minimum(np.maximum(hi - lo + 1, 0), CHUNK + 1)
+        ends = np.cumsum(counts)
+        take = int(np.searchsorted(ends, CHUNK, side="right"))
+        if take == 0:
+            stack.append((rows, np.concatenate(([lo[0] + CHUNK], lo[1:])), hi))
+            take, counts, ends = 1, np.full(1, CHUNK), np.full(1, CHUNK)
+        elif take < rows.shape[0]:
+            stack.append((rows[take:], lo[take:], hi[take:]))
+        rows, lo, counts, ends = rows[:take], lo[:take], counts[:take], ends[:take]
+        grown = np.empty((int(ends[-1]), j + 1), dtype=np.int64)
         grown[:, :j] = np.repeat(rows, counts, axis=0)
-        starts = np.repeat(np.cumsum(counts) - counts, counts)
+        starts = np.repeat(ends - counts, counts)
         grown[:, j] = np.repeat(lo, counts) + np.arange(grown.shape[0]) - starts
-        stack += [grown[k:k + CHUNK]
-                  for k in reversed(range(0, grown.shape[0], CHUNK))]
+        stack.append((grown, None, None))
     if held:
         yield np.concatenate(pending)
 
@@ -407,7 +421,9 @@ def vanishing_check(matroid: Matroid, max_coord=None) -> dict:
     The box is {u : sum u = 1, |u_i| <= max_coord} (default max(m, 2)); both
     functions must vanish on the box's margin shell, so the verified region
     genuinely contains all of the support.  A bound below 2 is rejected: such
-    a box lies entirely on its shell and verifies nothing.
+    a box lies entirely on its shell and verifies nothing.  A bound whose
+    sums (at most 2 * m * max_coord + 1 in absolute value) leave int64 is
+    refused with BoxTooLargeError before any array exists.
 
     One point per orbit of the matroid's transposition symmetries is swept,
     in blocks of CHUNK points, so memory stays bounded.  `points` counts
@@ -423,6 +439,10 @@ def vanishing_check(matroid: Matroid, max_coord=None) -> dict:
         raise ValidationError(
             f"max_coord must be at least 2, got {bound}: every point of a "
             "smaller box lies on its margin shell"
+        )
+    if 2 * m * bound + 1 > INT64_MAX:
+        raise BoxTooLargeError(
+            f"max_coord {bound} would leave the exact int64 range of the sweep"
         )
     classes = _symmetry_classes(matroid)
     points, shell_ok, mismatches, failures = 0, True, 0, []

@@ -71,11 +71,9 @@ class TropicalVectorBundle:
 
     # -- filtrations ----------------------------------------------------
 
-    def klyachko_flat(self, ray_index: int, i: int) -> frozenset:
-        """The flat of elements whose diagram entry on this ray is >= i."""
-        return Matroid.elements(self._klyachko_mask(ray_index, i))
-
     def _klyachko_mask(self, ray_index: int, i: int) -> int:
+        """Mask of the flat of elements whose diagram entry on this ray is
+        >= i."""
         row = self.diagram[ray_index]
         i = max(min(row), min(i, max(row) + 1))
         key = (ray_index, i)
@@ -119,11 +117,8 @@ class TropicalVectorBundle:
     # -- Euler characteristic ----------------------------------------------
 
     def euler_char_u(self, u) -> int:
-        self._check_character(u)
-        total = 0
-        for key in self.fan.cone_keys:
-            total += (-1) ** self.fan.codim(key) * self.h0_local(key, u)
-        return total
+        """chi_u, the alternating sum of `euler_char_by_codim`."""
+        return alternating_sum(self.euler_char_by_codim(u))
 
     def euler_char_by_codim(self, u):
         """Per-codimension totals of rank h^0 over cones; sums to chi_u."""
@@ -373,6 +368,11 @@ class TropicalVectorBundle:
             f"TropicalVectorBundle(rank={self.rank}, rays={len(self.fan.rays)}, "
             f"ground={self.matroid.m})"
         )
+
+
+def alternating_sum(by_codim) -> int:
+    """sum_k (-1)^k by_codim[k]: chi_u from `euler_char_by_codim`."""
+    return sum(-h if k % 2 else h for k, h in enumerate(by_codim))
 
 
 def validate(fan: Fan, matroid: Matroid, diagram) -> TropicalVectorBundle:

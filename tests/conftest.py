@@ -4,8 +4,9 @@ plane, and independent oracles used to cross-check the exact machinery:
 Fraction Gauss-Jordan elimination (`rref`, `rref_solve`, `solve_unique`),
 the cofactor null vector (`cross_nullvec`), matroid ones read off the basis
 list (the pairwise exchange check, rank as the largest basis intersection,
-subset-enumeration circuits, flats and fundamental circuits, the sorted
-scan for adapted bases), the per-cone Fraction route of bundle validation
+subset-enumeration circuits, flats and fundamental circuits, independence,
+closure, the flat test and the Klyachko flats of a bundle, the sorted scan
+for adapted bases), the per-cone Fraction route of bundle validation
 (`common_adapted_basis`, `oracle_adapted_bases`), the per-character
 `rref_solve` routes of characters, split resolutions and the Riemann-Roch
 extension forms (`oracle_cone_characters`, `oracle_split_characters`,
@@ -13,9 +14,10 @@ extension forms (`oracle_cone_characters`, `oracle_split_characters`,
 ray subsets of its smallest cone (`oracle_pullback_row`), geometric ones (the
 double-dual check of a cone's rays; duals, cuts and face lattices by a
 fresh `vcone_from_halfspaces` and dot products; the smallest cone of a fan
-containing a point by a scan by dimension), the pointwise routes of the
-tautological bundle (chart sections, global sections and the Euler
-characteristic at one character, each computed two ways), the monomial
+containing a point by a scan by dimension; the extreme-ray test, the facets
+and completeness of a fan read off face sets and dimensions), the pointwise
+routes of the tautological bundle (chart sections, global sections and the
+Euler characteristic at one character, each computed two ways), the monomial
 route of the Riemann-Roch left side (the polynomial z -> I(alpha[z])
 expanded from the volume form by `_branch_sum` into a `MultiPoly`, the
 Todd operator on monomials by `apply_todd`, the Bernoulli numbers), the
@@ -300,6 +302,33 @@ def oracle_fundamental_circuit(bases, basis, e):
     return None
 
 
+def is_independent(matroid, subset) -> bool:
+    """Does the subset lie in a basis?"""
+    s = frozenset(subset)
+    return any(s <= b for b in matroid.bases)
+
+
+def oracle_closure(matroid, subset) -> frozenset:
+    """The elements that do not raise the rank of the subset."""
+    s = frozenset(subset)
+    r = oracle_rank(matroid.bases, s)
+    return frozenset(
+        e for e in matroid.ground if oracle_rank(matroid.bases, s | {e}) == r
+    )
+
+
+def is_flat(matroid, subset) -> bool:
+    """Is the subset its own closure?"""
+    return oracle_closure(matroid, subset) == frozenset(subset)
+
+
+def klyachko_flat(bundle, ray_index, i) -> frozenset:
+    """The flat of the elements whose diagram entry on the ray is >= i: the
+    closure of that level set."""
+    row = bundle.diagram[ray_index]
+    return oracle_closure(bundle.matroid, {e for e, x in enumerate(row, 1) if x >= i})
+
+
 def scan_adapted_basis(matroid, rows):
     """The first basis in sorted order whose apartment holds every row."""
     for b in sorted(matroid.bases, key=sorted):
@@ -328,7 +357,7 @@ def oracle_adapted_bases(fan, matroid, diagram):
     for ri, row in enumerate(diagram):
         for k in set(row):
             level = frozenset(e for e in range(1, matroid.m + 1) if row[e - 1] >= k)
-            if not matroid.is_flat(level):
+            if not is_flat(matroid, level):
                 raise RowNotInBergmanError(ri + 1, row, level)
     adapted = {}
     for key in fan.cone_keys:
@@ -473,6 +502,39 @@ def fresh_faces(cone):
     ]
     faces = _intersection_closure(len(cone.rays), zero_sets)
     return sorted(faces, key=lambda s: (len(s), sorted(s)))
+
+
+def face_set_extreme(cone) -> bool:
+    """Is a cone on rays alone pointed with every ray extreme, read off its
+    face sets?  The origin (no ray) is a face exactly when the cone is
+    pointed, and a ray is extreme exactly when it alone is a face."""
+    faces = set(cone.face_ray_sets())
+    return frozenset() in faces and all(
+        frozenset((i,)) in faces for i in range(len(cone.rays))
+    )
+
+
+def dimension_filtered_facets(fan, key):
+    """The facets of a maximal cone as sorted keys: its faces one dimension
+    below it."""
+    dim = fan.cone_dims[key]
+    return sorted(
+        (f for f in fan.cone_faces[key] if fan.cone_dims[f] == dim - 1), key=sorted
+    )
+
+
+def scan_complete(fan) -> bool:
+    """Completeness by facet pairing, one scan of the maximal cones per
+    facet: every maximal cone is full-dimensional, and each of its
+    dimension-filtered facets lies in exactly two maximal cones."""
+    n = fan.ambient_dim
+    if not fan.maximal_keys or any(fan.cone_dims[k] != n for k in fan.maximal_keys):
+        return False
+    return all(
+        sum(1 for m in fan.maximal_keys if facet <= m) == 2
+        for key in fan.maximal_keys
+        for facet in dimension_filtered_facets(fan, key)
+    )
 
 
 def scan_min_containing_cone(fan, x):

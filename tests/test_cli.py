@@ -422,6 +422,75 @@ def test_taut_check_rejects_box_below_two(files, capsys, bound):
     assert json.loads(out)["error"]["type"] == "ValidationError"
 
 
+@pytest.mark.parametrize("bound", ["4611686018427387904", "3074457345618258602"])
+def test_taut_check_refuses_a_bound_beyond_int64_before_the_sweep(
+        files, capsys, monkeypatch, bound):
+    import tropehrhart.taut as taut
+
+    def no_arrays(*args):
+        raise AssertionError("the sweep started")
+
+    monkeypatch.setattr(taut, "_symmetry_classes", no_arrays)
+    monkeypatch.setattr(taut, "_slice_box", no_arrays)
+    code, out = run(capsys, "taut-check", "--matroid", files["u23_matroid"],
+                    "--max-coord", bound)
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "BoxTooLargeError"
+
+
+BIG = 2**54
+# a line bundle on P^2 whose characters (2^54, 2^54), (2^54 - 1, 2^54) and
+# (2^54, 2^54 - 1) lie beyond 2^53; and a matroid with two parallel
+# elements, on which a row with one entry 2^54 is not a Bergman point
+BIG_BUNDLE = {"fan": P2_FAN, "matroid": {"m": 1, "bases": [[1]]},
+              "diagram": [[BIG], [BIG], [-2 * BIG + 1]]}
+BIG_BAD_ROW = {"fan": P2_FAN, "matroid": {"m": 2, "bases": [[1], [2]]},
+               "diagram": [[BIG, 0], [0, 0], [0, 0]]}
+
+
+def _numbers(obj):
+    """Every int of a parsed report, booleans left out."""
+    if isinstance(obj, dict):
+        return [x for v in obj.values() for x in _numbers(v)]
+    if isinstance(obj, list):
+        return [x for v in obj for x in _numbers(v)]
+    return [obj] if type(obj) is int else []
+
+
+def test_integers_from_2_to_the_53_print_as_strings(tmp_path, capsys):
+    big, bad = tmp_path / "big.json", tmp_path / "bad.json"
+    big.write_text(json.dumps(BIG_BUNDLE))
+    bad.write_text(json.dumps(BIG_BAD_ROW))
+    near = [str(BIG - 1), str(BIG)]
+    box = [[str(BIG - 2)] * 2, [str(BIG + 1)] * 2]
+    u = ["--u", f"{BIG},{BIG}"]
+    want = [
+        (["chi"], {"box": box, "chi_total": 3}),
+        (["chi", *u], {"chi_u": 1, "h0_by_codim": [3, 3, 1], "u": [str(BIG)] * 2}),
+        (["alpha-eval"], {"alpha_total": 3, "box": box}),
+        (["alpha-eval", *u],
+         {"alpha_u": 1, "chi_u": 1, "equal": True, "u": [str(BIG)] * 2}),
+        (["h0"], {"h0_total": 3, "nonzero": [
+            {"h0": 1, "u": near}, {"h0": 1, "u": near[::-1]},
+            {"h0": 1, "u": [str(BIG)] * 2}]}),
+        (["h0", *u], {"h0_u": 1, "u": [str(BIG)] * 2}),
+        (["hrr"], {"equal": True, "lhs": "3/1", "rhs": 3}),
+    ]
+    for argv, report in want:
+        code, out = run(capsys, argv[0], "--bundle", str(big), *argv[1:])
+        assert code == 0 and json.loads(out) == report, argv
+    code, out = run(capsys, "resolve", "--bundle", str(big))
+    report = json.loads(out)
+    assert code == 0 and report["k_class_identity"] is True
+    assert report["f"] == [str(BIG), str(BIG), str(-2 * BIG + 1)]
+    assert report["bundles"][2]["characters"] == {
+        "1,2": [[str(BIG)] * 2], "1,3": [near[::-1]], "2,3": [near]}
+    assert all(abs(x) < 2**53 for x in _numbers(report))
+    code, out = run(capsys, "validate", "--bundle", str(bad))
+    assert code == 2
+    assert json.loads(out)["error"]["entries"] == [str(BIG), 0]
+
+
 def test_flag_sum(capsys):
     code, out = run(capsys, "flag-sum", "--m", "5")
     assert json.loads(out) == {"m": 5, "sum": -1}

@@ -36,13 +36,16 @@ from tropehrhart.linalg import det, dot, primitive, vec_sub
 from conftest import (
     FANS,
     caratheodory_contains,
+    dimension_filtered_facets,
     double_dual_verdict,
     face_alternating_sum,
+    face_set_extreme,
     grid_points,
     lattice_points,
     oracle_hull_vertices,
     random_lattice_polytope,
     relint_contains,
+    scan_complete,
     scan_min_containing_cone,
     translate,
 )
@@ -457,7 +460,7 @@ def test_refinement_passes_fan_validation_3d():
     )
     refined = refine_by_hyperplanes(p3, [(1, -1, 0), (0, 1, -1), (1, 0, -2)])
     assert len(refined.rays) > len(p3.rays)
-    checked = Fan(refined.rays, refined.maximal_keys, 3, validate=True)
+    checked = Fan(refined.rays, refined.maximal_keys, 3)
     assert checked.cone_keys == refined.cone_keys
     assert is_complete(checked) and is_refinement(checked, p3)
 
@@ -667,3 +670,74 @@ def test_fan_and_refinement_face_dims_equal_cone_dims(name, data):
             assert f.dim(key) == Cone([f.rays[i] for i in sorted(key)], d).dim
         for key in f.maximal_keys:
             assert double_dual_verdict(f.cone(key)) == "pointed"
+
+
+# ---------------------------------------------------------------------------
+# exactness, facets and completeness against the face-set routes they
+# replaced
+# ---------------------------------------------------------------------------
+
+def _assert_routes_equal_face_set_oracles(fan):
+    assert fan._check_complete() == scan_complete(fan)
+    for key in fan.maximal_keys:
+        assert fan.facets(key) == dimension_filtered_facets(fan, key)
+        assert fan.cone(key)._is_exact() == face_set_extreme(fan.cone(key))
+
+
+# fans with a maximal cone below full dimension: a quadrant and a ray, and
+# an octant with two planar cones through the ray (-1, -1, 0)
+LOWER_DIMENSIONAL_FANS = [
+    Fan([(1, 0), (0, 1), (-1, -1)], [[0, 1], [2]]),
+    Fan([(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, 0)], [[0, 1, 2], [0, 3], [1, 3]]),
+    *PARTIAL_FANS.values(),
+]
+
+
+@pytest.mark.parametrize("name", sorted(FANS))
+def test_facets_and_completeness_equal_face_set_routes(name):
+    fan = FANS[name]
+    complete = [fan, refine_by_hyperplanes(fan, REFINING_NORMALS[fan.ambient_dim])]
+    if fan.ambient_dim > 1:
+        complete.append(stellar_subdivision(fan, [1] * fan.ambient_dim))
+    for f in complete:
+        assert f.is_complete()
+        _assert_routes_equal_face_set_oracles(f)
+    # one maximal cone dropped: incomplete
+    for drop in fan.maximal_keys:
+        f = Fan(fan.rays, [k for k in fan.maximal_keys if k != drop], fan.ambient_dim)
+        assert not f.is_complete()
+        _assert_routes_equal_face_set_oracles(f)
+
+
+def test_facets_and_completeness_with_a_lower_dimensional_maximal_cone():
+    for fan in LOWER_DIMENSIONAL_FANS:
+        assert not fan.is_complete()
+        _assert_routes_equal_face_set_oracles(fan)
+    # the facet of a ray is the origin, and the octant's are its quadrants
+    assert LOWER_DIMENSIONAL_FANS[0].facets({2}) == [frozenset()]
+    assert LOWER_DIMENSIONAL_FANS[1].facets({0, 1, 2}) == [
+        frozenset({0, 1}), frozenset({0, 2}), frozenset({1, 2})]
+
+
+@LATTICE_SETTINGS
+@given(cones())
+def test_exactness_facets_and_completeness_on_any_ray_set(cone):
+    # the fan check refuses cones that are not pointed or have a ray that is
+    # not extreme, so the routes meet those through a fan given the cone's
+    # dual, which is taken on trust
+    key = frozenset(range(len(cone.rays)))
+    fan = Fan(cone.rays, [key], cone.ambient_dim, duals={key: cone.dual})
+    assert cone._is_exact() == face_set_extreme(cone) == (
+        double_dual_verdict(cone) == "pointed")
+    _assert_routes_equal_face_set_oracles(fan)
+
+
+def test_a_fan_given_duals_is_not_checked():
+    # the star pentagon covers the plane twice and is refused when checked;
+    # given the duals of its cones it is taken as it is
+    star = [(1, 0), (1, 3), (-3, 1), (-3, -2), (1, -3)]
+    cones_ = [[i, (i + 2) % 5] for i in range(5)]
+    with pytest.raises(ValidationError, match="do not meet in a face"):
+        Fan(star, cones_)
+    duals = {frozenset(c): Cone([star[i] for i in sorted(c)], 2).dual for c in cones_}
+    assert len(Fan(star, cones_, duals=duals).maximal_keys) == 5

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tropehrhart.errors import ValidationError
+from tropehrhart.errors import BoxTooLargeError, ValidationError
 from tropehrhart.linalg import rank
 from tropehrhart.matroid import Matroid, in_lifted_bergman, uniform_matroid
 from tropehrhart.taut import (
@@ -377,6 +377,71 @@ def test_sweep_with_partial_last_chunk():
     blocks = list(_slice_box(5, 5, _singletons(5)))
     assert blocks[-1].shape[0] == points % CHUNK
     _assert_matches_oracle(matroid, 5)
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 5])
+@pytest.mark.parametrize("classes", [
+    ((0,), (1,), (2,), (3,)),
+    ((0, 1, 2, 3),),
+    ((0, 2), (1, 3)),
+    ((0, 3, 4), (1,), (2,)),
+])
+def test_rows_with_more_values_than_a_block_grow_in_windows(
+        classes, chunk, monkeypatch):
+    # with blocks of at most 5 points the first row of a batch often has
+    # more values than a block holds; the stream and its blocks stay those
+    # of the product order
+    import tropehrhart.taut as taut
+
+    m = sum(len(c) for c in classes)
+    for bound in (2, 3):
+        want = np.concatenate(list(_slice_box(m, bound, classes)))
+        monkeypatch.setattr(taut, "CHUNK", chunk)
+        blocks = list(_slice_box(m, bound, classes))
+        monkeypatch.undo()
+        assert all(b.shape[0] == chunk for b in blocks[:-1])
+        assert np.array_equal(np.concatenate(blocks), want)
+
+
+def test_slice_box_memory_does_not_grow_with_the_bound():
+    # a bound of 10**6 gives 2 * 10**6 + 1 values of the first coordinate,
+    # and of the second after it; the first blocks hold the first points in
+    # lexicographic order, (-b, k, b + 1 - k) for k = 1, 2, ...
+    import tracemalloc
+
+    bound = 10**6
+    tracemalloc.start()
+    try:
+        blocks = _slice_box(3, bound, _singletons(3))
+        first = [next(blocks) for _ in range(3)]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    k = np.arange(1, 3 * CHUNK + 1)
+    want = np.stack([np.full_like(k, -bound), k, bound + 1 - k], axis=1)
+    assert np.array_equal(np.concatenate(first), want)
+
+
+def test_vanishing_refuses_a_bound_beyond_int64_before_the_sweep(monkeypatch):
+    import tropehrhart.taut as taut
+
+    def no_arrays(*args):
+        raise AssertionError("the sweep started")
+
+    matroid = uniform_matroid(2, 3)
+    top = (2**63 - 2) // 6  # the largest bound with 2 * 3 * bound + 1 in int64
+    monkeypatch.setattr(taut, "_symmetry_classes", no_arrays)
+    for bound in (top + 1, 2**62, 3074457345618258602):
+        with pytest.raises(BoxTooLargeError):
+            vanishing_check(matroid, max_coord=bound)
+    monkeypatch.undo()
+    # the largest bound is swept exactly: its first points, far out, carry
+    # no sections and chi 0
+    U, chi, h0 = next(_sweep(matroid, _slice_box(3, top, _singletons(3))))
+    assert U[:2].tolist() == [[-top, 1, top], [-top, 2, top - 1]]
+    assert (U.sum(axis=1) == 1).all() and (np.abs(U) <= top).all()
+    assert not chi.any() and not h0.any()
 
 
 def test_vanishing_rejects_box_below_two(u23_matroid):

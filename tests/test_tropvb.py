@@ -43,6 +43,7 @@ from conftest import (
     common_adapted_basis,
     grid_points,
     intify,
+    klyachko_flat,
     oracle_adapted_bases,
     oracle_cone_characters,
     oracle_pullback_row,
@@ -109,10 +110,9 @@ def test_validate_requires_complete_fan(u23_matroid):
 # ---------------------------------------------------------------------------
 
 def test_klyachko_flats_fano(fano_bundle):
-    assert fano_bundle.klyachko_flat(0, 1) == frozenset({1, 4, 7})
-    assert fano_bundle.klyachko_flat(0, 2) == frozenset({1})
-    assert fano_bundle.klyachko_flat(0, -5) == frozenset(range(1, 8))
-    assert fano_bundle.klyachko_flat(0, 99) == frozenset()
+    for i, flat in [(1, {1, 4, 7}), (2, {1}), (-5, range(1, 8)), (99, ())]:
+        assert klyachko_flat(fano_bundle, 0, i) == frozenset(flat)
+        assert Matroid.elements(fano_bundle._klyachko_mask(0, i)) == frozenset(flat)
 
 
 def test_filtration_monotone(fano_bundle, u23_bundle):
@@ -121,7 +121,9 @@ def test_filtration_monotone(fano_bundle, u23_bundle):
             lo = min(bundle.diagram[ri])
             hi = max(bundle.diagram[ri])
             for i in range(lo, hi + 1):
-                assert bundle.klyachko_flat(ri, i) >= bundle.klyachko_flat(ri, i + 1)
+                here, above = (Matroid.elements(bundle._klyachko_mask(ri, k))
+                               for k in (i, i + 1))
+                assert here >= above and here == klyachko_flat(bundle, ri, i)
 
 
 def test_h0_local_examples(fano_bundle):
