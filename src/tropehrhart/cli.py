@@ -190,6 +190,15 @@ def _user_box(text: str, bundle):
     return box
 
 
+def _refuse_together(args, *pairs):
+    """Refuse each pair of options given together that the command cannot
+    both use, before any file is loaded: a report at one character (--u)
+    sums no box, and a chain file has no box check and is no bundle."""
+    for a, b in pairs:
+        if getattr(args, a) is not None and getattr(args, b) is not None:
+            raise ValidationError(f"--{a} and --{b} cannot be given together")
+
+
 def _cone_label(key) -> str:
     return ",".join(str(i + 1) for i in sorted(key))
 
@@ -221,27 +230,26 @@ def _cmd_h0(args) -> dict:
 
 
 def _cmd_chi(args) -> dict:
+    _refuse_together(args, ("u", "box"))
     bundle = load_bundle(args.bundle)
-    dim = bundle.fan.ambient_dim
-    box = _user_box(args.box, bundle) if args.box else None
     if args.u is not None:
-        u = _parse_vector(args.u, dim)
+        u = _parse_vector(args.u, bundle.fan.ambient_dim)
         by_codim = bundle.euler_char_by_codim(u)
         return {
             "u": list(u),
             "chi_u": alternating_sum(by_codim),
             "h0_by_codim": by_codim,
         }
-    if box is None:
-        box = bundle.chi_box()
+    box = _user_box(args.box, bundle) if args.box else bundle.chi_box()
     return {"chi_total": bundle.euler_char_total(box), "box": [list(b) for b in box]}
 
 
 def _cmd_alpha_eval(args) -> dict:
+    _refuse_together(args, ("chain", "bundle"), ("chain", "box"), ("u", "box"))
     if args.chain:
-        chain = load_chain(args.chain)
         if args.u is None:
             raise ValidationError("alpha-eval on a chain file needs --u")
+        chain = load_chain(args.chain)
         u = _parse_vector(args.u, chain.ambient_dim)
         return {"u": list(u), "value": chain.evaluate(u)}
     if not args.bundle:

@@ -20,18 +20,32 @@ T(t) = t / (1 - e^{-t}), has a closed form on each power (Brion-Vergne):
     tau_k = [t^k] prod_rho T(lambda_rho t).
 
 The sum is the lattice sum of the chain, i.e. the Euler characteristic; no
-polynomial in z is built.  As a guard, the degree-n part of I, the number of
-branches times sum_s (lambda_s . z)^n / (n! D_s), must equal rank times the
-volume form of the unrefined fan.  Fan refinement and vertex enumeration
-share one dimension cap, `lattice.VERTEX_ENUM_MAX_DIM`.
+polynomial in z is built.  It is summed in integers.  With L_T the lcm of
+the denominators of T_0, ..., T_n (12 for n = 2, 720 for n = 4), q_s the lcm
+of the denominators of lambda_s and e one lcm of the denominators of all
+branch values, L_T^|lambda_s| q_s^k tau_k and e beta_si are integers, so each
+cone adds an integer numerator over n! L_T^|lambda_s| q_s^n e^n D_s.  The
+numerators are summed per distinct denominator and one Fraction is made per
+denominator at the end.
+
+As a guard, the degree-n part of I, the number of branches times
+sum_s (lambda_s . z)^n / (n! D_s), must equal rank times the volume form of
+the unrefined fan.  Each side is an integer form over one common
+denominator, n! lcm_s(D_s q_s^n), and the two are compared by
+cross-multiplication, never reduced on their own.  The same sums in
+Fractions, one per step, are the test oracle (`tests/conftest.py`).  Fan
+refinement and vertex enumeration share one dimension cap,
+`lattice.VERTEX_ENUM_MAX_DIM`.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import Counter
 from fractions import Fraction
-from math import factorial, prod
+from math import factorial, lcm, prod
+from operator import itemgetter
 
 from .chains import split_branches
 from .errors import InterpolationFailureError, ValidationError
@@ -53,6 +67,15 @@ def todd_coeffs(deg: int):
             acc += a[j] * b[k - j]
         b.append(-acc)
     return b
+
+
+@functools.cache
+def _todd_series(n: int):
+    """(L_T, (L_T T_0, ..., L_T T_n)) with L_T the lcm of the denominators
+    of `todd_coeffs(n)`: the Todd series scaled to integers."""
+    todd = todd_coeffs(n)
+    big = lcm(*(t.denominator for t in todd))
+    return big, tuple(int(t * big) for t in todd)
 
 
 # ---------------------------------------------------------------------------
@@ -95,10 +118,14 @@ def _simplicial_cones(fan: Fan):
 
 
 def _pulled_back(cones, lin):
-    """lambda_s = sum_k A_sk lin[s_k] per cone s, so lambda_s . z = l_s(L z).
+    """(q_s, q_s lambda_s) per cone s, lambda_s = sum_k A_sk lin[s_k].
 
-    lin[j] is the linear form {variable index: coefficient} that gives the
-    value on ray j; each lambda_s is such a map too, with sorted keys.
+    So lambda_s . z = l_s(L z).  lin[j] is the linear form {variable index:
+    coefficient} that gives the value on ray j; the coefficients are
+    rational where a refined ray is not an integer combination of the rays
+    of its cone.  q_s is the lcm of the denominators of lambda_s, and
+    q_s lambda_s is returned as {variable index: int}, with sorted keys and
+    no zeros.
     """
     out = []
     for s, a, _ in cones:
@@ -106,37 +133,74 @@ def _pulled_back(cones, lin):
         for j, ak in zip(s, a):
             for i, x in lin[j].items():
                 lam[i] = lam.get(i, 0) + ak * x
-        out.append({i: x for i, x in sorted(lam.items()) if x})
+        q = lcm(*(x.denominator for x in lam.values()))
+        out.append((q, {
+            i: x.numerator * (q // x.denominator)
+            for i, x in sorted(lam.items()) if x
+        }))
     return out
 
 
-def _power_form(cones, lams) -> dict:
-    """sum_s (lambda_s . z)^n / (n! D_s) as {variable index tuple: coefficient}.
+@functools.cache
+def _multinomials(k: int, n: int):
+    """(pick, n! / prod of the multiplicities) per sorted n-multiset of
+    range(k), the terms of the multinomial expansion of an n-th power;
+    pick(t) is the tuple of the entries of t at the multiset's indices."""
+    out = []
+    for combo in itertools.combinations_with_replacement(range(k), n):
+        mult = factorial(n) // prod(map(factorial, Counter(combo).values()))
+        # itemgetter of one index returns the entry, of a slice a tuple
+        if n == 1:
+            pick = itemgetter(slice(combo[0], combo[0] + 1))
+        else:
+            pick = itemgetter(*combo)
+        out.append((pick, mult))
+    return tuple(out)
 
-    One index per factor of a monomial, sorted; zero coefficients are
-    dropped.
+
+def _power_form(cones, lams, n: int):
+    """(F, M) with sum_s (lambda_s . z)^n / (n! D_s) = F / M.
+
+    F is {variable index tuple: int}, one index per factor of a monomial,
+    sorted, without zeros; M = n! lcm_s(D_s q_s^n), so the term of s is
+    multinomial * prod(q_s lambda_s) * M / (n! D_s q_s^n), an integer.
     """
+    scales = [d * q**n for (_, _, d), (q, _) in zip(cones, lams)]
+    m = lcm(*scales)
     form = {}
-    for (s, _, denom), lam in zip(cones, lams):
-        # the multinomial expansion of the n-th power; n! cancels
-        for combo in itertools.combinations_with_replacement(lam, len(s)):
-            e = Counter(combo)
-            form[combo] = form.get(combo, 0) + Fraction(
-                prod(lam[i] ** k for i, k in e.items()),
-                denom * prod(map(factorial, e.values())),
-            )
-    return {key: c for key, c in form.items() if c}
+    for (_, lam), scale in zip(lams, scales):
+        w = m // scale
+        keys, xs = tuple(lam), tuple(lam.values())
+        for pick, mult in _multinomials(len(keys), n):
+            key = pick(keys)
+            form[key] = form.get(key, 0) + w * mult * prod(pick(xs))
+    return {key: c for key, c in form.items() if c}, factorial(n) * m
 
 
-def _volume_form(fan: Fan) -> dict:
-    """Volume of P(h) = {x : <v_j, x> <= h_j} as a form in the ray values h_j.
+def _fan_power_form(fan: Fan):
+    """`_power_form` of Lawrence's volume form of fan, l_s itself as lambda_s.
 
-    Returns {ray index tuple: coefficient}, one index per factor h_j: the
-    power form of `_simplicial_cones` with l_s itself as lambda_s.
+    In the ray values h_j: the volume of P(h) = {x : <v_j, x> <= h_j} is
+    F / M, one index per factor h_j in the keys of F.
     """
     cones = _simplicial_cones(fan)
     own = [{i: 1} for i in range(len(fan.rays))]
-    return _power_form(cones, _pulled_back(cones, own))
+    return _power_form(cones, _pulled_back(cones, own), fan.ambient_dim)
+
+
+def _volume_form(fan: Fan) -> dict:
+    """`_fan_power_form` as {ray index tuple: Fraction coefficient}."""
+    form, m = _fan_power_form(fan)
+    return {key: Fraction(c, m) for key, c in form.items()}
+
+
+def _same_form(a, ma, b, mb) -> bool:
+    """a / ma == b / mb for integer forms, by cross-multiplication.
+
+    Neither side is reduced on its own: a form that is a scalar multiple of
+    the other keeps every ratio of its coefficients and would pass.
+    """
+    return a.keys() == b.keys() and all(a[k] * mb == b[k] * ma for k in a)
 
 
 def _extension_forms(fan: Fan, rays):
@@ -162,6 +226,45 @@ def _extension_forms(fan: Fan, rays):
 # The Riemann-Roch check for bundles
 # ---------------------------------------------------------------------------
 
+def _todd_sum(cones, lams, values, n: int) -> Fraction:
+    """sum_s sum_k tau_k(lambda_s) sum_i beta_si^(n-k) / ((n-k)! D_s).
+
+    values holds the branch values b_i on the rays of the refined fan, and
+    lams the scaled (q_s, q_s lambda_s) of `_pulled_back`.  In integers: the
+    Todd series scaled by L_T makes L_T^|lambda_s| q_s^k tau_k an integer,
+    and one lcm e of the denominators of the values makes e beta_si one.
+    Each cone then adds an integer numerator over
+    n! L_T^|lambda_s| q_s^n e^n D_s; the numerators are summed per
+    denominator, and one Fraction is made per distinct denominator.
+    """
+    big, series = _todd_series(n)
+    e = lcm(*(x.denominator for vals in values for x in vals))
+    values = [[x.numerator * (e // x.denominator) for x in vals] for vals in values]
+    # n! / (n-k)! e^k, the k-th weight shared by every cone
+    weights = [factorial(n) // factorial(n - k) * e**k for k in range(n + 1)]
+    numerators = {}
+    for (s, a, denom), (q, lam) in zip(cones, lams):
+        tau = [1] + [0] * n
+        for x in lam.values():
+            factor = [c * x**j for j, c in enumerate(series)]
+            tau = [
+                sum(tau[j] * factor[k - j] for j in range(k + 1))
+                for k in range(n + 1)
+            ]
+        betas = [sum(ak * vals[j] for j, ak in zip(s, a)) for vals in values]
+        num = sum(
+            tau[k] * weights[k] * q ** (n - k) * sum(b ** (n - k) for b in betas)
+            for k in range(n + 1)
+        )
+        key = denom * big ** len(lam) * q**n
+        numerators[key] = numerators.get(key, 0) + num
+    scale = factorial(n) * e**n
+    return sum(
+        (Fraction(num, key * scale) for key, num in numerators.items()),
+        Fraction(0),
+    )
+
+
 def todd_lhs(h) -> Fraction:
     """Todd(d/dz) I(alpha_h * 1_{P(z)}) at z = 0, in closed form.
 
@@ -178,33 +281,18 @@ def todd_lhs(h) -> Fraction:
         raise ValidationError("the volume polynomial needs a complete fan")
 
     fan_r, branch_numbers = split_branches(h)
-    values = [sn.values for sn in branch_numbers]
     cones = _simplicial_cones(fan_r)
     lams = _pulled_back(cones, _extension_forms(fan, fan_r.rays))
 
     # the degree-n part is len(values) = rank times the power form, so both
     # sides vanish on a bundle of rank zero
-    if h.rank and _power_form(cones, lams) != _volume_form(fan):
+    if h.rank and not _same_form(
+        *_power_form(cones, lams, n), *_fan_power_form(fan)
+    ):
         raise InterpolationFailureError(
             "degree-n part is not rank times the volume polynomial of the fan"
         )
-
-    todd = todd_coeffs(n)
-    total = Fraction(0)
-    for (s, a, denom), lam in zip(cones, lams):
-        tau = [Fraction(1)] + [Fraction(0)] * n
-        for x in lam.values():
-            series = [t * x**j for j, t in enumerate(todd)]
-            tau = [
-                sum(tau[j] * series[k - j] for j in range(k + 1))
-                for k in range(n + 1)
-            ]
-        betas = [sum(ak * vals[j] for j, ak in zip(s, a)) for vals in values]
-        total += sum(
-            tau[k] * sum(b ** (n - k) for b in betas) / factorial(n - k)
-            for k in range(n + 1)
-        ) / denom
-    return total
+    return _todd_sum(cones, lams, [sn.values for sn in branch_numbers], n)
 
 
 def hrr_verify(bundle) -> dict:

@@ -21,14 +21,18 @@ Euler characteristic at one character, each computed two ways), the monomial
 route of the Riemann-Roch left side (the polynomial z -> I(alpha[z])
 expanded from the volume form by `_branch_sum` into a `MultiPoly`, the
 Todd operator on monomials by `apply_todd`, the Bernoulli numbers), the
+Fraction route of the Riemann-Roch left side and its top-degree guard
+(`oracle_todd_lhs`, `oracle_todd_sum`, `oracle_power_form`,
+`oracle_volume_form`, one Fraction per step), the
 per-piece box kernel of chains (`oracle_box_values`), and the small
 constructions only tests use (box points, point chains, chain boxes,
 translates, relative-interior tests, maximal flags, the face alternating
 sum)."""
 
 import itertools
+from collections import Counter
 from fractions import Fraction
-from math import ceil, comb, factorial, floor
+from math import ceil, comb, factorial, floor, prod
 
 import pytest
 
@@ -1043,10 +1047,82 @@ def apply_todd(p: MultiPoly) -> Fraction:
     return total
 
 
+def oracle_pulled_back(cones, lin):
+    """lambda_s = sum_k A_sk lin[s_k] per cone s of `hrr._simplicial_cones`,
+    as {variable index: rational coefficient}, sorted, without zeros."""
+    out = []
+    for s, a, _ in cones:
+        lam = {}
+        for j, ak in zip(s, a):
+            for i, x in lin[j].items():
+                lam[i] = lam.get(i, 0) + ak * x
+        out.append({i: x for i, x in sorted(lam.items()) if x})
+    return out
+
+
+def oracle_power_form(cones, lams) -> dict:
+    """sum_s (lambda_s . z)^n / (n! D_s) as {variable index tuple: Fraction},
+    one monomial and one Fraction at a time."""
+    form = {}
+    for (s, _, denom), lam in zip(cones, lams):
+        # the multinomial expansion of the n-th power; n! cancels
+        for combo in itertools.combinations_with_replacement(lam, len(s)):
+            e = Counter(combo)
+            form[combo] = form.get(combo, 0) + Fraction(
+                prod(lam[i] ** k for i, k in e.items()),
+                denom * prod(map(factorial, e.values())),
+            )
+    return {key: c for key, c in form.items() if c}
+
+
+def oracle_volume_form(fan) -> dict:
+    """Lawrence's volume form of fan by `oracle_power_form`, {ray index
+    tuple: Fraction}."""
+    cones = hrr._simplicial_cones(fan)
+    own = [{i: 1} for i in range(len(fan.rays))]
+    return oracle_power_form(cones, oracle_pulled_back(cones, own))
+
+
+def oracle_todd_sum(cones, lams, values, n) -> Fraction:
+    """sum_s sum_k tau_k(lambda_s) sum_i beta_si^(n-k) / ((n-k)! D_s), every
+    step in Fractions."""
+    todd = todd_coeffs(n)
+    total = Fraction(0)
+    for (s, a, denom), lam in zip(cones, lams):
+        tau = [Fraction(1)] + [Fraction(0)] * n
+        for x in lam.values():
+            series = [t * x**j for j, t in enumerate(todd)]
+            tau = [
+                sum(tau[j] * series[k - j] for j in range(k + 1))
+                for k in range(n + 1)
+            ]
+        betas = [sum(ak * vals[j] for j, ak in zip(s, a)) for vals in values]
+        total += sum(
+            tau[k] * sum(b ** (n - k) for b in betas) / factorial(n - k)
+            for k in range(n + 1)
+        ) / denom
+    return total
+
+
+def oracle_todd_lhs(h) -> Fraction:
+    """`hrr.todd_lhs` with the guard and the Todd loop in Fractions: the
+    cones, their weights and the extension forms are the package's."""
+    fan = h.fan
+    n = fan.ambient_dim
+    fan_r, branch_numbers = split_branches(h)
+    cones = hrr._simplicial_cones(fan_r)
+    lams = oracle_pulled_back(cones, hrr._extension_forms(fan, fan_r.rays))
+    if h.rank and oracle_power_form(cones, lams) != oracle_volume_form(fan):
+        raise InterpolationFailureError(
+            "degree-n part is not rank times the volume polynomial of the fan"
+        )
+    return oracle_todd_sum(cones, lams, [sn.values for sn in branch_numbers], n)
+
+
 def _branch_sum(form: dict, values, lin, num_vars: int) -> dict:
     """sum_i V(values[i] + L z) as {exponent tuple: coefficient}.
 
-    V is the form {ray index tuple: c} of `hrr._volume_form` and lin[j] the
+    V is the form {ray index tuple: c} of `oracle_volume_form` and lin[j] the
     linear form {variable index: coefficient} of (L z)_j.  Each factor of a
     term is either the constant values[i][j] or the linear form lin[j]; the
     constants are summed over i first, so the branches cost one scalar
@@ -1104,11 +1180,11 @@ def interpolate_volume_polynomial(h) -> MultiPoly:
     fan_r, branch_numbers = split_branches(h)
     lin = hrr._extension_forms(fan, fan_r.rays)
     values = [sn.values for sn in branch_numbers]
-    poly = MultiPoly(s, _branch_sum(hrr._volume_form(fan_r), values, lin, s))
+    poly = MultiPoly(s, _branch_sum(oracle_volume_form(fan_r), values, lin, s))
 
     # with zero constants only the degree-n part survives
     own = [{i: 1} for i in range(s)]
-    expected = _branch_sum(hrr._volume_form(fan), [(0,) * s], own, s)
+    expected = _branch_sum(oracle_volume_form(fan), [(0,) * s], own, s)
     top = {m: c for m, c in poly.coeffs.items() if sum(m) == n}
     if top != {m: h.rank * c for m, c in expected.items() if h.rank * c != 0}:
         raise InterpolationFailureError(

@@ -252,6 +252,34 @@ def test_box_containing_the_chi_box_is_accepted(files, capsys):
     assert out == '{"alpha_total": 8, "box": [[-3, -2], [2, 4]]}\n'
 
 
+# options a command cannot use together: a report at one character sums no
+# box, and a chain file has no box check and is no bundle.  The Fano box
+# -4,-3:3,3 contains the computed chi box, 0,0:1,1 does not
+@pytest.mark.parametrize("argv, pair", [
+    (["chi", "--bundle", "fano", "--u", "0,0", "--box=0,0:1,1"], "--u and --box"),
+    (["chi", "--bundle", "fano", "--u", "0,0", "--box=-4,-3:3,3"], "--u and --box"),
+    (["alpha-eval", "--bundle", "fano", "--u", "0,0", "--box=0,0:1,1"],
+     "--u and --box"),
+    (["alpha-eval", "--bundle", "fano", "--u", "0,0", "--box=-4,-3:3,3"],
+     "--u and --box"),
+    (["alpha-eval", "--chain", "chain", "--u", "0,0", "--box=-4,-3:3,3"],
+     "--chain and --box"),
+    (["alpha-eval", "--chain", "chain", "--box=-4,-3:3,3"], "--chain and --box"),
+    (["alpha-eval", "--chain", "chain", "--bundle", "fano", "--u", "0,0"],
+     "--chain and --bundle"),
+    (["alpha-eval", "--chain", "chain", "--bundle", "fano", "--box=-4,-3:3,3"],
+     "--chain and --bundle"),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else "")
+def test_options_a_command_cannot_use_together_exit_2(files, capsys, argv, pair):
+    want = {"error": {"type": "ValidationError",
+                      "message": f"{pair} cannot be given together"}}
+    code, out = run(capsys, *[files.get(a, a) for a in argv])
+    assert (code, json.loads(out)) == (2, want)
+    # refused before any file is loaded: missing files give the same error
+    code, out = run(capsys, *[a + ".missing" if a in files else a for a in argv])
+    assert (code, json.loads(out)) == (2, want)
+
+
 # a vector that starts with a minus sign, given after a space, is read as
 # the same value as after `=`
 @pytest.mark.parametrize("argv", [

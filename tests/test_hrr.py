@@ -1,10 +1,13 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 from functools import cmp_to_key
 from math import ceil, comb, factorial, prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tropehrhart import hrr
 from tropehrhart.chains import (
@@ -32,6 +35,7 @@ from tropehrhart.matroid import uniform_matroid
 from tropehrhart.tropvb import validate
 
 from conftest import (
+    CHARACTER_FANS,
     FANS,
     MultiPoly,
     apply_todd,
@@ -40,6 +44,11 @@ from conftest import (
     interpolate_volume_polynomial,
     lattice_points,
     oracle_extension_forms,
+    oracle_power_form,
+    oracle_pulled_back,
+    oracle_todd_lhs,
+    oracle_todd_sum,
+    oracle_volume_form,
     random_bundle,
     random_p1_bundle,
     rref_solve,
@@ -411,10 +420,11 @@ def _guard_polynomial(h):
     fan_r, branch_numbers = split_branches(h)
     cones = hrr._simplicial_cones(fan_r)
     lams = hrr._pulled_back(cones, hrr._extension_forms(fan, fan_r.rays))
+    form, scale = hrr._power_form(cones, lams, fan.ambient_dim)
     poly = {}
-    for key, c in hrr._power_form(cones, lams).items():
+    for key, c in form.items():
         mono = tuple(key.count(i) for i in range(s))
-        poly[mono] = len(branch_numbers) * c
+        poly[mono] = len(branch_numbers) * Fraction(c, scale)
     return MultiPoly(s, poly)
 
 
@@ -734,3 +744,176 @@ def test_top_degree_guard(fano_bundle, monkeypatch):
     monkeypatch.setattr(hrr, "_extension_forms", skewed)
     with pytest.raises(InterpolationFailureError):
         todd_lhs(h)
+    with pytest.raises(InterpolationFailureError):
+        oracle_todd_lhs(h)
+
+
+@pytest.mark.parametrize("name", ["fano", "P3", "weighted"])
+def test_top_degree_guard_refuses_a_scalar_multiple(fano_bundle, monkeypatch, name):
+    # every extension form doubled doubles every lambda_s, so the power form
+    # is 2^n times the volume form: the two integer forms are equal once
+    # each is divided by the gcd of its own coefficients, and are refused
+    # by cross-multiplication
+    if name == "fano":
+        h = fano_bundle.support_function()
+    elif name == "P3":
+        bundle = random_bundle(FANS[name], uniform_matroid(2, 4), random.Random(3))
+        h = bundle.support_function()
+    else:
+        h = _branchwise(FANS[name], [[0, 1, Fraction(1, 2), 0],
+                                     [Fraction(-2, 3), 0, 1, 2]])
+    assert todd_lhs(h) == oracle_todd_lhs(h)
+    real = hrr._extension_forms
+
+    def doubled(fan, rays):
+        return [{i: 2 * c for i, c in form.items()} for form in real(fan, rays)]
+
+    monkeypatch.setattr(hrr, "_extension_forms", doubled)
+    with pytest.raises(InterpolationFailureError):
+        todd_lhs(h)
+    with pytest.raises(InterpolationFailureError):
+        oracle_todd_lhs(h)
+
+
+def test_same_form_cross_multiplies():
+    a = {(0, 0): 2, (0, 1): -4}
+    assert hrr._same_form(a, 6, {(0, 0): 1, (0, 1): -2}, 3)
+    assert not hrr._same_form(a, 6, {(0, 0): 1, (0, 1): -2}, 6)
+    assert not hrr._same_form(a, 6, {(0, 0): 1}, 3)
+    assert not hrr._same_form(a, 6, {(0, 0): 1, (0, 1): -2, (1, 1): 1}, 3)
+
+
+# ---------------------------------------------------------------------------
+# the integer route of the left side and the guard against the Fraction one
+# ---------------------------------------------------------------------------
+
+# simplicial complete fans of dimension 1 to 4; "weighted" and "P(1,1,2)"
+# each have a cone of determinant 2, so the extension forms of refined rays
+# inside it have rational coordinates
+PROPERTY_FANS = {
+    **{name: FANS[name]
+       for name in ("P1", "P2", "P1xP1", "hexagon", "weighted", "P3")},
+    "P(1,1,2)": CHARACTER_FANS["P(1,1,2)"],
+    "P1^3": P1_CUBED_FAN,
+    "P4": projective_fan(4),
+}
+
+
+def _branchwise(fan, rows):
+    """The support function whose branches on each cone of a simplicial fan
+    are the linear functions with the values rows[i] on its rays."""
+    branches = {}
+    for key in fan.maximal_keys:
+        idx = sorted(key)
+        branches[key] = tuple(
+            tuple(solve_unique([fan.rays[i] for i in idx], [row[i] for i in idx]))
+            for row in rows
+        )
+    return MultiValuedSupportFunction(fan, branches)
+
+
+@st.composite
+def rational_support_functions(draw, fan):
+    """A multi-valued support function on fan from r piecewise linear
+    functions.
+
+    Each is given by its values on the rays, with denominators 1, 2 or 3,
+    and is linear on every cone; the branches of a cone are the r linear
+    functions there, so the branch sets differ from cone to cone and agree
+    on shared faces as multisets.
+    """
+    rank = draw(st.integers(1, 3 if fan.ambient_dim <= 2 else 2))
+    value = st.builds(Fraction, st.integers(-3, 3), st.sampled_from([1, 2, 3]))
+    rows = [[draw(value) for _ in fan.rays] for _ in range(rank)]
+    return _branchwise(fan, rows)
+
+
+def _perturbed(forms, how):
+    """The extension forms as drawn ("none"), all scaled, or one coefficient
+    of one form skewed."""
+    if how == "none":
+        return forms
+    if how == "skew":
+        forms = list(forms)
+        forms[-1] = {i: c + 1 for i, c in forms[-1].items()}
+        return forms
+    return [{i: how * c for i, c in form.items()} for form in forms]
+
+
+@pytest.mark.parametrize("name", sorted(PROPERTY_FANS))
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(data=st.data(), how=st.sampled_from(
+    ["none", "none", "skew", 2, -1, Fraction(1, 2), Fraction(2, 3)]
+))
+def test_integer_left_side_and_guard_equal_the_fraction_oracle(name, data, how):
+    fan = PROPERTY_FANS[name]
+    h = data.draw(rational_support_functions(fan))
+    n = fan.ambient_dim
+    fan_r, branch_numbers = split_branches(h)
+    values = [sn.values for sn in branch_numbers]
+    cones = hrr._simplicial_cones(fan_r)
+    lin = _perturbed(hrr._extension_forms(fan, fan_r.rays), how)
+    lams = hrr._pulled_back(cones, lin)
+    oracle_lams = oracle_pulled_back(cones, lin)
+
+    got = hrr._todd_sum(cones, lams, values, n)
+    assert type(got) is Fraction
+    assert got == oracle_todd_sum(cones, oracle_lams, values, n)
+    form, m = hrr._power_form(cones, lams, n)
+    assert all(type(c) is int for c in form.values())
+    want = oracle_power_form(cones, oracle_lams)
+    assert {key: Fraction(c, m) for key, c in form.items()} == want
+    volume, mv = hrr._fan_power_form(fan)
+    want_volume = oracle_volume_form(fan)
+    assert {key: Fraction(c, mv) for key, c in volume.items()} == want_volume
+    assert hrr._volume_form(fan) == want_volume
+    assert hrr._same_form(form, m, volume, mv) == (want == want_volume)
+    if how == "none":
+        assert want == want_volume
+        assert todd_lhs(h) == oracle_todd_lhs(h) == got
+
+
+def _distinct_cone_denominators(h):
+    """The distinct D_s L_T^|lambda_s| q_s^n over the simplicial cones s of
+    the refined fan, with the Fraction route's lambda_s and L_T the lcm of
+    the denominators of the Todd series; n! and the lcm of the value
+    denominators are the same for every cone."""
+    fan = h.fan
+    n = fan.ambient_dim
+    fan_r, _ = split_branches(h)
+    cones = hrr._simplicial_cones(fan_r)
+    lams = oracle_pulled_back(cones, hrr._extension_forms(fan, fan_r.rays))
+    big = math.lcm(*(t.denominator for t in todd_coeffs(n)))
+    return len(cones), {
+        d * big ** len(lam) * math.lcm(*(x.denominator for x in lam.values())) ** n
+        for (_, _, d), lam in zip(cones, lams)
+    }
+
+
+@pytest.mark.parametrize("name", ["fano", "refined hexagon"])
+def test_todd_lhs_makes_one_fraction_per_denominator(fano_bundle, hexagon_fan,
+                                                     monkeypatch, name):
+    if name == "fano":
+        bundle = fano_bundle
+    else:
+        bundle = random_bundle(hexagon_fan, uniform_matroid(3, 5), random.Random(1))
+    h = bundle.support_function()
+    num_cones, denominators = _distinct_cone_denominators(h)
+    real = hrr.Fraction
+    made = []
+
+    def counting(*args):
+        made.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(hrr, "Fraction", counting)
+    hrr._todd_series.cache_clear()
+    hrr.todd_coeffs(h.fan.ambient_dim)
+    series = len(made)  # the Todd series itself, made once per dimension
+    made.clear()
+    hrr._todd_series.cache_clear()
+    assert todd_lhs(h) == bundle.euler_char_total()
+    # one per distinct denominator, one zero to start the sum, the series
+    assert len(made) <= len(denominators) + 1 + series
+    if name != "fano":
+        assert len(denominators) + 1 + series < num_cones
