@@ -196,7 +196,7 @@ def _brianchon_gram_terms(sn: SupportNumbers):
     return terms
 
 
-# rows per block of the box kernel; the int64 proof of `box_values` uses it
+# points per block of the box kernels; the int64 proof of `box_values` uses it
 BOX_BLOCK = 256
 INT64_SAFE = 1 << 62
 
@@ -247,22 +247,51 @@ def box_offsets(lo, hi):
     return blocks()
 
 
+def _halfspace_blocks(box, normals, rows, what):
+    """Which integer half-spaces <n, u> <= b hold on a box, streamed.
+
+    `normals` are distinct integer vectors and `rows` (normal index, int
+    bound) pairs.  Yields, per block of `box_offsets`, the offsets from lo
+    and the (rows x points) booleans of one int64 product with the normals
+    and one compare.  Before any array exists the point cap is checked, then
+    int64 safety: every |<n, u - lo>| is at most reach = max_n
+    sum_i (hi_i - lo_i) |n_i|, which must stay below 2^62, else
+    BoxTooLargeError.  A bound b becomes b - <n, lo>, in Python ints,
+    clipped to one past reach, which changes no compare.
+    """
+    import numpy as np
+
+    lo, hi = box
+    blocks = box_offsets(lo, hi)
+    sides = [max(h - l, 0) for l, h in zip(lo, hi)]
+    reach = max((dot(sides, map(abs, n)) for n in normals), default=0)
+    if reach >= INT64_SAFE:
+        raise BoxTooLargeError(f"{what} would leave the exact int64 range of the kernel")
+    normal_rows = np.array(normals, dtype=np.int64).reshape(len(normals), len(lo))
+    row_normal = np.array([k for k, _ in rows], dtype=np.intp)
+    shift = [dot(n, lo) for n in normals]
+    row_bound = np.array(
+        [min(max(b - shift[k], -reach - 1), reach + 1) for k, b in rows],
+        dtype=np.int64,
+    )[:, None]
+    holds = np.empty((len(rows), BOX_BLOCK), dtype=bool)
+    for offsets in blocks:
+        out = holds[:, :offsets.shape[0]]
+        np.less_equal((normal_rows @ offsets.T)[row_normal], row_bound, out=out)
+        yield offsets, out
+
+
 def box_values(a: ConvexChain, box):
     """The chain's values on the integer points of a box, streamed.
 
-    Yields (points, values) int64 arrays of at most BOX_BLOCK rows, in the
-    order of `box_offsets`.  Pieces share their half-spaces: a chain of
-    Brianchon-Gram pieces has one per cone and branch but only one normal
-    per ray.  So each block costs the same few numpy calls whatever the
-    number of pieces: one int64 product with the distinct normals, one
-    compare with the distinct (normal, bound) rows, one gather and
-    AND-reduce of every piece's rows, and one product with the
-    coefficients.  Before any array exists the box is checked
-    (`lattice.check_box`) and int64 safety is proved: every coordinate and
-    every |<n, u>| is at most max(1, max |n|_1) * max |u_i|, every block sum
-    at most sum |c| * BOX_BLOCK, and both must stay below 2^62, else
-    BoxTooLargeError.  Bounds are clipped to one past the first of these,
-    which changes no comparison.
+    Yields (offsets, values) int64 arrays of `_halfspace_blocks`.  Pieces
+    share their half-spaces: a chain of Brianchon-Gram pieces has one per
+    cone and branch but only one normal per ray.  So each block costs the
+    same few numpy calls whatever the number of pieces: the compare of the
+    distinct (normal, bound) rows, one gather and AND-reduce of every
+    piece's rows, and one product with the coefficients.  Before any array
+    exists the box is checked (`lattice.check_box`), and the block sums, at
+    most sum |c| * BOX_BLOCK, must stay below 2^62, else BoxTooLargeError.
     """
     import numpy as np
 
@@ -271,8 +300,10 @@ def box_values(a: ConvexChain, box):
     d = len(lo)
     check_box(box, d)
     # number the distinct normals, then the distinct (normal, bound) rows;
-    # a piece is the set of its row numbers
-    normal_ids, row_ids, coeffs, piece_rows = {}, {}, [], []
+    # a piece is the set of its row numbers.  Row 0, the always-true
+    # <0, u> <= 0, pads every piece to the widest one and is the whole of a
+    # piece without rows
+    normal_ids, row_ids, coeffs, piece_rows = {(0,) * d: 0}, {(0, 0): 0}, [], []
     for c, piece in a.terms:
         rows = _integer_hrep(piece)
         if rows is not None:
@@ -283,34 +314,34 @@ def box_values(a: ConvexChain, box):
                 )
                 for n, b in zip(*rows)
             }))
-    norm = max((sum(map(abs, n)) for n in normal_ids), default=0)
-    reach = max(norm, 1) * max(map(abs, (*lo, *hi)), default=0)
-    if reach >= INT64_SAFE or sum(map(abs, coeffs)) * BOX_BLOCK >= INT64_SAFE:
-        raise BoxTooLargeError(
-            "box values would leave the exact int64 range of the kernel"
-        )
-    normals = np.array(list(normal_ids), dtype=np.int64).reshape(-1, d)
-    row_normal = np.array([k for k, _ in row_ids], dtype=np.intp)
-    row_bound = np.array(
-        [min(max(b, -reach - 1), reach + 1) for _, b in row_ids], dtype=np.int64
-    )[:, None]
-    # row len(row_ids) of `holds` is always true: it pads every piece to the
-    # widest one and is the whole of a piece without rows
+    what = "box values"
+    if sum(map(abs, coeffs)) * BOX_BLOCK >= INT64_SAFE:
+        raise BoxTooLargeError(f"{what} would leave the exact int64 range of the kernel")
     width = max(map(len, piece_rows), default=0)
     index = np.array(
-        [rows + [len(row_ids)] * (width - len(rows)) for rows in piece_rows],
-        dtype=np.intp,
+        [rows + [0] * (width - len(rows)) for rows in piece_rows], dtype=np.intp
     ).reshape(len(piece_rows), width)
     coeffs = np.array(coeffs, dtype=np.int64)
-    holds = np.ones((len(row_ids) + 1, BOX_BLOCK), dtype=bool)
-    origin = np.array(lo, dtype=np.int64)
-    for offsets in box_offsets(lo, hi):
-        points = offsets + origin
-        n = points.shape[0]
-        np.less_equal((normals @ points.T)[row_normal], row_bound,
-                      out=holds[:-1, :n])
-        inside = holds[:, :n][index].all(axis=1)
-        yield points, coeffs @ inside.astype(np.int64)
+    for offsets, holds in _halfspace_blocks(box, list(normal_ids), list(row_ids), what):
+        yield offsets, coeffs @ holds[index].all(axis=1).astype(np.int64)
+
+
+def _margin_sum(blocks, box, what) -> int:
+    """Sum of the (offsets, values) blocks of a box kernel, in Python ints.
+
+    The values must be 0 on the outermost shell of the box; else
+    BoxTooSmallError names the first such point in box order.
+    """
+    lo, hi = box
+    top = [h - l for l, h in zip(lo, hi)]
+    total = 0
+    for offsets, values in blocks:
+        bad = ((offsets == 0) | (offsets == top)).any(axis=1) & (values != 0)
+        if bad.any():
+            u = tuple(l + x for l, x in zip(lo, offsets[bad.argmax()].tolist()))
+            raise BoxTooSmallError(f"{what} is nonzero at {u} on the box margin")
+        total += int(values.sum())
+    return total
 
 
 def lattice_sum(a: ConvexChain, box) -> int:
@@ -321,15 +352,7 @@ def lattice_sum(a: ConvexChain, box) -> int:
     large enough" a checked precondition rather than an assumption.  The
     error names the first offending point in box order.
     """
-    lo, hi = box
-    total = 0
-    for points, values in box_values(a, box):
-        bad = ((points == lo) | (points == hi)).any(axis=1) & (values != 0)
-        if bad.any():
-            u = tuple(int(x) for x in points[bad.argmax()])
-            raise BoxTooSmallError(f"chain is nonzero at {u} on the box margin")
-        total += int(values.sum())
-    return total
+    return _margin_sum(box_values(a, box), box, "chain")
 
 
 def integral(a: ConvexChain) -> Fraction:

@@ -188,12 +188,6 @@ def _fan_power_form(fan: Fan):
     return _power_form(cones, _pulled_back(cones, own), fan.ambient_dim)
 
 
-def _volume_form(fan: Fan) -> dict:
-    """`_fan_power_form` as {ray index tuple: Fraction coefficient}."""
-    form, m = _fan_power_form(fan)
-    return {key: Fraction(c, m) for key, c in form.items()}
-
-
 def _same_form(a, ma, b, mb) -> bool:
     """a / ma == b / mb for integer forms, by cross-multiplication.
 

@@ -497,15 +497,14 @@ class Fan:
         self.ambient_dim = ambient_dim
         self.rays = tuple(rays)
 
-        listed = []
-        for c in maximal_cones:
-            key = frozenset(c)
-            if any(i < 0 or i >= len(rays) for i in key):
-                raise ValidationError("cone refers to a missing ray index")
-            if key not in listed:
-                listed.append(key)
-        # drop cones that are faces of other listed cones
-        maximal = [k for k in listed if not any(k < other for other in listed)]
+        listed = list(dict.fromkeys(frozenset(c) for c in maximal_cones))
+        if any(i < 0 or i >= len(rays) for key in listed for i in key):
+            raise ValidationError("cone refers to a missing ray index")
+        # drop cones that are faces of other listed cones; the keys of a fan
+        # given duals are maximal by construction
+        maximal = listed if duals is not None else [
+            k for k in listed if not any(k < other for other in listed)
+        ]
 
         self._cone_cache = {}
         self._duals = duals or {}

@@ -89,7 +89,7 @@ class PermutahedralFan:
 
     def __init__(self, m: int):
         if not 1 <= m <= MAX_GROUND:
-            raise ValidationError(f"permutahedral fan supported for m <= {MAX_GROUND}")
+            raise ValidationError(f"permutahedral fan supported for m in 1..{MAX_GROUND}")
         self.m = m
 
     @cached_property
@@ -131,7 +131,7 @@ def permutahedral_fan(m: int) -> PermutahedralFan:
 def flag_alternating_sum(m: int) -> int:
     """Sum of (-1)^length over all flags of subsets ending at [m]."""
     if not 1 <= m <= MAX_GROUND:
-        raise ValidationError(f"flag enumeration supported for m <= {MAX_GROUND}")
+        raise ValidationError(f"flag enumeration supported for m in 1..{MAX_GROUND}")
     total = 0
     for chain in _chains_of_masks(m):
         total += (-1) ** (len(chain) + 1)

@@ -24,16 +24,14 @@ import numpy as np
 
 from .chains import (
     BOX_BLOCK,
-    INT64_SAFE,
     ConvexChain,
     MultiValuedSupportFunction,
-    box_offsets,
+    _halfspace_blocks,
+    _margin_sum,
     box_values,
     support_function_chain,
 )
 from .errors import (
-    BoxTooLargeError,
-    BoxTooSmallError,
     BundleValidationError,
     InvalidBoundError,
     NoCommonApartmentError,
@@ -160,62 +158,46 @@ class TropicalVectorBundle:
         being the ground set.  The cones of the fan with signs (-1)^codim
         give chi_u; one cone of every ray with sign 1 gives h0_u.
 
-        Yields (offsets, values) int64 arrays per block of
-        `chains.box_offsets`: BOX_BLOCK points in `itertools.product`
-        order, as offsets from lo (the point cap is checked first).  Each
-        block costs one int64 product for the levels, one gather per ray
-        and one AND-reduce and rank lookup for all cones.  Levels are taken
-        relative to lo: <offset, v_rho> is at most (hi - lo) . |v_rho| in
-        absolute value, which must stay below 2^62 (else BoxTooLargeError),
-        and <lo, v_rho> is subtracted, as a Python int, from the row's
-        levels instead.  F_rho is constant below the row's smallest entry
-        and above its largest, so a ray's table holds one Klyachko mask per
-        distinct entry plus the one above, and a level finds its mask by
-        its rank among the entries (clipped to the reachable range, which
-        changes no rank).
+        Yields (offsets, values) int64 arrays of `chains._halfspace_blocks`;
+        the box may be thin.  F_rho is constant below the row's smallest
+        entry and above its largest, so ray rho has one half-space
+        <v_rho, u> <= k per distinct entry k of its row, and one Klyachko
+        mask per entry plus the one above: the mask at level l is the one at
+        #{k < l}, the number of rho's rows that fail, counted down from the
+        top mask by the rows that hold.  Each block then costs one segment
+        sum of the holding rows, one gather from the masks, and one
+        AND-reduce and rank lookup for all cones.
         """
         lo, hi = box
         self._check_character(lo)
         self._check_character(hi)
         rays = self.fan.rays
-        blocks = box_offsets(lo, hi)  # the point cap before the int64 proof
-        reach = max(
-            sum((h - l) * abs(x) for x, l, h in zip(v, lo, hi)) for v in rays
-        )
-        if reach >= INT64_SAFE:
-            raise BoxTooLargeError(
-                "section levels would leave the exact int64 range of the kernel"
-            )
-        entries, masks = [], []
-        for i, (v, row) in enumerate(zip(rays, self.diagram)):
+        rows, starts, top, masks = [], [], [], []
+        for i, row in enumerate(self.diagram):
             ks = sorted(set(row))
-            base = dot(lo, v)
-            entries.append(np.array(
-                [min(max(k - base, -reach - 1), reach + 1) for k in ks],
-                dtype=np.int64,
-            ))
-            masks.append(np.array(
-                [self._klyachko_mask(i, k) for k in (*ks, ks[-1] + 1)],
-                dtype=np.uint32,
-            ))
-        # row len(rays) of the mask array is the ground set: it pads every
-        # cone to the widest one and is the whole of the zero cone
+            starts.append(len(rows))
+            rows += [(i, k) for k in ks]
+            masks += [self._klyachko_mask(i, k) for k in (*ks, ks[-1] + 1)]
+            top.append(len(masks) - 1)
+        # the last mask is the ground set: it pads every cone to the widest
+        # one and is the whole of the zero cone
+        masks.append((1 << self.matroid.m) - 1)
+        masks = np.array(masks, dtype=np.uint32)
+        top = np.array(top, dtype=np.intp)[:, None]
         width = max(len(key) for key, _ in cones)
         index = np.array(
             [sorted(key) + [len(rays)] * (width - len(key)) for key, _ in cones],
             dtype=np.intp,
         )
         signs = np.array([sign for _, sign in cones], dtype=np.int64)
-        ray_rows = np.array(rays, dtype=np.int64)
         rank_of = np.frombuffer(self.matroid.rank_table, dtype=np.uint8)
-        flats = np.empty((len(rays) + 1, BOX_BLOCK), dtype=np.uint32)
-        flats[-1] = (1 << self.matroid.m) - 1
-        for offsets in blocks:
+        at = np.empty((len(rays) + 1, BOX_BLOCK), dtype=np.intp)
+        at[-1] = len(masks) - 1
+        for offsets, holds in _halfspace_blocks(box, rays, rows, "section levels"):
             n = offsets.shape[0]
-            levels = ray_rows @ offsets.T
-            for i in range(len(rays)):
-                flats[i, :n] = masks[i][np.searchsorted(entries[i], levels[i])]
-            meets = np.bitwise_and.reduce(flats[:, :n][index], axis=1)
+            held = np.add.reduceat(holds, starts, axis=0, dtype=np.intp)
+            np.subtract(top, held, out=at[:-1, :n])
+            meets = np.bitwise_and.reduce(masks[at[:, :n]][index], axis=1)
             yield offsets, signs @ rank_of[meets].astype(np.int64)
 
     def _chi_cones(self):
@@ -232,16 +214,7 @@ class TropicalVectorBundle:
         if box is None:
             box = self.chi_box()
         check_box(box, self.fan.ambient_dim)
-        lo, hi = box
-        top = np.array([h - l for l, h in zip(lo, hi)], dtype=np.int64)
-        total = 0
-        for offsets, values in self.section_values(box, self._chi_cones()):
-            bad = ((offsets == 0) | (offsets == top)).any(axis=1) & (values != 0)
-            if bad.any():
-                u = tuple(l + x for l, x in zip(lo, offsets[bad.argmax()].tolist()))
-                raise BoxTooSmallError(f"chi is nonzero at {u} on the box margin")
-            total += int(values.sum())
-        return total
+        return _margin_sum(self.section_values(box, self._chi_cones()), box, "chi")
 
     def h0_nonzero(self):
         """(u, h0_u) for every character with global sections, in box order.
@@ -320,10 +293,11 @@ class TropicalVectorBundle:
         if verify:
             box = self.chi_box()
             chi = self.section_values(box, self._chi_cones())
-            for (points, alpha), (_, values) in zip(box_values(chain, box), chi):
+            lo = box[0]
+            for (offsets, alpha), (_, values) in zip(box_values(chain, box), chi):
                 bad = alpha != values
                 if bad.any():
-                    u = tuple(points[bad.argmax()].tolist())
+                    u = tuple(l + x for l, x in zip(lo, offsets[bad.argmax()].tolist()))
                     raise BundleValidationError(f"chain value and chi disagree at {u}")
         return chain
 

@@ -1075,6 +1075,13 @@ def oracle_power_form(cones, lams) -> dict:
     return {key: c for key, c in form.items() if c}
 
 
+def volume_form(fan) -> dict:
+    """Lawrence's volume form of fan by the integer route,
+    `hrr._fan_power_form`, as {ray index tuple: Fraction}."""
+    form, m = hrr._fan_power_form(fan)
+    return {key: Fraction(c, m) for key, c in form.items()}
+
+
 def oracle_volume_form(fan) -> dict:
     """Lawrence's volume form of fan by `oracle_power_form`, {ray index
     tuple: Fraction}."""

@@ -174,9 +174,9 @@ def _kinds(chain):
 def test_box_values_equal_pointwise_evaluation(case):
     chain, box = case
     points, values = [], []
-    for p, v in box_values(chain, box):
-        assert p.shape[0] <= BOX_BLOCK
-        points += map(tuple, p.tolist())
+    for offsets, v in box_values(chain, box):
+        assert offsets.shape[0] <= BOX_BLOCK
+        points += map(tuple, (offsets + box[0]).tolist())
         values += v.tolist()
     expected = list(box_points(*box))
     assert points == expected
@@ -187,9 +187,9 @@ def _assert_blocks_equal_the_oracle(chain, box):
     blocks = list(box_values(chain, box))
     expected = list(oracle_box_values(chain, box))
     assert len(blocks) == len(expected)
-    for (points, values), (want_points, want_values) in zip(blocks, expected):
-        assert points.dtype == values.dtype == want_values.dtype == np.int64
-        assert np.array_equal(points, want_points)
+    for (offsets, values), (want_points, want_values) in zip(blocks, expected):
+        assert offsets.dtype == values.dtype == want_values.dtype == np.int64
+        assert np.array_equal(offsets + box[0], want_points)
         assert np.array_equal(values, want_values)
 
 
@@ -347,12 +347,11 @@ def test_int64_proof_refuses_instead_of_wrapping():
     big_normal = ConvexChain([(1, HPolyhedron([((1 << 61, 1), 0)], (), 2))])
     with pytest.raises(BoxTooLargeError):
         lattice_sum(big_normal, ((-2, -2), (2, 2)))
-    far = 1 << 62
-    with pytest.raises(BoxTooLargeError):
-        lattice_sum(SQUARE, ((far, far), (far + 3, far + 3)))
-    with pytest.raises(BoxTooLargeError):  # no rows: the coordinates alone
-        lattice_sum(ConvexChain(), ((far, far), (far + 3, far + 3)))
-    # just inside the proof: a square at 2^61 is summed exactly
+    # a box far from the origin is evaluated relative to its corner
+    far = ((1 << 62, 1 << 62), ((1 << 62) + 3, (1 << 62) + 3))
+    for chain in (SQUARE, ConvexChain()):  # the empty chain has no rows
+        assert lattice_sum(chain, far) == _lattice_sum_loop(chain, far) == 0
+    # a square near 2^61 is summed exactly
     near = (1 << 61) - 8
     square = VPolytope([(near + x, near + y) for x in (1, 2) for y in (1, 2)])
     box = ((near, near), (near + 3, near + 3))

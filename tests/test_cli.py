@@ -524,6 +524,16 @@ def test_flag_sum(capsys):
     assert json.loads(out) == {"m": 5, "sum": -1}
 
 
+@pytest.mark.parametrize("m", ["0", "8"])
+def test_flag_sum_outside_its_range_exits_2(capsys, m):
+    code, out = run(capsys, "flag-sum", "--m", m)
+    assert code == 2
+    assert json.loads(out) == {"error": {
+        "message": "flag enumeration supported for m in 1..7",
+        "type": "ValidationError",
+    }}
+
+
 def test_reports_are_deterministic(files, capsys):
     _, first = run(capsys, "chi", "--bundle", files["fano"])
     _, second = run(capsys, "chi", "--bundle", files["fano"])

@@ -21,7 +21,7 @@ from tropehrhart.errors import (
     UnsupportedDimensionError,
     ValidationError,
 )
-from tropehrhart.hrr import _volume_form, hrr_verify, todd_coeffs, todd_lhs
+from tropehrhart.hrr import hrr_verify, todd_coeffs, todd_lhs
 from tropehrhart.lattice import (
     Fan,
     HPolyhedron,
@@ -53,6 +53,7 @@ from conftest import (
     random_p1_bundle,
     rref_solve,
     solve_unique,
+    volume_form,
     zonotope_support_numbers,
 )
 
@@ -290,7 +291,7 @@ P3_NORMALS = [(1, 2, 0), (0, 1, -2)]
 def test_volume_form_equals_shoelace_on_named_fans():
     for name, fan in FANS.items():
         if fan.ambient_dim <= 2:
-            assert _volume_form(fan) == shoelace_form(fan), name
+            assert volume_form(fan) == shoelace_form(fan), name
 
 
 def test_volume_form_equals_shoelace_on_refined_fans():
@@ -300,7 +301,7 @@ def test_volume_form_equals_shoelace_on_refined_fans():
             for _ in range(3):
                 bundle = random_bundle(FANS[name], uniform_matroid(r, m), rng)
                 fan = split_branches(bundle.support_function())[0]
-                assert _volume_form(fan) == shoelace_form(fan)
+                assert volume_form(fan) == shoelace_form(fan)
 
 
 def _cone_vertices_in_polytope(fan, h):
@@ -342,7 +343,7 @@ def test_volume_form_is_the_volume_of_polytopes_in_3d(name):
     else:
         fan = FANS["P3"] if name == "P3" else P1_CUBED_FAN
         draw = _random_values
-    form = _volume_form(fan)
+    form = volume_form(fan)
     rng = random.Random(31)
     checked = 0
     while checked < 30:
@@ -386,7 +387,7 @@ def test_volume_form_is_the_volume_of_polytopes_in_4d(name):
     else:
         fan = projective_fan(4) if name == "P4" else p1_power_fan(4)
         draw = _random_values
-    form = _volume_form(fan)
+    form = volume_form(fan)
     rng = random.Random(37)
     checked = 0
     while checked < 12:
@@ -866,7 +867,7 @@ def test_integer_left_side_and_guard_equal_the_fraction_oracle(name, data, how):
     volume, mv = hrr._fan_power_form(fan)
     want_volume = oracle_volume_form(fan)
     assert {key: Fraction(c, mv) for key, c in volume.items()} == want_volume
-    assert hrr._volume_form(fan) == want_volume
+    assert volume_form(fan) == want_volume
     assert hrr._same_form(form, m, volume, mv) == (want == want_volume)
     if how == "none":
         assert want == want_volume

@@ -741,3 +741,17 @@ def test_a_fan_given_duals_is_not_checked():
         Fan(star, cones_)
     duals = {frozenset(c): Cone([star[i] for i in sorted(c)], 2).dual for c in cones_}
     assert len(Fan(star, cones_, duals=duals).maximal_keys) == 5
+
+
+def test_a_fan_given_duals_keeps_every_listed_key(p2_fan):
+    # refine_by_hyperplanes builds its keys maximal, so a fan given duals
+    # keeps each listed key as a maximal key, even a listed face; a fan
+    # built without duals still drops the face
+    refined = refine_by_hyperplanes(p2_fan, [(1, -1), (1, 2)])
+    keys = list(refined.maximal_keys)
+    assert set(keys) == set(refined._duals)
+    face = min(f for f in refined.cone_faces[keys[0]] if len(f) == 1)
+    listed = keys + [face, keys[0]]
+    trusted = Fan(refined.rays, listed, duals=refined._duals)
+    assert set(trusted.maximal_keys) == set(keys) | {face}
+    assert set(Fan(refined.rays, listed).maximal_keys) == set(keys)

@@ -2,12 +2,13 @@
 replaced.
 
 `TropicalVectorBundle.section_values` evaluates signed sums of section ranks
-on a whole box, one int64 product, one gather per ray and one AND-reduce per
-block; `euler_char_total`, `h0_nonzero` and `chain_alpha(verify=True)` read
+on a whole box, per block one half-space compare of `chains`, one segment
+sum, one gather and one AND-reduce; `euler_char_total`, `h0_nonzero` and `chain_alpha(verify=True)` read
 it.  The oracles are the loops that called `euler_char_u` and `h0_global`
 once per point, and `ConvexChain.evaluate` for the chain values.
 """
 
+import json
 import random
 from unittest import mock
 
@@ -16,7 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tropehrhart.tropvb as tropvb
-from tropehrhart.chains import BOX_BLOCK, ConvexChain
+from tropehrhart.chains import BOX_BLOCK, ConvexChain, lattice_sum
+from tropehrhart.cli import main
 from tropehrhart.errors import (
     BoxTooLargeError,
     BoxTooSmallError,
@@ -299,6 +301,33 @@ def test_diagram_entries_near_2_70_get_an_answer(far_line_bundle):
         _euler_char_total_loop, bundle, shrunk
     )
     assert _outcome(bundle.euler_char_total, shrunk)[0] == "margin"
+
+
+def test_chain_alpha_verifies_near_2_70(far_line_bundle):
+    # both kernels take the box relative to its corner: the chain values
+    # are compared with chi on the whole chi box
+    far_line_bundle.chain_alpha(verify=True)
+
+
+def test_chi_h0_and_alpha_agree_near_2_70(far_line_bundle, tmp_path, capsys):
+    # the chain's lattice sum answers wherever chi does
+    bundle = far_line_bundle
+    chain = bundle.chain_alpha(verify=False)
+    assert lattice_sum(chain, bundle.chi_box()) == bundle.euler_char_total() == 10
+    assert bundle.h0_total() == 10
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps({
+        "fan": {"rays": [list(v) for v in bundle.fan.rays],
+                "cones": [[1, 2], [2, 3], [1, 3]]},
+        "matroid": {"m": 1, "bases": [[1]]},
+        "diagram": [list(row) for row in bundle.diagram],
+    }))
+    totals = {}
+    for command, key in [("chi", "chi_total"), ("h0", "h0_total"),
+                         ("alpha-eval", "alpha_total")]:
+        assert main([command, "--bundle", str(path)]) == 0
+        totals[key] = json.loads(capsys.readouterr().out)[key]
+    assert totals == {"chi_total": 10, "h0_total": 10, "alpha_total": 10}
 
 
 def test_levels_beyond_int64_are_refused():

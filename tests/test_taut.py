@@ -61,8 +61,9 @@ def test_fan_codim():
 
 
 def test_fan_cap():
-    with pytest.raises(ValidationError):
-        permutahedral_fan(8)
+    for m in (0, 8):  # the message names the range, on either side of it
+        with pytest.raises(ValidationError, match=r"for m in 1\.\.7$"):
+            permutahedral_fan(m)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
