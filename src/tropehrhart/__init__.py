@@ -52,14 +52,7 @@ from .matroid import (
     rank,
     uniform_matroid,
 )
-from .taut import (
-    PermutahedralFan,
-    TautologicalBundle,
-    flag_alternating_sum,
-    permutahedral_fan,
-    tautological_bundle,
-    vanishing_check,
-)
+from .taut import flag_alternating_sum, vanishing_check
 from .tropvb import (
     SplitBundle,
     TropicalVectorBundle,
@@ -87,6 +80,5 @@ __all__ = [
     "TropicalVectorBundle", "SplitBundle", "validate",
     "split_resolution", "k_class", "k_class_identity",
     "todd_coeffs", "hrr_verify",
-    "PermutahedralFan", "TautologicalBundle", "permutahedral_fan",
-    "tautological_bundle", "vanishing_check", "flag_alternating_sum",
+    "vanishing_check", "flag_alternating_sum",
 ]

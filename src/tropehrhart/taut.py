@@ -1,17 +1,20 @@
 """Tautological bundle of a matroid on the permutahedral toric variety.
 
-The permutahedral fan on m letters is handled purely combinatorially: cones
-correspond to flags of nonempty proper subsets of {1..m} (the empty flag is
-the zero cone, complete flags are the maximal cones), the ray of a subset S
-has generator e_S, and all pairings are evaluated in Z^m directly.  Because
-the lifted fan has lineality along e_{1..m}, cones are never materialized as
-pointed lattice cones; the codimension of a flag with k entries is m - 1 - k.
+The cones of the permutahedral fan on m letters are the flags of nonempty
+proper subsets of {1..m} (the empty flag is the zero cone, complete flags
+are the maximal cones); the ray of a subset S has generator e_S, and the
+codimension of a flag with k entries is m - 1 - k.  The fan is never built:
+every quantity here is a signed count of chains of subsets, and one subset
+DP, `_chains_below`, computes those counts for all subsets at once.
+`flag_alternating_sum` is that DP with every subset allowed; the sweep
+below runs it with the subsets of pairing <= 0 allowed.
 
 The tautological bundle's diagram row for the ray e_S is the indicator
-vector of the closure of S (the paper's worked table lists the raw subset
-indicators, but those rows are not Bergman points; the closure rows are, and
-ranks, sections and Euler characteristics are unchanged).  Character sums are
-restricted to the slice {u : sum u_j = 1}, which carries all sections.
+vector of the closure of S, read off the rank table (the paper's worked
+table lists the raw subset indicators, but those rows are not Bergman
+points; the closure rows are, and ranks, sections and Euler characteristics
+are unchanged).  Character sums are restricted to the slice
+{u : sum u_j = 1}, which carries all sections.
 
 The vanishing check sweeps the slice box {sum u = 1, |u_i| <= b}, one point
 per orbit of the group generated by the transpositions (i j) that fix the
@@ -38,7 +41,8 @@ of subsets of one size.  h0_u is parliament membership of the diagram
 columns, one broadcast comparison per block.  The DP values count chains of
 subsets, so they are at most the number of flags (47,293 at m = 7) in
 absolute value and int64 arithmetic stays exact.  The cost is the number of
-orbits times 3^m.  The per-flag-chain sweep, the full box sweep and the
+orbits times 3^m.  The flag model (the fan's flags, the bundle's adapted
+bases and characters), the per-flag-chain sweep, the full box sweep and the
 pointwise Euler characteristic and section routes are kept in the tests as
 oracles.
 """
@@ -46,148 +50,19 @@ oracles.
 from __future__ import annotations
 
 import itertools
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import BoxTooLargeError, ValidationError
-from .matroid import Matroid, max_weight_basis
+from .matroid import Matroid
 
 MAX_GROUND = 7
 INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 # ---------------------------------------------------------------------------
-# Flags of subsets / the permutahedral fan
-# ---------------------------------------------------------------------------
-
-@lru_cache(maxsize=None)
-def _chains_of_masks(m: int):
-    """All strictly increasing chains of nonempty proper subsets of [m].
-
-    Subsets are bitmasks; the empty chain (zero cone) is included.  Chains
-    with G appended correspond to ordered set partitions of [m].
-    """
-    full = (1 << m) - 1
-    proper = [s for s in range(1, full)]
-    supersets = {
-        s: [t for t in proper if t != s and (s & t) == s] for s in proper
-    }
-
-    chains = [()]
-    stack = [(s,) for s in proper]
-    while stack:
-        chain = stack.pop()
-        chains.append(chain)
-        for t in supersets[chain[-1]]:
-            stack.append(chain + (t,))
-    return tuple(sorted(chains, key=lambda c: (len(c), c)))
-
-
-class PermutahedralFan:
-    """Flag-combinatorial model of the permutahedral fan on m letters."""
-
-    def __init__(self, m: int):
-        if not 1 <= m <= MAX_GROUND:
-            raise ValidationError(f"permutahedral fan supported for m in 1..{MAX_GROUND}")
-        self.m = m
-
-    @cached_property
-    def chains(self):
-        return _chains_of_masks(self.m)
-
-    @property
-    def ray_masks(self):
-        """The nonempty proper subsets, in the order of the chains of length 1."""
-        return range(1, (1 << self.m) - 1)
-
-    def rays(self):
-        """Primitive generators e_S, one per nonempty proper subset."""
-        return {
-            Matroid.elements(mask): tuple(
-                1 if mask >> i & 1 else 0 for i in range(self.m)
-            )
-            for mask in self.ray_masks
-        }
-
-    def flags(self):
-        """All cones, as increasing tuples of subsets (frozensets)."""
-        return [tuple(Matroid.elements(s) for s in c) for c in self.chains]
-
-    def codim(self, flag) -> int:
-        return self.m - 1 - len(flag)
-
-    def num_cones(self) -> int:
-        return len(self.chains)
-
-    def __repr__(self):
-        return f"PermutahedralFan(m={self.m}, cones={self.num_cones()})"
-
-
-def permutahedral_fan(m: int) -> PermutahedralFan:
-    return PermutahedralFan(m)
-
-
-def flag_alternating_sum(m: int) -> int:
-    """Sum of (-1)^length over all flags of subsets ending at [m]."""
-    if not 1 <= m <= MAX_GROUND:
-        raise ValidationError(f"flag enumeration supported for m in 1..{MAX_GROUND}")
-    total = 0
-    for chain in _chains_of_masks(m):
-        total += (-1) ** (len(chain) + 1)
-    return total
-
-
-# ---------------------------------------------------------------------------
-# The tautological bundle
-# ---------------------------------------------------------------------------
-
-class TautologicalBundle:
-    """Diagram-level data of the tautological bundle of a matroid."""
-
-    def __init__(self, matroid: Matroid):
-        if matroid.m > MAX_GROUND:
-            raise ValidationError(f"tautological bundles supported for m <= {MAX_GROUND}")
-        self.matroid = matroid
-        self.fan = permutahedral_fan(matroid.m)
-        self.rows = {}
-        for mask in self.fan.ray_masks:
-            closed = matroid.closure_mask(mask)
-            self.rows[Matroid.elements(mask)] = tuple(
-                closed >> i & 1 for i in range(matroid.m)
-            )
-
-    @property
-    def rank(self) -> int:
-        return self.matroid.rank_total
-
-    def adapted_basis(self, flag) -> frozenset:
-        """Maximum-weight basis at a generic weight of the flag's cone."""
-        m = self.matroid.m
-        w = [0] * m
-        for s in flag:
-            for e in s:
-                w[e - 1] += 1
-        return max_weight_basis(self.matroid, w)
-
-    def characters(self, flag):
-        """Character multiset {e_i : i in the adapted basis} of a cone."""
-        basis = self.adapted_basis(flag)
-        out = []
-        for e in sorted(basis):
-            out.append(tuple(1 if j == e else 0 for j in range(1, self.matroid.m + 1)))
-        return tuple(out)
-
-    def __repr__(self):
-        return f"TautologicalBundle({self.matroid!r})"
-
-
-def tautological_bundle(matroid: Matroid) -> TautologicalBundle:
-    return TautologicalBundle(matroid)
-
-
-# ---------------------------------------------------------------------------
-# Streamed subset-DP sweep and the vanishing check
+# The signed-chain DP, the streamed sweep and the vanishing check
 # ---------------------------------------------------------------------------
 
 # Points per block of the streamed slice box.  A sweep holds O(CHUNK * 3^m)
@@ -306,7 +181,7 @@ def _slice_box(m: int, bound: int, classes):
 
 @lru_cache(maxsize=None)
 def _subset_layers(m: int):
-    """Subset-lattice index arrays for the DPs of `_sweep`.
+    """Subset-lattice index arrays for `_chains_below` and `_sweep`.
 
     Returns (subset_cols, layers): subset_cols is the (2^m, m) indicator
     matrix of all masks; layers[k - 1] = (masks, below, above) lists the masks
@@ -330,6 +205,49 @@ def _subset_layers(m: int):
     return subset_cols, tuple(layers)
 
 
+def _chains_below(allowed):
+    """Signed counts of the chains of allowed subsets below every subset.
+
+    `allowed` is a (2^m, N) boolean array, one column per point.  Row S of
+    the result is B(S) = 1 - sum B(T) over the nonempty T < S allowed at
+    the point, the sum of (-1)^k over the chains T_1 < ... < T_k < S of
+    nonempty allowed subsets; row 0, the empty set, is 0.  Each layer of
+    subsets of one size is one numpy gather, O(3^m) work per point.  The
+    values count chains, so they are at most the number of flags in
+    absolute value and int64 arithmetic stays exact.
+    """
+    B = np.zeros(allowed.shape, dtype=np.int64)
+    B_ok = np.zeros_like(B)  # B where allowed, the terms of larger S
+    for masks, below, _ in _subset_layers(allowed.shape[0].bit_length() - 1)[1]:
+        B[masks] = 1 - B_ok[below].sum(axis=1)
+        B_ok[masks] = B[masks] * allowed[masks]
+    return B
+
+
+def flag_alternating_sum(m: int) -> int:
+    """Sum of (-1)^length over all flags of subsets ending at [m].
+
+    A flag is a chain of nonempty proper subsets with [m] appended, one
+    entry longer than the chain, so the sum is -B([m]) of `_chains_below`
+    with every subset allowed.
+    """
+    if not 1 <= m <= MAX_GROUND:
+        raise ValidationError(f"flag enumeration supported for m in 1..{MAX_GROUND}")
+    return -int(_chains_below(np.ones((1 << m, 1), dtype=bool))[-1, 0])
+
+
+def _closure_rows(matroid: Matroid):
+    """The diagram rows of the tautological bundle, the indicator vectors of
+    cl(S) for the nonempty proper S in mask order, as a (2^m - 2, m, 1)
+    int64 array."""
+    m = matroid.m
+    closed = np.array(
+        [matroid.closure_mask(mask) for mask in range(1, (1 << m) - 1)],
+        dtype=np.int64,
+    )
+    return closed[:, None, None] >> np.arange(m, dtype=np.int64)[:, None] & 1
+
+
 def _sweep(matroid: Matroid, blocks):
     """Yield (U, chi, h0) for each block U of character rows (exact int64).
 
@@ -339,32 +257,22 @@ def _sweep(matroid: Matroid, blocks):
         B(S) = 1 - sum B(T) over nonempty T < S with p(T) <= 0,
         A(S) = 1 - sum A(T) over S < T < [m] with p(T) <= 1,
     and chi_u = (-1)^m sum rank(S) B(S) A(S) over proper S with p(S) = 1,
-    plus (-1)^(m-1) rank(M) B([m]).  Each layer of subsets of one size is
-    one numpy gather, O(3^m) work per point.  h0_u is the rank of the set of
-    elements e whose parliament contains u: p(S) <= [e in cl(S)] for all S.
+    plus (-1)^(m-1) rank(M) B([m]).  B is `_chains_below`; A runs the same
+    layers downwards.  h0_u is the rank of the set of elements e whose
+    parliament contains u: p(S) <= [e in cl(S)] for all S.
     """
     m = matroid.m
     full = (1 << m) - 1
     subset_cols, layers = _subset_layers(m)
     rank_of = np.frombuffer(matroid.rank_table, dtype=np.uint8).astype(np.int64)
-    bundle = tautological_bundle(matroid)
-    closure_rows = np.array(
-        [bundle.rows[Matroid.elements(mask)] for mask in range(1, full)],
-        dtype=np.int64,
-    ).reshape(full - 1, m, 1)
+    closure_rows = _closure_rows(matroid)
     element_bits = (np.int64(1) << np.arange(m, dtype=np.int64))[:, None]
     sign = -1 if m % 2 else 1
 
     for U in blocks:
         sums = subset_cols @ U.T  # (2^m, N): pairing of every e_S with u
-        below_ok = sums <= 0
+        B = _chains_below(sums <= 0)
         above_ok = sums <= 1
-
-        B = np.empty_like(sums)  # signed chains below S
-        B_ok = np.zeros_like(sums)  # B where p <= 0, the terms of larger S
-        for masks, below, _ in layers:
-            B[masks] = 1 - B_ok[below].sum(axis=1)
-            B_ok[masks] = B[masks] * below_ok[masks]
         A = np.zeros_like(sums)  # signed chains above S, zero where p > 1
         for masks, _, above in reversed(layers[:-1]):
             A[masks] = (1 - A[above].sum(axis=1)) * above_ok[masks]
@@ -423,7 +331,9 @@ def vanishing_check(matroid: Matroid, max_coord=None) -> dict:
     genuinely contains all of the support.  A bound below 2 is rejected: such
     a box lies entirely on its shell and verifies nothing.  A bound whose
     sums (at most 2 * m * max_coord + 1 in absolute value) leave int64 is
-    refused with BoxTooLargeError before any array exists.
+    refused with BoxTooLargeError before any array exists.  A matroid on
+    more than MAX_GROUND elements is refused after these two checks, which
+    keep their order, and before any array exists too.
 
     One point per orbit of the matroid's transposition symmetries is swept,
     in blocks of CHUNK points, so memory stays bounded.  `points` counts
@@ -444,6 +354,8 @@ def vanishing_check(matroid: Matroid, max_coord=None) -> dict:
         raise BoxTooLargeError(
             f"max_coord {bound} would leave the exact int64 range of the sweep"
         )
+    if m > MAX_GROUND:
+        raise ValidationError(f"tautological bundles supported for m <= {MAX_GROUND}")
     classes = _symmetry_classes(matroid)
     points, shell_ok, mismatches, failures = 0, True, 0, []
     for U, chi, h0 in _sweep(matroid, _slice_box(m, bound, classes)):

@@ -17,8 +17,10 @@ whose values reproduce the equivariant Euler characteristic.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -58,27 +60,31 @@ class TropicalVectorBundle:
     Use :func:`validate` to construct one.
     """
 
-    def __init__(self, fan: Fan, matroid: Matroid, diagram, adapted_bases):
+    def __init__(self, fan: Fan, matroid: Matroid, diagram, adapted_bases,
+                 row_levels):
         self.fan = fan
         self.matroid = matroid
         self.diagram = tuple(tuple(int(x) for x in row) for row in diagram)
         self.adapted_bases = dict(adapted_bases)
         self.rank = matroid.rank_total
-        self._flat_cache = {}
+        # the Klyachko table: per ray, its sorted distinct entries and the
+        # flats {e : D[rho, e] >= k} at them, then the loops above the top
+        loops = matroid.closure_mask(0)
+        self._levels = []
+        for levels in row_levels:
+            entries = sorted(levels)
+            self._levels.append((entries, [levels[k] for k in entries] + [loops]))
         self._char_cache = {}
 
     # -- filtrations ----------------------------------------------------
 
     def _klyachko_mask(self, ray_index: int, i: int) -> int:
         """Mask of the flat of elements whose diagram entry on this ray is
-        >= i."""
-        row = self.diagram[ray_index]
-        i = max(min(row), min(i, max(row) + 1))
-        key = (ray_index, i)
-        if key not in self._flat_cache:
-            level = self.matroid.mask(e for e, x in enumerate(row, 1) if x >= i)
-            self._flat_cache[key] = self.matroid.closure_mask(level)
-        return self._flat_cache[key]
+        >= i: the table's mask at #{k < i} over the row's distinct entries
+        k, the ground set below the smallest and the loops above the
+        largest."""
+        entries, masks = self._levels[ray_index]
+        return masks[bisect_left(entries, i)]
 
     def h0_local(self, cone_key, u) -> int:
         """Rank of the meet of the ray flats at levels <u, v_rho> on the cone."""
@@ -164,7 +170,9 @@ class TropicalVectorBundle:
         <v_rho, u> <= k per distinct entry k of its row, and one Klyachko
         mask per entry plus the one above: the mask at level l is the one at
         #{k < l}, the number of rho's rows that fail, counted down from the
-        top mask by the rows that hold.  Each block then costs one segment
+        top mask by the rows that hold.  These rows and masks are the
+        bundle's Klyachko table, laid out once per bundle
+        (`_section_table`).  Each block then costs one segment
         sum of the holding rows, one gather from the masks, and one
         AND-reduce and rank lookup for all cones.
         """
@@ -172,18 +180,7 @@ class TropicalVectorBundle:
         self._check_character(lo)
         self._check_character(hi)
         rays = self.fan.rays
-        rows, starts, top, masks = [], [], [], []
-        for i, row in enumerate(self.diagram):
-            ks = sorted(set(row))
-            starts.append(len(rows))
-            rows += [(i, k) for k in ks]
-            masks += [self._klyachko_mask(i, k) for k in (*ks, ks[-1] + 1)]
-            top.append(len(masks) - 1)
-        # the last mask is the ground set: it pads every cone to the widest
-        # one and is the whole of the zero cone
-        masks.append((1 << self.matroid.m) - 1)
-        masks = np.array(masks, dtype=np.uint32)
-        top = np.array(top, dtype=np.intp)[:, None]
+        rows, starts, masks, top = self._section_table
         width = max(len(key) for key, _ in cones)
         index = np.array(
             [sorted(key) + [len(rays)] * (width - len(key)) for key, _ in cones],
@@ -199,6 +196,28 @@ class TropicalVectorBundle:
             np.subtract(top, held, out=at[:-1, :n])
             meets = np.bitwise_and.reduce(masks[at[:, :n]][index], axis=1)
             yield offsets, signs @ rank_of[meets].astype(np.int64)
+
+    @cached_property
+    def _section_table(self):
+        """The Klyachko table as `section_values` reads it: the half-space
+        rows (ray, entry), the first row of each ray, the masks of all rays
+        in one uint32 array with the ground set last, and the index of each
+        ray's top mask, the loops, as a column."""
+        rows, starts, masks, top = [], [], [], []
+        for i, (entries, flats) in enumerate(self._levels):
+            starts.append(len(rows))
+            rows += [(i, k) for k in entries]
+            masks += flats
+            top.append(len(masks) - 1)
+        # the last mask is the ground set: it pads every cone to the widest
+        # one and is the whole of the zero cone
+        masks.append((1 << self.matroid.m) - 1)
+        return (
+            rows,
+            starts,
+            np.array(masks, dtype=np.uint32),
+            np.array(top, dtype=np.intp)[:, None],
+        )
 
     def _chi_cones(self):
         """The terms of chi_u for `section_values`: every cone, (-1)^codim."""
@@ -357,7 +376,8 @@ def validate(fan: Fan, matroid: Matroid, diagram) -> TropicalVectorBundle:
     common adapted basis (recorded per cone, lexicographically smallest).
 
     The Bergman check keeps the masks of each row's level sets
-    {e : D[rho, e] >= k}, once they are proved to be flats.  A basis B is
+    {e : D[rho, e] >= k}, once they are proved to be flats; they are also
+    the bundle's table of Klyachko flats.  A basis B is
     adapted to a row when |F & B| = rank(F) for each of its level flats F,
     that is, when B has the row's largest weight.  If the rows of a cone
     have a common adapted basis, the bases of largest weight for the sum of
@@ -381,12 +401,12 @@ def validate(fan: Fan, matroid: Matroid, diagram) -> TropicalVectorBundle:
 
     row_levels = []
     for ri, row in enumerate(diagram):
-        levels = []
+        levels = {}
         for k in set(row):
             level = sum(1 << j for j, x in enumerate(row) if x >= k)
             if matroid.closure_mask(level) != level:
                 raise RowNotInBergmanError(ri + 1, row, Matroid.elements(level))
-            levels.append(level)
+            levels[k] = level
         row_levels.append(levels)
 
     table = matroid.rank_table
@@ -396,7 +416,7 @@ def validate(fan: Fan, matroid: Matroid, diagram) -> TropicalVectorBundle:
         total = [sum(diagram[i][j] for i in idx) for j in range(matroid.m)]
         basis = greedy_basis_mask(matroid, total)
         for i in idx:
-            for level in row_levels[i]:
+            for level in row_levels[i].values():
                 if (level & basis).bit_count() != table[level]:
                     raise NoCommonApartmentError(key)
         adapted[key] = Matroid.elements(basis)
@@ -405,7 +425,7 @@ def validate(fan: Fan, matroid: Matroid, diagram) -> TropicalVectorBundle:
             for b in adapted[key]:
                 if fan.solve_on(key, [diagram[i][b - 1] for i in idx]) is None:
                     raise NoCommonApartmentError(key)
-    return TropicalVectorBundle(fan, matroid, diagram, adapted)
+    return TropicalVectorBundle(fan, matroid, diagram, adapted, row_levels)
 
 
 # ---------------------------------------------------------------------------

@@ -15,9 +15,12 @@ ray subsets of its smallest cone (`oracle_pullback_row`), geometric ones (the
 double-dual check of a cone's rays; duals, cuts and face lattices by a
 fresh `vcone_from_halfspaces` and dot products; the smallest cone of a fan
 containing a point by a scan by dimension; the extreme-ray test, the facets
-and completeness of a fan read off face sets and dimensions), the pointwise
-routes of the tautological bundle (chart sections, global sections and the
-Euler characteristic at one character, each computed two ways), the monomial
+and completeness of a fan read off face sets and dimensions), the flag
+model of the tautological bundle (the chains of subsets, the permutahedral
+fan, the bundle's closure rows, adapted bases and characters, and the flag
+sum by enumeration) and the pointwise routes built on it (chart sections,
+global sections and the Euler characteristic at one character, each
+computed two ways), the monomial
 route of the Riemann-Roch left side (the polynomial z -> I(alpha[z])
 expanded from the volume form by `_branch_sum` into a `MultiPoly`, the
 Todd operator on monomials by `apply_todd`, the Bernoulli numbers), the
@@ -31,6 +34,7 @@ sum)."""
 
 import itertools
 from collections import Counter
+from functools import lru_cache
 from fractions import Fraction
 from math import ceil, comb, factorial, floor, prod
 
@@ -74,7 +78,6 @@ from tropehrhart.matroid import (
     uniform_matroid,
 )
 from tropehrhart.hrr import todd_coeffs
-from tropehrhart.taut import TautologicalBundle, tautological_bundle
 from tropehrhart.tropvb import validate
 
 
@@ -795,8 +798,104 @@ def face_alternating_sum(p) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Tautological bundles: the pointwise routes of chi_u and h0_u
+# Tautological bundles: the flag model, and the pointwise routes of chi_u and
+# h0_u built on it
 # ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=None)
+def _chains_of_masks(m: int):
+    """All strictly increasing chains of nonempty proper subsets of [m].
+
+    Subsets are bitmasks; the empty chain (zero cone) is included.  Chains
+    with G appended correspond to ordered set partitions of [m].
+    """
+    full = (1 << m) - 1
+    proper = [s for s in range(1, full)]
+    supersets = {
+        s: [t for t in proper if t != s and (s & t) == s] for s in proper
+    }
+
+    chains = [()]
+    stack = [(s,) for s in proper]
+    while stack:
+        chain = stack.pop()
+        chains.append(chain)
+        for t in supersets[chain[-1]]:
+            stack.append(chain + (t,))
+    return tuple(sorted(chains, key=lambda c: (len(c), c)))
+
+
+class PermutahedralFan:
+    """Flag-combinatorial model of the permutahedral fan on m letters."""
+
+    def __init__(self, m: int):
+        self.m = m
+
+    @property
+    def chains(self):
+        return _chains_of_masks(self.m)
+
+    @property
+    def ray_masks(self):
+        """The nonempty proper subsets, in the order of the chains of length 1."""
+        return range(1, (1 << self.m) - 1)
+
+    def flags(self):
+        """All cones, as increasing tuples of subsets (frozensets)."""
+        return [tuple(Matroid.elements(s) for s in c) for c in self.chains]
+
+    def codim(self, flag) -> int:
+        return self.m - 1 - len(flag)
+
+    def num_cones(self) -> int:
+        return len(self.chains)
+
+
+def permutahedral_fan(m: int) -> PermutahedralFan:
+    return PermutahedralFan(m)
+
+
+def enumerated_flag_sum(m: int) -> int:
+    """Sum of (-1)^length over all flags of subsets ending at [m], one
+    enumerated chain at a time."""
+    return sum((-1) ** (len(chain) + 1) for chain in _chains_of_masks(m))
+
+
+class TautologicalBundle:
+    """Diagram-level data of the tautological bundle of a matroid: one row
+    per nonempty proper subset, the indicator vector of its closure."""
+
+    def __init__(self, matroid: Matroid):
+        self.matroid = matroid
+        self.fan = permutahedral_fan(matroid.m)
+        self.rows = {}
+        for mask in self.fan.ray_masks:
+            closed = oracle_closure(matroid, Matroid.elements(mask))
+            self.rows[Matroid.elements(mask)] = tuple(
+                int(e in closed) for e in range(1, matroid.m + 1)
+            )
+
+    def adapted_basis(self, flag) -> frozenset:
+        """Maximum-weight basis at a generic weight of the flag's cone."""
+        m = self.matroid.m
+        w = [0] * m
+        for s in flag:
+            for e in s:
+                w[e - 1] += 1
+        return max_weight_basis(self.matroid, w)
+
+    def characters(self, flag):
+        """Character multiset {e_i : i in the adapted basis} of a cone."""
+        basis = self.adapted_basis(flag)
+        return tuple(
+            tuple(1 if j == e else 0 for j in range(1, self.matroid.m + 1))
+            for e in sorted(basis)
+        )
+
+
+def tautological_bundle(matroid: Matroid) -> TautologicalBundle:
+    return TautologicalBundle(matroid)
+
 
 def _check_slice(matroid: Matroid, u):
     u = tuple(int(x) for x in u)

@@ -12,28 +12,31 @@ from tropehrhart.linalg import rank
 from tropehrhart.matroid import Matroid, in_lifted_bergman, uniform_matroid
 from tropehrhart.taut import (
     CHUNK,
-    _chains_of_masks,
+    _chains_below,
+    _closure_rows,
     _orbit_sizes,
     _slice_box,
     _sweep,
     _symmetry_classes,
     flag_alternating_sum,
-    permutahedral_fan,
-    tautological_bundle,
     vanishing_check,
 )
 
 from conftest import (
+    _chains_of_masks,
+    enumerated_flag_sum,
     maximal_flags,
     oracle_rank,
+    permutahedral_fan,
     taut_chi_u,
     taut_h0_global,
     taut_h0_local,
+    tautological_bundle,
 )
 
 
 # ---------------------------------------------------------------------------
-# the permutahedral fan
+# the permutahedral fan (the flag model of the tests)
 # ---------------------------------------------------------------------------
 
 def test_fan_counts_m3():
@@ -61,9 +64,9 @@ def test_fan_codim():
 
 
 def test_fan_cap():
-    for m in (0, 8):  # the message names the range, on either side of it
-        with pytest.raises(ValidationError, match=r"for m in 1\.\.7$"):
-            permutahedral_fan(m)
+    for m in (-1, 0, 8):  # the message names the range, on either side of it
+        with pytest.raises(ValidationError, match=r"^flag enumeration supported for m in 1\.\.7$"):
+            flag_alternating_sum(m)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
@@ -73,17 +76,20 @@ def test_ray_masks_are_the_flags_of_length_one(m):
 
 
 def test_bundle_builds_no_flags():
-    bundle = tautological_bundle(uniform_matroid(3, 7))
-    assert "chains" not in vars(bundle.fan)
-    assert len(bundle.rows) == 2 ** 7 - 2
+    # the flag model lives in the tests: the package counts chains by the
+    # subset DP and reads the diagram rows off the rank table
+    import tropehrhart.taut as taut
+
+    assert not hasattr(taut, "_chains_of_masks")
+    assert _closure_rows(uniform_matroid(3, 7)).shape == (2 ** 7 - 2, 7, 1)
 
 
 # ---------------------------------------------------------------------------
-# the flag lemma
+# the flag lemma, and the signed-chain DP against the enumeration
 # ---------------------------------------------------------------------------
 
 def test_flag_alternating_sum():
-    for m in range(1, 7):
+    for m in range(1, 8):
         assert flag_alternating_sum(m) == (-1) ** m
 
 
@@ -93,37 +99,72 @@ def test_flag_sum_small_by_hand():
     assert flag_alternating_sum(1) == -1
 
 
+def _enumerated_chains_below(m, allowed):
+    """Row S: the sum of (-1)^k over the enumerated chains T_1 < ... < T_k
+    < S of nonempty subsets with allowed[T_i]; row 0 is 0."""
+    by_last = Counter()
+    for chain in _chains_of_masks(m):
+        if chain and all(allowed[t] for t in chain):
+            by_last[chain[-1]] += (-1) ** len(chain)
+    return [0] + [
+        1 + sum(c for t, c in by_last.items() if t & s == t and t != s)
+        for s in range(1, 1 << m)
+    ]
+
+
+@pytest.mark.parametrize("m", range(1, 8))
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_chains_below_equals_the_enumeration(m, data):
+    # column 0 allows every subset, the flag sum; the others are drawn
+    drawn = data.draw(st.lists(
+        st.lists(st.booleans(), min_size=1 << m, max_size=1 << m),
+        min_size=1, max_size=3))
+    allowed = np.array([[True] * (1 << m)] + drawn).T
+    B = _chains_below(allowed)
+    for j in range(allowed.shape[1]):
+        assert B[:, j].tolist() == _enumerated_chains_below(m, allowed[:, j])
+    assert -B[-1, 0] == enumerated_flag_sum(m) == flag_alternating_sum(m)
+
+
 # ---------------------------------------------------------------------------
 # the tautological diagram
 # ---------------------------------------------------------------------------
 
+def _rows(matroid):
+    """The rows of `_closure_rows`, keyed by subset as the oracle's are."""
+    return {
+        Matroid.elements(mask): tuple(row[:, 0].tolist())
+        for mask, row in enumerate(_closure_rows(matroid), 1)
+    }
+
+
 def test_u23_diagram_rows(u23_matroid):
-    bundle = tautological_bundle(u23_matroid)
-    assert bundle.rows[frozenset({1})] == (1, 0, 0)
-    assert bundle.rows[frozenset({2})] == (0, 1, 0)
-    assert bundle.rows[frozenset({3})] == (0, 0, 1)
+    rows = _rows(u23_matroid)
+    assert rows[frozenset({1})] == (1, 0, 0)
+    assert rows[frozenset({2})] == (0, 1, 0)
+    assert rows[frozenset({3})] == (0, 0, 1)
     # two-element subsets span everything in the rank-2 uniform matroid
-    assert bundle.rows[frozenset({1, 2})] == (1, 1, 1)
-    assert bundle.rows[frozenset({1, 3})] == (1, 1, 1)
-    assert bundle.rows[frozenset({2, 3})] == (1, 1, 1)
+    assert rows[frozenset({1, 2})] == (1, 1, 1)
+    assert rows[frozenset({1, 3})] == (1, 1, 1)
+    assert rows[frozenset({2, 3})] == (1, 1, 1)
 
 
 def test_fano_diagram_row_is_line(fano_matroid):
-    bundle = tautological_bundle(fano_matroid)
     # closure of {y1, y2} is the side line {y1, y2, z3}
-    assert bundle.rows[frozenset({1, 2})] == (1, 1, 0, 0, 0, 1, 0)
+    assert _rows(fano_matroid)[frozenset({1, 2})] == (1, 1, 0, 0, 0, 1, 0)
 
 
 def test_loop_column_is_all_ones():
     loopy = Matroid(3, [{1, 2}])  # 3 is a loop
-    bundle = tautological_bundle(loopy)
-    assert all(row[2] == 1 for row in bundle.rows.values())
+    assert all(row[2] == 1 for row in _rows(loopy).values())
 
 
 def test_diagram_rows_are_bergman_points(u23_matroid, fano_matroid):
-    for matroid in (u23_matroid, fano_matroid):
-        bundle = tautological_bundle(matroid)
-        for row in bundle.rows.values():
+    for matroid in (u23_matroid, fano_matroid, Matroid(3, [{1, 2}])):
+        rows = _rows(matroid)
+        assert rows == tautological_bundle(matroid).rows
+        for row in rows.values():
             assert in_lifted_bergman(matroid, row)
 
 
@@ -443,6 +484,17 @@ def test_vanishing_refuses_a_bound_beyond_int64_before_the_sweep(monkeypatch):
     assert U[:2].tolist() == [[-top, 1, top], [-top, 2, top - 1]]
     assert (U.sum(axis=1) == 1).all() and (np.abs(U) <= top).all()
     assert not chi.any() and not h0.any()
+
+
+def test_vanishing_refuses_a_ground_set_above_the_cap_before_the_sweep(monkeypatch):
+    import tropehrhart.taut as taut
+
+    def no_arrays(*args):
+        raise AssertionError("the sweep started")
+
+    monkeypatch.setattr(taut, "_symmetry_classes", no_arrays)
+    with pytest.raises(ValidationError, match=r"^tautological bundles supported for m <= 7$"):
+        vanishing_check(uniform_matroid(2, 8))
 
 
 def test_vanishing_rejects_box_below_two(u23_matroid):
