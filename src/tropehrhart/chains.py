@@ -36,7 +36,7 @@ from .lattice import (
     vertex_enumeration,
     volume,
 )
-from .linalg import clear_denominators, dot, is_zero, vec_sub
+from .linalg import clear_denominators, dot, exact, is_zero, vec_sub
 
 
 def _piece_key(piece):
@@ -147,10 +147,14 @@ def invert_polytope(p: VPolytope) -> ConvexChain:
 
 
 class SupportNumbers:
-    """Values of a (possibly virtual) support function on the rays of a fan."""
+    """Values of a (possibly virtual) support function on the rays of a fan.
+
+    Values become exact numbers (`linalg.exact`): an int where integral,
+    else a Fraction.
+    """
 
     def __init__(self, fan: Fan, values):
-        values = tuple(Fraction(v) for v in values)
+        values = tuple(map(exact, values))
         if len(values) != len(fan.rays):
             raise ValidationError(
                 f"expected {len(fan.rays)} support numbers, got {len(values)}"
@@ -158,7 +162,7 @@ class SupportNumbers:
         self.fan = fan
         self.values = values
 
-    def __getitem__(self, ray_index: int) -> Fraction:
+    def __getitem__(self, ray_index: int):
         return self.values[ray_index]
 
     def __repr__(self):

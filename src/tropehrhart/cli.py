@@ -30,6 +30,7 @@ from .errors import (
     ValidationError,
 )
 from .lattice import VERTEX_ENUM_MAX_DIM, Fan, VPolytope
+from .linalg import exact
 from .matroid import Matroid
 from .tropvb import alternating_sum, k_class_identity, split_resolution, validate
 
@@ -46,21 +47,23 @@ def encode_int(x: int):
 
 
 def encode_rational(q) -> str:
-    q = Fraction(q)
+    """An int or a Fraction as a "p/q" string in lowest terms."""
     return f"{q.numerator}/{q.denominator}"
 
 
-def parse_number(v) -> Fraction:
+def parse_number(v):
+    """A JSON number or a "k" / "p/q" string as an exact number
+    (`linalg.exact`): an int where integral, else a Fraction."""
     if isinstance(v, bool):
         raise ValidationError("booleans are not numbers")
     if isinstance(v, int):
-        return Fraction(v)
+        return int(v)
     if isinstance(v, str):
         try:
             if "/" in v:
                 p, q = v.split("/", 1)
-                return Fraction(int(p), int(q))
-            return Fraction(int(v))
+                return exact(Fraction(int(p), int(q)))
+            return int(v)
         except (ValueError, ZeroDivisionError):
             raise ValidationError(f"cannot parse number from {v!r}") from None
     raise ValidationError(f"cannot parse number from {v!r}")
@@ -70,9 +73,9 @@ def parse_int(v) -> int:
     if type(v) is int:  # JSON integers; bool, a subclass, is refused below
         return v
     f = parse_number(v)
-    if f.denominator != 1:
+    if type(f) is not int:
         raise ValidationError(f"expected an integer, got {v!r}")
-    return int(f)
+    return f
 
 
 def _encoded(obj):
@@ -140,6 +143,11 @@ def load_chain(path: str) -> ConvexChain:
         for t in data["terms"]:
             coeff = parse_int(t["coeff"])
             verts = [tuple(parse_number(x) for x in v) for v in t["vertices"]]
+            if any(not v for v in verts):
+                # no --u could address a 0-dimensional chain
+                raise ValidationError(
+                    "chain piece vertices need at least one coordinate"
+                )
             if any(len(v) > VERTEX_ENUM_MAX_DIM for v in verts):
                 raise UnsupportedDimensionError(
                     f"chain pieces are capped at ambient dimension {VERTEX_ENUM_MAX_DIM}"

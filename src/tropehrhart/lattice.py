@@ -3,8 +3,11 @@
 All computations use integer and Fraction arithmetic.  Cones are stored by
 primitive integer ray generators (plus explicit lineality generators where
 needed, e.g. for dual cones of low-dimensional cones).  Polytopes carry exact
-rational vertices; half-space descriptions use integer normals with rational
-bounds, read as <y, normal> <= bound.
+vertices; half-space descriptions use integer normals with exact bounds, read
+as <y, normal> <= bound.  Every coordinate and bound is an exact number in
+the sense of `linalg.exact`: an int where it is integral, else a Fraction.
+A lattice polytope therefore holds ints only, and its hull and
+containment tests run in integer arithmetic.
 
 Dimension cap: vertex enumeration and fan refinement work up to ambient
 dimension `VERTEX_ENUM_MAX_DIM` (4), enforced with explicit errors.  Every
@@ -62,6 +65,7 @@ from .linalg import (
     dot,
     echelon,
     echelon_nullspace,
+    exact,
     integral,
     inverse,
     is_zero,
@@ -842,17 +846,16 @@ def _integer_normal(n):
 
 
 class HPolyhedron:
-    """Intersection of half-spaces <y, v> <= d and hyperplanes <y, v> = d."""
+    """Intersection of half-spaces <y, v> <= d and hyperplanes <y, v> = d.
+
+    Normals become tuples of ints (`_integer_normal`) and bounds exact
+    numbers (`linalg.exact`): an int where integral, else the given
+    Fraction.
+    """
 
     def __init__(self, inequalities=(), equalities=(), ambient_dim=None):
-        ineqs = [
-            (_integer_normal(n), b if type(b) is Fraction else Fraction(b))
-            for n, b in inequalities
-        ]
-        eqs = [
-            (_integer_normal(n), b if type(b) is Fraction else Fraction(b))
-            for n, b in equalities
-        ]
+        ineqs = [(_integer_normal(n), exact(b)) for n, b in inequalities]
+        eqs = [(_integer_normal(n), exact(b)) for n, b in equalities]
         if ambient_dim is None:
             if ineqs:
                 ambient_dim = len(ineqs[0][0])
@@ -877,9 +880,9 @@ class HPolyhedron:
     def generators(self):
         """(vertices, rays, lineality) via homogenization.
 
-        Vertices are exact rational points (representatives of minimal faces
-        when the polyhedron has lineality); rays and lineality are primitive
-        integer vectors.
+        Vertices are points of exact numbers (representatives of minimal
+        faces when the polyhedron has lineality); rays and lineality are
+        primitive integer vectors.
         """
         if self._generators is not None:
             return self._generators
@@ -887,10 +890,10 @@ class HPolyhedron:
         rows = []
         for n, b in self.inequalities:
             q = b.denominator
-            rows.append(tuple(-q * x for x in n) + (int(b * q),))
+            rows.append(tuple(-q * x for x in n) + (b.numerator,))
         for n, b in self.equalities:
             q = b.denominator
-            row = tuple(q * x for x in n) + (-int(b * q),)
+            row = tuple(q * x for x in n) + (-b.numerator,)
             rows.append(row)
             rows.append(vec_neg(row))
         rows.append(tuple([0] * d + [1]))
@@ -901,7 +904,7 @@ class HPolyhedron:
         for r in crays:
             t = r[d]
             if t > 0:
-                verts.append(tuple(Fraction(x, t) for x in r[:d]))
+                verts.append(quotient(r[:d], t))
             else:
                 rec_rays.append(primitive(r[:d]))
         self._generators = (tuple(sorted(verts)), tuple(sorted(rec_rays)),
@@ -919,10 +922,16 @@ class HPolyhedron:
 
 
 class VPolytope:
-    """Bounded polytope given by its exact rational vertex set."""
+    """Bounded polytope given by its vertex set.
+
+    Coordinates become exact numbers (`linalg.exact`): an int where
+    integral, else a Fraction, so a lattice polytope holds ints only.
+    `vertices` are sorted and distinct; unless `trusted`, the given points
+    are reduced to the extreme ones by `convex_hull_vertices`.
+    """
 
     def __init__(self, vertices, ambient_dim=None, *, trusted=False):
-        pts = [tuple(Fraction(x) for x in p) for p in vertices]
+        pts = [tuple(map(exact, p)) for p in vertices]
         if ambient_dim is None:
             if not pts:
                 raise ValidationError("ambient dimension required for empty polytope")
@@ -935,10 +944,12 @@ class VPolytope:
         self._hrep = None
         self._faces = None
         if pts and not trusted:
+            # the hull's vertices come sorted and distinct
             facets = []
-            pts = convex_hull_vertices(pts, facets)
+            self.vertices = tuple(convex_hull_vertices(pts, facets))
             self._hrep = facets[0]
-        self.vertices = tuple(sorted(set(pts)))
+        else:
+            self.vertices = tuple(sorted(set(pts)))
 
     @property
     def dim(self) -> int:
@@ -959,7 +970,7 @@ class VPolytope:
         if self._hrep is None:
             if not self.vertices:
                 # canonical empty system: 0 <= -1
-                self._hrep = (((tuple([0] * self.ambient_dim), Fraction(-1)),), ())
+                self._hrep = (((tuple([0] * self.ambient_dim), -1),), ())
             else:
                 _, ineqs, eqs = _hull_data(self.vertices, self.ambient_dim)
                 self._hrep = (tuple(ineqs), tuple(eqs))
@@ -1019,13 +1030,14 @@ class VPolytope:
 # ---------------------------------------------------------------------------
 
 def convex_hull_vertices(points, facets=None):
-    """Extreme points of a finite point set, in sorted order, by double
+    """Extreme points of a finite point set, sorted and distinct, by double
     description (`_hull_data`) in every dimension and affine rank.
+    Coordinates become exact numbers (`linalg.exact`).
 
     When `facets` is a list, the hull's (inequalities, equalities), as
     `VPolytope.hrep` returns them, are appended to it.
     """
-    pts = sorted(set(tuple(Fraction(x) for x in p) for p in points))
+    pts = sorted({tuple(map(exact, p)) for p in points})
     if not pts:
         return []
     verts, ineqs, eqs = _hull_data(pts, len(pts[0]))
@@ -1036,14 +1048,15 @@ def convex_hull_vertices(points, facets=None):
 
 def _hull_data(pts, d):
     """(vertices, inequalities, equalities) of the hull of sorted distinct
-    rational points."""
+    points of exact numbers; the bounds are ints, read off the integer
+    dual rays."""
     # distinct points homogenize to distinct primitive rows, so bit i of a
     # dual ray's tight mask is point i lying on that facet
     hom_rows = [integral(p + (1,)) for p in pts]
     dual_rays, dual_lin = _double_description(hom_rows, d + 1)
-    eqs = [(g[:d], Fraction(-g[d])) for g in dual_lin]
+    eqs = [(g[:d], -g[d]) for g in dual_lin]
     ineqs = [
-        (vec_neg(g[:d]), Fraction(g[d]))
+        (vec_neg(g[:d]), g[d])
         for g, _ in dual_rays
         if not is_zero(g[:d])
     ]

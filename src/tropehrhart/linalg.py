@@ -1,16 +1,17 @@
 """Exact linear algebra over the rationals.
 
-Vectors are plain tuples (of ints or Fractions), matrices are sequences of
-row tuples.  There is one elimination, the fraction-free integer `echelon`
-(in the style of Bareiss 1968): its rows are the reduced row echelon form
-scaled to primitive integers, and `rank`, `nullspace` and `inverse` are read
-off it.  `inverse` gives an invertible integer matrix's inverse as an
-integer matrix over one common denominator, so the many systems that share
-one matrix cost one elimination and then an integer product each
-(`quotient` divides that product exactly).  It is the one solver: a linear
-system on the rays of a cone is solved through `lattice.Fan.cone_inverse`.
-`det` (Bareiss) is the one determinant.  Nothing ever touches floating
-point.
+Vectors are plain tuples of exact numbers, matrices are sequences of row
+tuples.  An exact number is an int where it is integral and a Fraction
+otherwise; `exact` is the one place that rule is applied to a given value.
+There is one elimination, the fraction-free integer `echelon` (in the style
+of Bareiss 1968): its rows are the reduced row echelon form scaled to
+primitive integers, and `rank`, `nullspace` and `inverse` are read off it.
+`inverse` gives an invertible integer matrix's inverse as an integer matrix
+over one common denominator, so the many systems that share one matrix cost
+one elimination and then an integer product each (`quotient` divides that
+product exactly).  It is the one solver: a linear system on the rays of a
+cone is solved through `lattice.Fan.cone_inverse`.  `det` (Bareiss) is the
+one determinant.  Nothing ever touches floating point.
 """
 
 from __future__ import annotations
@@ -47,6 +48,21 @@ def primitive(v):
     return tuple(x // g for x in v)
 
 
+def exact(x):
+    """x as an exact number: an int stays an int, an integral Fraction
+    becomes its int, and anything else becomes a Fraction.  A non-integral
+    Fraction is returned as given.
+
+    The two spellings of an integer compare and hash equal, so normalizing
+    changes no test, sort or dict key; it saves the Fraction arithmetic.
+    """
+    if type(x) is int:
+        return x
+    if type(x) is not Fraction:
+        x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
+
+
 def integral(row):
     """The row times the lcm of its denominators (ints and Fractions)."""
     q = lcm(*(x.denominator for x in row))
@@ -55,7 +71,7 @@ def integral(row):
 
 def clear_denominators(v):
     """Scale a rational vector to a primitive integer vector (same direction)."""
-    return primitive(integral([Fraction(x) for x in v]))
+    return primitive(integral([exact(x) for x in v]))
 
 
 def echelon(rows, stop=None):
@@ -155,16 +171,11 @@ def inverse(square):
 
 
 def quotient(v, d):
-    """v / d entrywise and exactly: an int where the entry is integral,
-    else a Fraction (entries may be ints or Fractions)."""
-    out = []
-    for x in v:
-        if type(x) is int and not x % d:
-            out.append(x // d)
-        else:
-            q = Fraction(x, d)
-            out.append(q.numerator if q.denominator == 1 else q)
-    return tuple(out)
+    """v / d entrywise as exact numbers (entries may be ints or Fractions)."""
+    return tuple(
+        x // d if type(x) is int and not x % d else exact(Fraction(x, d))
+        for x in v
+    )
 
 
 def det(rows) -> int:

@@ -15,7 +15,9 @@ ray subsets of its smallest cone (`oracle_pullback_row`), geometric ones (the
 double-dual check of a cone's rays; duals, cuts and face lattices by a
 fresh `vcone_from_halfspaces` and dot products; the smallest cone of a fan
 containing a point by a scan by dimension; the extreme-ray test, the facets
-and completeness of a fan read off face sets and dimensions), the flag
+and completeness of a fan read off face sets and dimensions; the Fraction
+route of hulls, `VPolytope` and `HPolyhedron`, which coerces every
+coordinate and bound to a Fraction), the flag
 model of the tautological bundle (the chains of subsets, the permutahedral
 fan, the bundle's closure rows, adapted bases and characters, and the flag
 sum by enumeration) and the pointwise routes built on it (chart sections,
@@ -61,7 +63,9 @@ from tropehrhart.errors import (
 from tropehrhart.lattice import (
     Cone,
     Fan,
+    HPolyhedron,
     VPolytope,
+    _hull_data,
     _intersection_closure,
     bounding_box,
     box_size,
@@ -586,6 +590,50 @@ def oracle_hull_vertices(points):
     return [
         p for p in pts if not caratheodory_contains([q for q in pts if q != p], p)
     ]
+
+
+def fraction_hull_vertices(points, facets=None):
+    """`convex_hull_vertices` by the Fraction route: every coordinate and
+    bound coerced to a Fraction, integral or not."""
+    pts = sorted(set(tuple(Fraction(x) for x in p) for p in points))
+    if not pts:
+        return []
+    verts, ineqs, eqs = _hull_data(pts, len(pts[0]))
+    if facets is not None:
+        facets.append((tuple((n, Fraction(b)) for n, b in ineqs),
+                       tuple((n, Fraction(b)) for n, b in eqs)))
+    return verts
+
+
+class FractionVPolytope(VPolytope):
+    """`VPolytope` by the Fraction route: Fraction coordinates and bounds,
+    and one more sort of the hull's vertices."""
+
+    def __init__(self, vertices, ambient_dim=None, *, trusted=False):
+        pts = [tuple(Fraction(x) for x in p) for p in vertices]
+        if ambient_dim is None:
+            ambient_dim = len(pts[0])
+        self.ambient_dim = ambient_dim
+        self._hrep = None
+        self._faces = None
+        if pts and not trusted:
+            facets = []
+            pts = fraction_hull_vertices(pts, facets)
+            self._hrep = facets[0]
+        self.vertices = tuple(sorted(set(pts)))
+
+
+class FractionHPolyhedron(HPolyhedron):
+    """`HPolyhedron` by the Fraction route: every bound a Fraction."""
+
+    def __init__(self, inequalities=(), equalities=(), ambient_dim=None):
+        super().__init__(inequalities, equalities, ambient_dim)
+        self.inequalities = tuple((n, Fraction(b)) for n, b in self.inequalities)
+        self.equalities = tuple((n, Fraction(b)) for n, b in self.equalities)
+
+    def generators(self):
+        verts, rays, lin = super().generators()
+        return tuple(tuple(map(Fraction, v)) for v in verts), rays, lin
 
 
 def lattice_points(p):

@@ -343,6 +343,47 @@ def test_chain_file_above_dimension_cap_exits_2(tmp_path, capsys):
     assert report["error"]["type"] == "UnsupportedDimensionError"
 
 
+def test_zero_coordinate_chain_file_exits_2_before_any_hull(tmp_path, capsys, monkeypatch):
+    # no --u could address a 0-dimensional chain, so the file is refused
+    def no_hull(*args):
+        raise AssertionError("hull computed")
+
+    monkeypatch.setattr("tropehrhart.lattice.convex_hull_vertices", no_hull)
+    path = tmp_path / "empty_vertices.json"
+    path.write_text(json.dumps({"terms": [{"coeff": 1, "vertices": [[], []]}]}))
+    for u in ("0,0", "0"):
+        code, out = run(capsys, "alpha-eval", "--chain", str(path), "--u", u)
+        assert code == 2
+        assert json.loads(out) == {"error": {
+            "type": "ValidationError",
+            "message": "chain piece vertices need at least one coordinate",
+        }}
+
+
+def test_chain_file_spellings_print_the_same_report(tmp_path, capsys):
+    # a 3-d cloud of +-e_i and interior points, written with JSON ints, with
+    # "k" strings and with "2k/2" strings, and three pieces of mixed sign
+    axes = [[s * int(i == j) for j in range(3)] for i in range(3) for s in (1, -1)]
+    clouds = [axes + [[0, 0, 0], [1, 1, 0]], axes + [[2, 1, 1], [0, -1, 1]], axes]
+    spellings = {
+        "ints": lambda x: x,
+        "strings": str,
+        "halves": lambda x: f"{2 * x}/2",
+    }
+    outputs = {}
+    for name, spell in spellings.items():
+        terms = [{"coeff": c, "vertices": [[spell(x) for x in v] for v in cloud]}
+                 for c, cloud in zip((2, -1, 3), clouds)]
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"terms": terms}))
+        outputs[name] = [
+            run(capsys, "alpha-eval", "--chain", str(path), "--u", u)
+            for u in ("0,0,0", "1,1,0", "2,1,1", "1,0,1", "5,0,0")
+        ]
+    assert outputs["ints"] == outputs["strings"] == outputs["halves"]
+    assert [json.loads(out)["value"] for _, out in outputs["ints"]] == [4, 2, -1, -1, 0]
+
+
 def test_alpha_eval_chain_file(files, capsys):
     code, out = run(capsys, "alpha-eval", "--chain", files["chain"], "--u", "0,0")
     assert json.loads(out)["value"] == 2

@@ -30,11 +30,15 @@ from tropehrhart.lattice import (
     refine_by_hyperplanes,
     stellar_subdivision,
     vertex_enumeration,
+    volume,
 )
+from tropehrhart.chains import ConvexChain
 from tropehrhart.linalg import det, dot, primitive, vec_sub
 
 from conftest import (
     FANS,
+    FractionHPolyhedron,
+    FractionVPolytope,
     caratheodory_contains,
     dimension_filtered_facets,
     double_dual_verdict,
@@ -140,7 +144,8 @@ def test_hpolyhedron_refuses_non_integer_normals():
 
 def test_hpolyhedron_normals_are_tuples_of_ints():
     # bools, integral Fractions and numpy integers become ints; a tuple of
-    # ints and a Fraction bound are kept as given
+    # ints and a non-integral Fraction bound are kept as given; an integral
+    # bound becomes an int
     normal, bound = (3, -1), Fraction(7, 2)
     p = HPolyhedron(
         [(normal, bound), ((True, Fraction(-2)), 0), ([np.int64(4), 0], 1)],
@@ -151,7 +156,80 @@ def test_hpolyhedron_normals_are_tuples_of_ints():
     assert [n for n, _ in rows] == [(3, -1), (1, -2), (4, 0), (2, 0)]
     for n, b in rows:
         assert type(n) is tuple and all(type(x) is int for x in n)
-        assert type(b) is Fraction
+    assert [type(b) for _, b in rows] == [Fraction, int, int, int]
+    assert [b for _, b in rows] == [Fraction(7, 2), 0, 1, 1]
+
+
+def _spelled(q, how):
+    """The exact number q spelled as an int (where integral), a Fraction, or
+    a Fraction of an unreduced pair such as Fraction(6, 2)."""
+    if how == 0 and q.denominator == 1:
+        return int(q)
+    if how == 2:
+        return Fraction(2 * q.numerator, 2 * q.denominator)
+    return Fraction(q)
+
+
+def _is_exact(x):
+    """An int where integral, else a Fraction."""
+    return type(x) is (int if x.denominator == 1 else Fraction)
+
+
+@st.composite
+def spelled_clouds(draw):
+    """(points, probes): a cloud of 1-7 points in dimension 1-4, integer or
+    rational, each coordinate spelled one of three ways, and a few probes."""
+    dim = draw(st.integers(1, 4))
+    den = draw(st.sampled_from((1, 2, 3)))
+    number = st.builds(Fraction, st.integers(-3 * den, 3 * den), st.just(den))
+    point = st.tuples(*[number] * dim)
+    spelled = st.builds(_spelled, number, st.integers(0, 2))
+    pts = draw(st.lists(st.tuples(*[spelled] * dim), min_size=1, max_size=7))
+    probes = draw(st.lists(point, min_size=1, max_size=6))
+    return pts, probes
+
+
+def _face_table(p):
+    return [(f.vertices, d, t.inequalities, t.equalities) for f, d, t in p.faces()]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(spelled_clouds(), st.integers(0, 2))
+def test_exact_numbers_equal_the_fraction_route(cloud, how):
+    pts, probes = cloud
+    p, q = VPolytope(pts), FractionVPolytope(pts)
+    assert p.vertices == q.vertices
+    assert p.hrep() == q.hrep()
+    assert volume(p) == volume(q)
+    assert _face_table(p) == _face_table(q)
+    assert [p.contains(y) for y in probes] == [q.contains(y) for y in probes]
+    numbers = [x for v in p.vertices for x in v]
+    numbers += [b for rows in p.hrep() for _, b in rows]
+    for face, _, tangent in p.faces():
+        numbers += [x for v in face.vertices for x in v]
+        numbers += [b for _, b in tangent.inequalities + tangent.equalities]
+    assert all(map(_is_exact, numbers))
+    # the hull's rows with their bounds respelled and the inequalities
+    # loosened by 1/2: an int bound where integral, else the given Fraction
+    ineqs, eqs = q.hrep()
+    loose = [(n, _spelled(b + Fraction(1, 2) * (how == 1), how)) for n, b in ineqs]
+    eqs = [(n, _spelled(b, how)) for n, b in eqs]
+    h = HPolyhedron(loose, eqs, p.ambient_dim)
+    g = FractionHPolyhedron(loose, eqs, p.ambient_dim)
+    assert (h.inequalities, h.equalities) == (g.inequalities, g.equalities)
+    assert h.generators() == g.generators()
+    assert all(_is_exact(b) for _, b in h.inequalities + h.equalities)
+    assert all(hb is b for (_, hb), (_, b) in zip(h.inequalities, loose)
+               if type(b) is Fraction and b.denominator != 1)
+    assert all(_is_exact(x) for v in h.generators()[0] for x in v)
+    # pieces that differ only in int or Fraction spelling merge into one term
+    as_ints = [tuple(_spelled(Fraction(x), 0) for x in v) for v in pts]
+    as_fractions = [tuple(_spelled(Fraction(x), 1) for x in v) for v in pts]
+    chain = ConvexChain([
+        (1, VPolytope(as_ints)), (2, VPolytope(as_fractions)),
+        (1, h), (3, g),
+    ])
+    assert [c for c, _ in chain.terms] == [3, 4]
 
 
 def test_vertex_enumeration_errors():
