@@ -155,6 +155,9 @@ def load_chain(path: str) -> ConvexChain:
             terms.append((coeff, VPolytope(verts)))
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"chain schema error: {exc}") from None
+    if not terms:
+        # the empty chain is zero everywhere and fixes no dimension for --u
+        raise ValidationError("chain has no terms")
     return ConvexChain(terms)
 
 

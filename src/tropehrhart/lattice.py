@@ -33,8 +33,9 @@ of its maximal cones, all full-dimensional, is shared by exactly two of
 them.  A fan given the `duals` of its maximal cones is a refinement known
 by construction and is not checked again.  Hulls of every dimension and affine rank
 take the double description through `_hull_data`, which reads each facet's
-points off the masks.  Face lattices come from one closure of facet
-incidences under intersection, `_intersection_closure`.  One pulling
+points off the masks.  Cones, fans and polytopes read their faces and the
+dimension of each top-down from facet masks (`_face_lattice`), and the
+smallest face around a ray or a point is `_closure`.  One pulling
 triangulation on index sets and facet incidences, `_pulling_triangulation`,
 splits polytopes into simplices for `volume` in every dimension and pointed
 cones into simplicial cones on their own rays for the Riemann-Roch volume
@@ -197,10 +198,35 @@ def _adjacent(common, rays):
     return True
 
 
-def _meet(masks, full):
-    """Intersection of bitmasks, `full` for none."""
-    for z in masks:
-        full &= z
+def _facets_of(face, facets):
+    """The facets of a face: the maximal proper sets among face & F over
+    the facets F.  Faces are sets of rays or vertices, as bitmasks or
+    frozensets, and each is an intersection of facets."""
+    subs = {face & f for f in facets} - {face}
+    return [s for s in subs if not any(s != o and s & o == s for o in subs)]
+
+
+def _face_lattice(full, facets, dim):
+    """{face mask: dimension} of every face, read top-down from `full` of
+    dimension `dim`: the face lattice is graded, so each facet of a face is
+    one dimension below it."""
+    dims = {full: dim}
+    todo = [full]
+    while todo:
+        face = todo.pop()
+        for sub in _facets_of(face, facets):
+            if sub not in dims:
+                dims[sub] = dims[face] - 1
+                todo.append(sub)
+    return dims
+
+
+def _closure(mask, facets, full):
+    """The smallest face containing `mask`: the meet of the facets that
+    contain it, `full` when none does."""
+    for z in facets:
+        if z & mask == mask:
+            full &= z
     return full
 
 
@@ -294,11 +320,7 @@ class Cone:
         for i, z in enumerate(masks):
             for k in _bits(z):
                 zero[k] |= 1 << i
-        full = (1 << len(self.rays)) - 1
-        proper = {z for z in zero if z != full}
-        maximal = {
-            z for z in proper if not any(z != o and z & o == z for o in proper)
-        }
+        maximal = set(_facets_of((1 << len(self.rays)) - 1, zero))
         lin_basis = echelon(lin)
         facets = {
             reduce_mod(row, lin_basis): z
@@ -328,7 +350,7 @@ class Cone:
                 facets = self._facet_masks()
                 full = (1 << len(self.rays)) - 1
                 self._exact = all(
-                    _meet((z for z in facets if z >> i & 1), full) == 1 << i
+                    _closure(1 << i, facets, full) == 1 << i
                     for i in range(len(self.rays))
                 )
         return self._exact
@@ -395,33 +417,27 @@ class Cone:
     def intersect_halfspace(self, normal) -> "Cone":
         return self._cut_by([normal])
 
-    def face_ray_sets(self):
-        """All faces of a pointed cone, as frozensets of local ray indices."""
+    def _lattice(self):
+        """{face mask: dimension} of a pointed cone over its rays, read down
+        from the cone's dimension: the ambient one less that of its dual's
+        lineality."""
         if not self.is_pointed():
             raise ValidationError("face enumeration requires a pointed cone")
-        if self._faces is not None:
-            return self._faces
-        zero_sets = [frozenset(_bits(z)) for z in self._facet_masks()]
-        faces = _intersection_closure(len(self.rays), zero_sets)
-        self._faces = sorted(faces, key=lambda s: (len(s), sorted(s)))
+        if self._faces is None:
+            self._faces = _face_lattice(
+                (1 << len(self.rays)) - 1,
+                self._facet_masks(),
+                self.ambient_dim - len(self.dual.lineality),
+            )
         return self._faces
 
     def face_dims(self):
         """Dimension of every face, keyed by its set of local ray indices.
 
-        Read off the face lattice, which is graded: a face is one dimension
-        above the largest of its proper subfaces.  The smallest face is the
-        lineality space, the empty set of rays (dimension 0) when the cone
-        is pointed.
+        The smallest face is the lineality space, the empty set of rays
+        (dimension 0) when the cone is pointed.
         """
-        dims = {}
-        for face in self.face_ray_sets():  # by size, so subfaces come first
-            below = [d for sub, d in dims.items() if sub < face]
-            if below:
-                dims[face] = 1 + max(below)
-            else:
-                dims[face] = rank([self.rays[i] for i in face]) if face else 0
-        return dims
+        return {frozenset(_bits(z)): d for z, d in self._lattice().items()}
 
     def key(self):
         if self.lineality:
@@ -440,25 +456,6 @@ class Cone:
 
     def __hash__(self):
         return hash(self.key())
-
-
-def _intersection_closure(n, zero_sets):
-    """All intersections of {0, ..., n-1} with subfamilies of zero_sets.
-
-    With the facet incidences of a cone or polytope as zero_sets, these are
-    its faces as sets of ray or vertex indices (the empty set included).
-    """
-    full = frozenset(range(n))
-    closed = {full}
-    frontier = [full]
-    while frontier:
-        face = frontier.pop()
-        for z in zero_sets:
-            sub = face & z
-            if sub not in closed:
-                closed.add(sub)
-                frontier.append(sub)
-    return closed
 
 
 def dual_cone(c: Cone) -> Cone:
@@ -518,8 +515,8 @@ class Fan:
         for key in maximal:
             ordered = sorted(key)
             faces = self.cone_faces[key] = set()
-            for local, dim in self._make_cone(key).face_dims().items():
-                face = frozenset(ordered[i] for i in local)
+            for z, dim in self._make_cone(key)._lattice().items():
+                face = frozenset(ordered[i] for i in _bits(z))
                 faces.add(face)
                 cone_dims.setdefault(face, dim)
         self.cone_dims = cone_dims
@@ -781,11 +778,7 @@ def refine_by_hyperplanes(f: Fan, normals) -> Fan:
             stack = nxt
         pieces.extend(stack)
 
-    new_rays = list(f.rays)
-    for c in pieces:
-        for r in c.rays:
-            if r not in new_rays:
-                new_rays.append(r)
+    new_rays = list(dict.fromkeys([*f.rays, *(r for c in pieces for r in c.rays)]))
     old = len(f.rays)
     new_rays = new_rays[:old] + sorted(new_rays[old:])
     index = {r: i for i, r in enumerate(new_rays)}
@@ -991,26 +984,22 @@ class VPolytope:
         """
         if self._faces is not None:
             return self._faces
-        if not self.vertices:
-            self._faces = []
-            return self._faces
         ineqs, eqs = self.hrep()
         verts = self.vertices
         incidences = [
-            frozenset(i for i, v in enumerate(verts) if dot(n, v) == b)
+            sum(1 << i for i, v in enumerate(verts) if dot(n, v) == b)
             for n, b in ineqs
         ]
-        face_sets = _intersection_closure(len(verts), incidences)
-        face_sets.discard(frozenset())
+        # the equalities are a basis of the hyperplanes through the polytope
+        d = self.ambient_dim
+        lattice = _face_lattice((1 << len(verts)) - 1, incidences, d - len(eqs))
         result = []
-        for fs in sorted(face_sets, key=lambda s: (len(s), sorted(s))):
-            pts = [verts[i] for i in sorted(fs)]
-            face = VPolytope(pts, self.ambient_dim, trusted=True)
-            active = [
-                (n, b) for (n, b), inc in zip(ineqs, incidences) if fs <= inc
-            ]
-            tangent = HPolyhedron(active, eqs, self.ambient_dim)
-            result.append((face, affine_rank(pts), tangent))
+        for z, dim in lattice.items():
+            if z:  # the empty face is left out
+                active = [(n, b) for (n, b), inc in zip(ineqs, incidences)
+                          if z & inc == z]
+                face = VPolytope([verts[i] for i in _bits(z)], d, trusted=True)
+                result.append((face, dim, HPolyhedron(active, eqs, d)))
         result.sort(key=lambda t: (t[1], t[0].vertices))
         self._faces = result
         return self._faces
@@ -1066,7 +1055,7 @@ def _hull_data(pts, d):
     everything = (1 << len(pts)) - 1
     verts = [
         p for i, p in enumerate(pts)
-        if _meet((z for z in on_facet if z >> i & 1), everything) == 1 << i
+        if _closure(1 << i, on_facet, everything) == 1 << i
     ]
     return verts, ineqs, eqs
 
@@ -1135,8 +1124,8 @@ def _pulling_triangulation(indices, facets, pick=min):
 
     Faces are sets of `indices`, the vertices of a polytope or the rays of a
     pointed cone, which has the face lattice of a cross-section; `facets`
-    are the facet incidences.  The facets of a face G are the maximal proper
-    sets among G & F over the facets F.  Returns index tuples.
+    are the facet incidences, and the facets of a face are `_facets_of` it.
+    Returns index tuples.
     """
     done = {}
 
@@ -1146,11 +1135,10 @@ def _pulling_triangulation(indices, facets, pick=min):
             if len(face) == 1:
                 done[face] = [(v,)]
             else:
-                subs = {face & f for f in facets} - {face}
                 done[face] = [
                     s + (v,)
-                    for sub in subs
-                    if v not in sub and not any(sub < other for other in subs)
+                    for sub in _facets_of(face, facets)
+                    if v not in sub
                     for s in pull(sub)
                 ]
         return done[face]

@@ -12,12 +12,12 @@ ch. 1), which construction checks.  Everything else reads the table.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 
 import numpy as np
 
 from .errors import MatroidAxiomError, ValidationError
 from .lattice import VPolytope
+from .linalg import exact
 
 
 def _halves(arr, i):
@@ -199,8 +199,9 @@ def matroid_polytope(matroid: Matroid) -> VPolytope:
 
 
 def _weights(matroid: Matroid, w):
-    """The weight vector as Fractions, refused unless of the ground size."""
-    w = tuple(Fraction(x) for x in w)
+    """The weight vector as exact numbers (`linalg.exact`), refused unless
+    of the ground size."""
+    w = tuple(map(exact, w))
     if len(w) != matroid.m:
         raise ValidationError("weight vector length must equal the ground size")
     return w
@@ -280,7 +281,7 @@ def apartment_contains(matroid: Matroid, basis, vectors) -> bool:
 
 def initial_matroid(matroid: Matroid, w) -> Matroid:
     """Matroid whose bases are the bases of maximal total weight."""
-    w = tuple(Fraction(x) for x in w)
+    w = tuple(map(exact, w))
     weight = {b: sum(w[e - 1] for e in b) for b in matroid.bases}
     best = max(weight.values())
     return Matroid(matroid.m, [b for b, wt in weight.items() if wt == best])
@@ -297,7 +298,7 @@ def circuit_extension(matroid: Matroid, basis, coords):
     b = frozenset(basis)
     if b not in matroid.bases:
         raise ValidationError(f"{sorted(b)} is not a basis")
-    coords = {e: Fraction(v) for e, v in coords.items()}
+    coords = {e: exact(v) for e, v in coords.items()}
     if set(coords) != set(b):
         raise ValidationError("coordinates must be indexed by the basis")
     top = max(coords.values())

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import Counter
-from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
@@ -50,7 +49,7 @@ from .lattice import (
     min_containing_cone,
     vertex_enumeration,
 )
-from .linalg import dot
+from .linalg import dot, exact
 from .matroid import Matroid, circuit_extension, greedy_basis_mask
 
 
@@ -481,7 +480,7 @@ def split_resolution(bundle: TropicalVectorBundle, f=None, check_bound=False):
     if f is None:
         f = tuple(max(row) for row in bundle.diagram)
     else:
-        f = tuple(Fraction(x) for x in f)
+        f = tuple(map(exact, f))
         if len(f) != len(fan.rays):
             raise ValidationError("f must give one value per fan ray")
     if check_bound and nonloops:

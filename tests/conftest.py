@@ -66,13 +66,20 @@ from tropehrhart.lattice import (
     HPolyhedron,
     VPolytope,
     _hull_data,
-    _intersection_closure,
     bounding_box,
     box_size,
     check_box,
     vcone_from_halfspaces,
 )
-from tropehrhart.linalg import clear_denominators, det, dot, rank
+from tropehrhart.linalg import (
+    affine_rank,
+    clear_denominators,
+    det,
+    dot,
+    primitive,
+    rank,
+    vec_neg,
+)
 from tropehrhart.matroid import (
     Matroid,
     apartment_contains,
@@ -503,23 +510,91 @@ def fresh_cut(cone, normals):
     return Cone(rays, cone.ambient_dim, lineality=lin)
 
 
+def intersection_closure(n, zero_sets):
+    """All intersections of {0, ..., n-1} with subfamilies of zero_sets.
+
+    With the facet incidences of a cone or polytope as zero_sets, these are
+    its faces as sets of ray or vertex indices (the empty set included).
+    The route the top-down face lattice replaced.
+    """
+    full = frozenset(range(n))
+    closed = {full}
+    frontier = [full]
+    while frontier:
+        face = frontier.pop()
+        for z in zero_sets:
+            sub = face & z
+            if sub not in closed:
+                closed.add(sub)
+                frontier.append(sub)
+    return closed
+
+
 def fresh_faces(cone):
-    """The faces of a pointed cone as sets of its ray indices, in the order
-    of `Cone.face_ray_sets`: the closure of the zero sets of its fresh
-    dual's rays, found by dot products."""
+    """The faces of a cone on rays alone as sets of its ray indices: the
+    closure of the zero sets of its fresh dual's rays, found by dot
+    products."""
     zero_sets = [
         frozenset(i for i, r in enumerate(cone.rays) if dot(g, r) == 0)
         for g in fresh_dual(cone).rays
     ]
-    faces = _intersection_closure(len(cone.rays), zero_sets)
-    return sorted(faces, key=lambda s: (len(s), sorted(s)))
+    return intersection_closure(len(cone.rays), zero_sets)
+
+
+def closure_fan_faces(fan):
+    """(cone_faces, cone_dims) of a fan by the closure route: the faces of
+    each maximal cone from `fresh_faces`, each of dimension `Cone.dim` on
+    its rays."""
+    faces, dims = {}, {}
+    for key in fan.maximal_keys:
+        ordered = sorted(key)
+        faces[key] = {frozenset(ordered[i] for i in f)
+                      for f in fresh_faces(fan.cone(key))}
+        for f in faces[key]:
+            dims[f] = Cone([fan.rays[i] for i in sorted(f)], fan.ambient_dim).dim
+    return faces, dims
+
+
+def list_refinement(fan, normals):
+    """(rays, maximal keys) of `refine_by_hyperplanes` by fresh cuts, with
+    the new rays gathered by list membership: the fan's rays first, then
+    the new ones sorted."""
+    todo = []
+    for n in normals:
+        p = primitive(tuple(n))
+        if any(p):
+            p = p if next(x for x in p if x) > 0 else vec_neg(p)
+            if p not in todo:
+                todo.append(p)
+    pieces = []
+    for key in fan.maximal_keys:
+        stack = [fan.cone(key)]
+        for n in todo:
+            nxt = []
+            for c in stack:
+                signs = [dot(n, r) for r in c.rays]
+                if min(signs, default=0) >= 0 or max(signs, default=0) <= 0:
+                    nxt.append(c)
+                else:
+                    nxt += [fresh_cut(c, [n]), fresh_cut(c, [vec_neg(n)])]
+            stack = nxt
+        pieces += stack
+    rays = list(fan.rays)
+    for c in pieces:
+        for r in c.rays:
+            if r not in rays:
+                rays.append(r)
+    old = len(fan.rays)
+    rays = rays[:old] + sorted(rays[old:])
+    keys = {frozenset(rays.index(r) for r in c.rays) for c in pieces}
+    return tuple(rays), keys
 
 
 def face_set_extreme(cone) -> bool:
     """Is a cone on rays alone pointed with every ray extreme, read off its
     face sets?  The origin (no ray) is a face exactly when the cone is
     pointed, and a ray is extreme exactly when it alone is a face."""
-    faces = set(cone.face_ray_sets())
+    faces = fresh_faces(cone)
     return frozenset() in faces and all(
         frozenset((i,)) in faces for i in range(len(cone.rays))
     )
@@ -634,6 +709,30 @@ class FractionHPolyhedron(HPolyhedron):
     def generators(self):
         verts, rays, lin = super().generators()
         return tuple(tuple(map(Fraction, v)) for v in verts), rays, lin
+
+
+def closure_polytope_faces(p):
+    """`VPolytope.faces` by the route it replaced: the closure of the facet
+    incidences, and `affine_rank` of each face's vertices."""
+    if not p.vertices:
+        return []
+    ineqs, eqs = p.hrep()
+    verts = p.vertices
+    incidences = [
+        frozenset(i for i, v in enumerate(verts) if dot(n, v) == b)
+        for n, b in ineqs
+    ]
+    face_sets = intersection_closure(len(verts), incidences)
+    face_sets.discard(frozenset())
+    result = []
+    for fs in sorted(face_sets, key=lambda s: (len(s), sorted(s))):
+        pts = [verts[i] for i in sorted(fs)]
+        face = VPolytope(pts, p.ambient_dim, trusted=True)
+        active = [(n, b) for (n, b), inc in zip(ineqs, incidences) if fs <= inc]
+        tangent = HPolyhedron(active, eqs, p.ambient_dim)
+        result.append((face, affine_rank(pts), tangent))
+    result.sort(key=lambda t: (t[1], t[0].vertices))
+    return result
 
 
 def lattice_points(p):
@@ -835,7 +934,7 @@ def face_alternating_sum(p) -> int:
     zero_sets = [
         frozenset(i for i, h in enumerate(gens) if dot(g, h) == 0) for g in dual_rays
     ]
-    face_sets = _intersection_closure(len(gens), zero_sets)
+    face_sets = intersection_closure(len(gens), zero_sets)
     total = 0
     for fs in face_sets:
         members = [gens[i] for i in fs]

@@ -360,6 +360,20 @@ def test_zero_coordinate_chain_file_exits_2_before_any_hull(tmp_path, capsys, mo
         }}
 
 
+def test_chain_file_without_terms_exits_2(tmp_path, capsys):
+    # the empty chain fixes no ambient dimension, so no --u is checked
+    # against it: any --u would read 0
+    path = tmp_path / "no_terms.json"
+    path.write_text(json.dumps({"terms": []}))
+    for u in ("1,2,3,4,5,6,7", "0,0"):
+        code, out = run(capsys, "alpha-eval", "--chain", str(path), "--u", u)
+        assert code == 2
+        assert json.loads(out) == {"error": {
+            "type": "ValidationError",
+            "message": "chain has no terms",
+        }}
+
+
 def test_chain_file_spellings_print_the_same_report(tmp_path, capsys):
     # a 3-d cloud of +-e_i and interior points, written with JSON ints, with
     # "k" strings and with "2k/2" strings, and three pieces of mixed sign

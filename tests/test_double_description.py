@@ -4,7 +4,9 @@
 here is the subsystem enumeration it replaced, over Fraction elimination.
 Cone intersections, half-space cuts, carried duals and face lattices, which
 continue a cone's double description, are checked against one fresh
-`vcone_from_halfspaces` each.
+`vcone_from_halfspaces` each, and the dimension of every face against
+`Cone.dim`; polytope faces against the intersection closure of their facet
+incidences and `affine_rank`.
 Hulls, H-representations and volumes are checked against the same routes
 built on that oracle: the rank test for vertices and the Fraction
 determinant for simplex volumes.  In dimensions 1 and 2, hulls and volumes
@@ -40,6 +42,7 @@ from tropehrhart.linalg import (
 )
 
 from conftest import (
+    closure_polytope_faces,
     cross_nullvec,
     fresh_cut,
     fresh_dual,
@@ -417,12 +420,16 @@ def cone_cases(draw):
 
 
 def _assert_equals_fresh(got, want):
-    """Rays, lineality, dual and faces equal to the fresh route's, exactly."""
+    """Rays, lineality, dual and faces equal to the fresh route's, exactly,
+    and each face of the dimension `Cone.dim` gives on its rays."""
     assert (got.rays, got.lineality) == (want.rays, want.lineality)
     dual, fresh = got.dual, fresh_dual(got)
     assert (dual.rays, dual.lineality) == (fresh.rays, fresh.lineality)
     if not got.lineality:
-        assert got.face_ray_sets() == fresh_faces(got)
+        assert got.face_dims() == {
+            face: Cone([got.rays[i] for i in sorted(face)], got.ambient_dim).dim
+            for face in fresh_faces(got)
+        }
 
 
 @SETTINGS
@@ -455,3 +462,21 @@ def test_cone_cases_reach_every_kind_of_cone():
     assert seen == {(d, exact, full) for d in (2, 3, 4)
                     for exact in (True, False) for full in (True, False)
                     if exact or full or d > 2}
+
+
+# ---------------------------------------------------------------------------
+# polytope faces against the closure and rank routes
+# ---------------------------------------------------------------------------
+
+def _face_table(faces):
+    return [(f.vertices, d, t.inequalities, t.equalities) for f, d, t in faces]
+
+
+@SETTINGS
+@given(point_clouds())
+def test_polytope_faces_equal_closure_and_affine_rank(case):
+    # the cloud and its multiple by 6, a lattice polytope, both of any
+    # dimension up to d
+    d, pts = case
+    for p in (VPolytope(pts, d), VPolytope([tuple(6 * x for x in v) for v in pts], d)):
+        assert _face_table(p.faces()) == _face_table(closure_polytope_faces(p))

@@ -36,16 +36,20 @@ from tropehrhart.chains import ConvexChain
 from tropehrhart.linalg import det, dot, primitive, vec_sub
 
 from conftest import (
+    CUBE4_FAN,
     FANS,
     FractionHPolyhedron,
     FractionVPolytope,
     caratheodory_contains,
+    closure_fan_faces,
     dimension_filtered_facets,
     double_dual_verdict,
     face_alternating_sum,
     face_set_extreme,
+    fresh_faces,
     grid_points,
     lattice_points,
+    list_refinement,
     oracle_hull_vertices,
     random_lattice_polytope,
     relint_contains,
@@ -711,7 +715,7 @@ def test_face_dims_and_fan_check_equal_cone_dims_and_the_double_dual(cone):
     dims = cone.face_dims()
     assert dims == {
         face: Cone([cone.rays[i] for i in face], cone.ambient_dim).dim
-        for face in cone.face_ray_sets()
+        for face in fresh_faces(cone)
     }
     try:
         fan = Fan(cone.rays, [range(len(cone.rays))])
@@ -736,18 +740,38 @@ def test_cones_reach_every_double_dual_verdict():
                     for v in ("pointed", "not extreme", "lineality")}
 
 
+# the fans of the face-table properties: every named fan and the 4-cube fan
+LATTICE_FANS = {**FANS, "cube4": CUBE4_FAN}
+
+
+@st.composite
+def fans_with_normals(draw):
+    """A fan of LATTICE_FANS and up to three refining normals."""
+    fan = LATTICE_FANS[draw(st.sampled_from(sorted(LATTICE_FANS)))]
+    normal = st.tuples(*[st.integers(-2, 2)] * fan.ambient_dim)
+    return fan, draw(st.lists(normal, max_size=3))
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
-@given(st.sampled_from(sorted(name for name in FANS if FANS[name].ambient_dim > 1)),
-       st.data())
-def test_fan_and_refinement_face_dims_equal_cone_dims(name, data):
-    fan = FANS[name]
-    d = fan.ambient_dim
-    normals = data.draw(st.lists(st.tuples(*[st.integers(-2, 2)] * d), max_size=2))
+@given(fans_with_normals())
+def test_fan_and_refinement_face_dims_equal_cone_dims(case):
+    # the faces of every maximal cone and the dimension of each, against
+    # the closure route and `Cone.dim` on the face's rays
+    fan, normals = case
     for f in (fan, refine_by_hyperplanes(fan, normals)):
-        for key in f.cone_keys:
-            assert f.dim(key) == Cone([f.rays[i] for i in sorted(key)], d).dim
+        assert (f.cone_faces, f.cone_dims) == closure_fan_faces(f)
         for key in f.maximal_keys:
             assert double_dual_verdict(f.cone(key)) == "pointed"
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(fans_with_normals())
+def test_refined_rays_and_keys_equal_the_list_route(case):
+    fan, normals = case
+    refined = refine_by_hyperplanes(fan, normals)
+    rays, keys = list_refinement(fan, normals)
+    assert refined.rays == rays
+    assert set(refined.maximal_keys) == keys
 
 
 # ---------------------------------------------------------------------------
