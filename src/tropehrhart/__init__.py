@@ -40,11 +40,9 @@ from .lattice import (
 )
 from .matroid import (
     Matroid,
-    apartment_contains,
     bergman_project,
     circuits,
     closure,
-    in_lifted_bergman,
     initial_matroid,
     loops,
     matroid_polytope,
@@ -75,8 +73,7 @@ __all__ = [
     "lattice_sum", "integral", "support_function_chain",
     "Matroid", "uniform_matroid",
     "rank", "closure", "circuits", "loops", "matroid_polytope",
-    "max_weight_basis", "bergman_project", "in_lifted_bergman",
-    "apartment_contains", "initial_matroid",
+    "max_weight_basis", "bergman_project", "initial_matroid",
     "TropicalVectorBundle", "SplitBundle", "validate",
     "split_resolution", "k_class", "k_class_identity",
     "todd_coeffs", "hrr_verify",

@@ -330,22 +330,18 @@ def box_values(a: ConvexChain, box):
         yield offsets, coeffs @ holds[index].all(axis=1).astype(np.int64)
 
 
-def _margin_sum(blocks, box, what) -> int:
-    """Sum of the (offsets, values) blocks of a box kernel, in Python ints.
-
-    The values must be 0 on the outermost shell of the box; else
-    BoxTooSmallError names the first such point in box order.
-    """
+def _margin_checked(blocks, box, what):
+    """Pass the (offsets, values) blocks of a box kernel through, checking
+    that the values are 0 on the outermost shell of the box; else
+    BoxTooSmallError names the first such point in box order."""
     lo, hi = box
     top = [h - l for l, h in zip(lo, hi)]
-    total = 0
     for offsets, values in blocks:
         bad = ((offsets == 0) | (offsets == top)).any(axis=1) & (values != 0)
         if bad.any():
             u = tuple(l + x for l, x in zip(lo, offsets[bad.argmax()].tolist()))
             raise BoxTooSmallError(f"{what} is nonzero at {u} on the box margin")
-        total += int(values.sum())
-    return total
+        yield offsets, values
 
 
 def lattice_sum(a: ConvexChain, box) -> int:
@@ -356,7 +352,8 @@ def lattice_sum(a: ConvexChain, box) -> int:
     large enough" a checked precondition rather than an assumption.  The
     error names the first offending point in box order.
     """
-    return _margin_sum(box_values(a, box), box, "chain")
+    blocks = _margin_checked(box_values(a, box), box, "chain")
+    return sum(int(values.sum()) for _, values in blocks)
 
 
 def integral(a: ConvexChain) -> Fraction:
@@ -425,7 +422,7 @@ class MultiValuedSupportFunction:
         raise ValidationError("point lies in no maximal cone")
 
 
-def split_branches(h: MultiValuedSupportFunction, extra_normals=()):
+def split_branches(h: MultiValuedSupportFunction):
     """Separate a multi-valued support function into one-valued branches.
 
     Refines the fan by all pairwise difference hyperplanes of the branch
@@ -440,7 +437,6 @@ def split_branches(h: MultiValuedSupportFunction, extra_normals=()):
                 diff = vec_sub(us[a], us[b])
                 if not is_zero(diff):
                     normals.append(clear_denominators(diff))
-    normals.extend(tuple(n) for n in extra_normals)
     refined = refine_by_hyperplanes(fan, normals)
     per_branch = [[] for _ in range(h.rank)]
     for v in refined.rays:
@@ -450,15 +446,13 @@ def split_branches(h: MultiValuedSupportFunction, extra_normals=()):
     return refined, [SupportNumbers(refined, vals) for vals in per_branch]
 
 
-def support_function_chain(
-    h: MultiValuedSupportFunction, extra_normals=()
-) -> ConvexChain:
+def support_function_chain(h: MultiValuedSupportFunction) -> ConvexChain:
     """Convex chain of a multi-valued support function.
 
     Sum of the Brianchon-Gram chains of the one-valued branches on the
-    refined fan.  The result does not depend on extra refinements.
+    refined fan.  The result does not depend on further refinements.
     """
-    _, branch_numbers = split_branches(h, extra_normals)
+    _, branch_numbers = split_branches(h)
     return ConvexChain(
         [t for sn in branch_numbers for t in _brianchon_gram_terms(sn)]
     )

@@ -1,6 +1,6 @@
 """Matroids and their fans: rank, closure, circuits, flats, the matroid
-polytope, membership in the lifted Bergman fan, apartments, and the
-level-set projection onto the Bergman fan.
+polytope, greedy bases, the level-set projection onto the lifted Bergman
+fan and the circuit parameterization of apartments.
 
 Matroids are given by their bases on a ground set {1, ..., m}, m <= 16, and
 held as the rank of every subset, bytes indexed by bitmask (bit e - 1 is
@@ -249,34 +249,6 @@ def bergman_project(matroid: Matroid, w):
             if closed >> i & 1 and result[i] < k:
                 result[i] = k
     return tuple(result)
-
-
-def in_lifted_bergman(matroid: Matroid, w) -> bool:
-    """Is every level set {j : w_j >= k} a flat?"""
-    return all(
-        matroid.closure_mask(level) == level
-        for _, level in _level_masks(_weights(matroid, w))
-    )
-
-
-def apartment_contains(matroid: Matroid, basis, vectors) -> bool:
-    """Do all given lifted Bergman points lie in the apartment of a basis?
-
-    A point lies in the apartment iff the basis is adapted to its level-set
-    flag: every level flat F satisfies |F & B| = rank(F), so that F & B
-    spans F.
-    """
-    b = frozenset(basis)
-    if b not in matroid.bases:
-        raise ValidationError(f"{sorted(b)} is not a basis")
-    b = matroid.mask(b)
-    table = matroid.rank_table
-    for w in vectors:
-        for _, level in _level_masks(_weights(matroid, w)):
-            flat = matroid.closure_mask(level) == level
-            if not flat or (level & b).bit_count() != table[level]:
-                return False
-    return True
 
 
 def initial_matroid(matroid: Matroid, w) -> Matroid:

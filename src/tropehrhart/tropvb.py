@@ -28,7 +28,7 @@ from .chains import (
     ConvexChain,
     MultiValuedSupportFunction,
     _halfspace_blocks,
-    _margin_sum,
+    _margin_checked,
     box_values,
     support_function_chain,
 )
@@ -47,7 +47,6 @@ from .lattice import (
     check_box,
     is_refinement,
     min_containing_cone,
-    vertex_enumeration,
 )
 from .linalg import dot, exact
 from .matroid import Matroid, circuit_extension, greedy_basis_mask
@@ -132,9 +131,10 @@ class TropicalVectorBundle:
             byc[self.fan.codim(key)] += self.h0_local(key, u)
         return byc
 
-    def chi_box(self, pad: int = 1):
-        """Bounding box, padded, of the characters of the maximal cones;
-        `euler_char_total` checks that chi vanishes on its margin.
+    def chi_box(self):
+        """Bounding box, padded by one, of the characters of the maximal
+        cones; chi and h0 vanish on its margin, which `euler_char_total` and
+        `h0_nonzero` check.
 
         On a smooth complete fan the support of chi lies in the convex hull
         of the characters.  By localization at the torus-fixed points, chi
@@ -153,7 +153,7 @@ class TropicalVectorBundle:
         character, on a bundle of rank zero.
         """
         pts = [u for key in self.fan.maximal_keys for u in self._cone_characters(key)]
-        return bounding_box(pts or [(0,) * self.fan.ambient_dim], pad)
+        return bounding_box(pts or [(0,) * self.fan.ambient_dim], 1)
 
     def section_values(self, box, cones):
         """Signed sums of section ranks on the integer points of a box.
@@ -232,25 +232,32 @@ class TropicalVectorBundle:
         if box is None:
             box = self.chi_box()
         check_box(box, self.fan.ambient_dim)
-        return _margin_sum(self.section_values(box, self._chi_cones()), box, "chi")
+        blocks = _margin_checked(self.section_values(box, self._chi_cones()), box, "chi")
+        return sum(int(values.sum()) for _, values in blocks)
 
     def h0_nonzero(self):
         """(u, h0_u) for every character with global sections, in box order.
 
-        A character with sections lies in some parliament polytope, so the
-        unpadded bounding box of their vertices holds all of them; when every
-        parliament is empty there are none.  The box is scanned by
-        `section_values`, which refuses it above the point cap.
+        The scan covers `chi_box()` under the margin check of
+        `euler_char_total`, by the lemma: on a complete fan every u with
+        h0_u != 0 lies in the hull of the characters.  Such a u lies in the
+        parliament P_e = {y : <y, v_rho> <= D[rho, e] for all rho} of some
+        nonloop e.  Take a maximal cone tau and its adapted basis B.  The
+        rows of tau lie in the apartment of B, so D[rho, e] is the minimum
+        of D[rho, b] over the fundamental circuit C(B, e) minus e (b = e
+        when e is in B).  Fix one such b: on the rays of tau,
+        <u, v_rho> <= D[rho, b] = <u_{tau,b}, v_rho>, so <w, u> <=
+        <w, u_{tau,b}> for every w in tau.  The fan covers every w, so u
+        lies in the hull, inside the unpadded box and off its margin.
+        Neither smoothness nor simpliciality is used; the margin check makes
+        the lemma a checked precondition.
         """
-        pts = []
-        for p in self.parliament().values():
-            pts.extend(vertex_enumeration(p).vertices)
-        if not pts:
-            return []
-        lo, hi = bounding_box(pts, 0)
+        box = self.chi_box()
+        lo = box[0]
         everything = [(range(len(self.fan.rays)), 1)]
         out = []
-        for offsets, values in self.section_values((lo, hi), everything):
+        blocks = _margin_checked(self.section_values(box, everything), box, "h0")
+        for offsets, values in blocks:
             found = values != 0
             for off, h in zip(offsets[found].tolist(), values[found].tolist()):
                 out.append((tuple(l + x for l, x in zip(lo, off)), h))

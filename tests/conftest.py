@@ -5,13 +5,16 @@ Fraction Gauss-Jordan elimination (`rref`, `rref_solve`, `solve_unique`),
 the cofactor null vector (`cross_nullvec`), matroid ones read off the basis
 list (the pairwise exchange check, rank as the largest basis intersection,
 subset-enumeration circuits, flats and fundamental circuits, independence,
-closure, the flat test and the Klyachko flats of a bundle, the sorted scan
-for adapted bases), the per-cone Fraction route of bundle validation
+closure, the flat test and the Klyachko flats of a bundle, membership in
+the lifted Bergman fan and in an apartment, the sorted scan for adapted
+bases), the per-cone Fraction route of bundle validation
 (`common_adapted_basis`, `oracle_adapted_bases`), the per-character
 `rref_solve` routes of characters, split resolutions and the Riemann-Roch
 extension forms (`oracle_cone_characters`, `oracle_split_characters`,
 `oracle_extension_forms`), the pull-back row of a new ray by a search of the
-ray subsets of its smallest cone (`oracle_pullback_row`), geometric ones (the
+ray subsets of its smallest cone (`oracle_pullback_row`), the
+parliament-box route of the global sections (`parliament_box`,
+`oracle_h0_nonzero`), geometric ones (the
 double-dual check of a cone's rays; duals, cuts and face lattices by a
 fresh `vcone_from_halfspaces` and dot products; the smallest cone of a fan
 containing a point by a scan by dimension; the extreme-ray test, the facets
@@ -70,6 +73,7 @@ from tropehrhart.lattice import (
     box_size,
     check_box,
     vcone_from_halfspaces,
+    vertex_enumeration,
 )
 from tropehrhart.linalg import (
     affine_rank,
@@ -82,7 +86,8 @@ from tropehrhart.linalg import (
 )
 from tropehrhart.matroid import (
     Matroid,
-    apartment_contains,
+    _level_masks,
+    _weights,
     bergman_project,
     circuit_extension,
     max_weight_basis,
@@ -347,6 +352,35 @@ def klyachko_flat(bundle, ray_index, i) -> frozenset:
     return oracle_closure(bundle.matroid, {e for e, x in enumerate(row, 1) if x >= i})
 
 
+def in_lifted_bergman(matroid: Matroid, w) -> bool:
+    """Is every level set {j : w_j >= k} a flat?  The membership test that
+    `validate` makes on the level masks it keeps."""
+    return all(
+        matroid.closure_mask(level) == level
+        for _, level in _level_masks(_weights(matroid, w))
+    )
+
+
+def apartment_contains(matroid: Matroid, basis, vectors) -> bool:
+    """Do all given lifted Bergman points lie in the apartment of a basis?
+
+    A point lies in the apartment iff the basis is adapted to its level-set
+    flag: every level flat F satisfies |F & B| = rank(F), so that F & B
+    spans F.  `validate` tests only the greedy basis of each cone this way.
+    """
+    b = frozenset(basis)
+    if b not in matroid.bases:
+        raise ValidationError(f"{sorted(b)} is not a basis")
+    b = matroid.mask(b)
+    table = matroid.rank_table
+    for w in vectors:
+        for _, level in _level_masks(_weights(matroid, w)):
+            flat = matroid.closure_mask(level) == level
+            if not flat or (level & b).bit_count() != table[level]:
+                return False
+    return True
+
+
 def scan_adapted_basis(matroid, rows):
     """The first basis in sorted order whose apartment holds every row."""
     for b in sorted(matroid.bases, key=sorted):
@@ -485,6 +519,33 @@ def oracle_pullback_row(bundle, v):
         for b in basis
     }
     return circuit_extension(bundle.matroid, basis, coords)
+
+
+def parliament_box(bundle):
+    """Unpadded bounding box of the vertices of every parliament polytope,
+    one double description per ground element, or None when all are
+    empty."""
+    pts = []
+    for p in bundle.parliament().values():
+        pts.extend(vertex_enumeration(p).vertices)
+    return bounding_box(pts, 0) if pts else None
+
+
+def oracle_h0_nonzero(bundle):
+    """The parliament-box route of `h0_nonzero`: `section_values` with every
+    ray on `parliament_box`, with no margin check.  A character with
+    sections lies in some parliament polytope."""
+    box = parliament_box(bundle)
+    if box is None:
+        return []
+    lo = box[0]
+    everything = [(range(len(bundle.fan.rays)), 1)]
+    out = []
+    for offsets, values in bundle.section_values(box, everything):
+        for off, h in zip(offsets.tolist(), values.tolist()):
+            if h:
+                out.append((tuple(l + x for l, x in zip(lo, off)), h))
+    return out
 
 
 def double_dual_verdict(cone):

@@ -57,7 +57,9 @@ def test_criterion_1_fano_totals(fano_bundle):
     h0_total = fano_bundle.h0_total()
     chi_total = fano_bundle.euler_char_total()
     alpha = fano_bundle.chain_alpha(verify=False)
-    alpha_total = lattice_sum(alpha, fano_bundle.chi_box(2))
+    lo, hi = fano_bundle.chi_box()
+    wider = (tuple(x - 1 for x in lo), tuple(x + 1 for x in hi))
+    alpha_total = lattice_sum(alpha, wider)
     elapsed = time.monotonic() - start
     assert h0_total == 27
     assert chi_total == 27

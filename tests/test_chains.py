@@ -25,7 +25,13 @@ from tropehrhart.errors import (
     UnsupportedOperandError,
     ValidationError,
 )
-from tropehrhart.lattice import Fan, HPolyhedron, VPolytope
+from tropehrhart.lattice import (
+    Fan,
+    HPolyhedron,
+    VPolytope,
+    min_containing_cone,
+    refine_by_hyperplanes,
+)
 from tropehrhart.matroid import uniform_matroid
 
 from conftest import (
@@ -340,9 +346,17 @@ def test_support_function_face_consistency_checked(p2_fan):
 
 
 def test_support_function_chain_refinement_independence(u23_bundle):
+    # the same support function on a finer fan: each piece of the fan cut
+    # by two more lines copies the branches of the cone that contains it
     h = u23_bundle.support_function()
     base = support_function_chain(h)
-    finer = support_function_chain(h, extra_normals=[(2, 1), (1, 3)])
+    refined = refine_by_hyperplanes(h.fan, [(2, 1), (1, 3)])
+    branches = {}
+    for key in refined.maximal_keys:
+        inside = [sum(refined.rays[i][j] for i in key) for j in range(2)]
+        branches[key] = h.branches[min_containing_cone(h.fan, inside)]
+    assert len(branches) > len(h.branches)
+    finer = support_function_chain(MultiValuedSupportFunction(refined, branches))
     for u in grid_points(2, 4):
         assert base.evaluate(u) == finer.evaluate(u)
 

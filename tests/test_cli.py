@@ -47,6 +47,14 @@ def files(tmp_path_factory):
     no_sections = dict(u23_bundle, diagram=[[0, -1, -1], [-1, 0, -1], [-1, -1, 0]])
     # one parliament reaches 10^6 along the first axis
     wide = dict(u23_bundle, diagram=[[10**6, 0, 0], [0, 1, 0], [0, 0, 1]])
+    # O(1) on P^5: beyond the dimension cap of vertex enumeration
+    p5_rays = [[int(i == j) for j in range(5)] for i in range(5)] + [[-1] * 5]
+    p5 = {"fan": {"rays": p5_rays,
+                  "cones": [list(c) for c in itertools.combinations(range(1, 7), 5)]},
+          "matroid": {"m": 1, "bases": [[1]]}, "diagram": [[1]] + [[0]] * 5}
+    # a line bundle with no sections whose characters span 2001 x 2001
+    far_empty = {"fan": P2_FAN, "matroid": {"m": 1, "bases": [[1]]},
+                 "diagram": [[2000], [0], [-4000]]}
     # the second ray has three coordinates in a 2-d fan
     ragged_fan = dict(u23_bundle, fan={"rays": [[1, 0], [0, 1, 0], [-1, -1]],
                                        "cones": [[1, 2], [2, 3], [1, 3]]})
@@ -58,6 +66,8 @@ def files(tmp_path_factory):
         ("no_sections", no_sections),
         ("ragged_fan", ragged_fan),
         ("wide", wide),
+        ("p5", p5),
+        ("far_empty", far_empty),
         ("rank_zero", RANK_ZERO),
         ("u23_matroid", {"m": 3, "bases": [[1, 2], [1, 3], [2, 3]]}),
         ("chain", {"terms": [{"coeff": 2, "vertices": [[0, 0], [1, 0], ["1/1", "2/2"]]}]}),
@@ -102,6 +112,41 @@ def test_h0_without_global_sections(files, capsys):
     code, out = run(capsys, "h0", "--bundle", files["no_sections"])
     assert code == 0
     assert json.loads(out) == {"h0_total": 0, "nonzero": []}
+
+
+def test_h0_answers_wherever_chi_does(files, capsys):
+    # h0 scans the chi box under the same margin rule: on P^5 both answer,
+    # and a box above the point cap refuses both, sections or none
+    code, out = run(capsys, "h0", "--bundle", files["p5"])
+    assert code == 0
+    assert json.loads(out) == {"h0_total": 6, "nonzero": [
+        {"h0": 1, "u": u} for u in ([0] * 5, [1, -1, 0, 0, 0], [1, 0, -1, 0, 0],
+                                    [1, 0, 0, -1, 0], [1, 0, 0, 0, -1], [1] + [0] * 4)
+    ]}
+    code, out = run(capsys, "chi", "--bundle", files["p5"])
+    assert (code, json.loads(out)["chi_total"]) == (0, 6)
+    refused = {"error": {"message": "box has 4012009 points, above the cap of 1048576",
+                         "type": "BoxTooLargeError"}}
+    for command in ("h0", "chi"):
+        code, out = run(capsys, command, "--bundle", files["far_empty"])
+        assert (code, json.loads(out)) == (2, refused)
+
+
+def test_h0_runs_no_double_description(files, capsys, monkeypatch):
+    from tropehrhart import chains, lattice, tropvb
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("double description")
+
+    assert not hasattr(tropvb, "vertex_enumeration")
+    monkeypatch.setattr(lattice, "vertex_enumeration", refuse)
+    monkeypatch.setattr(chains, "vertex_enumeration", refuse)
+    monkeypatch.setattr(lattice.HPolyhedron, "generators", refuse)
+    code, out = run(capsys, "h0", "--bundle", files["fano"])
+    report = json.loads(out)
+    assert (code, report["h0_total"], len(report["nonzero"])) == (0, 27, 19)
+    code, out = run(capsys, "h0", "--bundle", files["p5"])
+    assert (code, json.loads(out)["h0_total"]) == (0, 6)
 
 
 def test_validate_good(files, capsys):
@@ -213,7 +258,7 @@ def test_box_above_point_cap_exits_at_once(files, capsys):
 
 
 def test_h0_box_above_point_cap_exits_at_once(files, capsys):
-    # the h0 box spans the parliament vertices: about 10^12 points here
+    # the h0 box spans the characters: about 10^12 points here
     start = time.monotonic()
     code, out = run(capsys, "h0", "--bundle", files["wide"])
     assert time.monotonic() - start < 5

@@ -15,12 +15,10 @@ from tropehrhart.lattice import Fan
 from tropehrhart.linalg import det
 from tropehrhart.matroid import (
     Matroid,
-    apartment_contains,
     bergman_project,
     circuit_extension,
     circuits,
     closure,
-    in_lifted_bergman,
     initial_matroid,
     loops,
     matroid_polytope,
@@ -31,8 +29,10 @@ from tropehrhart.matroid import (
 from tropehrhart.tropvb import validate
 
 from conftest import (
+    apartment_contains,
     common_adapted_basis,
     exchange_holds,
+    in_lifted_bergman,
     is_flat,
     is_independent,
     oracle_circuits,

@@ -3,9 +3,10 @@ replaced.
 
 `TropicalVectorBundle.section_values` evaluates signed sums of section ranks
 on a whole box, per block one half-space compare of `chains`, one segment
-sum, one gather and one AND-reduce; `euler_char_total`, `h0_nonzero` and `chain_alpha(verify=True)` read
-it.  The oracles are the loops that called `euler_char_u` and `h0_global`
-once per point, and `ConvexChain.evaluate` for the chain values.
+sum, one gather and one AND-reduce; `euler_char_total`, `h0_nonzero` and
+`chain_alpha(verify=True)` read it.  The oracles are the loops that called
+`euler_char_u` and `h0_global` once per point, the latter on the box of
+parliament vertices, and `ConvexChain.evaluate` for the chain values.
 """
 
 import json
@@ -25,17 +26,12 @@ from tropehrhart.errors import (
     BundleValidationError,
     ValidationError,
 )
-from tropehrhart.lattice import (
-    Fan,
-    HPolyhedron,
-    bounding_box,
-    check_box,
-    vertex_enumeration,
-)
+from tropehrhart.lattice import Fan, HPolyhedron, check_box
 from tropehrhart.matroid import Matroid, uniform_matroid
 
 from conftest import (
     box_points,
+    parliament_box,
     random_bundle,
     random_p1_bundle,
     random_split_bundle,
@@ -65,13 +61,11 @@ def _euler_char_total_loop(bundle, box):
 def _h0_nonzero_loop(bundle):
     """(u, h0_global(u)) for every u with sections in the box of parliament
     vertices."""
-    pts = []
-    for p in bundle.parliament().values():
-        pts.extend(vertex_enumeration(p).vertices)
-    if not pts:
+    box = parliament_box(bundle)
+    if box is None:
         return []
     out = []
-    for u in box_points(*bounding_box(pts, 0)):
+    for u in box_points(*box):
         h = bundle.h0_global(u)
         if h:
             out.append((u, h))
@@ -209,6 +203,42 @@ def test_euler_char_total_equals_per_point_loop(case):
 @given(bundles())
 def test_h0_nonzero_equals_per_point_loop(bundle):
     assert bundle.h0_nonzero() == _h0_nonzero_loop(bundle)
+
+
+def _shrunk_chi_box(bundle):
+    """`chi_box()` shrunk by one on every side: the unpadded box of the
+    characters, whose shell may hold sections."""
+    lo, hi = bundle.chi_box()
+    return tuple(x + 1 for x in lo), tuple(x - 1 for x in hi)
+
+
+def _h0_on_shrunk_box(bundle):
+    """The outcome of `h0_nonzero` when it scans `_shrunk_chi_box`."""
+    shrunk = _shrunk_chi_box(bundle)
+    with mock.patch.object(tropvb.TropicalVectorBundle, "chi_box",
+                           lambda self: shrunk):
+        return _outcome(bundle.h0_nonzero)
+
+
+@SETTINGS
+@given(bundles())
+def test_h0_nonzero_names_the_first_section_on_the_margin(bundle):
+    # the margin check of the h0 scan, on a box too small for the lemma's
+    lo, hi = shrunk = _shrunk_chi_box(bundle)
+    shell = [u for u in box_points(*shrunk)
+             if any(x in (l, h) for x, l, h in zip(u, lo, hi))]
+    first = next((u for u in shell if bundle.h0_global(u)), None)
+    if first is None:
+        assert _h0_on_shrunk_box(bundle) == ("total", _h0_nonzero_loop(bundle))
+    else:
+        assert _h0_on_shrunk_box(bundle) == (
+            "margin", f"h0 is nonzero at {first} on the box margin")
+
+
+def test_h0_nonzero_on_the_shrunk_fano_box(fano_bundle):
+    assert _h0_on_shrunk_box(fano_bundle) == (
+        "margin", "h0 is nonzero at (-2, 0) on the box margin")
+    assert fano_bundle.h0_nonzero()[0] == ((-2, 0), 1)
 
 
 def test_property_cases_cover_totals_margins_and_blocks():

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from tropehrhart.errors import BoxTooLargeError, ValidationError
 from tropehrhart.linalg import rank
-from tropehrhart.matroid import Matroid, in_lifted_bergman, uniform_matroid
+from tropehrhart.matroid import Matroid, uniform_matroid
 from tropehrhart.taut import (
     CHUNK,
     _chains_below,
@@ -25,6 +25,7 @@ from tropehrhart.taut import (
 from conftest import (
     _chains_of_masks,
     enumerated_flag_sum,
+    in_lifted_bergman,
     maximal_flags,
     oracle_rank,
     permutahedral_fan,

@@ -39,6 +39,7 @@ from tropehrhart.tropvb import (
 from conftest import (
     CHARACTER_FANS,
     CUBE4_FAN,
+    FANO_LINES,
     FANS,
     common_adapted_basis,
     grid_points,
@@ -46,6 +47,7 @@ from conftest import (
     klyachko_flat,
     oracle_adapted_bases,
     oracle_cone_characters,
+    oracle_h0_nonzero,
     oracle_pullback_row,
     oracle_split_characters,
     random_bundle,
@@ -215,7 +217,9 @@ def test_euler_char_total_rejects_small_box(fano_bundle):
 
 def test_chain_alpha_fano(fano_bundle):
     chain = fano_bundle.chain_alpha()  # verify=True checks chi pointwise
-    assert lattice_sum(chain, fano_bundle.chi_box(2)) == 27
+    lo, hi = fano_bundle.chi_box()
+    wider = (tuple(x - 1 for x in lo), tuple(x + 1 for x in hi))
+    assert lattice_sum(chain, wider) == 27
     assert chain.evaluate((0, 0)) == 3
 
 
@@ -272,8 +276,7 @@ def test_characters_errors(fano_bundle):
 def test_character_multiset_is_basis_independent(u23_bundle):
     # the pairing multiset over any adapted basis is fixed by the filtration
     # ranks, so every adapted basis yields the same character multiset
-    from tropehrhart.matroid import apartment_contains
-    from conftest import solve_unique
+    from conftest import apartment_contains, solve_unique
 
     bundle = u23_bundle
     for key in bundle.fan.maximal_keys:
@@ -723,3 +726,59 @@ def test_a_perturbed_cube_row_lies_in_no_common_apartment(fan):
     rows[0] = (rows[0][0] + 1,)
     with pytest.raises(NoCommonApartmentError):
         validate(fan, uniform_matroid(1, 1), rows)
+
+
+# ---------------------------------------------------------------------------
+# global sections in the character box
+# ---------------------------------------------------------------------------
+
+SECTION_FANS = {**FANS, **CHARACTER_FANS, "cube4": CUBE4_FAN}
+SECTION_MATROIDS = [
+    Matroid(7, [set(b) for b in itertools.combinations(range(1, 8), 3)
+                if set(b) not in FANO_LINES]),
+    uniform_matroid(2, 4),
+    uniform_matroid(3, 5),
+    Matroid(4, [{1, 2}, {1, 3}, {2, 3}]),  # 4 a loop
+]
+SECTION_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
+
+
+@st.composite
+def section_bundles(draw, fan):
+    """A bundle on the fan with one of SECTION_MATROIDS; the cube fans take
+    `_linear_split_rows`, as in `character_bundles`."""
+    matroid = draw(st.sampled_from(SECTION_MATROIDS))
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    if all(len(key) == fan.ambient_dim for key in fan.maximal_keys):
+        return random_bundle(fan, matroid, rng, tries=20)
+    return validate(fan, matroid, _linear_split_rows(fan, matroid, rng))
+
+
+@pytest.mark.parametrize("name", sorted(SECTION_FANS))
+def test_parliament_vertices_lie_in_the_unpadded_character_box(name):
+    # the lemma of `h0_nonzero`: the parliament of a nonloop lies in the
+    # hull of the characters, so inside `chi_box()` shrunk by one
+    vertices = []
+
+    @SECTION_SETTINGS
+    @given(section_bundles(SECTION_FANS[name]))
+    def check(bundle):
+        lo, hi = bundle.chi_box()
+        for e, p in bundle.parliament().items():
+            if e not in bundle.matroid.loops:
+                for v in vertex_enumeration(p).vertices:
+                    assert all(l + 1 <= x <= h - 1 for x, l, h in zip(v, lo, hi))
+                    vertices.append(v)
+
+    check()
+    assert vertices
+
+
+@pytest.mark.parametrize("name", sorted(SECTION_FANS))
+def test_h0_nonzero_equals_the_parliament_box_route(name):
+    @SECTION_SETTINGS
+    @given(section_bundles(SECTION_FANS[name]))
+    def check(bundle):
+        assert bundle.h0_nonzero() == oracle_h0_nonzero(bundle)
+
+    check()
