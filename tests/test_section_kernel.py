@@ -223,7 +223,8 @@ def _h0_on_shrunk_box(bundle):
 @SETTINGS
 @given(bundles())
 def test_h0_nonzero_names_the_first_section_on_the_margin(bundle):
-    # the margin check of the h0 scan, on a box too small for the lemma's
+    # the margin check of the h0 scan, on a box one smaller than the lemma
+    # allows: its shell may hold sections
     lo, hi = shrunk = _shrunk_chi_box(bundle)
     shell = [u for u in box_points(*shrunk)
              if any(x in (l, h) for x, l, h in zip(u, lo, hi))]
