@@ -19,6 +19,7 @@ from .errors import (
     BoxTooLargeError,
     BoxTooSmallError,
     InvalidSupportFunctionError,
+    NotInSupportError,
     NotPiecewiseLinearError,
     UnboundedPolyhedronError,
     UnsupportedOperandError,
@@ -30,7 +31,6 @@ from .lattice import (
     VPolytope,
     box_size,
     check_box,
-    min_containing_cone,
     minkowski_sum,
     refine_by_hyperplanes,
     vertex_enumeration,
@@ -414,12 +414,13 @@ class MultiValuedSupportFunction:
                     )
 
     def values_at(self, x):
-        """Sorted tuple of branch values at a point of the fan support."""
-        key = min_containing_cone(self.fan, x)
-        for mkey in self.fan.maximal_keys:
-            if key <= mkey:
-                return tuple(sorted(dot(u, x) for u in self.branches[mkey]))
-        raise ValidationError("point lies in no maximal cone")
+        """Sorted tuple of branch values at a point of the fan support, read
+        on the first maximal cone that contains x (any would do: the branch
+        multisets agree on shared faces)."""
+        for key in self.fan.maximal_keys:
+            if self.fan.cone(key).contains(x):
+                return tuple(sorted(dot(u, x) for u in self.branches[key]))
+        raise NotInSupportError(f"point {tuple(x)} is outside the fan support")
 
 
 def split_branches(h: MultiValuedSupportFunction):

@@ -32,7 +32,7 @@ from .errors import (
 from .lattice import VERTEX_ENUM_MAX_DIM, Fan, VPolytope
 from .linalg import exact
 from .matroid import Matroid
-from .tropvb import alternating_sum, k_class_identity, split_resolution, validate
+from .tropvb import k_class_identity, split_resolution, validate
 
 
 # ---------------------------------------------------------------------------
@@ -245,11 +245,10 @@ def _cmd_chi(args) -> dict:
     bundle = load_bundle(args.bundle)
     if args.u is not None:
         u = _parse_vector(args.u, bundle.fan.ambient_dim)
-        by_codim = bundle.euler_char_by_codim(u)
         return {
             "u": list(u),
-            "chi_u": alternating_sum(by_codim),
-            "h0_by_codim": by_codim,
+            "chi_u": bundle.euler_char_u(u),
+            "h0_by_codim": bundle.euler_char_by_codim(u),
         }
     box = _user_box(args.box, bundle) if args.box else bundle.chi_box()
     return {"chi_total": bundle.euler_char_total(box), "box": [list(b) for b in box]}

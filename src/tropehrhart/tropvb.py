@@ -9,17 +9,20 @@ lexicographically smallest adapted basis per cone; every quantity computed
 from that choice (section flats, ranks, Euler characteristics, character
 multisets) is independent of it.
 
-Sections and Euler characteristics are computed from the induced filtrations
-by flats; on smooth complete fans the bundle also has per-cone character
-multisets, a multi-valued support function and an associated convex chain
-whose values reproduce the equivariant Euler characteristic.
+Section ranks and Euler characteristics come from the induced filtrations
+by flats through one kernel, `TropicalVectorBundle.section_values`, the only
+reader of the bundle's Klyachko table: totals and scans over a box, and
+chi_u and h0_u at one character, on the one-point box.  On smooth complete
+fans the bundle also has per-cone character multisets, a multi-valued
+support function and an associated convex chain whose values reproduce the
+equivariant Euler characteristic.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import Counter
 from functools import cached_property
+from numbers import Integral
 
 import numpy as np
 
@@ -48,7 +51,7 @@ from .lattice import (
     is_refinement,
     min_containing_cone,
 )
-from .linalg import dot, exact
+from .linalg import exact
 from .matroid import Matroid, circuit_extension, greedy_basis_mask
 
 
@@ -59,49 +62,40 @@ class TropicalVectorBundle:
     """
 
     def __init__(self, fan: Fan, matroid: Matroid, diagram, adapted_bases,
-                 row_levels):
+                 row_flats):
         self.fan = fan
         self.matroid = matroid
         self.diagram = tuple(tuple(int(x) for x in row) for row in diagram)
         self.adapted_bases = dict(adapted_bases)
         self.rank = matroid.rank_total
-        # the Klyachko table: per ray, its sorted distinct entries and the
-        # flats {e : D[rho, e] >= k} at them, then the loops above the top
-        loops = matroid.closure_mask(0)
-        self._levels = []
-        for levels in row_levels:
-            entries = sorted(levels)
-            self._levels.append((entries, [levels[k] for k in entries] + [loops]))
+        # per ray, {k: mask of the flat {e : D[rho, e] >= k}} over the row's
+        # distinct entries k, as `validate` proved them flats
+        self._row_flats = row_flats
         self._char_cache = {}
 
-    # -- filtrations ----------------------------------------------------
-
-    def _klyachko_mask(self, ray_index: int, i: int) -> int:
-        """Mask of the flat of elements whose diagram entry on this ray is
-        >= i: the table's mask at #{k < i} over the row's distinct entries
-        k, the ground set below the smallest and the loops above the
-        largest."""
-        entries, masks = self._levels[ray_index]
-        return masks[bisect_left(entries, i)]
-
-    def h0_local(self, cone_key, u) -> int:
-        """Rank of the meet of the ray flats at levels <u, v_rho> on the cone."""
-        flat = (1 << self.matroid.m) - 1
-        for i in cone_key:
-            flat &= self._klyachko_mask(i, dot(u, self.fan.rays[i]))
-        return self.matroid.rank_table[flat]
+    # -- sections at one character ----------------------------------------
 
     def h0_global(self, u) -> int:
-        self._check_character(u)
-        return self.h0_local(range(len(self.fan.rays)), u)
+        """h0_u: `section_values` at u on one cone of every ray."""
+        return self._value_at(u, [(range(len(self.fan.rays)), 1)])
+
+    def _value_at(self, u, cones) -> int:
+        """The value of `section_values` on the one-point box (u, u)."""
+        u = tuple(u)
+        ((_, values),) = self.section_values((u, u), cones)
+        return int(values[0])
 
     def _check_character(self, u):
-        """Refuse a character whose length is not the fan's dimension."""
+        """Refuse a character whose length is not the fan's dimension or
+        which has a coordinate that is not an integer."""
         if len(u) != self.fan.ambient_dim:
             raise ValidationError(
                 f"character has {len(u)} coordinates, expected "
                 f"{self.fan.ambient_dim}"
             )
+        for x in u:
+            if not isinstance(x, Integral):
+                raise ValidationError(f"character coordinate {x!r} is not an integer")
 
     # -- parliament -------------------------------------------------------
 
@@ -119,17 +113,16 @@ class TropicalVectorBundle:
     # -- Euler characteristic ----------------------------------------------
 
     def euler_char_u(self, u) -> int:
-        """chi_u, the alternating sum of `euler_char_by_codim`."""
-        return alternating_sum(self.euler_char_by_codim(u))
+        """chi_u: `section_values` at u on every cone, signed (-1)^codim."""
+        return self._value_at(u, self._chi_cones())
 
     def euler_char_by_codim(self, u):
-        """Per-codimension totals of rank h^0 over cones; sums to chi_u."""
-        self._check_character(u)
-        n = self.fan.ambient_dim
-        byc = [0] * (n + 1)
+        """Per-codimension totals of rank h^0 over cones, whose alternating
+        sum is chi_u: one `section_values` call per codimension, sign 1."""
+        by_codim = [[] for _ in range(self.fan.ambient_dim + 1)]
         for key in self.fan.cone_keys:
-            byc[self.fan.codim(key)] += self.h0_local(key, u)
-        return byc
+            by_codim[self.fan.codim(key)].append((key, 1))
+        return [self._value_at(u, cones) for cones in by_codim]
 
     def chi_box(self):
         """Bounding box, padded by one, of the characters of the maximal
@@ -180,7 +173,8 @@ class TropicalVectorBundle:
         self._check_character(hi)
         rays = self.fan.rays
         rows, starts, masks, top = self._section_table
-        width = max(len(key) for key, _ in cones)
+        # at least one column: the zero cone alone is the ground set
+        width = max(1, max(len(key) for key, _ in cones))
         index = np.array(
             [sorted(key) + [len(rays)] * (width - len(key)) for key, _ in cones],
             dtype=np.intp,
@@ -203,10 +197,12 @@ class TropicalVectorBundle:
         in one uint32 array with the ground set last, and the index of each
         ray's top mask, the loops, as a column."""
         rows, starts, masks, top = [], [], [], []
-        for i, (entries, flats) in enumerate(self._levels):
+        loops = self.matroid.closure_mask(0)
+        for i, flats in enumerate(self._row_flats):
+            entries = sorted(flats)
             starts.append(len(rows))
             rows += [(i, k) for k in entries]
-            masks += flats
+            masks += [flats[k] for k in entries] + [loops]
             top.append(len(masks) - 1)
         # the last mask is the ground set: it pads every cone to the widest
         # one and is the whole of the zero cone
@@ -369,11 +365,6 @@ class TropicalVectorBundle:
         )
 
 
-def alternating_sum(by_codim) -> int:
-    """sum_k (-1)^k by_codim[k]: chi_u from `euler_char_by_codim`."""
-    return sum(-h if k % 2 else h for k, h in enumerate(by_codim))
-
-
 def validate(fan: Fan, matroid: Matroid, diagram) -> TropicalVectorBundle:
     """Check a diagram against a fan and matroid and build the bundle.
 
@@ -405,7 +396,7 @@ def validate(fan: Fan, matroid: Matroid, diagram) -> TropicalVectorBundle:
     if not fan.is_complete():
         raise BundleValidationError("bundles require a complete fan")
 
-    row_levels = []
+    row_flats = []
     for ri, row in enumerate(diagram):
         levels = {}
         for k in set(row):
@@ -413,7 +404,7 @@ def validate(fan: Fan, matroid: Matroid, diagram) -> TropicalVectorBundle:
             if matroid.closure_mask(level) != level:
                 raise RowNotInBergmanError(ri + 1, row, Matroid.elements(level))
             levels[k] = level
-        row_levels.append(levels)
+        row_flats.append(levels)
 
     table = matroid.rank_table
     adapted = {}
@@ -422,7 +413,7 @@ def validate(fan: Fan, matroid: Matroid, diagram) -> TropicalVectorBundle:
         total = [sum(diagram[i][j] for i in idx) for j in range(matroid.m)]
         basis = greedy_basis_mask(matroid, total)
         for i in idx:
-            for level in row_levels[i].values():
+            for level in row_flats[i].values():
                 if (level & basis).bit_count() != table[level]:
                     raise NoCommonApartmentError(key)
         adapted[key] = Matroid.elements(basis)
@@ -431,7 +422,7 @@ def validate(fan: Fan, matroid: Matroid, diagram) -> TropicalVectorBundle:
             for b in adapted[key]:
                 if fan.solve_on(key, [diagram[i][b - 1] for i in idx]) is None:
                     raise NoCommonApartmentError(key)
-    return TropicalVectorBundle(fan, matroid, diagram, adapted, row_levels)
+    return TropicalVectorBundle(fan, matroid, diagram, adapted, row_flats)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,9 @@ extension forms (`oracle_cone_characters`, `oracle_split_characters`,
 `oracle_extension_forms`), the pull-back row of a new ray by a search of the
 ray subsets of its smallest cone (`oracle_pullback_row`), the
 parliament-box route of the global sections (`parliament_box`,
-`oracle_h0_nonzero`), geometric ones (the
+`oracle_h0_nonzero`), the section rank of a cone at one character, read
+off the diagram by closures (`oracle_section_rank`, and `oracle_h0`,
+`oracle_chi_by_codim` and `oracle_chi` built on it), geometric ones (the
 double-dual check of a cone's rays; duals, cuts and face lattices by a
 fresh `vcone_from_halfspaces` and dot products; the smallest cone of a fan
 containing a point by a scan by dimension; the extreme-ray test, the facets
@@ -156,6 +158,8 @@ CUBE4_CORNERS = list(itertools.product((1, -1), repeat=4))
 CUBE4_FAN = Fan(CUBE4_CORNERS,
                 [[i for i, v in enumerate(CUBE4_CORNERS) if v[axis] == sign]
                  for axis in range(4) for sign in (1, -1)])
+# the fan of the point: no rays, one cone, the origin
+POINT_FAN = Fan([], [[]], 0)
 
 
 # ---------------------------------------------------------------------------
@@ -350,6 +354,51 @@ def klyachko_flat(bundle, ray_index, i) -> frozenset:
     closure of that level set."""
     row = bundle.diagram[ray_index]
     return oracle_closure(bundle.matroid, {e for e, x in enumerate(row, 1) if x >= i})
+
+
+def oracle_section_rank(bundle, key, u) -> int:
+    """Rank of the meet of the Klyachko flats F_rho(<u, v_rho>) over the
+    rays rho of a cone, each the closure of its level set {e : D[rho, e] >=
+    <u, v_rho>}; the empty meet is the ground set.  It reads the diagram,
+    never the bundle's table."""
+    return _rank_of_meet(bundle.matroid, _oracle_ray_flats(bundle, u), key)
+
+
+def _oracle_ray_flats(bundle, u):
+    """The masks of F_rho(<u, v_rho>) of `oracle_section_rank`, per ray."""
+    closure = bundle.matroid.closure_mask
+    flats = []
+    for v, row in zip(bundle.fan.rays, bundle.diagram):
+        level = sum(a * b for a, b in zip(u, v))
+        flats.append(closure(sum(1 << j for j, x in enumerate(row) if x >= level)))
+    return flats
+
+
+def _rank_of_meet(matroid, flats, key) -> int:
+    meet = (1 << matroid.m) - 1
+    for i in key:
+        meet &= flats[i]
+    return matroid.rank_table[meet]
+
+
+def oracle_h0(bundle, u) -> int:
+    """h0_u by `oracle_section_rank` on one cone of every ray."""
+    return oracle_section_rank(bundle, range(len(bundle.fan.rays)), u)
+
+
+def oracle_chi_by_codim(bundle, u):
+    """Per codimension, the sum of `oracle_section_rank` over its cones."""
+    fan = bundle.fan
+    flats = _oracle_ray_flats(bundle, u)
+    out = [0] * (fan.ambient_dim + 1)
+    for key, dim in fan.cone_dims.items():
+        out[fan.ambient_dim - dim] += _rank_of_meet(bundle.matroid, flats, key)
+    return out
+
+
+def oracle_chi(bundle, u) -> int:
+    """chi_u, the alternating sum of `oracle_chi_by_codim`."""
+    return sum(-h if k % 2 else h for k, h in enumerate(oracle_chi_by_codim(bundle, u)))
 
 
 def in_lifted_bergman(matroid: Matroid, w) -> bool:

@@ -21,6 +21,7 @@ from tropehrhart.chains import (
 from tropehrhart.errors import (
     BoxTooSmallError,
     InvalidSupportFunctionError,
+    NotInSupportError,
     NotPiecewiseLinearError,
     UnsupportedOperandError,
     ValidationError,
@@ -32,6 +33,7 @@ from tropehrhart.lattice import (
     min_containing_cone,
     refine_by_hyperplanes,
 )
+from tropehrhart.linalg import dot
 from tropehrhart.matroid import uniform_matroid
 
 from conftest import (
@@ -343,6 +345,33 @@ def test_support_function_face_consistency_checked(p2_fan):
                 frozenset({0, 2}): ((1, -1), (0, -1)),
             },
         )
+
+
+def _values_at_by_smallest_cone(h, x):
+    """The two-scan route of `values_at`: the smallest cone of x, then the
+    first maximal cone that contains it."""
+    key = min_containing_cone(h.fan, x)
+    mkey = next(m for m in h.fan.maximal_keys if key <= m)
+    return tuple(sorted(dot(u, x) for u in h.branches[mkey]))
+
+
+@pytest.mark.parametrize("name", ["P1xP1", "hexagon", "P3"])
+def test_values_at_equals_the_smallest_cone_route(name):
+    fan = FANS[name]
+    rng = random.Random(13)
+    for r, m in ((2, 4), (3, 5)):
+        h = random_bundle(fan, uniform_matroid(r, m), rng).support_function()
+        for x in grid_points(fan.ambient_dim, 2):
+            assert h.values_at(x) == _values_at_by_smallest_cone(h, x)
+
+
+def test_values_at_refuses_a_point_outside_the_support():
+    quadrant = Fan([(1, 0), (0, 1)], [[0, 1]], 2)
+    h = MultiValuedSupportFunction(quadrant, {frozenset({0, 1}): ((1, 2), (0, 0))})
+    assert h.values_at((1, 1)) == (0, 3)
+    with pytest.raises(NotInSupportError) as info:
+        h.values_at((-1, 0))
+    assert str(info.value) == "point (-1, 0) is outside the fan support"
 
 
 def test_support_function_chain_refinement_independence(u23_bundle):

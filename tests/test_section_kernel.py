@@ -4,8 +4,9 @@ replaced.
 `TropicalVectorBundle.section_values` evaluates signed sums of section ranks
 on a whole box, per block one half-space compare of `chains`, one segment
 sum, one gather and one AND-reduce; `euler_char_total`, `h0_nonzero` and
-`chain_alpha(verify=True)` read it.  The oracles are the loops that called
-`euler_char_u` and `h0_global` once per point, the latter on the box of
+`chain_alpha(verify=True)` read it.  The oracles are per-point loops of
+`oracle_chi` and `oracle_h0` of `conftest`, which read the Klyachko flats
+off the diagram and not the bundle's table, the h0 loop on the box of
 parliament vertices, and `ConvexChain.evaluate` for the chain values.
 """
 
@@ -31,6 +32,8 @@ from tropehrhart.matroid import Matroid, uniform_matroid
 
 from conftest import (
     box_points,
+    oracle_chi,
+    oracle_h0,
     parliament_box,
     random_bundle,
     random_p1_bundle,
@@ -45,13 +48,13 @@ SETTINGS = settings(max_examples=120, deadline=None, derandomize=True)
 # ---------------------------------------------------------------------------
 
 def _euler_char_total_loop(bundle, box):
-    """Sum of `euler_char_u` over the box, raising on the first point of the
+    """Sum of `oracle_chi` over the box, raising on the first point of the
     margin shell where chi is nonzero."""
     check_box(box, bundle.fan.ambient_dim)
     lo, hi = box
     total = 0
     for u in box_points(lo, hi):
-        val = bundle.euler_char_u(u)
+        val = oracle_chi(bundle, u)
         if val != 0 and any(x == l or x == h for x, l, h in zip(u, lo, hi)):
             raise BoxTooSmallError(f"chi is nonzero at {u} on the box margin")
         total += val
@@ -59,14 +62,14 @@ def _euler_char_total_loop(bundle, box):
 
 
 def _h0_nonzero_loop(bundle):
-    """(u, h0_global(u)) for every u with sections in the box of parliament
-    vertices."""
+    """(u, oracle_h0(bundle, u)) for every u with sections in the box of
+    parliament vertices."""
     box = parliament_box(bundle)
     if box is None:
         return []
     out = []
     for u in box_points(*box):
-        h = bundle.h0_global(u)
+        h = oracle_h0(bundle, u)
         if h:
             out.append((u, h))
     return out
@@ -76,7 +79,7 @@ def _first_disagreement(chain, bundle):
     """The first point of the chi box, in box order, where the chain value
     and chi differ; None when they agree everywhere."""
     for u in box_points(*bundle.chi_box()):
-        if chain.evaluate(u) != bundle.euler_char_u(u):
+        if chain.evaluate(u) != oracle_chi(bundle, u):
             return u
     return None
 
@@ -184,10 +187,10 @@ def test_section_values_equal_chi_and_h0_pointwise(case):
     expected = list(box_points(*box))
     chi = _kernel_points(bundle, box, _chi_cones(bundle))
     assert [u for u, _ in chi] == expected
-    assert [v for _, v in chi] == [bundle.euler_char_u(u) for u in expected]
+    assert [v for _, v in chi] == [oracle_chi(bundle, u) for u in expected]
     h0 = _kernel_points(bundle, box, everything)
     assert [u for u, _ in h0] == expected
-    assert [v for _, v in h0] == [bundle.h0_global(u) for u in expected]
+    assert [v for _, v in h0] == [oracle_h0(bundle, u) for u in expected]
 
 
 @SETTINGS
@@ -228,7 +231,7 @@ def test_h0_nonzero_names_the_first_section_on_the_margin(bundle):
     lo, hi = shrunk = _shrunk_chi_box(bundle)
     shell = [u for u in box_points(*shrunk)
              if any(x in (l, h) for x, l, h in zip(u, lo, hi))]
-    first = next((u for u in shell if bundle.h0_global(u)), None)
+    first = next((u for u in shell if oracle_h0(bundle, u)), None)
     if first is None:
         assert _h0_on_shrunk_box(bundle) == ("total", _h0_nonzero_loop(bundle))
     else:
@@ -324,7 +327,7 @@ def test_diagram_entries_near_2_70_get_an_answer(far_line_bundle):
     assert bundle.euler_char_total(box) == _euler_char_total_loop(bundle, box) == 10
     expected = list(box_points(*box))
     assert [v for _, v in _kernel_points(bundle, box, _chi_cones(bundle))] == [
-        bundle.euler_char_u(u) for u in expected
+        oracle_chi(bundle, u) for u in expected
     ]
     # a shell through the triangle names the same first point as the loop
     shrunk = ((BIG - 2, BIG - 5), (BIG + 1, BIG + 1))

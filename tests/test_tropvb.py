@@ -41,14 +41,19 @@ from conftest import (
     CUBE4_FAN,
     FANO_LINES,
     FANS,
+    POINT_FAN,
     common_adapted_basis,
     grid_points,
     intify,
     klyachko_flat,
     oracle_adapted_bases,
+    oracle_chi,
+    oracle_chi_by_codim,
     oracle_cone_characters,
+    oracle_h0,
     oracle_h0_nonzero,
     oracle_pullback_row,
+    oracle_section_rank,
     oracle_split_characters,
     random_bundle,
     random_p1_bundle,
@@ -111,10 +116,26 @@ def test_validate_requires_complete_fan(u23_matroid):
 # filtrations and sections
 # ---------------------------------------------------------------------------
 
+def _section_rank(bundle, key, u) -> int:
+    """`section_values` on the one-point box (u, u) and the one cone."""
+    ((_, values),) = bundle.section_values((u, u), [(key, 1)])
+    return int(values[0])
+
+
+def _at_level(ray, i):
+    """A character u with <u, ray> = i, for a ray with a coordinate +-1."""
+    j = next(j for j, x in enumerate(ray) if abs(x) == 1)
+    return tuple(i * ray[j] if k == j else 0 for k in range(len(ray)))
+
+
 def test_klyachko_flats_fano(fano_bundle):
+    # ray 0 is (1, 0): at u = (i, 0) the cone of ray 0 alone has the rank
+    # of the flat F_0(i)
     for i, flat in [(1, {1, 4, 7}), (2, {1}), (-5, range(1, 8)), (99, ())]:
         assert klyachko_flat(fano_bundle, 0, i) == frozenset(flat)
-        assert Matroid.elements(fano_bundle._klyachko_mask(0, i)) == frozenset(flat)
+        rank = fano_bundle.matroid.rank(flat)
+        assert _section_rank(fano_bundle, {0}, (i, 0)) == rank
+        assert oracle_section_rank(fano_bundle, {0}, (i, 0)) == rank
 
 
 def test_filtration_monotone(fano_bundle, u23_bundle):
@@ -122,22 +143,25 @@ def test_filtration_monotone(fano_bundle, u23_bundle):
         for ri in range(3):
             lo = min(bundle.diagram[ri])
             hi = max(bundle.diagram[ri])
+            ray = bundle.fan.rays[ri]
             for i in range(lo, hi + 1):
-                here, above = (Matroid.elements(bundle._klyachko_mask(ri, k))
+                here, above = (_section_rank(bundle, {ri}, _at_level(ray, k))
                                for k in (i, i + 1))
-                assert here >= above and here == klyachko_flat(bundle, ri, i)
+                flat = klyachko_flat(bundle, ri, i)
+                assert here >= above and here == bundle.matroid.rank(flat)
 
 
 def test_h0_local_examples(fano_bundle):
-    assert fano_bundle.h0_local(frozenset(), (5, -7)) == 3
-    assert fano_bundle.h0_local(S12, (0, 0)) == 3
-    assert fano_bundle.h0_local(S12, (2, 2)) == 0
+    for key, u, rank in [(frozenset(), (5, -7), 3), (S12, (0, 0), 3),
+                         (S12, (2, 2), 0)]:
+        assert _section_rank(fano_bundle, key, u) == rank
+        assert oracle_section_rank(fano_bundle, key, u) == rank
 
 
 def test_h0_local_bounds(fano_bundle):
     for key in fano_bundle.fan.cone_keys:
         for u in grid_points(2, 3):
-            local = fano_bundle.h0_local(key, u)
+            local = _section_rank(fano_bundle, key, u)
             assert fano_bundle.h0_global(u) <= local <= fano_bundle.rank
 
 
@@ -186,6 +210,34 @@ def test_characters_of_the_wrong_length_are_refused(u23_bundle, u):
         u23_bundle.euler_char_u(u)
     with pytest.raises(ValidationError, match="coordinates, expected 2"):
         u23_bundle.euler_char_by_codim(u)
+
+
+@pytest.mark.parametrize("u", [(Fraction(1, 2), 0), (0.5, 0), (0, Fraction(-3, 2))])
+def test_non_integer_characters_are_refused(fano_bundle, u):
+    for call in (fano_bundle.h0_global, fano_bundle.euler_char_u,
+                 fano_bundle.euler_char_by_codim):
+        with pytest.raises(ValidationError, match="is not an integer"):
+            call(u)
+    # a box corner too, checked before any array is built
+    corner = tuple(x - 3 for x in u)
+    with pytest.raises(ValidationError, match="is not an integer"):
+        fano_bundle.euler_char_total(box=(corner, (3, 3)))
+
+
+def test_the_point_bundle_has_its_rank_at_the_origin():
+    # the zero cone alone pads to the ground-set column of the kernel
+    bundle = validate(POINT_FAN, Matroid(2, [{1, 2}]), [])
+    assert bundle.euler_char_u(()) == bundle.h0_global(()) == 2
+    assert bundle.euler_char_by_codim(()) == [2]
+    assert bundle.euler_char_total() == bundle.h0_total() == 2
+    assert bundle.h0_nonzero() == [((), 2)]
+
+
+def test_the_zero_cone_alone_has_the_rank(fano_bundle, u23_bundle):
+    for bundle in (fano_bundle, u23_bundle):
+        blocks = bundle.section_values(((-3, -3), (3, 3)), [(frozenset(), 1)])
+        values = [v for _, block in blocks for v in block.tolist()]
+        assert values == [bundle.rank] * 49
 
 
 def test_trivial_rank_one_bundle(p2_fan):
@@ -240,7 +292,7 @@ def test_chain_alpha_random_p1xp1(p1xp1_fan):
         for u in itertools.product(
             range(lo[0], hi[0] + 1), range(lo[1], hi[1] + 1)
         ):
-            assert chain.evaluate(u) == bundle.euler_char_u(u)
+            assert chain.evaluate(u) == oracle_chi(bundle, u)
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +358,7 @@ def test_local_sections_match_dual_cone_count(fano_bundle, u23_bundle):
                 count = sum(
                     1 for c in chars if dual.contains(vec_sub(c, u))
                 )
-                assert count == bundle.h0_local(key, u)
+                assert count == _section_rank(bundle, key, u)
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +388,7 @@ def test_pullback_chi_invariance(fano_bundle, u23_bundle, p2_fan):
         for refined in refinements:
             pulled = bundle.pullback(refined)
             for u in grid_points(2, 4):
-                assert pulled.euler_char_u(u) == bundle.euler_char_u(u)
+                assert pulled.euler_char_u(u) == oracle_chi(bundle, u)
 
 
 def test_pullback_requires_refinement(fano_bundle, p1xp1_fan):
@@ -429,7 +481,7 @@ def test_three_dimensional_bundle_alpha_equals_chi():
     chain = bundle.chain_alpha(verify=False)
     lo, hi = bundle.chi_box()
     for u in itertools.product(*(range(l, h + 1) for l, h in zip(lo, hi))):
-        assert chain.evaluate(u) == bundle.euler_char_u(u)
+        assert chain.evaluate(u) == oracle_chi(bundle, u)
 
 
 def test_bundle_over_matroid_with_loop(p2_fan):
@@ -462,7 +514,7 @@ def test_random_p1_bundles_alpha_equals_chi(p1_fan):
             chain = bundle.chain_alpha(verify=False)
             lo, hi = bundle.chi_box()
             for u in range(lo[0], hi[0] + 1):
-                assert chain.evaluate((u,)) == bundle.euler_char_u((u,))
+                assert chain.evaluate((u,)) == oracle_chi(bundle, (u,))
 
 
 # ---------------------------------------------------------------------------
@@ -780,5 +832,36 @@ def test_h0_nonzero_equals_the_parliament_box_route(name):
     @given(section_bundles(SECTION_FANS[name]))
     def check(bundle):
         assert bundle.h0_nonzero() == oracle_h0_nonzero(bundle)
+
+    check()
+
+
+POINTWISE_FANS = {**SECTION_FANS, "point": POINT_FAN}
+
+
+@pytest.mark.parametrize("name", sorted(POINTWISE_FANS))
+def test_pointwise_reports_equal_the_section_rank_oracle(name):
+    # h0_u, chi_u, its codimension totals and one-point `section_values` on
+    # random ray sets, against the ranks read off the diagram
+    fan = POINTWISE_FANS[name]
+    n = len(fan.rays)
+
+    @SECTION_SETTINGS
+    @given(section_bundles(fan), st.data())
+    def check(bundle, data):
+        lo, hi = bundle.chi_box()
+        u = tuple(data.draw(st.integers(l - 2, h + 2)) for l, h in zip(lo, hi))
+        assert bundle.h0_global(u) == oracle_h0(bundle, u)
+        assert bundle.euler_char_by_codim(u) == oracle_chi_by_codim(bundle, u)
+        assert bundle.euler_char_u(u) == oracle_chi(bundle, u)
+        cones = data.draw(st.lists(st.tuples(
+            st.lists(st.booleans(), min_size=n, max_size=n),
+            st.sampled_from([-1, 1]),
+        ), min_size=1, max_size=4))
+        cones = [({i for i, x in enumerate(inside) if x}, sign) for inside, sign in cones]
+        ((_, values),) = bundle.section_values((u, u), cones)
+        assert values.tolist() == [
+            sum(sign * oracle_section_rank(bundle, key, u) for key, sign in cones)
+        ]
 
     check()
