@@ -14,12 +14,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import floor
+from numbers import Integral
 
 from .errors import (
     BoxTooLargeError,
     BoxTooSmallError,
     InvalidSupportFunctionError,
-    NotInSupportError,
     NotPiecewiseLinearError,
     UnboundedPolyhedronError,
     UnsupportedOperandError,
@@ -31,6 +31,7 @@ from .lattice import (
     VPolytope,
     box_size,
     check_box,
+    min_containing_cone,
     minkowski_sum,
     refine_by_hyperplanes,
     vertex_enumeration,
@@ -63,6 +64,8 @@ class ConvexChain:
                     f"chain pieces differ in dimension: {self.ambient_dim} "
                     f"and {piece.ambient_dim}"
                 )
+            if type(coeff) is not int and not isinstance(coeff, Integral):
+                raise ValidationError(f"chain coefficient {coeff!r} is not an integer")
             if coeff == 0:
                 continue
             entry = merged.setdefault(_piece_key(piece), [0, None])
@@ -415,12 +418,11 @@ class MultiValuedSupportFunction:
 
     def values_at(self, x):
         """Sorted tuple of branch values at a point of the fan support, read
-        on the first maximal cone that contains x (any would do: the branch
-        multisets agree on shared faces)."""
-        for key in self.fan.maximal_keys:
-            if self.fan.cone(key).contains(x):
-                return tuple(sorted(dot(u, x) for u in self.branches[key]))
-        raise NotInSupportError(f"point {tuple(x)} is outside the fan support")
+        on the first maximal cone that contains the point's smallest cone
+        (any would do: the branch multisets agree on shared faces)."""
+        key = min_containing_cone(self.fan, x)
+        first = next(m for m in self.fan.maximal_keys if key <= m)
+        return tuple(sorted(dot(u, x) for u in self.branches[first]))
 
 
 def split_branches(h: MultiValuedSupportFunction):

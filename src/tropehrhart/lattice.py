@@ -25,13 +25,14 @@ through the one cut `Cone._cut_by`, continue its double description by the
 new rows only, and the result reads its dual and facets off the masks; any
 other cone takes one fresh double description.  That way the fan check's
 pairwise intersections, the pieces of `refine_by_hyperplanes` and the
-refined fan's faces start no new double description, and
-`min_containing_cone` reads the smallest cone off the facets of one maximal
-cone.  A fan refuses a maximal cone that is not exact, lists the facets of
-a cone off the same masks (`Fan.facets`), and is complete when each facet
-of its maximal cones, all full-dimensional, is shared by exactly two of
-them.  A fan given the `duals` of its maximal cones is a refinement known
-by construction and is not checked again.  Hulls of every dimension and affine rank
+refined fan's faces start no new double description.  One point location:
+`Cone._face_of` tests a point against a cone's facets and
+`min_containing_cone` scans a fan for a point's smallest cone.  A fan
+refuses a maximal cone that is not exact, lists the facets of a cone off
+the same masks (`Fan.facets`), and is complete when each facet of its
+maximal cones, all full-dimensional, is shared by exactly two of them.  A
+fan given the `duals` of its maximal cones is a refinement known by
+construction and is not checked again.  Hulls of every dimension and affine rank
 take the double description through `_hull_data`, which reads each facet's
 points off the masks.  Cones, fans and polytopes read their faces and the
 dimension of each top-down from facet masks (`_face_lattice`), and the
@@ -230,6 +231,19 @@ def _closure(mask, facets, full):
     return full
 
 
+def _check_length(x, dim):
+    """Refuse a point whose length is not the ambient dimension."""
+    if len(x) != dim:
+        raise ValidationError(f"point has {len(x)} coordinates, expected {dim}")
+
+
+def _satisfies(y, dim, inequalities, equalities) -> bool:
+    """Does the point y satisfy <n, y> <= b and <n, y> = b on the rows?"""
+    _check_length(y, dim)
+    return (all(dot(n, y) <= b for n, b in inequalities)
+            and all(dot(n, y) == b for n, b in equalities))
+
+
 def _bits(mask):
     """Indices of the set bits of a mask, in increasing order."""
     return [i for i in range(mask.bit_length()) if mask >> i & 1]
@@ -389,14 +403,12 @@ class Cone:
         return out
 
     def contains(self, x) -> bool:
-        d = self.dual
-        return all(dot(g, x) >= 0 for g in d.rays) and all(
-            dot(l, x) == 0 for l in d.lineality
-        )
+        return self._face_of(x) is not None
 
     def _face_of(self, x):
-        """Mask of the rays of the smallest face containing x, read off the
-        facets tight at x; None when x is outside.  Pointed cones only."""
+        """Mask of the rays in the smallest face containing x, read off the
+        facets tight at x; None when x is outside.  Refuses a wrong length."""
+        _check_length(x, self.ambient_dim)
         d = self.dual
         if any(dot(l, x) for l in d.lineality):
             return None
@@ -639,6 +651,8 @@ class Fan:
         off the pivots of `cone_inverse`; None when the values on the rays
         that `echelon` does not keep disagree with it.  Entries are ints
         where integral, else Fractions."""
+        if len(values) != len(key):
+            raise ValidationError(f"{len(values)} values for a cone of {len(key)} rays")
         pos, piv, a, d = self.cone_inverse(key)
         n = self.ambient_dim
         if len(values) == len(pos) == n:
@@ -659,6 +673,7 @@ class Fan:
         """Coordinates of x over the rays of sorted(key): A^T x / d on the
         rays that `cone_inverse` keeps, zero on the others.  Raises
         NotInSupportError when x is off the cone's span."""
+        _check_length(x, self.ambient_dim)
         pos, piv, a, d = self.cone_inverse(key)
         lam = quotient([dot(col, [x[c] for c in piv]) for col in zip(*a)], d)
         idx = sorted(key)
@@ -673,9 +688,6 @@ class Fan:
         for p, l in zip(pos, lam):
             out[p] = l
         return tuple(out)
-
-    def support_contains(self, x) -> bool:
-        return any(self._make_cone(k).contains(x) for k in self.maximal_keys)
 
     def __repr__(self):
         return (
@@ -711,36 +723,34 @@ def is_complete(f: Fan) -> bool:
 
 
 def is_refinement(f2: Fan, f1: Fan) -> bool:
-    """Does every cone of f2 sit inside a cone of f1 (with equal support)?"""
-    if f2.ambient_dim != f1.ambient_dim:
+    """Does every cone of f2 sit inside a cone of f1 (with equal support)?
+    A maximal cone of f2 does when the smallest cones in f1 of its rays lie
+    in one maximal cone of f1."""
+    if f2.ambient_dim != f1.ambient_dim or f1.is_complete() and not f2.is_complete():
         return False
-    for key in f2.maximal_keys:
-        cone = f2.cone(key)
-        if not any(
-            all(f1.cone(k1).contains(r) for r in cone.rays)
-            for k1 in f1.maximal_keys
-        ):
-            return False
-    if f1.is_complete() and not f2.is_complete():
+    try:
+        under = {i: min_containing_cone(f1, f2.rays[i])
+                 for i in frozenset().union(*f2.maximal_keys)}
+        for r in f1.rays:  # original rays must survive in the refinement
+            min_containing_cone(f2, r)
+    except NotInSupportError:
         return False
-    # original rays must survive in the refinement
-    for r in f1.rays:
-        if not f2.support_contains(r):
-            return False
-    return True
+    joined = (frozenset().union(*map(under.get, key)) for key in f2.maximal_keys)
+    return all(any(j <= k1 for k1 in f1.maximal_keys) for j in joined)
 
 
 def min_containing_cone(f: Fan, x) -> frozenset:
     """Ray-index key of the unique smallest cone of f containing x.
 
     That cone is the face of any maximal cone containing x that the facets
-    tight at x cut out.
+    tight at x cut out (`Cone._face_of`).
     """
     for key in f.maximal_keys:
         face = f.cone(key)._face_of(x)
         if face is not None:
             ordered = sorted(key)
             return frozenset(ordered[i] for i in _bits(face))
+    _check_length(x, f.ambient_dim)  # a fan without cones tests no cone
     raise NotInSupportError(f"point {tuple(x)} is outside the fan support")
 
 
@@ -795,26 +805,23 @@ def _sign_key(v) -> int:
 
 
 def stellar_subdivision(f: Fan, v) -> Fan:
-    """Star subdivision of f at the primitive lattice point v."""
+    """Star subdivision of f at the primitive lattice point v: a maximal cone
+    around v's smallest cone gives way to its facets missing it, joined to v."""
     v = primitive(tuple(v))
     if is_zero(v):
         raise ValidationError("cannot subdivide at the origin")
-    if not f.support_contains(v):
-        raise NotInSupportError(f"{v} is outside the fan support")
+    star = min_containing_cone(f, v)
     if v in f.rays:
         return f
-    new_rays = list(f.rays) + [v]
-    vi = len(f.rays)
     maximal = []
     for key in f.maximal_keys:
-        cone = f.cone(key)
-        if not cone.contains(v):
+        if not star <= key:
             maximal.append(key)
             continue
         for facet in f.facets(key):
-            if not f.cone(facet).contains(v):
-                maximal.append(facet | {vi})
-    return Fan(new_rays, maximal, f.ambient_dim)
+            if not star <= facet:
+                maximal.append(facet | {len(f.rays)})
+    return Fan(list(f.rays) + [v], maximal, f.ambient_dim)
 
 
 # ---------------------------------------------------------------------------
@@ -866,9 +873,7 @@ class HPolyhedron:
         self._generators = None
 
     def contains(self, y) -> bool:
-        return all(dot(n, y) <= b for n, b in self.inequalities) and all(
-            dot(n, y) == b for n, b in self.equalities
-        )
+        return _satisfies(y, self.ambient_dim, self.inequalities, self.equalities)
 
     def generators(self):
         """(vertices, rays, lineality) via homogenization.
@@ -920,7 +925,7 @@ class VPolytope:
     Coordinates become exact numbers (`linalg.exact`): an int where
     integral, else a Fraction, so a lattice polytope holds ints only.
     `vertices` are sorted and distinct; unless `trusted`, the given points
-    are reduced to the extreme ones by `convex_hull_vertices`.
+    are reduced to the extreme ones by `_hull_data`, as is `hrep`.
     """
 
     def __init__(self, vertices, ambient_dim=None, *, trusted=False):
@@ -936,13 +941,11 @@ class VPolytope:
         self.ambient_dim = ambient_dim
         self._hrep = None
         self._faces = None
+        self.vertices = tuple(sorted(set(pts)))
         if pts and not trusted:
             # the hull's vertices come sorted and distinct
-            facets = []
-            self.vertices = tuple(convex_hull_vertices(pts, facets))
-            self._hrep = facets[0]
-        else:
-            self.vertices = tuple(sorted(set(pts)))
+            verts, ineqs, eqs = _hull_data(self.vertices, ambient_dim)
+            self.vertices, self._hrep = tuple(verts), (tuple(ineqs), tuple(eqs))
 
     @property
     def dim(self) -> int:
@@ -970,10 +973,7 @@ class VPolytope:
         return self._hrep
 
     def contains(self, y) -> bool:
-        ineqs, eqs = self.hrep()
-        return all(dot(n, y) <= b for n, b in ineqs) and all(
-            dot(n, y) == b for n, b in eqs
-        )
+        return _satisfies(y, self.ambient_dim, *self.hrep())
 
     def faces(self):
         """Full face lattice (this polytope included, empty face excluded).
@@ -1018,21 +1018,13 @@ class VPolytope:
 # Convex hulls
 # ---------------------------------------------------------------------------
 
-def convex_hull_vertices(points, facets=None):
+def convex_hull_vertices(points):
     """Extreme points of a finite point set, sorted and distinct, by double
     description (`_hull_data`) in every dimension and affine rank.
     Coordinates become exact numbers (`linalg.exact`).
-
-    When `facets` is a list, the hull's (inequalities, equalities), as
-    `VPolytope.hrep` returns them, are appended to it.
     """
     pts = sorted({tuple(map(exact, p)) for p in points})
-    if not pts:
-        return []
-    verts, ineqs, eqs = _hull_data(pts, len(pts[0]))
-    if facets is not None:
-        facets.append((tuple(ineqs), tuple(eqs)))
-    return verts
+    return _hull_data(pts, len(pts[0]))[0] if pts else []
 
 
 def _hull_data(pts, d):

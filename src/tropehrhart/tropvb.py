@@ -65,7 +65,7 @@ class TropicalVectorBundle:
                  row_flats):
         self.fan = fan
         self.matroid = matroid
-        self.diagram = tuple(tuple(int(x) for x in row) for row in diagram)
+        self.diagram = diagram
         self.adapted_bases = dict(adapted_bases)
         self.rank = matroid.rank_total
         # per ray, {k: mask of the flat {e : D[rho, e] >= k}} over the row's
@@ -383,16 +383,19 @@ def validate(fan: Fan, matroid: Matroid, diagram) -> TropicalVectorBundle:
     smallest.  So a cone has a common adapted basis exactly when its greedy
     basis passes the level-mask test.
     """
-    diagram = tuple(tuple(int(x) for x in row) for row in diagram)
+    diagram = tuple(map(tuple, diagram))
     if len(diagram) != len(fan.rays):
         raise BundleValidationError(
             f"diagram has {len(diagram)} rows for {len(fan.rays)} rays"
         )
-    for row in diagram:
+    for ri, row in enumerate(diagram):
         if len(row) != matroid.m:
             raise BundleValidationError(
                 f"diagram row has {len(row)} columns for ground size {matroid.m}"
             )
+        if not all(type(x) is int or isinstance(x, Integral) for x in row):
+            raise BundleValidationError(f"diagram row {ri + 1} has a non-integer entry")
+    diagram = tuple(tuple(map(int, row)) for row in diagram)
     if not fan.is_complete():
         raise BundleValidationError("bundles require a complete fan")
 

@@ -19,7 +19,10 @@ off the diagram by closures (`oracle_section_rank`, and `oracle_h0`,
 `oracle_chi_by_codim` and `oracle_chi` built on it), geometric ones (the
 double-dual check of a cone's rays; duals, cuts and face lattices by a
 fresh `vcone_from_halfspaces` and dot products; the smallest cone of a fan
-containing a point by a scan by dimension; the extreme-ray test, the facets
+containing a point by a scan by dimension; the dual-ray test of a point in
+a cone, `dual_ray_contains`, and the routes on it that one point location
+replaced, `contains_stellar_subdivision`, `nested_contains_refinement` and
+`scan_values_at`; the extreme-ray test, the facets
 and completeness of a fan read off face sets and dimensions; the Fraction
 route of hulls, `VPolytope` and `HPolyhedron`, which coerces every
 coordinate and bound to a Fraction), the flag
@@ -745,6 +748,64 @@ def scan_min_containing_cone(fan, x):
     raise NotInSupportError(f"point {tuple(x)} is outside the fan support")
 
 
+def dual_ray_contains(cone, x) -> bool:
+    """`Cone.contains` by the dual-ray test it replaced: the dual's rays are
+    nonnegative on x and its lineality is zero on x."""
+    d = cone.dual
+    return all(dot(g, x) >= 0 for g in d.rays) and all(
+        dot(l, x) == 0 for l in d.lineality
+    )
+
+
+def contains_stellar_subdivision(fan, v):
+    """`stellar_subdivision` by the route it replaced: a maximal cone that
+    contains v gives way to its facets that do not, each tested by
+    `dual_ray_contains` on its own cone, joined with v."""
+    v = primitive(tuple(v))
+    if not any(v):
+        raise ValidationError("cannot subdivide at the origin")
+    if not any(dual_ray_contains(fan.cone(k), v) for k in fan.maximal_keys):
+        raise NotInSupportError(f"{v} is outside the fan support")
+    if v in fan.rays:
+        return fan
+    vi = len(fan.rays)
+    maximal = []
+    for key in fan.maximal_keys:
+        if not dual_ray_contains(fan.cone(key), v):
+            maximal.append(key)
+            continue
+        for facet in fan.facets(key):
+            if not dual_ray_contains(fan.cone(facet), v):
+                maximal.append(facet | {vi})
+    return Fan(list(fan.rays) + [v], maximal, fan.ambient_dim)
+
+
+def nested_contains_refinement(f2, f1) -> bool:
+    """`is_refinement` by nested `dual_ray_contains`: every ray of each
+    maximal cone of f2 lies in one maximal cone of f1, f2 is complete when
+    f1 is, and every ray of f1 lies in a maximal cone of f2."""
+    if f2.ambient_dim != f1.ambient_dim:
+        return False
+    for key in f2.maximal_keys:
+        rays = f2.cone(key).rays
+        if not any(all(dual_ray_contains(f1.cone(k1), r) for r in rays)
+                   for k1 in f1.maximal_keys):
+            return False
+    if f1.is_complete() and not f2.is_complete():
+        return False
+    return all(any(dual_ray_contains(f2.cone(k), r) for k in f2.maximal_keys)
+               for r in f1.rays)
+
+
+def scan_values_at(h, x):
+    """`MultiValuedSupportFunction.values_at` by the scan it replaced: the
+    branch values on the first maximal cone that `dual_ray_contains` x."""
+    for key in h.fan.maximal_keys:
+        if dual_ray_contains(h.fan.cone(key), x):
+            return tuple(sorted(dot(u, x) for u in h.branches[key]))
+    raise NotInSupportError(f"point {tuple(x)} is outside the fan support")
+
+
 def caratheodory_contains(points, p):
     """Is p in the convex hull of the points?  Exact, by enumerating
     barycentric subsystems of size at most dim + 1."""
@@ -777,22 +838,10 @@ def oracle_hull_vertices(points):
     ]
 
 
-def fraction_hull_vertices(points, facets=None):
-    """`convex_hull_vertices` by the Fraction route: every coordinate and
-    bound coerced to a Fraction, integral or not."""
-    pts = sorted(set(tuple(Fraction(x) for x in p) for p in points))
-    if not pts:
-        return []
-    verts, ineqs, eqs = _hull_data(pts, len(pts[0]))
-    if facets is not None:
-        facets.append((tuple((n, Fraction(b)) for n, b in ineqs),
-                       tuple((n, Fraction(b)) for n, b in eqs)))
-    return verts
-
-
 class FractionVPolytope(VPolytope):
-    """`VPolytope` by the Fraction route: Fraction coordinates and bounds,
-    and one more sort of the hull's vertices."""
+    """`VPolytope` by the Fraction route: every coordinate and bound
+    coerced to a Fraction, integral or not, and one more sort of the
+    hull's vertices."""
 
     def __init__(self, vertices, ambient_dim=None, *, trusted=False):
         pts = [tuple(Fraction(x) for x in p) for p in vertices]
@@ -802,9 +851,9 @@ class FractionVPolytope(VPolytope):
         self._hrep = None
         self._faces = None
         if pts and not trusted:
-            facets = []
-            pts = fraction_hull_vertices(pts, facets)
-            self._hrep = facets[0]
+            pts, ineqs, eqs = _hull_data(sorted(set(pts)), ambient_dim)
+            self._hrep = (tuple((n, Fraction(b)) for n, b in ineqs),
+                          tuple((n, Fraction(b)) for n, b in eqs))
         self.vertices = tuple(sorted(set(pts)))
 
 

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from tropehrhart.chains import (
@@ -101,6 +102,18 @@ def test_chain_refuses_pieces_of_different_dimensions():
         one(segment) + one(triangle)
     assert ConvexChain([(1, triangle)]).ambient_dim == 2
     assert ConvexChain().ambient_dim is None
+
+
+def test_chain_refuses_a_coefficient_that_is_not_an_integer():
+    # these used to be truncated: 1/2 to no term, 1.7 to 1, a half to zero
+    for coeff in (Fraction(1, 2), 1.7, Fraction(4, 2), 2.0):
+        with pytest.raises(ValidationError, match="is not an integer"):
+            ConvexChain([(coeff, UNIT_SQUARE)])
+    with pytest.raises(ValidationError, match="chain coefficient 0.5 "):
+        one(UNIT_SQUARE).scale(0.5)
+    chain = ConvexChain([(np.int64(3), UNIT_SQUARE), (True, VPolytope([(5, 5)]))])
+    assert [(type(c), c) for c, _ in chain.terms] == [(int, 3), (int, 1)]
+    assert one(UNIT_SQUARE).scale(-2).evaluate((0, 0)) == -2
 
 
 def test_degree():

@@ -393,7 +393,7 @@ def test_zero_coordinate_chain_file_exits_2_before_any_hull(tmp_path, capsys, mo
     def no_hull(*args):
         raise AssertionError("hull computed")
 
-    monkeypatch.setattr("tropehrhart.lattice.convex_hull_vertices", no_hull)
+    monkeypatch.setattr("tropehrhart.lattice._hull_data", no_hull)
     path = tmp_path / "empty_vertices.json"
     path.write_text(json.dumps({"terms": [{"coeff": 1, "vertices": [[], []]}]}))
     for u in ("0,0", "0"):

@@ -2,6 +2,7 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -104,6 +105,21 @@ def test_validate_rejects_incompatible_rows(p2_fan):
     rows = [(2, 1, 0, 0), (0, 0, 2, 1), (0, 0, 0, 0)]
     with pytest.raises(NoCommonApartmentError):
         validate(p2_fan, u34, rows)
+
+
+def test_validate_refuses_a_diagram_entry_that_is_not_an_integer(p2_fan):
+    # the first diagram used to read as ((1,), (0,), (0,)), with chi 3
+    u11 = uniform_matroid(1, 1)
+    for rows, bad in (([[Fraction(3, 2)], [0.9], [0]], 1),
+                      ([[1], [0.9], [0]], 2),
+                      ([[1], [0], [Fraction(2, 1)]], 3)):
+        with pytest.raises(BundleValidationError) as info:
+            validate(p2_fan, u11, rows)
+        assert str(info.value) == f"diagram row {bad} has a non-integer entry"
+    # integral entries of any type are taken, as Python ints
+    bundle = validate(p2_fan, u11, [[np.int64(1)], [True], [0]])
+    assert bundle.diagram == ((1,), (1,), (0,))
+    assert {type(x) for row in bundle.diagram for x in row} == {int}
 
 
 def test_validate_requires_complete_fan(u23_matroid):
