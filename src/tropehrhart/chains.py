@@ -428,19 +428,31 @@ class MultiValuedSupportFunction:
 def split_branches(h: MultiValuedSupportFunction):
     """Separate a multi-valued support function into one-valued branches.
 
-    Refines the fan by all pairwise difference hyperplanes of the branch
-    functionals (so the i-th smallest branch value is linear on every cone)
-    and returns (refined_fan, [SupportNumbers for branch 1 .. r]).
+    Cuts each maximal cone s by the hyperplanes u_a - u_b = 0 of its own
+    branches only, and returns (refined_fan, [SupportNumbers for branch
+    1 .. r]), the i-th smallest branch value at every refined ray.  The
+    pieces form a fan on which every sorted branch is linear:
+
+    - within s no difference u_a - u_b changes sign on a piece, so each
+      sorted branch is one of the u_a there;
+    - pieces of s and t meet inside F = s & t.  The cuts of s subdivide F
+      by the hyperplanes {(u_a - u_b)|F}, and that set depends only on the
+      multiset {u_a|F};
+    - `_check_face_agreement` requires that multiset to be equal for s and
+      t, so both cones induce the same subdivision of F.
+
+    The chain and the Todd sum do not depend on which such refinement is
+    used (Khovanskii-Pukhlikov 1993; Lawrence 1991).
     """
-    fan = h.fan
-    normals = []
-    for us in h.branches.values():
+    normals = {}
+    for key, us in h.branches.items():
+        normals[key] = own = []
         for a in range(len(us)):
             for b in range(a + 1, len(us)):
                 diff = vec_sub(us[a], us[b])
                 if not is_zero(diff):
-                    normals.append(clear_denominators(diff))
-    refined = refine_by_hyperplanes(fan, normals)
+                    own.append(clear_denominators(diff))
+    refined = refine_by_hyperplanes(h.fan, normals)
     per_branch = [[] for _ in range(h.rank)]
     for v in refined.rays:
         vals = h.values_at(v)

@@ -25,7 +25,12 @@ through the one cut `Cone._cut_by`, continue its double description by the
 new rows only, and the result reads its dual and facets off the masks; any
 other cone takes one fresh double description.  That way the fan check's
 pairwise intersections, the pieces of `refine_by_hyperplanes` and the
-refined fan's faces start no new double description.  One point location:
+refined fan's faces start no new double description.  A cut refuses a
+normal of the wrong length before it cuts anything.
+`refine_by_hyperplanes` cuts every maximal cone by one list of
+hyperplanes, or each by its own list from a map keyed by maximal cone
+(`chains.split_branches` passes each cone the differences of its own
+branches).  One point location:
 `Cone._face_of` tests a point against a cone's facets and
 `min_containing_cone` scans a fan for a point's smallest cone.  A fan
 refuses a maximal cone that is not exact, lists the facets of a cone off
@@ -231,10 +236,11 @@ def _closure(mask, facets, full):
     return full
 
 
-def _check_length(x, dim):
-    """Refuse a point whose length is not the ambient dimension."""
+def _check_length(x, dim, what="point"):
+    """Refuse a point (or a normal) whose length is not the ambient
+    dimension."""
     if len(x) != dim:
-        raise ValidationError(f"point has {len(x)} coordinates, expected {dim}")
+        raise ValidationError(f"{what} has {len(x)} coordinates, expected {dim}")
 
 
 def _satisfies(y, dim, inequalities, equalities) -> bool:
@@ -376,9 +382,13 @@ class Cone:
         their masks over its facet rows (both signs of the dual's lineality
         included), are cut by the new rows only.  Any other cone, such as a
         library cone with lineality, takes one fresh double description.
+        Refuses a normal of the wrong length before any cut.
         """
+        normals = [tuple(n) for n in normals]
+        for n in normals:
+            _check_length(n, self.ambient_dim, "normal")
         if not self._is_exact():
-            rows = list(self.dual.generators) + [tuple(n) for n in normals]
+            rows = list(self.dual.generators) + normals
             rays, lin = vcone_from_halfspaces(rows, self.ambient_dim)
             return Cone(rays, self.ambient_dim, lineality=lin)
         dual = self.dual
@@ -755,28 +765,33 @@ def min_containing_cone(f: Fan, x) -> frozenset:
 
 
 def refine_by_hyperplanes(f: Fan, normals) -> Fan:
-    """Common refinement of f with the sign cells of linear hyperplanes."""
+    """Common refinement of f with the sign cells of linear hyperplanes.
+
+    `normals` is one list of normals that cuts every maximal cone, or a map
+    {maximal key of f: normals} that cuts each maximal cone by its own
+    list; a key the map leaves out is not cut.  Each cone is cut by the
+    hyperplanes that cross it, and the result is f itself when none does.
+    The pieces are trusted as a fan, not checked: a common refinement is
+    one by construction, and a map must cut every face that two maximal
+    cones share into the same cells from both sides.  A normal of the
+    wrong length is refused before any cut.
+    """
     if f.ambient_dim > VERTEX_ENUM_MAX_DIM:
         raise UnsupportedDimensionError(
             f"hyperplane refinement capped at ambient dimension {VERTEX_ENUM_MAX_DIM}"
         )
-    todo = []
-    seen = set()
-    for n in normals:
-        p = primitive(tuple(n))
-        if is_zero(p):
-            continue
-        canon = p if _sign_key(p) > 0 else vec_neg(p)
-        if canon not in seen:
-            seen.add(canon)
-            todo.append(canon)
-    if not todo:
-        return f
+    if isinstance(normals, dict):
+        if not normals.keys() <= set(f.maximal_keys):
+            raise ValidationError("refinement normals given for a cone that is not maximal")
+        planes = {key: _hyperplanes(normals.get(key, ()), f.ambient_dim)
+                  for key in f.maximal_keys}
+    else:
+        planes = dict.fromkeys(f.maximal_keys, _hyperplanes(normals, f.ambient_dim))
 
     pieces = []
     for key in f.maximal_keys:
         stack = [f.cone(key)]
-        for n in todo:
+        for n in planes[key]:
             nxt = []
             for c in stack:
                 signs = [dot(n, r) for r in c.rays]
@@ -787,14 +802,29 @@ def refine_by_hyperplanes(f: Fan, normals) -> Fan:
                     nxt.append(c.intersect_halfspace(vec_neg(n)))
             stack = nxt
         pieces.extend(stack)
+    if len(pieces) == len(f.maximal_keys):
+        return f
 
     new_rays = list(dict.fromkeys([*f.rays, *(r for c in pieces for r in c.rays)]))
     old = len(f.rays)
     new_rays = new_rays[:old] + sorted(new_rays[old:])
     index = {r: i for i, r in enumerate(new_rays)}
     duals = {frozenset(index[r] for r in c.rays): c.dual for c in pieces}
-    # a common refinement is a fan by construction
     return Fan(new_rays, list(duals), f.ambient_dim, duals=duals)
+
+
+def _hyperplanes(normals, dim):
+    """The distinct hyperplanes of nonzero normals, each as its primitive
+    normal with the first nonzero entry positive, in first-seen order.
+    Refuses a normal of the wrong length."""
+    planes = {}
+    for n in normals:
+        n = tuple(n)
+        _check_length(n, dim, "normal")
+        p = primitive(n)
+        if not is_zero(p):
+            planes.setdefault(p if _sign_key(p) > 0 else vec_neg(p))
+    return list(planes)
 
 
 def _sign_key(v) -> int:

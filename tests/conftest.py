@@ -1,9 +1,10 @@
 """Shared fixtures: the standard fans (and `FANS`, named fans for property
-tests), the Fano-plane bundle, the rank-2 uniform bundle on the projective
-plane, and independent oracles used to cross-check the exact machinery:
-Fraction Gauss-Jordan elimination (`rref`, `rref_solve`, `solve_unique`),
-the cofactor null vector (`cross_nullvec`), matroid ones read off the basis
-list (the pairwise exchange check, rank as the largest basis intersection,
+tests, and the fans of P^n and (P^1)^n), the Fano-plane bundle, the rank-2
+uniform bundle on the projective plane, and independent oracles used to
+cross-check the exact machinery: Fraction Gauss-Jordan elimination (`rref`,
+`rref_solve`, `solve_unique`), the cofactor null vector (`cross_nullvec`),
+matroid ones read off the basis list (the pairwise exchange check, rank as
+the largest basis intersection,
 subset-enumeration circuits, flats and fundamental circuits, independence,
 closure, the flat test and the Klyachko flats of a bundle, membership in
 the lifted Bergman fan and in an apartment, the sorted scan for adapted
@@ -22,7 +23,9 @@ fresh `vcone_from_halfspaces` and dot products; the smallest cone of a fan
 containing a point by a scan by dimension; the dual-ray test of a point in
 a cone, `dual_ray_contains`, and the routes on it that one point location
 replaced, `contains_stellar_subdivision`, `nested_contains_refinement` and
-`scan_values_at`; the extreme-ray test, the facets
+`scan_values_at`; the refinement that cuts every maximal cone by the
+branch differences of every maximal cone, `global_split_branches`; the
+extreme-ray test, the facets
 and completeness of a fan read off face sets and dimensions; the Fraction
 route of hulls, `VPolytope` and `HPolyhedron`, which coerces every
 coordinate and bound to a Fraction), the flag
@@ -55,6 +58,7 @@ from tropehrhart.chains import (
     BOX_BLOCK,
     INT64_SAFE,
     ConvexChain,
+    SupportNumbers,
     _integer_hrep,
     box_offsets,
     split_branches,
@@ -77,6 +81,7 @@ from tropehrhart.lattice import (
     bounding_box,
     box_size,
     check_box,
+    refine_by_hyperplanes,
     vcone_from_halfspaces,
     vertex_enumeration,
 )
@@ -85,9 +90,11 @@ from tropehrhart.linalg import (
     clear_denominators,
     det,
     dot,
+    is_zero,
     primitive,
     rank,
     vec_neg,
+    vec_sub,
 )
 from tropehrhart.matroid import (
     Matroid,
@@ -163,6 +170,21 @@ CUBE4_FAN = Fan(CUBE4_CORNERS,
                  for axis in range(4) for sign in (1, -1)])
 # the fan of the point: no rays, one cone, the origin
 POINT_FAN = Fan([], [[]], 0)
+
+
+def projective_fan(n):
+    """The fan of P^n: rays e_1, ..., e_n, -(e_1 + ... + e_n)."""
+    rays = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    rays.append((-1,) * n)
+    return Fan(rays, [list(c) for c in itertools.combinations(range(n + 1), n)])
+
+
+def p1_power_fan(n):
+    """The fan of (P^1)^n: rays +-e_i, one cone per choice of signs."""
+    rays = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    rays += [tuple(-x for x in r) for r in rays]
+    return Fan(rays, [[i + n * b for i, b in enumerate(bits)]
+                      for bits in itertools.product((0, 1), repeat=n)])
 
 
 # ---------------------------------------------------------------------------
@@ -701,6 +723,22 @@ def list_refinement(fan, normals):
     rays = rays[:old] + sorted(rays[old:])
     keys = {frozenset(rays.index(r) for r in c.rays) for c in pieces}
     return tuple(rays), keys
+
+
+def global_split_branches(h):
+    """`split_branches` by the global route: every maximal cone cut by the
+    branch differences of every maximal cone, pooled into one list."""
+    normals = []
+    for us in h.branches.values():
+        for a in range(len(us)):
+            for b in range(a + 1, len(us)):
+                diff = vec_sub(us[a], us[b])
+                if not is_zero(diff):
+                    normals.append(clear_denominators(diff))
+    refined = refine_by_hyperplanes(h.fan, normals)
+    values = [h.values_at(v) for v in refined.rays]
+    return refined, [SupportNumbers(refined, [vals[i] for vals in values])
+                     for i in range(h.rank)]
 
 
 def face_set_extreme(cone) -> bool:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tropehrhart import lattice
 from tropehrhart.errors import (
     NotInSupportError,
     UnboundedPolyhedronError,
@@ -530,6 +531,55 @@ def test_refine_existing_wall_is_identity(p1_fan):
     refined = refine_by_hyperplanes(p1_fan, [(1,)])
     assert len(refined.maximal_keys) == 2
     assert refined.rays == p1_fan.rays
+
+
+def test_refine_refuses_a_normal_of_the_wrong_length(p2_fan, monkeypatch):
+    # dot pairs (1,) with the first coordinate alone, so P^2 was cut by
+    # x = 0 and gained the ray (0, -1)
+    with pytest.raises(ValidationError, match="normal has 1 coordinates, expected 2"):
+        refine_by_hyperplanes(p2_fan, [(1,)])
+    # refused before any cut, whether one list cuts every cone or a map
+    # gives each cone its own
+    def no_cut(self, normal):
+        raise AssertionError("a cone was cut")
+
+    monkeypatch.setattr(Cone, "intersect_halfspace", no_cut)
+    with pytest.raises(ValidationError, match="normal has 3 coordinates"):
+        refine_by_hyperplanes(p2_fan, [(1, -1), (1, 0, 0)])
+    key = min_containing_cone(p2_fan, (1, 1))
+    with pytest.raises(ValidationError, match="normal has 1 coordinates"):
+        refine_by_hyperplanes(p2_fan, {key: [(1, -1)], p2_fan.maximal_keys[-1]: [(1,)]})
+
+
+def test_intersect_halfspace_refuses_a_normal_of_the_wrong_length(monkeypatch):
+    # dot dropped the 7, so this returned the cone over (1, 0) and (1, 1)
+    cone = Cone([(1, 0), (0, 1)], 2)
+    with pytest.raises(ValidationError, match="normal has 3 coordinates, expected 2"):
+        cone.intersect_halfspace((1, -1, 7))
+    with pytest.raises(ValidationError, match="normal has 1 coordinates"):
+        Cone([(1, 0)], 2, lineality=[(0, 1)]).intersect_halfspace((1,))
+
+    def no_cut(*args):
+        raise AssertionError("a row was cut")
+
+    monkeypatch.setattr(lattice, "_cut", no_cut)
+    with pytest.raises(ValidationError, match="normal has 3 coordinates"):
+        cone._cut_by([(1, -1), (1, 0, 0)])
+
+
+def test_refine_by_a_map_cuts_each_cone_by_its_own_normals(p2_fan):
+    # x1 = x2 crosses the cone around (1, 1) only
+    key = min_containing_cone(p2_fan, (1, 1))
+    refined = refine_by_hyperplanes(p2_fan, {key: [(1, -1)]})
+    assert refined.rays == p2_fan.rays + ((1, 1),)
+    assert len(refined.maximal_keys) == 4
+    assert refined.maximal_keys == refine_by_hyperplanes(p2_fan, [(1, -1)]).maximal_keys
+    # given to the other cones, it crosses none, and the fan itself returns
+    others = {k: [(1, -1)] for k in p2_fan.maximal_keys if k != key}
+    assert refine_by_hyperplanes(p2_fan, others) is p2_fan
+    assert refine_by_hyperplanes(p2_fan, {}) is p2_fan
+    with pytest.raises(ValidationError, match="not maximal"):
+        refine_by_hyperplanes(p2_fan, {frozenset({0}): [(1, -1)]})
 
 
 def test_refinement_passes_fan_validation_3d():
