@@ -245,11 +245,10 @@ def _cmd_chi(args) -> dict:
     bundle = load_bundle(args.bundle)
     if args.u is not None:
         u = _parse_vector(args.u, bundle.fan.ambient_dim)
-        return {
-            "u": list(u),
-            "chi_u": bundle.euler_char_u(u),
-            "h0_by_codim": bundle.euler_char_by_codim(u),
-        }
+        # chi_u is the alternating sum of the per-codimension totals
+        by_codim = bundle.euler_char_by_codim(u)
+        chi = sum((-1) ** k * v for k, v in enumerate(by_codim))
+        return {"u": list(u), "chi_u": chi, "h0_by_codim": by_codim}
     box = _user_box(args.box, bundle) if args.box else bundle.chi_box()
     return {"chi_total": bundle.euler_char_total(box), "box": [list(b) for b in box]}
 

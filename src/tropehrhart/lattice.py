@@ -37,9 +37,13 @@ refuses a maximal cone that is not exact, lists the facets of a cone off
 the same masks (`Fan.facets`), and is complete when each facet of its
 maximal cones, all full-dimensional, is shared by exactly two of them.  A
 fan given the `duals` of its maximal cones is a refinement known by
-construction and is not checked again.  Hulls of every dimension and affine rank
-take the double description through `_hull_data`, which reads each facet's
-points off the masks.  Cones, fans and polytopes read their faces and the
+construction and is not checked again.  A hull of any dimension is one
+double description of its homogenized points, `_hull_data`, whose masks
+give each facet's points and whose lineality the equalities; a `VPolytope`
+keeps that record for its faces, volume and dimension (the ambient one
+less the number of equalities).  A cone's dimension is the ambient one less
+that of its dual's lineality.  One test, `_extreme`, picks a hull's
+vertices and checks a cone's rays (`Cone._is_exact`).  Cones, fans and polytopes read their faces and the
 dimension of each top-down from facet masks (`_face_lattice`), and the
 smallest face around a ray or a point is `_closure`.  One pulling
 triangulation on index sets and facet incidences, `_pulling_triangulation`,
@@ -58,6 +62,7 @@ import itertools
 from collections import Counter
 from fractions import Fraction
 from math import ceil, factorial, floor, gcd, lcm
+from numbers import Integral
 
 from .errors import (
     BoxTooLargeError,
@@ -67,7 +72,6 @@ from .errors import (
     ValidationError,
 )
 from .linalg import (
-    affine_rank,
     det,
     dot,
     echelon,
@@ -79,7 +83,6 @@ from .linalg import (
     nullspace,
     primitive,
     quotient,
-    rank,
     reduce_mod,
     vec_neg,
     vec_sub,
@@ -236,6 +239,13 @@ def _closure(mask, facets, full):
     return full
 
 
+def _extreme(facets, n):
+    """Indices of the extreme ones among n rays or points, given the masks
+    on the facets: each is alone in the smallest face containing it."""
+    full = (1 << n) - 1
+    return [i for i in range(n) if _closure(1 << i, facets, full) == 1 << i]
+
+
 def _check_length(x, dim, what="point"):
     """Refuse a point (or a normal) whose length is not the ambient
     dimension."""
@@ -273,13 +283,16 @@ class Cone:
 
     def __init__(self, rays, ambient_dim, lineality=()):
         rays = tuple(primitive(tuple(r)) for r in rays)
+        lineality = tuple(primitive(tuple(v)) for v in lineality)
+        for v in rays + lineality:
+            _check_length(v, ambient_dim, "generator")
         if any(is_zero(r) for r in rays):
             raise ValidationError("zero vector is not a valid ray generator")
         if len(set(rays)) != len(rays):
             raise ValidationError("repeated ray generator")
         self.ambient_dim = ambient_dim
         self.rays = rays
-        self.lineality = tuple(primitive(tuple(v)) for v in lineality)
+        self.lineality = lineality
         self._dual = None
         self._facets = None  # per dual ray, the mask of the rays tight on it
         self._tight = None  # (rows, per ray the mask of rows tight on it)
@@ -288,10 +301,8 @@ class Cone:
 
     @property
     def dim(self) -> int:
-        vecs = list(self.rays) + list(self.lineality)
-        if not vecs:
-            return 0
-        return rank(vecs)
+        """The ambient dimension less that of the dual's lineality."""
+        return self.ambient_dim - len(self.dual.lineality)
 
     @property
     def generators(self):
@@ -365,14 +376,8 @@ class Cone:
         """Is the cone pointed with every ray extreme?  Then each ray alone
         is the face cut out by the facets it is tight on."""
         if self._exact is None:
-            self._exact = False
-            if not self.lineality:
-                facets = self._facet_masks()
-                full = (1 << len(self.rays)) - 1
-                self._exact = all(
-                    _closure(1 << i, facets, full) == 1 << i
-                    for i in range(len(self.rays))
-                )
+            n = len(self.rays)
+            self._exact = not self.lineality and len(_extreme(self._facet_masks(), n)) == n
         return self._exact
 
     def _cut_by(self, normals) -> "Cone":
@@ -441,15 +446,14 @@ class Cone:
 
     def _lattice(self):
         """{face mask: dimension} of a pointed cone over its rays, read down
-        from the cone's dimension: the ambient one less that of its dual's
-        lineality."""
+        from the cone's dimension (`dim`)."""
         if not self.is_pointed():
             raise ValidationError("face enumeration requires a pointed cone")
         if self._faces is None:
             self._faces = _face_lattice(
                 (1 << len(self.rays)) - 1,
                 self._facet_masks(),
-                self.ambient_dim - len(self.dual.lineality),
+                self.dim,
             )
         return self._faces
 
@@ -707,20 +711,14 @@ class Fan:
 
 
 def cone_is_smooth(c: Cone) -> bool:
-    if c.lineality:
-        return False
+    """Is the cone pointed and simplicial, with rays that extend to a
+    lattice basis, so that the gcd of their maximal minors is 1?"""
     k = len(c.rays)
-    if k == 0:
-        return True
-    if rank(list(c.rays)) != k:
+    if c.lineality or c.dim != k:
         return False
-    minors = []
-    for cols in itertools.combinations(range(c.ambient_dim), k):
-        m = [[r[j] for j in cols] for r in c.rays]
-        minors.append(abs(det(m)))
     g = 0
-    for m in minors:
-        g = gcd(g, m)
+    for cols in itertools.combinations(range(c.ambient_dim), k):
+        g = gcd(g, abs(det([[r[j] for j in cols] for r in c.rays])))
     return g == 1
 
 
@@ -955,7 +953,8 @@ class VPolytope:
     Coordinates become exact numbers (`linalg.exact`): an int where
     integral, else a Fraction, so a lattice polytope holds ints only.
     `vertices` are sorted and distinct; unless `trusted`, the given points
-    are reduced to the extreme ones by `_hull_data`, as is `hrep`.
+    are reduced to the extreme ones by `_hull_data`, whose record (taken on
+    first use when `trusted`) `hrep`, `faces`, `volume` and `dim` read.
     """
 
     def __init__(self, vertices, ambient_dim=None, *, trusted=False):
@@ -969,17 +968,33 @@ class VPolytope:
                 f"polytope vertices must have {ambient_dim} coordinates"
             )
         self.ambient_dim = ambient_dim
-        self._hrep = None
+        # (inequalities, equalities, per inequality the mask of the points on
+        # it, the point index of each vertex or None when the masks index them)
+        self._hull = None
         self._faces = None
         self.vertices = tuple(sorted(set(pts)))
         if pts and not trusted:
             # the hull's vertices come sorted and distinct
-            verts, ineqs, eqs = _hull_data(self.vertices, ambient_dim)
-            self.vertices, self._hrep = tuple(verts), (tuple(ineqs), tuple(eqs))
+            kept, ineqs, eqs, on = _hull_data(self.vertices, ambient_dim)
+            self._hull = (tuple(ineqs), tuple(eqs), on,
+                          kept if len(kept) < len(self.vertices) else None)
+            self.vertices = tuple(self.vertices[i] for i in kept)
+
+    def _incidences(self):
+        """Per inequality of `hrep`, the mask of the vertices on it,
+        re-indexed once from the given points when some were not extreme."""
+        self.hrep()
+        ineqs, eqs, on, kept = self._hull
+        if kept is not None:
+            on = [sum(1 << j for j, i in enumerate(kept) if z >> i & 1) for z in on]
+            self._hull = (ineqs, eqs, on, None)
+        return on
 
     @property
     def dim(self) -> int:
-        return affine_rank(self.vertices)
+        """The ambient dimension less the number of equalities, a basis of
+        the hyperplanes through the polytope; -1 when it is empty."""
+        return self.ambient_dim - len(self.hrep()[1]) if self.vertices else -1
 
     def is_empty(self) -> bool:
         return not self.vertices
@@ -993,14 +1008,14 @@ class VPolytope:
 
     def hrep(self):
         """(inequalities, equalities) cutting out this polytope."""
-        if self._hrep is None:
+        if self._hull is None:
             if not self.vertices:
                 # canonical empty system: 0 <= -1
-                self._hrep = (((tuple([0] * self.ambient_dim), -1),), ())
+                self._hull = (((tuple([0] * self.ambient_dim), -1),), (), [0], None)
             else:
-                _, ineqs, eqs = _hull_data(self.vertices, self.ambient_dim)
-                self._hrep = (tuple(ineqs), tuple(eqs))
-        return self._hrep
+                _, ineqs, eqs, on = _hull_data(self.vertices, self.ambient_dim)
+                self._hull = (tuple(ineqs), tuple(eqs), on, None)
+        return self._hull[:2]
 
     def contains(self, y) -> bool:
         return _satisfies(y, self.ambient_dim, *self.hrep())
@@ -1015,14 +1030,10 @@ class VPolytope:
         if self._faces is not None:
             return self._faces
         ineqs, eqs = self.hrep()
+        incidences = self._incidences()
         verts = self.vertices
-        incidences = [
-            sum(1 << i for i, v in enumerate(verts) if dot(n, v) == b)
-            for n, b in ineqs
-        ]
-        # the equalities are a basis of the hyperplanes through the polytope
         d = self.ambient_dim
-        lattice = _face_lattice((1 << len(verts)) - 1, incidences, d - len(eqs))
+        lattice = _face_lattice((1 << len(verts)) - 1, incidences, self.dim)
         result = []
         for z, dim in lattice.items():
             if z:  # the empty face is left out
@@ -1054,32 +1065,27 @@ def convex_hull_vertices(points):
     Coordinates become exact numbers (`linalg.exact`).
     """
     pts = sorted({tuple(map(exact, p)) for p in points})
-    return _hull_data(pts, len(pts[0]))[0] if pts else []
+    return [pts[i] for i in _hull_data(pts, len(pts[0]))[0]] if pts else []
 
 
 def _hull_data(pts, d):
-    """(vertices, inequalities, equalities) of the hull of sorted distinct
-    points of exact numbers; the bounds are ints, read off the integer
-    dual rays."""
+    """(vertex indices, inequalities, equalities, incidences) of the hull
+    of sorted distinct points of exact numbers: the rows have int bounds,
+    read off the integer dual rays, the equalities are a basis of the
+    hyperplanes through the hull, and an incidence masks the points on an
+    inequality."""
     # distinct points homogenize to distinct primitive rows, so bit i of a
     # dual ray's tight mask is point i lying on that facet
     hom_rows = [integral(p + (1,)) for p in pts]
     dual_rays, dual_lin = _double_description(hom_rows, d + 1)
     eqs = [(g[:d], -g[d]) for g in dual_lin]
-    ineqs = [
-        (vec_neg(g[:d]), g[d])
-        for g, _ in dual_rays
-        if not is_zero(g[:d])
-    ]
-    # a point is a vertex when it is the only point tight on every facet it
-    # is tight on (else the smallest face containing it holds another point)
-    on_facet = [z for _, z in dual_rays]
-    everything = (1 << len(pts)) - 1
-    verts = [
-        p for i, p in enumerate(pts)
-        if _closure(1 << i, on_facet, everything) == 1 << i
-    ]
-    return verts, ineqs, eqs
+    ineqs, on = [], []
+    # a dual ray (0, ..., 0, c), on no point, is no facet
+    for g, z in dual_rays:
+        if not is_zero(g[:d]):
+            ineqs.append((vec_neg(g[:d]), g[d]))
+            on.append(z)
+    return _extreme(on, len(pts)), ineqs, eqs, on
 
 
 # ---------------------------------------------------------------------------
@@ -1123,11 +1129,7 @@ def volume(p: VPolytope) -> Fraction:
     if p.dim < d:
         return Fraction(0)
     verts = p.vertices
-    ineqs, _ = p.hrep()
-    facets = [
-        frozenset(i for i, v in enumerate(verts) if dot(n, v) == b)
-        for n, b in ineqs
-    ]
+    facets = [frozenset(_bits(z)) for z in p._incidences()]
     total = Fraction(0)
     for simplex in _pulling_triangulation(range(len(verts)), facets):
         edges = [vec_sub(verts[i], verts[simplex[0]]) for i in simplex[1:]]
@@ -1197,8 +1199,8 @@ def box_size(lo, hi) -> int:
 def check_box(box, dim) -> int:
     """Number of integer points of a summation box, after checking the box.
 
-    A box must have `dim` coordinates and hi - lo >= 2 in each, so that an
-    interior point lies behind its margin shell, and at most
+    A box must have `dim` integer coordinates and hi - lo >= 2 in each, so
+    that an interior point lies behind its margin shell, and at most
     BOX_MAX_POINTS points.  All of it is checked before any point exists.
     """
     lo, hi = box
@@ -1206,6 +1208,9 @@ def check_box(box, dim) -> int:
         raise ValidationError(
             f"box has {len(lo)} and {len(hi)} coordinates, expected {dim}"
         )
+    for x in (*lo, *hi):
+        if not isinstance(x, Integral):
+            raise ValidationError(f"box corner coordinate {x!r} is not an integer")
     for l, h in zip(lo, hi):
         if h - l < 2:
             raise ValidationError(

@@ -5,8 +5,9 @@ tuples.  An exact number is an int where it is integral and a Fraction
 otherwise; `exact` is the one place that rule is applied to a given value.
 There is one elimination, the fraction-free integer `echelon` (in the style
 of Bareiss 1968): its rows are the reduced row echelon form scaled to
-primitive integers, and `rank`, `nullspace` and `inverse` are read off it.
-`inverse` gives an invertible integer matrix's inverse as an integer matrix
+primitive integers, and `rank`, `nullspace` and `inverse` are read off it
+(`lattice` reads the dimension of a cone or polytope off its double
+description instead).  `inverse` gives an invertible integer matrix's inverse as an integer matrix
 over one common denominator, so the many systems that share one matrix cost
 one elimination and then an integer product each (`quotient` divides that
 product exactly).  It is the one solver: a linear system on the rays of a
@@ -204,15 +205,3 @@ def det(rows) -> int:
         prev = mat[k][k]
     return sign * mat[n - 1][n - 1]
 
-
-def affine_rank(points) -> int:
-    """Dimension of the affine hull of a point set."""
-    pts = list(points)
-    if not pts:
-        return -1
-    base = pts[0]
-    diffs = [vec_sub(p, base) for p in pts[1:]]
-    diffs = [d for d in diffs if not is_zero(d)]
-    if not diffs:
-        return 0
-    return rank(diffs)

@@ -221,9 +221,9 @@ class TropicalVectorBundle:
     def euler_char_total(self, box=None) -> int:
         """Sum of chi_u over a box whose margin shell must be chi-free.
 
-        The box is checked by `lattice.check_box` (shape and point cap)
-        before any point is evaluated; the error for a nonzero margin names
-        the first such point in box order.
+        The box is checked by `lattice.check_box` (shape, integer corners
+        and point cap) before any point is evaluated; the error for a
+        nonzero margin names the first such point in box order.
         """
         if box is None:
             box = self.chi_box()
@@ -468,8 +468,9 @@ def split_resolution(bundle: TropicalVectorBundle, f=None, check_bound=False):
     For k = 0..n the k-th bundle collects one rank-r summand per codimension-k
     cone sigma; on a maximal cone tau its j-th character pairs with v_rho to
     the sigma-pairing for rays of sigma and to f(v_rho) for the other rays of
-    tau.  The twisting numbers f default to the row maxima of the diagram.
-    With check_bound=True, f must dominate every row's largest non-loop entry
+    tau.  The twisting numbers f, integers so that every character is a
+    lattice point, default to the row maxima of the diagram.  With
+    check_bound=True, f must dominate every row's largest non-loop entry
     (the condition making each summand's filtrations taper to the loop flat);
     without a non-loop element there is no bound to check.
     """
@@ -484,6 +485,9 @@ def split_resolution(bundle: TropicalVectorBundle, f=None, check_bound=False):
         f = tuple(map(exact, f))
         if len(f) != len(fan.rays):
             raise ValidationError("f must give one value per fan ray")
+        for x in f:
+            if type(x) is not int:
+                raise ValidationError(f"twisting number {x} is not an integer")
     if check_bound and nonloops:
         for i, row in enumerate(bundle.diagram):
             limit = max(row[e - 1] for e in nonloops)

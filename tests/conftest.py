@@ -26,7 +26,9 @@ replaced, `contains_stellar_subdivision`, `nested_contains_refinement` and
 `scan_values_at`; the refinement that cuts every maximal cone by the
 branch differences of every maximal cone, `global_split_branches`; the
 extreme-ray test, the facets
-and completeness of a fan read off face sets and dimensions; the Fraction
+and completeness of a fan read off face sets and dimensions; the
+dimension of a cone as the rank of its generators (`span_dim`) and of a
+polytope as the rank of its vertex differences (`affine_rank`); the Fraction
 route of hulls, `VPolytope` and `HPolyhedron`, which coerces every
 coordinate and bound to a Fraction), the flag
 model of the tautological bundle (the chains of subsets, the permutahedral
@@ -86,7 +88,6 @@ from tropehrhart.lattice import (
     vertex_enumeration,
 )
 from tropehrhart.linalg import (
-    affine_rank,
     clear_denominators,
     det,
     dot,
@@ -676,9 +677,26 @@ def fresh_faces(cone):
     return intersection_closure(len(cone.rays), zero_sets)
 
 
+def span_dim(vectors) -> int:
+    """Dimension of the span of a cone's generators, by `rank`: the route
+    of `Cone.dim` that reading the dual's lineality replaced."""
+    vectors = list(vectors)
+    return rank(vectors) if vectors else 0
+
+
+def affine_rank(points) -> int:
+    """Dimension of the affine hull of a point set, -1 when it is empty, by
+    `rank` of the differences: the route of `VPolytope.dim` that counting
+    the hull's equalities replaced."""
+    pts = list(points)
+    if not pts:
+        return -1
+    return span_dim(vec_sub(p, pts[0]) for p in pts[1:])
+
+
 def closure_fan_faces(fan):
     """(cone_faces, cone_dims) of a fan by the closure route: the faces of
-    each maximal cone from `fresh_faces`, each of dimension `Cone.dim` on
+    each maximal cone from `fresh_faces`, each of dimension `span_dim` of
     its rays."""
     faces, dims = {}, {}
     for key in fan.maximal_keys:
@@ -686,7 +704,7 @@ def closure_fan_faces(fan):
         faces[key] = {frozenset(ordered[i] for i in f)
                       for f in fresh_faces(fan.cone(key))}
         for f in faces[key]:
-            dims[f] = Cone([fan.rays[i] for i in sorted(f)], fan.ambient_dim).dim
+            dims[f] = span_dim(fan.rays[i] for i in f)
     return faces, dims
 
 
@@ -878,20 +896,22 @@ def oracle_hull_vertices(points):
 
 class FractionVPolytope(VPolytope):
     """`VPolytope` by the Fraction route: every coordinate and bound
-    coerced to a Fraction, integral or not, and one more sort of the
-    hull's vertices."""
+    coerced to a Fraction, integral or not, one more sort of the hull's
+    vertices, and the incidences re-indexed to the vertices even when every
+    point is one."""
 
     def __init__(self, vertices, ambient_dim=None, *, trusted=False):
-        pts = [tuple(Fraction(x) for x in p) for p in vertices]
+        pts = sorted({tuple(Fraction(x) for x in p) for p in vertices})
         if ambient_dim is None:
             ambient_dim = len(pts[0])
         self.ambient_dim = ambient_dim
-        self._hrep = None
+        self._hull = None
         self._faces = None
         if pts and not trusted:
-            pts, ineqs, eqs = _hull_data(sorted(set(pts)), ambient_dim)
-            self._hrep = (tuple((n, Fraction(b)) for n, b in ineqs),
-                          tuple((n, Fraction(b)) for n, b in eqs))
+            kept, ineqs, eqs, on = _hull_data(pts, ambient_dim)
+            self._hull = (tuple((n, Fraction(b)) for n, b in ineqs),
+                          tuple((n, Fraction(b)) for n, b in eqs), on, kept)
+            pts = [pts[i] for i in kept]
         self.vertices = tuple(sorted(set(pts)))
 
 

@@ -313,6 +313,10 @@ SQUARE = ConvexChain([(1, VPolytope([(0, 0), (1, 0), (0, 1), (1, 1)]))])
     ((0, 0), (1, 5)),  # one side without an interior point
     ((0, 0, 0), (3, 3, 3)),  # three coordinates for 2-d pieces
     ((0, 0), (3, 3, 3)),
+    # corners that are not ints reached `range` and raised TypeError
+    ((Fraction(-1), Fraction(-1)), (3, 3)),
+    ((Fraction(-1, 2), Fraction(-1, 2)), (3, 3)),
+    ((-1.0, -1.0), (3, 3)),
 ])
 def test_malformed_boxes_are_refused(box):
     with pytest.raises(ValidationError):

@@ -94,6 +94,19 @@ def test_chi_total(files, capsys):
     assert json.loads(out)["chi_total"] == 27
 
 
+def test_chi_at_a_character_reads_chi_off_the_codimension_totals(
+    files, capsys, monkeypatch
+):
+    # one section-kernel call per codimension and none for chi_u
+    def no_chi_u(self, u):
+        raise AssertionError("euler_char_u called")
+
+    monkeypatch.setattr(tropehrhart.tropvb.TropicalVectorBundle, "euler_char_u", no_chi_u)
+    code, out = run(capsys, "chi", "--bundle", files["fano"], "--u", "-1,0")
+    assert code == 0
+    assert out.strip() == '{"chi_u": 2, "h0_by_codim": [7, 8, 3], "u": [-1, 0]}'
+
+
 def test_chi_table(files, capsys):
     code, out = run(capsys, "chi", "--bundle", files["fano"], "--u", "0,0", "--table")
     assert code == 0

@@ -5,8 +5,8 @@ here is the subsystem enumeration it replaced, over Fraction elimination.
 Cone intersections, half-space cuts, carried duals and face lattices, which
 continue a cone's double description, are checked against one fresh
 `vcone_from_halfspaces` each, and the dimension of every face against
-`Cone.dim`; polytope faces against the intersection closure of their facet
-incidences and `affine_rank`.
+the rank of its rays (`span_dim`); polytope faces against the intersection
+closure of their facet incidences and `affine_rank`.
 Hulls, H-representations and volumes are checked against the same routes
 built on that oracle: the rank test for vertices and the Fraction
 determinant for simplex volumes.  In dimensions 1 and 2, hulls and volumes
@@ -17,7 +17,7 @@ pulling triangulations against the same pulling over the full face lattice.
 import itertools
 import random
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,6 +26,7 @@ from tropehrhart.lattice import (
     Cone,
     VPolytope,
     _pulling_triangulation,
+    cone_is_smooth,
     convex_hull_vertices,
     vcone_from_halfspaces,
     volume,
@@ -42,6 +43,8 @@ from tropehrhart.linalg import (
 )
 
 from conftest import (
+    FractionVPolytope,
+    affine_rank,
     closure_polytope_faces,
     cross_nullvec,
     fresh_cut,
@@ -49,6 +52,7 @@ from conftest import (
     fresh_faces,
     random_lattice_polytope,
     rref,
+    span_dim,
 )
 
 SETTINGS = settings(max_examples=300, deadline=None, derandomize=True)
@@ -421,14 +425,13 @@ def cone_cases(draw):
 
 def _assert_equals_fresh(got, want):
     """Rays, lineality, dual and faces equal to the fresh route's, exactly,
-    and each face of the dimension `Cone.dim` gives on its rays."""
+    and each face of the dimension `span_dim` gives on its rays."""
     assert (got.rays, got.lineality) == (want.rays, want.lineality)
     dual, fresh = got.dual, fresh_dual(got)
     assert (dual.rays, dual.lineality) == (fresh.rays, fresh.lineality)
     if not got.lineality:
         assert got.face_dims() == {
-            face: Cone([got.rays[i] for i in sorted(face)], got.ambient_dim).dim
-            for face in fresh_faces(got)
+            face: span_dim(got.rays[i] for i in face) for face in fresh_faces(got)
         }
 
 
@@ -480,3 +483,102 @@ def test_polytope_faces_equal_closure_and_affine_rank(case):
     d, pts = case
     for p in (VPolytope(pts, d), VPolytope([tuple(6 * x for x in v) for v in pts], d)):
         assert _face_table(p.faces()) == _face_table(closure_polytope_faces(p))
+
+
+# ---------------------------------------------------------------------------
+# the hull record and a cone's dimension against the routes they replaced
+# ---------------------------------------------------------------------------
+
+def _dot_incidences(p):
+    """Per inequality, the mask of the vertices on it, by dot products."""
+    return [sum(1 << i for i, v in enumerate(p.vertices) if dot(n, v) == b)
+            for n, b in p.hrep()[0]]
+
+
+def _dot_volume(p):
+    """Volume by the pulling triangulation on the dot-product incidences,
+    with Fraction simplex determinants; zero below full dimension."""
+    d, verts = p.ambient_dim, p.vertices
+    if affine_rank(verts) < d:
+        return Fraction(0)
+    facets = [frozenset(i for i in range(len(verts)) if z >> i & 1)
+              for z in _dot_incidences(p)]
+    total = Fraction(0)
+    for s in _pulling_triangulation(range(len(verts)), facets):
+        total += abs(_frac_det([vec_sub(verts[i], verts[s[0]]) for i in s[1:]]))
+    return total / factorial(d)
+
+
+@st.composite
+def clouds_with_interior_points(draw):
+    """A `point_clouds` cloud, with the midpoints of some pairs of its
+    points added: interior points, or points inside a face."""
+    d, pts = draw(point_clouds())
+    pairs = draw(st.lists(st.tuples(st.sampled_from(pts), st.sampled_from(pts)),
+                          max_size=4))
+    pts += [tuple((x + y) / 2 for x, y in zip(a, b)) for a, b in pairs]
+    return d, draw(st.permutations(pts))
+
+
+@SETTINGS
+@given(clouds_with_interior_points())
+def test_hull_record_equals_the_replaced_routes(case):
+    d, pts = case
+    verts, ineqs, eqs = _hull_data_oracle(pts, d)
+    p = VPolytope(pts, d)
+    assert (p.vertices, p.hrep()) == (tuple(verts), (tuple(ineqs), tuple(eqs)))
+    # the masks index the given points until a consumer asks for them
+    assert (p._hull[3] is None) == (len(p.vertices) == len(set(map(tuple, pts))))
+    trusted = VPolytope(p.vertices, d, trusted=True)
+    for q in (p, trusted, FractionVPolytope(pts, d)):
+        assert q._incidences() == _dot_incidences(q)
+        assert q.dim == affine_rank(q.vertices)
+        assert volume(q) == _dot_volume(q)
+        assert _face_table(q.faces()) == _face_table(closure_polytope_faces(q))
+    assert p._hull[3] is None
+
+
+def test_empty_polytope_record():
+    p = VPolytope([], 3)
+    assert (p.dim, p.faces(), volume(p)) == (-1, [], 0)
+    assert p.hrep() == ((((0, 0, 0), -1),), ())
+
+
+@st.composite
+def cones_with_lineality(draw):
+    """A cone in dimension 1..4 on up to five rays and up to two lineality
+    vectors, drawn from a span of any dimension; many rays are not
+    extreme, and a cone may have no generator at all."""
+    d = draw(st.integers(1, 4))
+    k = draw(st.integers(1, d))
+    basis = draw(st.lists(st.tuples(*[COORD] * d), min_size=k, max_size=k))
+
+    def vectors(n):
+        out = []
+        for _ in range(n):
+            cs = draw(st.lists(st.integers(-2, 2), min_size=k, max_size=k))
+            v = tuple(sum(c * b[j] for c, b in zip(cs, basis)) for j in range(d))
+            if not is_zero(v):
+                out.append(primitive(v))
+        return list(dict.fromkeys(out))
+
+    rays = vectors(draw(st.integers(0, 5)))
+    return Cone(rays, d, lineality=vectors(draw(st.integers(0, 2))))
+
+
+def _rank_smooth(c):
+    """`cone_is_smooth` with simpliciality tested by the rank of the rays."""
+    k = len(c.rays)
+    if c.lineality or rank(list(c.rays)) != k:
+        return False
+    g = 0
+    for cols in itertools.combinations(range(c.ambient_dim), k):
+        g = gcd(g, int(_frac_det([[r[j] for j in cols] for r in c.rays])))
+    return g == 1
+
+
+@SETTINGS
+@given(cones_with_lineality())
+def test_cone_dim_equals_the_rank_of_its_generators(cone):
+    assert cone.dim == span_dim(cone.rays + cone.lineality)
+    assert cone_is_smooth(cone) == _rank_smooth(cone)

@@ -56,6 +56,7 @@ from conftest import (
     relint_contains,
     scan_complete,
     scan_min_containing_cone,
+    span_dim,
     translate,
 )
 
@@ -567,6 +568,19 @@ def test_intersect_halfspace_refuses_a_normal_of_the_wrong_length(monkeypatch):
         cone._cut_by([(1, -1), (1, 0, 0)])
 
 
+def test_cone_refuses_vectors_of_the_wrong_length():
+    # the dual raised IndexError, the containment test ValueError, and the
+    # dimension was 2
+    with pytest.raises(ValidationError, match="generator has 2 coordinates, expected 3"):
+        Cone([(1, 0), (0, 1)], 3).dual
+    with pytest.raises(ValidationError, match="generator has 3 coordinates, expected 2"):
+        Cone([(1, 0, 7)], 2).contains((1, 0))
+    with pytest.raises(ValidationError, match="generator has 2 coordinates, expected 3"):
+        Cone([(1, 0), (0, 1)], 3).dim
+    with pytest.raises(ValidationError, match="generator has 3 coordinates, expected 2"):
+        Cone([(1, 0)], 2, lineality=[(0, 1, 0)])
+
+
 def test_refine_by_a_map_cuts_each_cone_by_its_own_normals(p2_fan):
     # x1 = x2 crosses the cone around (1, 1) only
     key = min_containing_cone(p2_fan, (1, 1))
@@ -764,8 +778,7 @@ def cones(draw):
 def test_face_dims_and_fan_check_equal_cone_dims_and_the_double_dual(cone):
     dims = cone.face_dims()
     assert dims == {
-        face: Cone([cone.rays[i] for i in face], cone.ambient_dim).dim
-        for face in fresh_faces(cone)
+        face: span_dim(cone.rays[i] for i in face) for face in fresh_faces(cone)
     }
     try:
         fan = Fan(cone.rays, [range(len(cone.rays))])
@@ -806,7 +819,7 @@ def fans_with_normals(draw):
 @given(fans_with_normals())
 def test_fan_and_refinement_face_dims_equal_cone_dims(case):
     # the faces of every maximal cone and the dimension of each, against
-    # the closure route and `Cone.dim` on the face's rays
+    # the closure route and the rank of the face's rays
     fan, normals = case
     for f in (fan, refine_by_hyperplanes(fan, normals)):
         assert (f.cone_faces, f.cone_dims) == closure_fan_faces(f)

@@ -12,6 +12,7 @@ parliament vertices, and `ConvexChain.evaluate` for the chain values.
 
 import json
 import random
+from fractions import Fraction
 from unittest import mock
 
 import pytest
@@ -191,6 +192,24 @@ def test_section_values_equal_chi_and_h0_pointwise(case):
     h0 = _kernel_points(bundle, box, everything)
     assert [u for u, _ in h0] == expected
     assert [v for _, v in h0] == [oracle_h0(bundle, u) for u in expected]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(bundles(), st.data())
+def test_chi_u_is_the_alternating_sum_of_the_codimension_totals(bundle, data):
+    # `chi --u` reads chi_u off the totals its report prints
+    lo, hi = bundle.chi_box()
+    u = tuple(data.draw(st.integers(l, h)) for l, h in zip(lo, hi))
+    by_codim = bundle.euler_char_by_codim(u)
+    assert len(by_codim) == bundle.fan.ambient_dim + 1
+    assert bundle.euler_char_u(u) == sum((-1) ** k * v for k, v in enumerate(by_codim))
+
+
+@pytest.mark.parametrize("corner", [Fraction(-1), Fraction(-1, 2), -1.0])
+def test_euler_char_total_refuses_box_corners_that_are_not_ints(fano_bundle, corner):
+    box = ((corner, corner), (3, 3))
+    with pytest.raises(ValidationError, match="box corner coordinate .* is not an integer"):
+        fano_bundle.euler_char_total(box)
 
 
 @SETTINGS

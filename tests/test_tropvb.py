@@ -454,6 +454,17 @@ def test_split_resolution_bound_check(u23_bundle):
         split_resolution(u23_bundle, f=(0, 0, 0), check_bound=True)
 
 
+@pytest.mark.parametrize("f", [(Fraction(1, 2), 0, 0), (0, 0.5, 0), (0, 0, Fraction(-3, 2))])
+def test_split_resolution_refuses_fractional_twists(u23_bundle, f):
+    # f = (1/2, 0, 0) gave characters such as (1/2, -3/2), off the lattice
+    with pytest.raises(ValidationError, match="is not an integer"):
+        split_resolution(u23_bundle, f)
+    # integral twists spelled as Fractions or floats are integers
+    spelled, plain = (split_resolution(u23_bundle, g)
+                      for g in ((Fraction(2, 1), 2.0, 2), (2, 2, 2)))
+    assert [p.characters for p in spelled] == [p.characters for p in plain]
+
+
 def test_k_class_identity_random(p2_fan, p1xp1_fan):
     rng = random.Random(67)
     for fan in (p2_fan, p1xp1_fan):
@@ -700,6 +711,11 @@ def test_characters_and_split_resolutions_equal_the_solve_route(name):
                 assert _typed(bundle.characters(key)) == _typed(want)
         if not fan.is_smooth():
             with pytest.raises(UnsupportedConeError):
+                split_resolution(bundle, f)
+            return
+        if f is not None and any(Fraction(x).denominator != 1 for x in f):
+            # characters off the lattice are no split bundle's
+            with pytest.raises(ValidationError, match="is not an integer"):
                 split_resolution(bundle, f)
             return
         res = split_resolution(bundle, f)
