@@ -16,10 +16,10 @@ vertex enumeration) goes through one incremental double description in
 integer arithmetic, `_double_description`, which returns each ray with the
 bitmask of the rows tight on it; `vcone_from_halfspaces` is its public form
 without the masks.
-It starts from the simplicial cone that one elimination gives (the inverse
-of the independent rows and a lineality basis) and cuts it one row at a
-time (`_cut`).  A cone's dual is one such double description of its
-generators.  A pointed cone whose rays are all extreme (`Cone._is_exact`)
+It starts from the simplicial cone that one elimination gives
+(`_pivot_inverse`) and cuts it one row at a time (`_cut`).  A cone's dual
+is one such double description of its generators; a pointed cone keeps
+the start's inverse for `Fan.cone_inverse`.  A pointed cone whose rays are all extreme (`Cone._is_exact`)
 keeps its facet masks, so `Cone.intersect` and `Cone.intersect_halfspace`,
 through the one cut `Cone._cut_by`, continue its double description by the
 new rows only, and the result reads its dual and facets off the masks; any
@@ -50,7 +50,7 @@ triangulation on index sets and facet incidences, `_pulling_triangulation`,
 splits polytopes into simplices for `volume` in every dimension and pointed
 cones into simplicial cones on their own rays for the Riemann-Roch volume
 form.  Every linear system on the rays of a fan cone, of any dimension and
-simplicial or not, is solved through one cached inverse per cone,
+simplicial or not, is solved through that one inverse per cone,
 `Fan.cone_inverse`: `Fan.solve_on` gives the linear function with given ray
 values (or None when there is none) and `Fan.coordinates` a point's
 coordinates over the rays.
@@ -103,7 +103,7 @@ def vcone_from_halfspaces(normals, dim):
     Rays are primitive integer vectors, reduced modulo the lineality space so
     the output is canonical; the lineality basis is `nullspace` of the rows.
     """
-    rays, lin = _double_description(_distinct_rows(normals), dim)
+    rays, lin, _ = _double_description(_distinct_rows(normals), dim)
     return tuple(v for v, _ in rays), lin
 
 
@@ -120,51 +120,46 @@ def _distinct_rows(normals):
 
 
 def _double_description(rows, dim):
-    """Sorted (ray, tight mask) pairs and the lineality basis of the cone
-    {x : <row, x> >= 0} of distinct primitive nonzero rows.
+    """Sorted (ray, tight mask) pairs, the lineality basis and the
+    `_pivot_inverse` record of the cone {x : <row, x> >= 0} of distinct
+    primitive nonzero rows.
 
     Incremental double description (Fukuda-Prodon 1996) in integers: start
-    from the simplicial cone of r independent rows inside the orthogonal
-    complement of the lineality, then cut it by the other rows one at a
-    time (`_cut`).  Bit k of a ray's mask is set when the ray is tight on
-    rows[k].  Rays are reduced modulo the lineality, which keeps every
-    <row, ray> and so the masks.
+    from the simplicial cone of the r rows that `echelon` keeps, whose ray
+    i, tight on every kept row but row i, is column i of the record's
+    inverse at the pivots and 0 elsewhere; then cut it by the other rows
+    one at a time (`_cut`).  Bit k of a ray's mask is set when the ray is
+    tight on rows[k].  Rays are reduced modulo the lineality, which keeps
+    every <row, ray> and so the masks.
     """
-    if not rows:
-        return [], tuple(_unit_basis(dim))
-    independent = echelon(rows, dim)
-    lin = echelon_nullspace(independent, dim)
-    start = [i for i, _, _ in independent]
-    all_start = sum(1 << i for i in start)
-    rays = [
-        (v, all_start ^ (1 << i))
-        for i, v in zip(start, _inverse_columns([rows[i] for i in start] + lin))
-    ]
+    basis, record = _pivot_inverse(rows, dim)
+    start, piv, a, _ = record
     r = len(start)
+    at_pivots = dict(zip(piv, a))
+    cols = zip(*(at_pivots.get(c, (0,) * r) for c in range(dim)))
+    all_start = sum(1 << i for i in start)
+    rays = [(primitive(v), all_start ^ (1 << i)) for i, v in zip(start, cols)]
     for k, row in enumerate(rows):
         if not all_start >> k & 1:
             rays = _cut(rays, row, 1 << k, r)
+    lin = echelon_nullspace(basis, dim)
     if lin:
         lin_basis = echelon(lin)
         rays = [(reduce_mod(v, lin_basis), z) for v, z in rays]
-    return sorted(rays), tuple(lin)
+    return sorted(rays), tuple(lin), record
 
 
-def _unit_basis(dim):
-    return [tuple(1 if j == i else 0 for j in range(dim)) for i in range(dim)]
-
-
-def _inverse_columns(square):
-    """Primitive positive multiples of the columns of the inverse of an
-    invertible integer matrix: the primitive columns of `linalg.inverse`.
-
-    Column i is tight on every row of `square` but row i and positive on
-    row i.  With r independent rows followed by a lineality basis, the
-    first r columns span the simplicial start cone of the double
-    description.
+def _pivot_inverse(rows, dim):
+    """(basis, (positions, pivots, A, d)) of integer rows: the `echelon`
+    basis, the positions of the rows it keeps, their sorted pivot columns
+    and `inverse` of the kept rows restricted to the pivots.  On a cone's
+    rays it starts its dual's double description and is `Fan.cone_inverse`.
     """
-    a, _ = inverse(square)
-    return [primitive(col) for col in zip(*a)]
+    basis = echelon(rows, dim)
+    pos = [i for i, _, _ in basis]
+    piv = sorted(c for _, c, _ in basis)
+    a, d = inverse([tuple(rows[i][c] for c in piv) for i in pos])
+    return basis, (pos, piv, a, d)
 
 
 def _cut(rays, row, bit, r):
@@ -298,6 +293,7 @@ class Cone:
         self._tight = None  # (rows, per ray the mask of rows tight on it)
         self._exact = None
         self._faces = None
+        self._inverse = None  # a pointed cone's `_pivot_inverse` record
 
     @property
     def dim(self) -> int:
@@ -324,12 +320,13 @@ class Cone:
             if self._tight is not None:
                 rays, lin, facets = self._dual_from_tight()
             else:
-                found, lin = _double_description(
+                found, lin, record = _double_description(
                     _distinct_rows(self.generators), self.ambient_dim
                 )
                 rays = tuple(g for g, _ in found)
-                if not self.lineality:  # the tight masks index the rays
+                if not self.lineality:  # the rows are the rays
                     facets = tuple(z for _, z in found)
+                    self._inverse = record
             self._dual = Cone(rays, self.ambient_dim, lineality=lin)
             self._dual._dual = self  # duality is involutive for closed cones
             self._facets = facets
@@ -554,7 +551,6 @@ class Fan:
         )
         self._complete = None
         self._smooth_cones = {}
-        self._inverses = {}
         if duals is None:
             self._validate(listed)
 
@@ -638,7 +634,8 @@ class Fan:
         return self._smooth_cones[key]
 
     def cone_inverse(self, key):
-        """(positions, pivots, A, d) of a cone, computed once per cone.
+        """(positions, pivots, A, d) of a cone, the `_pivot_inverse` record
+        its dual's double description started from, or of its own.
 
         positions are the places, in sorted(key), of the k independent rays
         that `echelon` keeps (all of them on a simplicial cone), pivots are
@@ -650,15 +647,10 @@ class Fan:
         the pivots (`coordinates`).  On a simplicial full-dimensional cone
         both lists are range(n) and A is the inverse of the cone's rays.
         """
-        key = frozenset(key)
-        if key not in self._inverses:
-            rays = [self.rays[i] for i in sorted(key)]
-            basis = echelon(rays, self.ambient_dim)
-            pos = [i for i, _, _ in basis]
-            piv = sorted(c for _, c, _ in basis)
-            a, d = inverse([tuple(rays[i][c] for c in piv) for i in pos])
-            self._inverses[key] = pos, piv, a, d
-        return self._inverses[key]
+        cone = self._make_cone(frozenset(key))
+        if cone._inverse is None:  # the dual was given or never computed
+            cone._inverse = _pivot_inverse(cone.rays, self.ambient_dim)[1]
+        return cone._inverse
 
     def solve_on(self, key, values):
         """The u with <u, v> = values[k] on the k-th ray of sorted(key), zero
@@ -1077,7 +1069,7 @@ def _hull_data(pts, d):
     # distinct points homogenize to distinct primitive rows, so bit i of a
     # dual ray's tight mask is point i lying on that facet
     hom_rows = [integral(p + (1,)) for p in pts]
-    dual_rays, dual_lin = _double_description(hom_rows, d + 1)
+    dual_rays, dual_lin, _ = _double_description(hom_rows, d + 1)
     eqs = [(g[:d], -g[d]) for g in dual_lin]
     ineqs, on = [], []
     # a dual ray (0, ..., 0, c), on no point, is no facet
@@ -1142,9 +1134,9 @@ def volume(p: VPolytope) -> Fraction:
     return total / factorial(d)
 
 
-def _pulling_triangulation(indices, facets, pick=min):
-    """Triangulate by pulling: every face is coned from pick(face) over the
-    triangulations of its facets that miss it.
+def _pulling_triangulation(indices, facets):
+    """Triangulate by pulling: every face is coned from its smallest index
+    over the triangulations of its facets that miss it.
 
     Faces are sets of `indices`, the vertices of a polytope or the rays of a
     pointed cone, which has the face lattice of a cross-section; `facets`
@@ -1155,7 +1147,7 @@ def _pulling_triangulation(indices, facets, pick=min):
 
     def pull(face):
         if face not in done:
-            v = pick(face)
+            v = min(face)
             if len(face) == 1:
                 done[face] = [(v,)]
             else:

@@ -11,8 +11,8 @@ description instead).  `inverse` gives an invertible integer matrix's inverse as
 over one common denominator, so the many systems that share one matrix cost
 one elimination and then an integer product each (`quotient` divides that
 product exactly).  It is the one solver: a linear system on the rays of a
-cone is solved through `lattice.Fan.cone_inverse`.  `det` (Bareiss) is the
-one determinant.  Nothing ever touches floating point.
+cone is solved through `lattice.Fan.cone_inverse`, the inverse its dual's
+double description starts from.  `det` (Bareiss) is the one determinant.  Nothing ever touches floating point.
 """
 
 from __future__ import annotations

@@ -35,9 +35,10 @@ its stream is the whole box.
 
 On each block chi_u comes from the flag formula: the flags
 whose first pairing-one entry is S factor into signed chains below S with
-pairings <= 0 and above S with pairings <= 1, and both signed counts are
-subset DPs over submasks, O(3^m) per point with one numpy gather per layer
-of subsets of one size.  h0_u is parliament membership of the diagram
+pairings <= 0 and above S with pairings <= 1, and both signed counts come
+from one subset DP over submasks (the chains above S are those below its
+complement), O(3^m) per point with one numpy gather per layer of subsets
+of one size.  h0_u is parliament membership of the diagram
 columns, one broadcast comparison per block.  The DP values count chains of
 subsets, so they are at most the number of flags (47,293 at m = 7) in
 absolute value and int64 arithmetic stays exact.  The cost is the number of
@@ -184,10 +185,9 @@ def _subset_layers(m: int):
     """Subset-lattice index arrays for `_chains_below` and `_sweep`.
 
     Returns (subset_cols, layers): subset_cols is the (2^m, m) indicator
-    matrix of all masks; layers[k - 1] = (masks, below, above) lists the masks
-    of size k, their nonempty proper submasks and their proper supersets
-    other than [m], as index arrays of shape (C(m, k),), (C(m, k), 2^k - 2)
-    and (C(m, k), max(2^(m-k) - 2, 0)).
+    matrix of all masks; layers[k - 1] = (masks, below) lists the masks of
+    size k and their nonempty proper submasks, as index arrays of shape
+    (C(m, k),) and (C(m, k), 2^k - 2).
     """
     full = (1 << m) - 1
     subset_cols = np.array(
@@ -198,10 +198,7 @@ def _subset_layers(m: int):
     for k in range(1, m + 1):
         masks = [s for s in range(1, full + 1) if bin(s).count("1") == k]
         below = [[t for t in range(1, s) if t & s == t] for s in masks]
-        above = [[t for t in range(s + 1, full) if t & s == s] for s in masks]
-        layers.append(tuple(
-            np.array(x, dtype=np.intp) for x in (masks, below, above)
-        ))
+        layers.append(tuple(np.array(x, dtype=np.intp) for x in (masks, below)))
     return subset_cols, tuple(layers)
 
 
@@ -218,9 +215,10 @@ def _chains_below(allowed):
     """
     B = np.zeros(allowed.shape, dtype=np.int64)
     B_ok = np.zeros_like(B)  # B where allowed, the terms of larger S
-    for masks, below, _ in _subset_layers(allowed.shape[0].bit_length() - 1)[1]:
-        B[masks] = 1 - B_ok[below].sum(axis=1)
-        B_ok[masks] = B[masks] * allowed[masks]
+    for masks, below in _subset_layers(allowed.shape[0].bit_length() - 1)[1]:
+        b = 1 - B_ok[below].sum(axis=1)
+        B[masks] = b
+        B_ok[masks] = b * allowed[masks]
     return B
 
 
@@ -257,13 +255,15 @@ def _sweep(matroid: Matroid, blocks):
         B(S) = 1 - sum B(T) over nonempty T < S with p(T) <= 0,
         A(S) = 1 - sum A(T) over S < T < [m] with p(T) <= 1,
     and chi_u = (-1)^m sum rank(S) B(S) A(S) over proper S with p(S) = 1,
-    plus (-1)^(m-1) rank(M) B([m]).  B is `_chains_below`; A runs the same
-    layers downwards.  h0_u is the rank of the set of elements e whose
+    plus (-1)^(m-1) rank(M) B([m]).  Both are `_chains_below`: S < T < [m]
+    exactly when [m] - T is a nonempty proper subset of [m] - S, and the
+    complement of mask S is row [m] - S, so A, read only where p(S) = 1, is
+    `_chains_below` of the rows of p <= 1 reversed, reversed.  h0_u is the rank of the set of elements e whose
     parliament contains u: p(S) <= [e in cl(S)] for all S.
     """
     m = matroid.m
     full = (1 << m) - 1
-    subset_cols, layers = _subset_layers(m)
+    subset_cols = _subset_layers(m)[0]
     rank_of = np.frombuffer(matroid.rank_table, dtype=np.uint8).astype(np.int64)
     closure_rows = _closure_rows(matroid)
     element_bits = (np.int64(1) << np.arange(m, dtype=np.int64))[:, None]
@@ -272,10 +272,7 @@ def _sweep(matroid: Matroid, blocks):
     for U in blocks:
         sums = subset_cols @ U.T  # (2^m, N): pairing of every e_S with u
         B = _chains_below(sums <= 0)
-        above_ok = sums <= 1
-        A = np.zeros_like(sums)  # signed chains above S, zero where p > 1
-        for masks, _, above in reversed(layers[:-1]):
-            A[masks] = (1 - A[above].sum(axis=1)) * above_ok[masks]
+        A = _chains_below((sums <= 1)[::-1])[::-1]
 
         proper = slice(1, full)
         first = (sums[proper] == 1) * B[proper] * A[proper]

@@ -18,6 +18,9 @@ parliament-box route of the global sections (`parliament_box`,
 `oracle_h0_nonzero`), the section rank of a cone at one character, read
 off the diagram by closures (`oracle_section_rank`, and `oracle_h0`,
 `oracle_chi_by_codim` and `oracle_chi` built on it), geometric ones (the
+double description started from the inverse of the independent rows
+stacked on a lineality basis, `inverse_start_double_description`; the
+pulling triangulation from the largest vertex; the
 double-dual check of a cone's rays; duals, cuts and face lattices by a
 fresh `vcone_from_halfspaces` and dot products; the smallest cone of a fan
 containing a point by a scan by dimension; the dual-ray test of a point in
@@ -79,7 +82,9 @@ from tropehrhart.lattice import (
     Fan,
     HPolyhedron,
     VPolytope,
+    _cut,
     _hull_data,
+    _pulling_triangulation,
     bounding_box,
     box_size,
     check_box,
@@ -91,9 +96,13 @@ from tropehrhart.linalg import (
     clear_denominators,
     det,
     dot,
+    echelon,
+    echelon_nullspace,
+    inverse,
     is_zero,
     primitive,
     rank,
+    reduce_mod,
     vec_neg,
     vec_sub,
 )
@@ -630,6 +639,38 @@ def double_dual_verdict(cone):
     if lin:
         return "lineality"
     return "pointed" if set(extreme) == set(cone.rays) else "not extreme"
+
+
+def inverse_start_double_description(rows, dim):
+    """(sorted (ray, tight mask) pairs, lineality basis) of the cone
+    {x : <row, x> >= 0} of distinct primitive nonzero rows, by the double
+    description started from the primitive columns of the inverse of the
+    independent rows stacked on a lineality basis: the start that the
+    columns of `_pivot_inverse`'s inverse at the pivots replaced."""
+    if not rows:
+        return [], tuple(tuple(int(j == i) for j in range(dim)) for i in range(dim))
+    independent = echelon(rows, dim)
+    lin = echelon_nullspace(independent, dim)
+    start = [i for i, _, _ in independent]
+    all_start = sum(1 << i for i in start)
+    a, _ = inverse([rows[i] for i in start] + lin)
+    rays = [(primitive(col), all_start ^ (1 << i)) for i, col in zip(start, zip(*a))]
+    for k, row in enumerate(rows):
+        if not all_start >> k & 1:
+            rays = _cut(rays, row, 1 << k, len(start))
+    if lin:
+        lin_basis = echelon(lin)
+        rays = [(reduce_mod(v, lin_basis), z) for v, z in rays]
+    return sorted(rays), tuple(lin)
+
+
+def max_pulling_triangulation(n, facets):
+    """The pulling triangulation of vertices 0..n-1 from the largest vertex
+    of every face: `_pulling_triangulation`, which pulls from the smallest,
+    on the negated indices, negated back."""
+    negated = [frozenset(-i for i in f) for f in facets]
+    return [tuple(-i for i in s)
+            for s in _pulling_triangulation(range(0, -n, -1), negated)]
 
 
 def fresh_dual(cone):

@@ -2,6 +2,9 @@
 
 `vcone_from_halfspaces` is an incremental double description; the oracle
 here is the subsystem enumeration it replaced, over Fraction elimination.
+Its start cone, read off the inverse that `Fan.cone_inverse` solves with,
+is checked against the start it replaced, the inverse of the independent
+rows stacked on a lineality basis (`inverse_start_double_description`).
 Cone intersections, half-space cuts, carried duals and face lattices, which
 continue a cone's double description, are checked against one fresh
 `vcone_from_halfspaces` each, and the dimension of every face against
@@ -11,7 +14,8 @@ Hulls, H-representations and volumes are checked against the same routes
 built on that oracle: the rank test for vertices and the Fraction
 determinant for simplex volumes.  In dimensions 1 and 2, hulls and volumes
 are also checked against the monotone chain and the shoelace formula, and
-pulling triangulations against the same pulling over the full face lattice.
+pulling triangulations, from the smallest and (on negated indices) the
+largest vertex, against the same pulling over the full face lattice.
 """
 
 import itertools
@@ -19,12 +23,15 @@ import random
 from fractions import Fraction
 from math import factorial, gcd
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tropehrhart.lattice import (
     Cone,
     VPolytope,
+    _distinct_rows,
+    _double_description,
     _pulling_triangulation,
     cone_is_smooth,
     convex_hull_vertices,
@@ -34,6 +41,8 @@ from tropehrhart.lattice import (
 from tropehrhart.linalg import (
     clear_denominators,
     dot,
+    exact,
+    integral,
     is_zero,
     nullspace,
     primitive,
@@ -43,6 +52,8 @@ from tropehrhart.linalg import (
 )
 
 from conftest import (
+    CUBE4_FAN,
+    FANS,
     FractionVPolytope,
     affine_rank,
     closure_polytope_faces,
@@ -50,6 +61,8 @@ from conftest import (
     fresh_cut,
     fresh_dual,
     fresh_faces,
+    inverse_start_double_description,
+    max_pulling_triangulation,
     random_lattice_polytope,
     rref,
     span_dim,
@@ -383,8 +396,10 @@ def test_pulling_triangulation_equals_face_lattice_route(case):
         frozenset(i for i, v in enumerate(verts) if dot(n, v) == b)
         for n, b in ineqs
     ]
-    for pick, use_max_vertex in ((min, False), (max, True)):
-        simplices = _pulling_triangulation(range(len(verts)), facets, pick)
+    for simplices, use_max_vertex in (
+        (_pulling_triangulation(range(len(verts)), facets), False),
+        (max_pulling_triangulation(len(verts), facets), True),
+    ):
         assert sorted(tuple(verts[i] for i in s) for s in simplices) == sorted(
             _pulling_triangulation_oracle(poly, use_max_vertex)
         )
@@ -582,3 +597,82 @@ def _rank_smooth(c):
 def test_cone_dim_equals_the_rank_of_its_generators(cone):
     assert cone.dim == span_dim(cone.rays + cone.lineality)
     assert cone_is_smooth(cone) == _rank_smooth(cone)
+
+
+# ---------------------------------------------------------------------------
+# the start cone read off the solver's inverse against the one it replaced
+# ---------------------------------------------------------------------------
+
+@st.composite
+def start_cone_cases(draw):
+    """(kind, dim, rows): distinct primitive nonzero rows for a double
+    description.  "rows" are k <= d generators in d = 1..4 and integer
+    combinations of them, so every rank 0..d comes up, with lineality below
+    rank d and no rows at all at rank 0; "face" rows are the rays of a face
+    of a pointed cone, whose dual that is; "hull" rows are a point cloud of
+    any affine dimension, homogenized as `_hull_data` homogenizes it."""
+    kind = draw(st.sampled_from(["rows", "face", "hull"]))
+    if kind == "hull":
+        d, pts = draw(point_clouds())
+        pts = sorted({tuple(map(exact, p)) for p in pts})
+        return kind, d + 1, [integral(p + (1,)) for p in pts]
+    d = draw(st.integers(1, 4))
+    if kind == "face":
+        cone = draw(pointed_cones(d))
+        # largest faces first: the cone itself, then its facets
+        faces = sorted(cone.face_dims(), key=lambda f: (-len(f), sorted(f)))
+        face = draw(st.sampled_from(faces))
+        return kind, d, [cone.rays[i] for i in sorted(face)]
+    k = draw(st.integers(0, d))
+    gens = draw(st.lists(st.tuples(*[COORD] * d), min_size=k, max_size=k))
+    rows = list(gens)
+    for _ in range(draw(st.integers(0, 6))):
+        cs = draw(st.lists(st.integers(-2, 2), min_size=k, max_size=k))
+        rows.append(tuple(sum(c * g[j] for c, g in zip(cs, gens)) for j in range(d)))
+    return kind, d, _distinct_rows(draw(st.permutations(rows)))
+
+
+START_SETTINGS = settings(max_examples=1000, deadline=None, derandomize=True)
+
+
+@START_SETTINGS
+@given(start_cone_cases())
+def test_double_description_equals_the_inverse_start(case):
+    _, d, rows = case
+    rays, lin, record = _double_description(rows, d)
+    assert (rays, lin) == inverse_start_double_description(rows, d)
+    # the record solves the kept rows at their pivots
+    pos, piv, a, den = record
+    kept = [[rows[i][c] for c in piv] for i in pos]
+    assert [[dot(row, col) for col in zip(*a)] for row in kept] == [
+        [den * (i == j) for j in range(len(pos))] for i in range(len(pos))
+    ]
+    assert len(lin) == d - len(pos)
+
+
+def test_start_cone_cases_reach_every_rank():
+    seen = set()
+
+    @START_SETTINGS
+    @given(start_cone_cases())
+    def collect(case):
+        kind, d, rows = case
+        seen.add((kind, d, rank(rows) if rows else 0))
+
+    collect()
+    assert {("rows", d, r) for d in range(1, 5) for r in range(d + 1)} <= seen
+    # hulls of every affine dimension 0..d, as rows of rank 1..d + 1
+    assert {("hull", d + 1, r) for d in range(1, 5) for r in range(1, d + 2)} <= seen
+    assert {("face", d, r) for d in range(1, 5) for r in range(min(d, 2) + 1)} <= seen
+
+
+@pytest.mark.parametrize("fan", [*FANS.values(), CUBE4_FAN], ids=[*FANS, "cube4"])
+def test_duals_of_fan_cones_equal_the_inverse_start(fan):
+    # every cone of a fan, a face of its maximal cones, non-simplicial ones
+    # on the cube fans included
+    for key in fan.cone_keys:
+        rows = [fan.rays[i] for i in sorted(key)]
+        got = _double_description(rows, fan.ambient_dim)
+        assert got[:2] == inverse_start_double_description(rows, fan.ambient_dim)
+        if key in fan.maximal_keys:
+            assert got[2] == fan.cone_inverse(key)

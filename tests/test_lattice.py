@@ -20,7 +20,6 @@ from tropehrhart.lattice import (
     Fan,
     HPolyhedron,
     VPolytope,
-    _pulling_triangulation,
     dual_cone,
     faces,
     is_complete,
@@ -51,6 +50,7 @@ from conftest import (
     grid_points,
     lattice_points,
     list_refinement,
+    max_pulling_triangulation,
     oracle_hull_vertices,
     random_lattice_polytope,
     relint_contains,
@@ -348,7 +348,7 @@ def _max_vertex_volume(p):
     ]
     return Fraction(sum(
         abs(det([vec_sub(verts[i], verts[s[0]]) for i in s[1:]]))
-        for s in _pulling_triangulation(range(len(verts)), facets, max)
+        for s in max_pulling_triangulation(len(verts), facets)
     ), factorial(p.ambient_dim))
 
 

@@ -17,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tropehrhart.errors import NotInSupportError
-from tropehrhart.lattice import Cone, _inverse_columns
+from tropehrhart.lattice import Cone, _double_description, _pivot_inverse
 from tropehrhart.linalg import (
     clear_denominators,
     dot,
@@ -246,8 +246,14 @@ def test_inverse_is_solve_over_the_least_common_denominator(m):
     ]
     # no smaller positive d leaves A / d an integer matrix times 1 / d
     assert gcd(d, *(x for row in a for x in row)) == 1
-    # the double description's start cone keeps its rays
-    assert _inverse_columns(m) == [clear_denominators(col) for col in cols]
+    # the one elimination of a cone's rays keeps every row, with every
+    # column a pivot, and the double description of the primitive rows is
+    # the start cone, whose rays are the primitive columns
+    assert _pivot_inverse(m, n)[1] == (list(range(n)), list(range(n)), a, d)
+    full = (1 << n) - 1
+    assert _double_description([primitive(r) for r in m], n)[0] == sorted(
+        (clear_denominators(col), full ^ 1 << i) for i, col in enumerate(cols)
+    )
 
 
 def test_inverse_refuses_a_singular_or_non_square_matrix():

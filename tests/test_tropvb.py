@@ -7,7 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tropehrhart.chains import brianchon_gram, SupportNumbers, lattice_sum
+from tropehrhart.chains import (
+    SupportNumbers,
+    brianchon_gram,
+    lattice_sum,
+    split_branches,
+)
 from tropehrhart.errors import (
     BundleValidationError,
     InvalidBoundError,
@@ -40,6 +45,7 @@ from tropehrhart.tropvb import (
 from conftest import (
     CHARACTER_FANS,
     CUBE4_FAN,
+    FANO_DIAGRAM,
     FANO_LINES,
     FANS,
     POINT_FAN,
@@ -743,6 +749,35 @@ def test_characters_on_a_cone_of_determinant_two():
     # the other two cones are smooth and keep integer characters
     assert bundle.characters(frozenset({0, 1})) == ((0, 1), (1, 0))
     assert bundle.characters(frozenset({1, 2})) == ((-2, 1), (-1, 0))
+
+
+def test_each_maximal_cone_is_eliminated_once(fano_matroid, monkeypatch):
+    # the double description of each cone's dual starts from the inverse
+    # that solves the cone's systems, so the fan check, the summation box
+    # and the support function invert each of the three cones once
+    from tropehrhart import lattice
+
+    calls = []
+    real = lattice.inverse
+    monkeypatch.setattr(lattice, "inverse", lambda m: calls.append(m) or real(m))
+    fan = Fan([(1, 0), (0, 1), (-1, -1)], [[0, 1], [1, 2], [0, 2]])
+    bundle = validate(fan, fano_matroid, FANO_DIAGRAM)
+    bundle.chi_box()
+    bundle.support_function()
+    assert len(calls) == 3
+
+
+def test_a_refined_fan_inverts_cones_whose_duals_it_was_given(hexagon_fan):
+    bundle = random_bundle(hexagon_fan, uniform_matroid(3, 5), random.Random(484))
+    fan_r = split_branches(bundle.support_function())[0]
+    checked = Fan(fan_r.rays, fan_r.maximal_keys, fan_r.ambient_dim)
+    for key in fan_r.maximal_keys:
+        cone = fan_r.cone(key)
+        assert cone._dual is not None and cone._inverse is None
+        # the record the checked copy kept from its double description
+        kept = checked.cone(key)._inverse
+        assert kept is not None and checked.cone_inverse(key) is kept
+        assert fan_r.cone_inverse(key) == kept
 
 
 def test_smoothness_is_computed_once_per_cone(monkeypatch):
