@@ -17,16 +17,23 @@ integer arithmetic, `_double_description`, which returns each ray with the
 bitmask of the rows tight on it; `vcone_from_halfspaces` is its public form
 without the masks.
 It starts from the simplicial cone that one elimination gives
-(`_pivot_inverse`) and cuts it one row at a time (`_cut`).  A cone's dual
-is one such double description of its generators; a pointed cone keeps
-the start's inverse for `Fan.cone_inverse`.  A pointed cone whose rays are all extreme (`Cone._is_exact`)
-keeps its facet masks, so `Cone.intersect` and `Cone.intersect_halfspace`,
-through the one cut `Cone._cut_by`, continue its double description by the
-new rows only, and the result reads its dual and facets off the masks; any
-other cone takes one fresh double description.  That way the fan check's
-pairwise intersections, the pieces of `refine_by_hyperplanes` and the
-refined fan's faces start no new double description.  A cut refuses a
-normal of the wrong length before it cuts anything.
+(`_pivot_inverse`, which reads the kept rows, their pivots and their
+inverse off one `linalg.pivot_inverse`) and cuts it one row at a time
+(`_cut`).  A cone's dual is one such double description of its
+generators; a pointed cone keeps the start's inverse for
+`Fan.cone_inverse`, so each cone is eliminated once.  A pointed cone whose
+rays are all extreme (`Cone._is_exact`) keeps its facet masks, and its
+rays with their masks over its facet rows (`Cone._description`) are a
+finished double description that `_continue` cuts by new rows only.
+`Cone.intersect` and `Cone.intersect_halfspace`, through the one cut
+`Cone._cut_by`, continue it, and the result reads its dual and facets off
+the masks; any other cone takes one fresh double description.  The fan
+check continues each maximal cone's description by the facet rows of each
+other one and reads the meet's rays off the result, without building the
+meet as a cone.  That way the fan check's pairwise meets, the pieces of
+`refine_by_hyperplanes` and the refined fan's faces start no new double
+description.  A cut refuses a normal of the wrong length before it cuts
+anything.
 `refine_by_hyperplanes` cuts every maximal cone by one list of
 hyperplanes, or each by its own list from a map keyed by maximal cone
 (`chains.split_branches` passes each cone the differences of its own
@@ -35,7 +42,8 @@ branches).  One point location:
 `min_containing_cone` scans a fan for a point's smallest cone.  A fan
 refuses a maximal cone that is not exact, lists the facets of a cone off
 the same masks (`Fan.facets`), and is complete when each facet of its
-maximal cones, all full-dimensional, is shared by exactly two of them.  A
+maximal cones, all full-dimensional, is shared by exactly two of them
+(counted as bitmasks of fan ray indices).  A
 fan given the `duals` of its maximal cones is a refinement known by
 construction and is not checked again.  A hull of any dimension is one
 double description of its homogenized points, `_hull_data`, whose masks
@@ -78,9 +86,9 @@ from .linalg import (
     echelon_nullspace,
     exact,
     integral,
-    inverse,
     is_zero,
     nullspace,
+    pivot_inverse,
     primitive,
     quotient,
     reduce_mod,
@@ -150,15 +158,15 @@ def _double_description(rows, dim):
 
 
 def _pivot_inverse(rows, dim):
-    """(basis, (positions, pivots, A, d)) of integer rows: the `echelon`
-    basis, the positions of the rows it keeps, their sorted pivot columns
-    and `inverse` of the kept rows restricted to the pivots.  On a cone's
-    rays it starts its dual's double description and is `Fan.cone_inverse`.
+    """(basis, (positions, pivots, A, d)) of integer rows, from one
+    elimination (`pivot_inverse`): the `echelon` basis, the positions of
+    the rows it keeps, their sorted pivot columns and the inverse of the
+    kept rows restricted to the pivots.  On a cone's rays it starts its
+    dual's double description and is `Fan.cone_inverse`.
     """
-    basis = echelon(rows, dim)
+    basis, a, d = pivot_inverse(rows, dim)
     pos = [i for i, _, _ in basis]
     piv = sorted(c for _, c, _ in basis)
-    a, d = inverse([tuple(rows[i][c] for c in piv) for i in pos])
     return basis, (pos, piv, a, d)
 
 
@@ -188,6 +196,24 @@ def _cut(rays, row, bit, r):
             w = primitive(tuple(sp * a - sn * b for a, b in zip(vn, vp)))
             kept.append((w, common | bit))
     return kept
+
+
+def _continue(rows, rays, normals, dim):
+    """(added rows, rays) of a finished double description of a pointed
+    cone in dimension dim, rays with their masks over `rows`, continued by
+    the distinct primitive `normals` that are not among the rows.
+
+    The rows of a pointed cone have full rank, so each cut is `_cut` at
+    rank dim; the new row k after the given ones takes bit len(rows) + k.
+    The given list of rays is not changed.
+    """
+    known = set(rows)
+    added = []
+    for row in normals:
+        if row not in known:
+            rays = _cut(rays, row, 1 << (len(rows) + len(added)), dim)
+            added.append(row)
+    return added, rays
 
 
 def _adjacent(common, rays):
@@ -294,6 +320,7 @@ class Cone:
         self._exact = None
         self._faces = None
         self._inverse = None  # a pointed cone's `_pivot_inverse` record
+        self._start = None  # an exact cone's `_description`
 
     @property
     def dim(self) -> int:
@@ -377,14 +404,28 @@ class Cone:
             self._exact = not self.lineality and len(_extreme(self._facet_masks(), n)) == n
         return self._exact
 
+    def _description(self):
+        """(rows, rays) of an exact cone, the double description it is cut
+        from: its facet rows (both signs of the dual's lineality included)
+        and its rays, each with the mask of the rows tight on it."""
+        if self._start is None:
+            dual = self.dual
+            rows = dual.generators
+            lin_bits = (1 << len(rows)) - (1 << len(dual.rays))
+            facets = self._facet_masks()
+            self._start = (rows, [
+                (v, lin_bits | sum(1 << j for j, z in enumerate(facets) if z >> i & 1))
+                for i, v in enumerate(self.rays)
+            ])
+        return self._start
+
     def _cut_by(self, normals) -> "Cone":
         """This cone cut by <n, x> >= 0 for every normal.
 
-        An exact cone continues its double description: its rays, with
-        their masks over its facet rows (both signs of the dual's lineality
-        included), are cut by the new rows only.  Any other cone, such as a
-        library cone with lineality, takes one fresh double description.
-        Refuses a normal of the wrong length before any cut.
+        An exact cone continues its double description (`_continue`).  Any
+        other cone, such as a library cone with lineality, takes one fresh
+        double description.  Refuses a normal of the wrong length before
+        any cut.
         """
         normals = [tuple(n) for n in normals]
         for n in normals:
@@ -393,24 +434,11 @@ class Cone:
             rows = list(self.dual.generators) + normals
             rays, lin = vcone_from_halfspaces(rows, self.ambient_dim)
             return Cone(rays, self.ambient_dim, lineality=lin)
-        dual = self.dual
-        rows = list(dual.generators)
-        lin_bits = (1 << len(rows)) - (1 << len(dual.rays))
-        facets = self._facet_masks()
-        rays = [
-            (v, lin_bits | sum(1 << j for j, z in enumerate(facets) if z >> i & 1))
-            for i, v in enumerate(self.rays)
-        ]
-        seen = set(rows)
-        for row in _distinct_rows(normals):
-            if row not in seen:
-                # the facet rows of a pointed cone have full rank
-                rays = _cut(rays, row, 1 << len(rows), self.ambient_dim)
-                rows.append(row)
-                seen.add(row)
-        rays.sort()
+        start, rays = self._description()
+        added, rays = _continue(start, rays, _distinct_rows(normals), self.ambient_dim)
+        rays = sorted(rays)
         out = Cone([v for v, _ in rays], self.ambient_dim)
-        out._tight = (rows, [z for _, z in rays])
+        out._tight = ([*start, *added], [z for _, z in rays])
         out._exact = True
         return out
 
@@ -584,12 +612,17 @@ class Fan:
                 raise ValidationError(
                     "cone {} lies inside cone {} but is not a face of it", key, other
                 )
+        # pointed cones meet in a pointed cone; its rays must be fan rays and
+        # span a face of both.  Each pair continues the double description
+        # of its first cone by the facet rows of the second (`_continue`,
+        # as `Cone.intersect` does), without building the meet as a cone
         index = {r: i for i, r in enumerate(self.rays)}
+        starts = {key: self._make_cone(key)._description() for key in self.maximal_keys}
+        dim = self.ambient_dim
         for a, b in itertools.combinations(self.maximal_keys, 2):
-            # pointed cones meet in a pointed cone; its rays must be fan
-            # rays and span a face of both
-            inter = self._make_cone(a).intersect(self._make_cone(b))
-            ikey = frozenset(index.get(r, -1) for r in inter.rays)
+            rows, rays = starts[a]
+            rays = _continue(rows, rays, starts[b][0], dim)[1]
+            ikey = frozenset(index.get(v, -1) for v, _ in rays)
             if ikey not in self.cone_faces[a] or ikey not in self.cone_faces[b]:
                 raise ValidationError("cones {} and {} do not meet in a face", a, b)
 
@@ -611,7 +644,12 @@ class Fan:
             self.cone_dims[key] != n for key in self.maximal_keys
         ):
             return False
-        counts = Counter(f for key in self.maximal_keys for f in self.facets(key))
+        # each facet as the bitmask of its fan ray indices
+        counts = Counter()
+        for key in self.maximal_keys:
+            ordered = sorted(key)
+            counts.update(sum(1 << ordered[i] for i in _bits(z))
+                          for z in self._make_cone(key)._facet_masks())
         return all(c == 2 for c in counts.values())
 
     def facets(self, key):

@@ -7,12 +7,16 @@ There is one elimination, the fraction-free integer `echelon` (in the style
 of Bareiss 1968): its rows are the reduced row echelon form scaled to
 primitive integers, and `rank`, `nullspace` and `inverse` are read off it
 (`lattice` reads the dimension of a cone or polytope off its double
-description instead).  `inverse` gives an invertible integer matrix's inverse as an integer matrix
-over one common denominator, so the many systems that share one matrix cost
-one elimination and then an integer product each (`quotient` divides that
+description instead).  `pivot_inverse` runs it once on rows that carry
+their coefficients over the kept rows, and reads off both the echelon
+basis and the inverse of the kept rows at their pivots, as an integer
+matrix over the least common denominator; `inverse` is that elimination on
+a square matrix.  So the many systems that share one matrix cost one
+elimination and then an integer product each (`quotient` divides that
 product exactly).  It is the one solver: a linear system on the rays of a
 cone is solved through `lattice.Fan.cone_inverse`, the inverse its dual's
-double description starts from.  `det` (Bareiss) is the one determinant.  Nothing ever touches floating point.
+double description starts from, from the same elimination.  `det`
+(Bareiss) is the one determinant.  Nothing ever touches floating point.
 """
 
 from __future__ import annotations
@@ -75,7 +79,7 @@ def clear_denominators(v):
     return primitive(integral([exact(x) for x in v]))
 
 
-def echelon(rows, stop=None):
+def echelon(rows, stop=None, *, coefficients=False):
     """Fraction-free reduced echelon basis of integer rows, up to `stop` rows.
 
     Returns (row index, pivot column, reduced row) for every row that is
@@ -83,11 +87,21 @@ def echelon(rows, stop=None):
     positive pivot entry, is zero before its pivot and zero at every other
     pivot: sorted by pivot, the rows are the reduced row echelon form of the
     rows seen, each scaled to a primitive integer vector.
+
+    With `coefficients`, each row is eliminated followed by the unit vector
+    e_k of length `stop`, k the number of rows kept before it, and takes its
+    pivot before that block.  The block of a reduced row then holds its
+    coefficients over the kept rows, in the order kept, at the row's scale;
+    a dependent row leaves its slot to the next one.
     """
     basis = []
+    width = None
     for i, row in enumerate(rows):
+        if coefficients:
+            width, slot = len(row), len(basis)
+            row = (*row, *(0,) * slot, 1, *(0,) * (stop - slot - 1))
         v = reduce_mod(row, basis)
-        c = next((j for j, x in enumerate(v) if x), None)
+        c = next((j for j, x in enumerate(v[:width]) if x), None)
         if c is None:
             continue
         v = primitive(v if v[c] > 0 else vec_neg(v))
@@ -150,25 +164,37 @@ def echelon_nullspace(basis, ncols):
     return out
 
 
+def pivot_inverse(rows, dim):
+    """(basis, A, d) of integer rows of length dim, from one `echelon` that
+    keeps the coefficients of its rows over the kept ones.
+
+    basis is `echelon(rows, dim)`: the left blocks of the reduced rows,
+    made primitive.  Let M be the k kept rows restricted to their sorted
+    pivot columns; (A, d) are the integer matrix and the least positive d
+    with M A = d I.  A reduced row b with pivot pc is zero at the other
+    pivots, so its coefficients c over the kept rows are b[pc] times the
+    row of M^-1 at pc.  Its left block is an integer combination of c, so
+    b is primitive only when c is, and that row is c / b[pc] in lowest
+    terms: d is the lcm of the pivot entries.
+    """
+    found = echelon(rows, dim, coefficients=True)
+    d = lcm(*(b[pc] for _, pc, b in found))
+    inv = {pc: tuple(d // b[pc] * x for x in b[dim:dim + len(found)]) for _, pc, b in found}
+    return [(i, pc, primitive(b[:dim])) for i, pc, b in found], [inv[pc] for pc in sorted(inv)], d
+
+
 def inverse(square):
     """(A, d) with integer A and the least positive d such that M A = d I,
-    for an invertible integer matrix M, from one `echelon` of [M | I].
-
-    Every reduced row b has the left block b[pc] at its pivot pc and zero
-    elsewhere, so row pc of M^-1 is b[n:] / b[pc], in lowest terms since b
-    is primitive.  The least common denominator d is therefore the lcm of
-    the pivot entries.  Raises ValueError when M is not square or singular.
+    for an invertible integer matrix M, from `pivot_inverse`.  Raises
+    ValueError when M is not square or singular.
     """
     n = len(square)
     if any(len(row) != n for row in square):
         raise ValueError("only a square matrix has an inverse")
-    unit = [tuple(int(j == i) for j in range(n)) for i in range(n)]
-    basis = echelon([tuple(row) + e for row, e in zip(square, unit)])
-    if any(pc >= n for _, pc, _ in basis):
+    basis, a, d = pivot_inverse(square, n)
+    if len(basis) < n:
         raise ValueError("singular matrix has no inverse")
-    d = lcm(*(b[pc] for _, pc, b in basis))
-    rows = {pc: (d // b[pc], b[n:]) for _, pc, b in basis}
-    return [tuple(q * x for x in row) for q, row in map(rows.get, range(n))], d
+    return a, d
 
 
 def quotient(v, d):

@@ -202,20 +202,22 @@ def _subset_layers(m: int):
     return subset_cols, tuple(layers)
 
 
-def _chains_below(allowed):
+def _chains_below(allowed, largest=None):
     """Signed counts of the chains of allowed subsets below every subset.
 
     `allowed` is a (2^m, N) boolean array, one column per point.  Row S of
     the result is B(S) = 1 - sum B(T) over the nonempty T < S allowed at
     the point, the sum of (-1)^k over the chains T_1 < ... < T_k < S of
     nonempty allowed subsets; row 0, the empty set, is 0.  Each layer of
-    subsets of one size is one numpy gather, O(3^m) work per point.  The
-    values count chains, so they are at most the number of flags in
-    absolute value and int64 arithmetic stays exact.
+    subsets of one size is one numpy gather, O(3^m) work per point.  Only
+    subsets of at most `largest` elements (all, by default) are filled; the
+    rows of larger ones stay 0.  The values count chains, so they are at
+    most the number of flags in absolute value and int64 arithmetic stays
+    exact.
     """
     B = np.zeros(allowed.shape, dtype=np.int64)
     B_ok = np.zeros_like(B)  # B where allowed, the terms of larger S
-    for masks, below in _subset_layers(allowed.shape[0].bit_length() - 1)[1]:
+    for masks, below in _subset_layers(allowed.shape[0].bit_length() - 1)[1][:largest]:
         b = 1 - B_ok[below].sum(axis=1)
         B[masks] = b
         B_ok[masks] = b * allowed[masks]
@@ -258,8 +260,10 @@ def _sweep(matroid: Matroid, blocks):
     plus (-1)^(m-1) rank(M) B([m]).  Both are `_chains_below`: S < T < [m]
     exactly when [m] - T is a nonempty proper subset of [m] - S, and the
     complement of mask S is row [m] - S, so A, read only where p(S) = 1, is
-    `_chains_below` of the rows of p <= 1 reversed, reversed.  h0_u is the rank of the set of elements e whose
-    parliament contains u: p(S) <= [e in cl(S)] for all S.
+    `_chains_below` of the rows of p <= 1 reversed, reversed.  That run
+    stops below its top layer, A at the empty set, which chi never reads.
+    h0_u is the rank of the set of elements e whose parliament contains u:
+    p(S) <= [e in cl(S)] for all S.
     """
     m = matroid.m
     full = (1 << m) - 1
@@ -272,7 +276,7 @@ def _sweep(matroid: Matroid, blocks):
     for U in blocks:
         sums = subset_cols @ U.T  # (2^m, N): pairing of every e_S with u
         B = _chains_below(sums <= 0)
-        A = _chains_below((sums <= 1)[::-1])[::-1]
+        A = _chains_below((sums <= 1)[::-1], m - 1)[::-1]
 
         proper = slice(1, full)
         first = (sums[proper] == 1) * B[proper] * A[proper]

@@ -410,15 +410,16 @@ def validate(fan: Fan, matroid: Matroid, diagram) -> TropicalVectorBundle:
         row_flats.append(levels)
 
     table = matroid.rank_table
+    # per row, (level flat, its rank): B is adapted when |F & B| = rank(F)
+    ranked = [[(level, table[level]) for level in levels.values()] for levels in row_flats]
+    zero = (0,) * matroid.m
     adapted = {}
     for key in fan.cone_keys:
         idx = sorted(key)
-        total = [sum(diagram[i][j] for i in idx) for j in range(matroid.m)]
+        total = [sum(col) for col in zip(*(diagram[i] for i in idx))] if idx else zero
         basis = greedy_basis_mask(matroid, total)
-        for i in idx:
-            for level in row_flats[i].values():
-                if (level & basis).bit_count() != table[level]:
-                    raise NoCommonApartmentError(key)
+        if any((level & basis).bit_count() != r for i in idx for level, r in ranked[i]):
+            raise NoCommonApartmentError(key)
         adapted[key] = Matroid.elements(basis)
         if len(key) > fan.cone_dims[key]:
             # non-simplicial cone: adapted coordinates must extend linearly

@@ -48,14 +48,18 @@ Fraction route of the Riemann-Roch left side and its top-degree guard
 per-piece box kernel of chains (`oracle_box_values`), and the small
 constructions only tests use (box points, point chains, chain boxes,
 translates, relative-interior tests, maximal flags, the face alternating
-sum)."""
+sum), and the routes that one elimination per cone, the continued fan
+check, the one-pass rank axioms and the sweep without A's top layer
+replaced (`bracket_inverse`, `echelon_then_inverse`, `PairwiseFan`,
+`pairwise_rank_axioms`, `full_dp_sweep`)."""
 
 import itertools
 from collections import Counter
 from functools import lru_cache
 from fractions import Fraction
-from math import ceil, comb, factorial, floor, prod
+from math import ceil, comb, factorial, floor, lcm, prod
 
+import numpy as np
 import pytest
 
 from tropehrhart import hrr
@@ -71,6 +75,7 @@ from tropehrhart.chains import (
 from tropehrhart.errors import (
     BoxTooLargeError,
     InterpolationFailureError,
+    MatroidAxiomError,
     NoCommonApartmentError,
     NotInSupportError,
     RowNotInBergmanError,
@@ -662,6 +667,86 @@ def inverse_start_double_description(rows, dim):
         lin_basis = echelon(lin)
         rays = [(reduce_mod(v, lin_basis), z) for v, z in rays]
     return sorted(rays), tuple(lin)
+
+
+def bracket_inverse(square):
+    """(A, d) with M A = d I and the least d > 0, from one `echelon` of
+    [M | I]: row pc of M^-1 is the right block over the pivot entry."""
+    n = len(square)
+    unit = [tuple(int(j == i) for j in range(n)) for i in range(n)]
+    basis = echelon([tuple(row) + e for row, e in zip(square, unit)])
+    if len(basis) < n or any(pc >= n for _, pc, _ in basis):
+        raise ValueError("singular matrix has no inverse")
+    d = lcm(*(b[pc] for _, pc, b in basis))
+    rows = {pc: (d // b[pc], b[n:]) for _, pc, b in basis}
+    return [tuple(q * x for x in row) for q, row in map(rows.get, range(n))], d
+
+
+def echelon_then_inverse(rows, dim):
+    """The `_pivot_inverse` record by two eliminations: `echelon` of the
+    rows, then `bracket_inverse` of the kept rows at their pivots."""
+    basis = echelon(rows, dim)
+    pos = [i for i, _, _ in basis]
+    piv = sorted(c for _, c, _ in basis)
+    a, d = bracket_inverse([tuple(rows[i][c] for c in piv) for i in pos])
+    return basis, (pos, piv, a, d)
+
+
+class PairwiseFan(Fan):
+    """A fan checked by building the meet of every pair of maximal cones
+    as a `Cone` (`Cone.intersect`) and reading its rays."""
+
+    def _validate(self, listed):
+        for key in self.maximal_keys:
+            if not self._make_cone(key)._is_exact():
+                raise ValidationError("rays of cone {} are not all extreme", key)
+        for key, other in itertools.product(listed, self.maximal_keys):
+            if key < other and key not in self.cone_faces[other]:
+                raise ValidationError(
+                    "cone {} lies inside cone {} but is not a face of it", key, other
+                )
+        index = {r: i for i, r in enumerate(self.rays)}
+        for a, b in itertools.combinations(self.maximal_keys, 2):
+            inter = self._make_cone(a).intersect(self._make_cone(b))
+            ikey = frozenset(index.get(r, -1) for r in inter.rays)
+            if ikey not in self.cone_faces[a] or ikey not in self.cone_faces[b]:
+                raise ValidationError("cones {} and {} do not meet in a face", a, b)
+
+
+def pairwise_rank_axioms(m, table):
+    """The local rank axioms of a (2^m,) rank table, one numpy pass per
+    pair of elements, from element m down."""
+    cube = table.reshape((2,) * m)  # axis a is bit m - 1 - a
+    for a in range(m):
+        gain = np.diff(cube, axis=a)  # r(S + e) - r(S), e = m - a
+        if gain.max() > 1:
+            raise MatroidAxiomError(f"rank steps by more than one at element {m - a}")
+        for b in range(a + 1, m):
+            if (np.diff(gain, axis=b) > 0).any():
+                raise MatroidAxiomError(
+                    f"bases fail the exchange axiom at elements {m - b}, {m - a}"
+                )
+
+
+def full_dp_sweep(matroid, U):
+    """(chi, h0) over the rows of U by `taut._sweep`'s formulas, with both
+    chain DPs run over every layer of the subset lattice."""
+    from tropehrhart.taut import _chains_below, _closure_rows, _subset_layers
+
+    m = matroid.m
+    full = (1 << m) - 1
+    sums = _subset_layers(m)[0] @ U.T
+    rank_of = np.frombuffer(matroid.rank_table, dtype=np.uint8).astype(np.int64)
+    B = _chains_below(sums <= 0)
+    A = _chains_below((sums <= 1)[::-1])[::-1]
+    sign = -1 if m % 2 else 1
+    proper = slice(1, full)
+    first = (sums[proper] == 1) * B[proper] * A[proper]
+    chi = sign * (rank_of[proper, None] * first).sum(axis=0)
+    chi -= sign * rank_of[full] * B[full]
+    members = (sums[1:full, None, :] <= _closure_rows(matroid)).all(axis=0)
+    h0 = rank_of[(members * (np.int64(1) << np.arange(m, dtype=np.int64))[:, None]).sum(axis=0)]
+    return chi, h0
 
 
 def max_pulling_triangulation(n, facets):

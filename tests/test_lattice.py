@@ -51,6 +51,7 @@ from conftest import (
     lattice_points,
     list_refinement,
     max_pulling_triangulation,
+    PairwiseFan,
     oracle_hull_vertices,
     random_lattice_polytope,
     relint_contains,
@@ -920,3 +921,71 @@ def test_a_fan_given_duals_keeps_every_listed_key(p2_fan):
     trusted = Fan(refined.rays, listed, duals=refined._duals)
     assert set(trusted.maximal_keys) == set(keys) | {face}
     assert set(Fan(refined.rays, listed).maximal_keys) == set(keys)
+
+
+# ---------------------------------------------------------------------------
+# the fan check by continued double descriptions against the meet of every
+# pair built as a cone
+# ---------------------------------------------------------------------------
+
+CHECKED_FANS = [FANS[name] for name in ("P2", "P1xP1", "hexagon", "weighted", "P3", "cube")]
+
+
+@st.composite
+def fan_inputs(draw):
+    """(rays, cones, dim) in dimension 2 or 3: some maximal cones of a
+    named fan and perhaps one more cone on its rays, or random cones of at
+    most dim rays on random rays.  They overlap, include maximal cones
+    below full dimension, whose duals have lineality, and cones whose rays
+    are not all extreme."""
+    if draw(st.booleans()):
+        fan = draw(st.sampled_from(CHECKED_FANS))
+        rays, dim = list(fan.rays), fan.ambient_dim
+        keys = [tuple(sorted(k)) for k in fan.maximal_keys]
+        cones = draw(st.lists(st.sampled_from(keys), min_size=1, unique=True))
+        extra = st.lists(st.integers(0, len(rays) - 1), min_size=1, max_size=dim, unique=True)
+        return rays, cones + draw(st.lists(extra, max_size=1)), dim
+    dim = draw(st.integers(2, 3))
+    vectors = st.tuples(*[st.integers(-2, 2)] * dim).filter(any).map(primitive)
+    rays = draw(st.lists(vectors, min_size=1, max_size=6, unique=True))
+    key = st.lists(st.integers(0, len(rays) - 1), min_size=1, max_size=dim, unique=True)
+    return rays, draw(st.lists(key, min_size=1, max_size=5)), dim
+
+
+VERDICT_ENDINGS = ("do not meet in a face", "are not all extreme", "is not a face of it")
+
+
+def _fan_verdict(fan_type, rays, cones, dim):
+    """The message of the ValidationError a fan check raises, or None."""
+    try:
+        fan_type(rays, cones, dim)
+    except ValidationError as exc:
+        return str(exc)
+    return None
+
+
+@LATTICE_SETTINGS
+@given(fan_inputs())
+def test_fan_check_equals_the_pairwise_intersections(case):
+    assert _fan_verdict(Fan, *case) == _fan_verdict(PairwiseFan, *case)
+
+
+def test_fan_inputs_reach_every_verdict_and_lineality():
+    seen = set()
+
+    @LATTICE_SETTINGS
+    @given(fan_inputs())
+    def collect(case):
+        rays, cones, dim = case
+        verdict = _fan_verdict(Fan, *case)
+        kind = "fan" if verdict is None else next(
+            k for k in VERDICT_ENDINGS if verdict.endswith(k))
+        lineality = any(
+            Cone([rays[i] for i in sorted(c)], dim).dual.lineality for c in cones
+        )
+        seen.add((kind, lineality))
+
+    collect()
+    assert {("fan", False), ("fan", True), ("do not meet in a face", False),
+            ("do not meet in a face", True)} <= seen
+    assert any(kind == "are not all extreme" for kind, _ in seen)

@@ -5,7 +5,9 @@
 cone is solved through one `inverse` per cone, `Fan.solve_on` and
 `Fan.coordinates`.  The oracle is the Fraction reduced row echelon form
 `rref` and the solve built on it, `rref_solve`, from conftest; `inverse` is
-checked against one `rref_solve` per unit vector.
+checked against one `rref_solve` per unit vector.  The one elimination per
+cone (`_pivot_inverse`, through `pivot_inverse`) is checked against the two
+it replaced, `echelon` followed by the inverse of [M | I].
 """
 
 import random
@@ -24,11 +26,21 @@ from tropehrhart.linalg import (
     echelon,
     integral,
     inverse,
+    pivot_inverse,
     primitive,
     rank,
 )
 
-from conftest import CHARACTER_FANS, CUBE4_FAN, FANS, intify, rref, rref_solve
+from conftest import (
+    CHARACTER_FANS,
+    CUBE4_FAN,
+    FANS,
+    bracket_inverse,
+    echelon_then_inverse,
+    intify,
+    rref,
+    rref_solve,
+)
 
 SETTINGS = settings(max_examples=400, deadline=None, derandomize=True)
 
@@ -254,6 +266,54 @@ def test_inverse_is_solve_over_the_least_common_denominator(m):
     assert _double_description([primitive(r) for r in m], n)[0] == sorted(
         (clear_denominators(col), full ^ 1 << i) for i, col in enumerate(cols)
     )
+
+
+@st.composite
+def row_families(draw):
+    """(rows, dim): up to 7 integer rows of length dim, 1 to 4, either
+    small random rows or integer combinations of fewer generators than dim,
+    so that the rows are often rank-deficient and outnumber dim."""
+    dim = draw(st.integers(1, 4))
+    vector = st.tuples(*[st.integers(-4, 4)] * dim)
+    if draw(st.booleans()):
+        return draw(st.lists(vector, max_size=7)), dim
+    gens = draw(st.lists(vector, min_size=1, max_size=max(dim - 1, 1)))
+    coeffs = st.lists(st.integers(-2, 2), min_size=len(gens), max_size=len(gens))
+    return [
+        tuple(dot(c, col) for col in zip(*gens)) for c in draw(st.lists(coeffs, max_size=7))
+    ], dim
+
+
+@SETTINGS
+@given(row_families())
+@example(([(2, 4), (1, 2), (3, 1)], 2))
+@example(([(1, 2, 3), (2, 4, 6), (0, 1, 1), (1, 3, 4)], 3))
+@example(([(0, 0), (0, 3)], 2))
+def test_one_elimination_equals_echelon_then_inverse(case):
+    # the same basis, positions, pivots, A and d as the two eliminations
+    # it replaced, whatever the rank and the number of rows
+    rows, dim = case
+    assert _pivot_inverse(rows, dim) == echelon_then_inverse(rows, dim)
+    assert pivot_inverse(rows, dim)[0] == echelon(rows, dim)
+
+
+def test_row_families_reach_deficient_rank_and_surplus_rows():
+    seen = set()
+
+    @SETTINGS
+    @given(row_families())
+    def collect(case):
+        rows, dim = case
+        seen.add((len(echelon(rows, dim)) < dim, len(rows) > dim))
+
+    collect()
+    assert seen == {(False, False), (False, True), (True, False), (True, True)}
+
+
+@SETTINGS
+@given(invertible_matrices())
+def test_inverse_equals_the_bracket_elimination(m):
+    assert inverse(m) == bracket_inverse(m)
 
 
 def test_inverse_refuses_a_singular_or_non_square_matrix():

@@ -2,6 +2,7 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +16,7 @@ from tropehrhart.lattice import Fan
 from tropehrhart.linalg import det
 from tropehrhart.matroid import (
     Matroid,
+    _check_rank_axioms,
     bergman_project,
     circuit_extension,
     circuits,
@@ -40,6 +42,7 @@ from conftest import (
     oracle_flats,
     oracle_fundamental_circuit,
     oracle_rank,
+    pairwise_rank_axioms,
     scan_adapted_basis,
 )
 
@@ -301,14 +304,14 @@ P2 = Fan([(1, 0), (0, 1), (-1, -1)], [[0, 1], [1, 2], [0, 2]])
 
 
 @st.composite
-def families(draw):
-    """(m, bases): an equal-size family of subsets of [m], m <= 6.
+def families(draw, largest=6):
+    """(m, bases): an equal-size family of subsets of [m], m <= largest.
 
     Either an arbitrary nonempty family, mostly not the bases of a
     matroid, or the bases of the column matroid of a small integer matrix,
     always a matroid, with loops and parallel elements among them.
     """
-    m = draw(st.integers(1, 6))
+    m = draw(st.integers(1, largest))
     r = draw(st.integers(0, m))
     subsets = [frozenset(b) for b in itertools.combinations(range(1, m + 1), r)]
     if draw(st.booleans()):
@@ -345,6 +348,60 @@ def test_constructor_verdict_equals_the_exchange_check(family):
         assert not exchange_holds(bases)
     else:
         assert exchange_holds(bases)
+
+
+def _axiom_message(check, *args):
+    """The message of the MatroidAxiomError the check raises, or None."""
+    try:
+        check(*args)
+    except MatroidAxiomError as exc:
+        return str(exc)
+    return None
+
+
+@SETTINGS
+@given(families(7))
+def test_axiom_message_equals_the_pairwise_loop(family):
+    # the constructor's one pass per element names the same elements as
+    # the loop over pairs it replaced, or neither raises
+    m, bases = family
+    table = np.zeros(1 << m, dtype=np.int8)
+    for mask in range(1 << m):
+        table[mask] = oracle_rank(bases, Matroid.elements(mask))
+    want = _axiom_message(pairwise_rank_axioms, m, table)
+    assert _axiom_message(Matroid, m, bases) == want
+    assert (want is None) == exchange_holds(bases)
+
+
+@SETTINGS
+@given(st.integers(1, 7).flatmap(
+    lambda m: st.lists(st.integers(0, 3), min_size=1 << m, max_size=1 << m)))
+def test_axiom_message_on_any_table_equals_the_pairwise_loop(values):
+    # tables that no family gives, so that the step axiom fails as well
+    m = len(values).bit_length() - 1
+    table = np.array(values, dtype=np.int8)
+    assert _axiom_message(_check_rank_axioms, m, table) == _axiom_message(
+        pairwise_rank_axioms, m, table)
+
+
+def test_axiom_messages_reach_both_axioms_at_seven_elements():
+    seen = set()
+
+    @SETTINGS
+    @given(families(7))
+    def collect(family):
+        m, bases = family
+        message = _axiom_message(Matroid, m, bases)
+        seen.add((m, message is None))
+
+    collect()
+    assert {(7, True), (7, False)} <= seen
+    rng = random.Random(7)
+    steps = 0
+    for _ in range(200):
+        table = np.array([rng.randint(0, 3) for _ in range(1 << 7)], dtype=np.int8)
+        steps += "steps by more than one" in (_axiom_message(_check_rank_axioms, 7, table) or "")
+    assert steps > 0
 
 
 def test_families_reach_both_verdicts():

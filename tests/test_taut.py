@@ -25,6 +25,7 @@ from tropehrhart.taut import (
 from conftest import (
     _chains_of_masks,
     enumerated_flag_sum,
+    full_dp_sweep,
     in_lifted_bergman,
     maximal_flags,
     oracle_rank,
@@ -693,3 +694,14 @@ def test_vanishing_u37_default_box():
     assert report["max_coord"] == 7
     assert report["points"] == _slice_count(7, 7) == 5_812_380
     assert report["all_equal"] and report["failures"] == []
+
+
+@TAUT_SETTINGS
+@given(column_matroids(), st.sampled_from([1, 2]))
+def test_sweep_equals_the_full_chain_dp(matroid, bound):
+    # the run of A stops below its top layer, A at the empty set, which chi
+    # never reads: chi and h0 equal those of the DP over every layer
+    for U, chi, h0 in _sweep(matroid, _slice_box(matroid.m, bound, _singletons(matroid.m))):
+        want_chi, want_h0 = full_dp_sweep(matroid, U)
+        assert np.array_equal(chi, want_chi)
+        assert np.array_equal(h0, want_h0)

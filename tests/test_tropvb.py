@@ -753,13 +753,15 @@ def test_characters_on_a_cone_of_determinant_two():
 
 def test_each_maximal_cone_is_eliminated_once(fano_matroid, monkeypatch):
     # the double description of each cone's dual starts from the inverse
-    # that solves the cone's systems, so the fan check, the summation box
-    # and the support function invert each of the three cones once
+    # that solves the cone's systems, and one elimination gives both the
+    # kept rays and that inverse, so the fan check, the summation box and
+    # the support function eliminate each of the three cones once
     from tropehrhart import lattice
 
     calls = []
-    real = lattice.inverse
-    monkeypatch.setattr(lattice, "inverse", lambda m: calls.append(m) or real(m))
+    real = lattice.pivot_inverse
+    monkeypatch.setattr(lattice, "pivot_inverse",
+                        lambda rows, dim: calls.append(rows) or real(rows, dim))
     fan = Fan([(1, 0), (0, 1), (-1, -1)], [[0, 1], [1, 2], [0, 2]])
     bundle = validate(fan, fano_matroid, FANO_DIAGRAM)
     bundle.chi_box()
