@@ -264,7 +264,9 @@ def _halfspace_blocks(box, normals, rows, what):
     int64 safety: every |<n, u - lo>| is at most reach = max_n
     sum_i (hi_i - lo_i) |n_i|, which must stay below 2^62, else
     BoxTooLargeError.  A bound b becomes b - <n, lo>, in Python ints,
-    clipped to one past reach, which changes no compare.
+    clipped to one past reach, which changes no compare.  The normals'
+    entries on thin sides (hi = lo) only meet zero offsets and are taken
+    as 0, so every entry in the int64 product is at most reach.
     """
     import numpy as np
 
@@ -274,7 +276,9 @@ def _halfspace_blocks(box, normals, rows, what):
     reach = max((dot(sides, map(abs, n)) for n in normals), default=0)
     if reach >= INT64_SAFE:
         raise BoxTooLargeError(f"{what} would leave the exact int64 range of the kernel")
-    normal_rows = np.array(normals, dtype=np.int64).reshape(len(normals), len(lo))
+    entries = normals if all(sides) else [
+        [x if s else 0 for x, s in zip(n, sides)] for n in normals]
+    normal_rows = np.array(entries, dtype=np.int64).reshape(len(normals), len(lo))
     row_normal = np.array([k for k, _ in rows], dtype=np.intp)
     shift = [dot(n, lo) for n in normals]
     row_bound = np.array(

@@ -19,18 +19,19 @@ without the masks.
 It starts from the simplicial cone that one elimination gives
 (`_pivot_inverse`, which reads the kept rows, their pivots and their
 inverse off one `linalg.pivot_inverse`) and cuts it one row at a time
-(`_cut`).  A cone's dual is one such double description of its
-generators; a pointed cone keeps the start's inverse for
-`Fan.cone_inverse`, so each cone is eliminated once.  A pointed cone whose
-rays are all extreme (`Cone._is_exact`) keeps its facet masks, and its
-rays with their masks over its facet rows (`Cone._description`) are a
-finished double description that `_continue` cuts by new rows only.
-`Cone.intersect` and `Cone.intersect_halfspace`, through the one cut
-`Cone._cut_by`, continue it, and the result reads its dual and facets off
-the masks; any other cone takes one fresh double description.  The fan
-check continues each maximal cone's description by the facet rows of each
-other one and reads the meet's rays off the result, without building the
-meet as a cone.  That way the fan check's pairwise meets, the pieces of
+(`_cut`).  A cone's dual and facet masks are one such double description
+of its generators, with lineality or without; a pointed cone keeps the
+start's inverse for `Fan.cone_inverse`, so each cone is eliminated once.
+A pointed cone whose rays are all extreme (`Cone._is_exact`) has one
+record (`Cone._description`): its rows and its rays, each with the mask of
+the rows tight on it, a finished double description that `_continue` cuts
+by new rows only.  `Cone.intersect` and `Cone.intersect_halfspace`,
+through the one cut `Cone._cut_by`, continue it, and the result keeps the
+continued record and reads its dual and facets off it when asked; any
+other cone takes one fresh double description.  The fan check continues
+each maximal cone's record by the facet rows of each other one and reads
+the meet's rays off the result, without building the meet as a cone.
+That way the fan check's pairwise meets, the pieces of
 `refine_by_hyperplanes` and the refined fan's faces start no new double
 description.  A cut refuses a normal of the wrong length before it cuts
 anything.
@@ -43,9 +44,9 @@ branches).  One point location:
 refuses a maximal cone that is not exact, lists the facets of a cone off
 the same masks (`Fan.facets`), and is complete when each facet of its
 maximal cones, all full-dimensional, is shared by exactly two of them
-(counted as bitmasks of fan ray indices).  A
-fan given the `duals` of its maximal cones is a refinement known by
-construction and is not checked again.  A hull of any dimension is one
+(counted as bitmasks of fan ray indices).  A fan handed its maximal
+`cones`, as a refinement hands over its pieces, is known by construction
+and is not checked again.  A hull of any dimension is one
 double description of its homogenized points, `_hull_data`, whose masks
 give each facet's points and whose lineality the equalities; a `VPolytope`
 keeps that record for its faces, volume and dimension (the ambient one
@@ -293,13 +294,13 @@ def _bits(mask):
 class Cone:
     """Rational polyhedral cone, generated by rays plus a lineality space.
 
-    A pointed cone keeps, next to its dual, the zero set of each dual ray
-    (each facet) on its rays as a bitmask.  When its rays are exactly the
-    extreme rays (`_is_exact`), the rays with their facet masks are a
-    finished double description of the cone by its facet rows, and
-    `intersect` and `intersect_halfspace` continue it instead of starting
-    over.  The result of such a cut keeps the masks over all the rows it
-    was cut by and reads its own dual off them.
+    A cone keeps, next to its dual, the zero set of each dual ray (each
+    facet) on its rays as a bitmask.  A pointed cone whose rays are the
+    extreme rays (`_is_exact`) has one record (`_description`): its rows
+    and its rays, each with the mask of the rows tight on it, a finished
+    double description that `intersect` and `intersect_halfspace` continue.
+    A cut result is made from the continued record (`_from_record`) and
+    reads its dual and facet masks off it when first asked.
     """
 
     def __init__(self, rays, ambient_dim, lineality=()):
@@ -316,11 +317,18 @@ class Cone:
         self.lineality = lineality
         self._dual = None
         self._facets = None  # per dual ray, the mask of the rays tight on it
-        self._tight = None  # (rows, per ray the mask of rows tight on it)
         self._exact = None
-        self._faces = None
         self._inverse = None  # a pointed cone's `_pivot_inverse` record
-        self._start = None  # an exact cone's `_description`
+        self._start = None  # an exact cone's record: rows, rays with masks
+
+    @classmethod
+    def _from_record(cls, rows, rays, dim) -> "Cone":
+        """The exact cone of a finished double description in dimension
+        dim: its rays, in order, each with the mask of `rows` tight on it."""
+        cone = cls([v for v, _ in rays], dim)
+        cone._start = (rows, rays)
+        cone._exact = True
+        return cone
 
     @property
     def dim(self) -> int:
@@ -341,59 +349,53 @@ class Cone:
 
     @property
     def dual(self) -> "Cone":
-        """The dual cone {u : <u, x> >= 0 for all x in this cone}."""
+        """The dual cone {u : <u, x> >= 0 for all x in this cone}, and the
+        facet masks: off the record of a cut, else off one double
+        description of the generators, whose first rows are the rays."""
         if self._dual is None:
-            facets = None
-            if self._tight is not None:
-                rays, lin, facets = self._dual_from_tight()
+            if self._start is not None:
+                rays, lin, self._facets = self._dual_from_tight()
             else:
                 found, lin, record = _double_description(
                     _distinct_rows(self.generators), self.ambient_dim
                 )
                 rays = tuple(g for g, _ in found)
-                if not self.lineality:  # the rows are the rays
-                    facets = tuple(z for _, z in found)
+                on_rays = (1 << len(self.rays)) - 1
+                self._facets = tuple(z & on_rays for _, z in found)
+                if not self.lineality:
                     self._inverse = record
             self._dual = Cone(rays, self.ambient_dim, lineality=lin)
-            self._dual._dual = self  # duality is involutive for closed cones
-            self._facets = facets
         return self._dual
 
     def _dual_from_tight(self):
-        """(rays, lineality, facet masks) of the dual of a cone cut out by
-        `_tight` rows, without a double description.
+        """(rays, lineality, facet masks) of the dual of a cone made from
+        its record, without a double description.
 
-        The dual is generated by the rows; its lineality is the orthogonal
-        complement of the rays, and its rays are the facet normals, the rows
-        whose zero sets are maximal among the proper ones, reduced modulo
-        the lineality as `vcone_from_halfspaces` reduces them.
+        The dual is generated by the record's rows; its lineality is the
+        orthogonal complement of the rays, and its rays are the facet
+        normals, the rows whose zero sets are maximal among the proper
+        ones, reduced modulo the lineality as `vcone_from_halfspaces`
+        reduces them.
         """
-        rows, masks = self._tight
-        dim = self.ambient_dim
-        lin = nullspace(self.rays, dim)
+        rows, rays = self._start
+        lin = nullspace(self.rays, self.ambient_dim)
         zero = [0] * len(rows)
-        for i, z in enumerate(masks):
+        for i, (_, z) in enumerate(rays):
             for k in _bits(z):
                 zero[k] |= 1 << i
-        maximal = set(_facets_of((1 << len(self.rays)) - 1, zero))
+        maximal = set(_facets_of((1 << len(rays)) - 1, zero))
         lin_basis = echelon(lin)
         facets = {
             reduce_mod(row, lin_basis): z
             for row, z in zip(rows, zero)
             if z in maximal
         }
-        rays = tuple(sorted(facets))
-        return rays, tuple(lin), tuple(facets[g] for g in rays)
+        normals = tuple(sorted(facets))
+        return normals, tuple(lin), tuple(facets[g] for g in normals)
 
     def _facet_masks(self):
-        """Per ray of the dual, the mask of this pointed cone's rays that are
-        tight on it."""
-        dual = self.dual
-        if self._facets is None:
-            self._facets = tuple(
-                sum(1 << i for i, r in enumerate(self.rays) if dot(g, r) == 0)
-                for g in dual.rays
-            )
+        """Per ray of the dual, the mask of the rays tight on it."""
+        self.dual
         return self._facets
 
     def _is_exact(self) -> bool:
@@ -405,8 +407,8 @@ class Cone:
         return self._exact
 
     def _description(self):
-        """(rows, rays) of an exact cone, the double description it is cut
-        from: its facet rows (both signs of the dual's lineality included)
+        """(rows, rays) of an exact cone, its record; a cone made from rays
+        takes its facet rows (both signs of the dual's lineality included)
         and its rays, each with the mask of the rows tight on it."""
         if self._start is None:
             dual = self.dual
@@ -422,10 +424,10 @@ class Cone:
     def _cut_by(self, normals) -> "Cone":
         """This cone cut by <n, x> >= 0 for every normal.
 
-        An exact cone continues its double description (`_continue`).  Any
-        other cone, such as a library cone with lineality, takes one fresh
-        double description.  Refuses a normal of the wrong length before
-        any cut.
+        An exact cone continues its record (`_continue`), and the result
+        keeps the continued one.  Any other cone, such as a library cone
+        with lineality, takes one fresh double description.  Refuses a
+        normal of the wrong length before any cut.
         """
         normals = [tuple(n) for n in normals]
         for n in normals:
@@ -436,11 +438,7 @@ class Cone:
             return Cone(rays, self.ambient_dim, lineality=lin)
         start, rays = self._description()
         added, rays = _continue(start, rays, _distinct_rows(normals), self.ambient_dim)
-        rays = sorted(rays)
-        out = Cone([v for v, _ in rays], self.ambient_dim)
-        out._tight = ([*start, *added], [z for _, z in rays])
-        out._exact = True
-        return out
+        return Cone._from_record([*start, *added], sorted(rays), self.ambient_dim)
 
     def contains(self, x) -> bool:
         return self._face_of(x) is not None
@@ -474,13 +472,7 @@ class Cone:
         from the cone's dimension (`dim`)."""
         if not self.is_pointed():
             raise ValidationError("face enumeration requires a pointed cone")
-        if self._faces is None:
-            self._faces = _face_lattice(
-                (1 << len(self.rays)) - 1,
-                self._facet_masks(),
-                self.dim,
-            )
-        return self._faces
+        return _face_lattice((1 << len(self.rays)) - 1, self._facet_masks(), self.dim)
 
     def face_dims(self):
         """Dimension of every face, keyed by its set of local ray indices.
@@ -527,12 +519,13 @@ class Fan:
 
     Rays are indexed; cones are stored as frozensets of ray indices.  The fan
     property (any two cones intersect in a common face) is verified at
-    construction, unless `duals` is given: it maps the maximal cone keys of
-    a fan known by construction, such as a common refinement, to their dual
-    cones, which those cones then take instead of a double description.
+    construction, unless `cones` is given: it maps maximal cone keys of a
+    fan known by construction, such as a common refinement, to their
+    `Cone`s, each listing its rays in index order, which the fan uses as
+    given; a key mapped to None or not mapped gets a cone on its rays.
     """
 
-    def __init__(self, rays, maximal_cones, ambient_dim=None, *, duals=None):
+    def __init__(self, rays, maximal_cones, ambient_dim=None, *, cones=None):
         rays = [primitive(tuple(r)) for r in rays]
         if any(is_zero(r) for r in rays):
             raise ValidationError("zero vector cannot be a fan ray")
@@ -553,13 +546,12 @@ class Fan:
         if any(i < 0 or i >= len(rays) for key in listed for i in key):
             raise ValidationError("cone refers to a missing ray index")
         # drop cones that are faces of other listed cones; the keys of a fan
-        # given duals are maximal by construction
-        maximal = listed if duals is not None else [
+        # given its cones are maximal by construction
+        maximal = listed if cones is not None else [
             k for k in listed if not any(k < other for other in listed)
         ]
 
-        self._cone_cache = {}
-        self._duals = duals or {}
+        self._cones = dict(cones or {})
         cone_dims = {}
         # the faces of each maximal cone, as sets of fan ray indices
         self.cone_faces = {}
@@ -579,15 +571,13 @@ class Fan:
         )
         self._complete = None
         self._smooth_cones = {}
-        if duals is None:
+        if cones is None:
             self._validate(listed)
 
     def _make_cone(self, key) -> Cone:
-        if key not in self._cone_cache:
-            cone = Cone(tuple(self.rays[i] for i in sorted(key)), self.ambient_dim)
-            cone._dual = self._duals.get(key)
-            self._cone_cache[key] = cone
-        return self._cone_cache[key]
+        if self._cones.get(key) is None:
+            self._cones[key] = Cone(tuple(self.rays[i] for i in sorted(key)), self.ambient_dim)
+        return self._cones[key]
 
     def cone(self, key) -> Cone:
         key = frozenset(key)
@@ -673,7 +663,8 @@ class Fan:
 
     def cone_inverse(self, key):
         """(positions, pivots, A, d) of a cone, the `_pivot_inverse` record
-        its dual's double description started from, or of its own.
+        its dual's double description started from, or of its own rays when
+        its dual was read off a record or never computed.
 
         positions are the places, in sorted(key), of the k independent rays
         that `echelon` keeps (all of them on a simplicial cone), pivots are
@@ -686,7 +677,7 @@ class Fan:
         both lists are range(n) and A is the inverse of the cone's rays.
         """
         cone = self._make_cone(frozenset(key))
-        if cone._inverse is None:  # the dual was given or never computed
+        if cone._inverse is None:
             cone._inverse = _pivot_inverse(cone.rays, self.ambient_dim)[1]
         return cone._inverse
 
@@ -837,8 +828,17 @@ def refine_by_hyperplanes(f: Fan, normals) -> Fan:
     old = len(f.rays)
     new_rays = new_rays[:old] + sorted(new_rays[old:])
     index = {r: i for i, r in enumerate(new_rays)}
-    duals = {frozenset(index[r] for r in c.rays): c.dual for c in pieces}
-    return Fan(new_rays, list(duals), f.ambient_dim, duals=duals)
+    # the fan takes each piece with its rays in index order: as it is, or
+    # re-listed with the masks of its record; a piece without a record
+    # goes as None, which the fan builds from its rays
+    cones = {}
+    for c in pieces:
+        at = [index[r] for r in c.rays]
+        rec = c._start
+        if rec is not None and at != sorted(at):
+            c = Cone._from_record(rec[0], [r for _, r in sorted(zip(at, rec[1]))], f.ambient_dim)
+        cones[frozenset(at)] = None if rec is None else c
+    return Fan(new_rays, list(cones), f.ambient_dim, cones=cones)
 
 
 def _hyperplanes(normals, dim):

@@ -455,14 +455,6 @@ class SplitBundle:
         return f"SplitBundle(codim={self.codim}, rank={self.rank})"
 
 
-def _pairing_values(bundle: TropicalVectorBundle, cone_key):
-    """List over the adapted basis of dicts {ray index: diagram entry}."""
-    basis = sorted(bundle.adapted_bases[frozenset(cone_key)])
-    return [
-        {i: bundle.diagram[i][b - 1] for i in sorted(cone_key)} for b in basis
-    ]
-
-
 def split_resolution(bundle: TropicalVectorBundle, f=None, check_bound=False):
     """Sequence of split bundles whose signed K-classes sum to the bundle's.
 
@@ -500,7 +492,6 @@ def split_resolution(bundle: TropicalVectorBundle, f=None, check_bound=False):
     by_codim = {k: [] for k in range(n + 1)}
     for key in fan.cone_keys:
         by_codim[fan.codim(key)].append(key)
-    pairings = {key: _pairing_values(bundle, key) for key in fan.cone_keys}
 
     result = []
     for k in range(n + 1):
@@ -509,8 +500,8 @@ def split_resolution(bundle: TropicalVectorBundle, f=None, check_bound=False):
             idx = sorted(tau)
             multiset = []
             for sigma in by_codim[k]:
-                for pairing in pairings[sigma]:
-                    rhs = [pairing[i] if i in sigma else f[i] for i in idx]
+                for b in sorted(bundle.adapted_bases[sigma]):
+                    rhs = [bundle.diagram[i][b - 1] if i in sigma else f[i] for i in idx]
                     multiset.append(fan.solve_on(tau, rhs))
             chars[tau] = tuple(sorted(multiset))
         result.append(SplitBundle(k, fan, chars))

@@ -49,9 +49,10 @@ per-piece box kernel of chains (`oracle_box_values`), and the small
 constructions only tests use (box points, point chains, chain boxes,
 translates, relative-interior tests, maximal flags, the face alternating
 sum), and the routes that one elimination per cone, the continued fan
-check, the one-pass rank axioms and the sweep without A's top layer
-replaced (`bracket_inverse`, `echelon_then_inverse`, `PairwiseFan`,
-`pairwise_rank_axioms`, `full_dp_sweep`)."""
+check, the one-pass rank axioms, the sweep without A's top layer and the
+facet masks of a double description replaced (`bracket_inverse`,
+`echelon_then_inverse`, `PairwiseFan`, `pairwise_rank_axioms`,
+`full_dp_sweep`, `dot_product_facet_masks`)."""
 
 import itertools
 from collections import Counter
@@ -762,6 +763,14 @@ def fresh_dual(cone):
     """The dual cone by one `vcone_from_halfspaces` of the generators."""
     rays, lin = vcone_from_halfspaces(cone.generators, cone.ambient_dim)
     return Cone(rays, cone.ambient_dim, lineality=lin)
+
+
+def dot_product_facet_masks(cone):
+    """Per ray of the fresh dual, the mask of the cone's rays tight on it,
+    by dot products: the route of `Cone._facet_masks` for a cone whose dual
+    other code wrote, which the masks of a double description replaced."""
+    return tuple(sum(1 << i for i, r in enumerate(cone.rays) if dot(g, r) == 0)
+                 for g in fresh_dual(cone).rays)
 
 
 def fresh_cut(cone, normals):

@@ -22,6 +22,11 @@ P2_FAN = {"rays": [[1, 0], [0, 1], [-1, -1]], "cones": [[1, 2], [2, 3], [1, 3]]}
 # a rank-zero bundle: the matroid's only basis is empty, both elements loops
 RANK_ZERO = {"fan": P2_FAN, "matroid": {"m": 2, "bases": [[]]},
              "diagram": [[0, 0], [1, 1], [0, 0]]}
+# a bundle on the Hirzebruch fan F_N with N = 2^70, a ray entry beyond int64
+HIRZEBRUCH_2_70 = {"fan": {"rays": [[1, 0], [0, 1], [-1, 2**70], [0, -1]],
+                           "cones": [[1, 2], [2, 3], [3, 4], [4, 1]]},
+                   "matroid": {"m": 2, "bases": [[1, 2]]},
+                   "diagram": [[1, 0], [0, 1], [0, 0], [1, 1]]}
 
 
 @pytest.fixture(scope="module")
@@ -69,6 +74,7 @@ def files(tmp_path_factory):
         ("p5", p5),
         ("far_empty", far_empty),
         ("rank_zero", RANK_ZERO),
+        ("hirzebruch_2_70", HIRZEBRUCH_2_70),
         ("u23_matroid", {"m": 3, "bases": [[1, 2], [1, 3], [2, 3]]}),
         ("chain", {"terms": [{"coeff": 2, "vertices": [[0, 0], [1, 0], ["1/1", "2/2"]]}]}),
         ("mixed_chain", {"terms": [{"coeff": 1, "vertices": [[0, 0], [1, 0]]},
@@ -357,7 +363,9 @@ def test_negative_vector_after_a_space_reads_as_after_equals(files, capsys, argv
     assert run(capsys, *argv[:-2], f"{argv[-2]}={argv[-1]}") == (code, out)
 
 
-# the README examples, byte for byte: reports stay identical across refactors
+# the README examples, byte for byte: reports stay identical across
+# refactors; and the reports at one character of a bundle whose fan has a
+# ray entry beyond int64, whose one-point box the kernel sums exactly
 GOLDEN = [
     ("chi --bundle fano",
      '{"box": [[-3, -3], [3, 3]], "chi_total": 27}'),
@@ -371,6 +379,16 @@ GOLDEN = [
      '{"box": [[-2, -2], [2, 2]], "chi_total": 8}'),
     ("alpha-eval --bundle u23_bundle",
      '{"alpha_total": 8, "box": [[-2, -2], [2, 2]]}'),
+    ("chi --bundle hirzebruch_2_70 --u 0,0",
+     '{"chi_u": 2, "h0_by_codim": [8, 8, 2], "u": [0, 0]}'),
+    ("h0 --bundle hirzebruch_2_70 --u 0,0",
+     '{"h0_u": 2, "u": [0, 0]}'),
+    ("alpha-eval --bundle hirzebruch_2_70 --u 0,0",
+     '{"alpha_u": 2, "chi_u": 2, "equal": true, "u": [0, 0]}'),
+    ("chi --bundle hirzebruch_2_70 --u 1,1",
+     '{"chi_u": -1, "h0_by_codim": [1, 4, 2], "u": [1, 1]}'),
+    ("h0 --bundle hirzebruch_2_70 --u 1,1",
+     '{"h0_u": 0, "u": [1, 1]}'),
 ]
 
 
@@ -697,6 +715,7 @@ FUZZ_BASES = {
               "matroid": {"m": 3, "bases": [[1, 2], [1, 3], [2, 3]]},
               "diagram": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 0]]},
     "rank_zero": RANK_ZERO,
+    "hirzebruch_2_70": HIRZEBRUCH_2_70,
     "chain": {"terms": [{"coeff": 2, "vertices": [[0, 0], [1, 0], ["1/1", "2/2"]]},
                         {"coeff": -1, "vertices": [[0, 0], [3, 1]]}]},
 }

@@ -58,6 +58,7 @@ from conftest import (
     affine_rank,
     closure_polytope_faces,
     cross_nullvec,
+    dot_product_facet_masks,
     fresh_cut,
     fresh_dual,
     fresh_faces,
@@ -439,11 +440,17 @@ def cone_cases(draw):
 
 
 def _assert_equals_fresh(got, want):
-    """Rays, lineality, dual and faces equal to the fresh route's, exactly,
-    and each face of the dimension `span_dim` gives on its rays."""
+    """Rays, lineality, dual, facet masks (of the cone and of its dual,
+    which may have lineality) and faces equal to the fresh route's,
+    exactly, each face of the dimension `span_dim` gives on its rays, and
+    an exact cone is its dual's dual."""
     assert (got.rays, got.lineality) == (want.rays, want.lineality)
     dual, fresh = got.dual, fresh_dual(got)
     assert (dual.rays, dual.lineality) == (fresh.rays, fresh.lineality)
+    assert got._facet_masks() == dot_product_facet_masks(got)
+    assert dual._facet_masks() == dot_product_facet_masks(dual)
+    if got._is_exact():
+        assert dual.dual == got
     if not got.lineality:
         assert got.face_dims() == {
             face: span_dim(got.rays[i] for i in face) for face in fresh_faces(got)

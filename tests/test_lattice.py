@@ -789,6 +789,7 @@ def test_face_dims_and_fan_check_equal_cone_dims_and_the_double_dual(cone):
     else:
         assert double_dual_verdict(cone) == "pointed"
         assert fan.cone_dims == dims
+        assert cone.dual.dual == cone
 
 
 def test_cones_reach_every_double_dual_verdict():
@@ -836,6 +837,16 @@ def test_refined_rays_and_keys_equal_the_list_route(case):
     rays, keys = list_refinement(fan, normals)
     assert refined.rays == rays
     assert set(refined.maximal_keys) == keys
+    # each piece the refinement handed over equals a cone built fresh on
+    # the fan's rays of its key
+    for key in refined.maximal_keys:
+        cone = refined.cone(key)
+        fresh = Cone([rays[i] for i in sorted(key)], fan.ambient_dim)
+        assert cone.rays == fresh.rays
+        assert cone._facet_masks() == fresh._facet_masks()
+        assert (cone.dual.rays, cone.dual.lineality) == (fresh.dual.rays, fresh.dual.lineality)
+        assert fresh._inverse is not None
+        assert refined.cone_inverse(key) == fresh._inverse
 
 
 # ---------------------------------------------------------------------------
@@ -889,10 +900,10 @@ def test_facets_and_completeness_with_a_lower_dimensional_maximal_cone():
 @given(cones())
 def test_exactness_facets_and_completeness_on_any_ray_set(cone):
     # the fan check refuses cones that are not pointed or have a ray that is
-    # not extreme, so the routes meet those through a fan given the cone's
-    # dual, which is taken on trust
+    # not extreme, so the routes meet those through a fan given the cone,
+    # which is taken on trust
     key = frozenset(range(len(cone.rays)))
-    fan = Fan(cone.rays, [key], cone.ambient_dim, duals={key: cone.dual})
+    fan = Fan(cone.rays, [key], cone.ambient_dim, cones={key: cone})
     assert cone._is_exact() == face_set_extreme(cone) == (
         double_dual_verdict(cone) == "pointed")
     _assert_routes_equal_face_set_oracles(fan)
@@ -900,25 +911,25 @@ def test_exactness_facets_and_completeness_on_any_ray_set(cone):
 
 def test_a_fan_given_duals_is_not_checked():
     # the star pentagon covers the plane twice and is refused when checked;
-    # given the duals of its cones it is taken as it is
+    # given its cones it is taken as it is
     star = [(1, 0), (1, 3), (-3, 1), (-3, -2), (1, -3)]
     cones_ = [[i, (i + 2) % 5] for i in range(5)]
     with pytest.raises(ValidationError, match="do not meet in a face"):
         Fan(star, cones_)
-    duals = {frozenset(c): Cone([star[i] for i in sorted(c)], 2).dual for c in cones_}
-    assert len(Fan(star, cones_, duals=duals).maximal_keys) == 5
+    given = {frozenset(c): Cone([star[i] for i in sorted(c)], 2) for c in cones_}
+    assert len(Fan(star, cones_, cones=given).maximal_keys) == 5
 
 
 def test_a_fan_given_duals_keeps_every_listed_key(p2_fan):
-    # refine_by_hyperplanes builds its keys maximal, so a fan given duals
-    # keeps each listed key as a maximal key, even a listed face; a fan
-    # built without duals still drops the face
+    # refine_by_hyperplanes builds its keys maximal, so a fan given its
+    # cones keeps each listed key as a maximal key, even a listed face; a
+    # fan built without them still drops the face
     refined = refine_by_hyperplanes(p2_fan, [(1, -1), (1, 2)])
     keys = list(refined.maximal_keys)
-    assert set(keys) == set(refined._duals)
+    assert set(keys) == set(refined._cones)
     face = min(f for f in refined.cone_faces[keys[0]] if len(f) == 1)
     listed = keys + [face, keys[0]]
-    trusted = Fan(refined.rays, listed, duals=refined._duals)
+    trusted = Fan(refined.rays, listed, cones=refined._cones)
     assert set(trusted.maximal_keys) == set(keys) | {face}
     assert set(Fan(refined.rays, listed).maximal_keys) == set(keys)
 

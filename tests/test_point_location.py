@@ -44,9 +44,9 @@ PROPERTY_SETTINGS = settings(max_examples=80, deadline=None, derandomize=True)
 HALF_PLANE_RAYS = [(1, 0), (-1, 0), (0, 1)]
 # the closed upper half-plane as one cone, which holds the line of the
 # first axis: the fan check refuses a cone that is not pointed, but a fan
-# given the cone's dual takes it as it is
-HALF_PLANE_FAN = Fan(HALF_PLANE_RAYS, [[0, 1, 2]], 2, duals={
-    frozenset(range(3)): Cone(HALF_PLANE_RAYS, 2).dual,
+# given the cone takes it as it is
+HALF_PLANE_FAN = Fan(HALF_PLANE_RAYS, [[0, 1, 2]], 2, cones={
+    frozenset(range(3)): Cone(HALF_PLANE_RAYS, 2),
 })
 LOCATION_FANS = {**FANS, **CHARACTER_FANS, "cube4": CUBE4_FAN}
 _DROPPED = {}
