@@ -276,8 +276,7 @@ def _halfspace_blocks(box, normals, rows, what):
     reach = max((dot(sides, map(abs, n)) for n in normals), default=0)
     if reach >= INT64_SAFE:
         raise BoxTooLargeError(f"{what} would leave the exact int64 range of the kernel")
-    entries = normals if all(sides) else [
-        [x if s else 0 for x, s in zip(n, sides)] for n in normals]
+    entries = [[x if s else 0 for x, s in zip(n, sides)] for n in normals]
     normal_rows = np.array(entries, dtype=np.int64).reshape(len(normals), len(lo))
     row_normal = np.array([k for k, _ in rows], dtype=np.intp)
     shift = [dot(n, lo) for n in normals]

@@ -33,8 +33,7 @@ each maximal cone's record by the facet rows of each other one and reads
 the meet's rays off the result, without building the meet as a cone.
 That way the fan check's pairwise meets, the pieces of
 `refine_by_hyperplanes` and the refined fan's faces start no new double
-description.  A cut refuses a normal of the wrong length before it cuts
-anything.
+description.  A cut refuses a normal of the wrong length before any cut.
 `refine_by_hyperplanes` cuts every maximal cone by one list of
 hyperplanes, or each by its own list from a map keyed by maximal cone
 (`chains.split_branches` passes each cone the differences of its own
@@ -323,8 +322,7 @@ class Cone:
 
     @classmethod
     def _from_record(cls, rows, rays, dim) -> "Cone":
-        """The exact cone of a finished double description in dimension
-        dim: its rays, in order, each with the mask of `rows` tight on it."""
+        """The exact cone of a record: rows, and rays with their masks."""
         cone = cls([v for v, _ in rays], dim)
         cone._start = (rows, rays)
         cone._exact = True
@@ -354,7 +352,7 @@ class Cone:
         description of the generators, whose first rows are the rays."""
         if self._dual is None:
             if self._start is not None:
-                rays, lin, self._facets = self._dual_from_tight()
+                rays, lin, self._facets = self._dual_from_record()
             else:
                 found, lin, record = _double_description(
                     _distinct_rows(self.generators), self.ambient_dim
@@ -367,7 +365,7 @@ class Cone:
             self._dual = Cone(rays, self.ambient_dim, lineality=lin)
         return self._dual
 
-    def _dual_from_tight(self):
+    def _dual_from_record(self):
         """(rays, lineality, facet masks) of the dual of a cone made from
         its record, without a double description.
 
@@ -522,7 +520,7 @@ class Fan:
     construction, unless `cones` is given: it maps maximal cone keys of a
     fan known by construction, such as a common refinement, to their
     `Cone`s, each listing its rays in index order, which the fan uses as
-    given; a key mapped to None or not mapped gets a cone on its rays.
+    given; a key not mapped gets a cone on its rays.
     """
 
     def __init__(self, rays, maximal_cones, ambient_dim=None, *, cones=None):
@@ -557,8 +555,10 @@ class Fan:
         self.cone_faces = {}
         for key in maximal:
             ordered = sorted(key)
+            if self._make_cone(key).rays != tuple(rays[i] for i in ordered):
+                raise ValidationError("cone {} does not list its rays in index order", key)
             faces = self.cone_faces[key] = set()
-            for z, dim in self._make_cone(key)._lattice().items():
+            for z, dim in self._cones[key]._lattice().items():
                 face = frozenset(ordered[i] for i in _bits(z))
                 faces.add(face)
                 cone_dims.setdefault(face, dim)
@@ -575,7 +575,7 @@ class Fan:
             self._validate(listed)
 
     def _make_cone(self, key) -> Cone:
-        if self._cones.get(key) is None:
+        if key not in self._cones:
             self._cones[key] = Cone(tuple(self.rays[i] for i in sorted(key)), self.ambient_dim)
         return self._cones[key]
 
@@ -663,8 +663,7 @@ class Fan:
 
     def cone_inverse(self, key):
         """(positions, pivots, A, d) of a cone, the `_pivot_inverse` record
-        its dual's double description started from, or of its own rays when
-        its dual was read off a record or never computed.
+        its dual's double description started from, or of its own rays.
 
         positions are the places, in sorted(key), of the k independent rays
         that `echelon` keeps (all of them on a simplicial cone), pivots are
@@ -677,7 +676,7 @@ class Fan:
         both lists are range(n) and A is the inverse of the cone's rays.
         """
         cone = self._make_cone(frozenset(key))
-        if cone._inverse is None:
+        if cone._inverse is None:  # the dual was read off a record or never computed
             cone._inverse = _pivot_inverse(cone.rays, self.ambient_dim)[1]
         return cone._inverse
 
@@ -829,16 +828,17 @@ def refine_by_hyperplanes(f: Fan, normals) -> Fan:
     new_rays = new_rays[:old] + sorted(new_rays[old:])
     index = {r: i for i, r in enumerate(new_rays)}
     # the fan takes each piece with its rays in index order: as it is, or
-    # re-listed with the masks of its record; a piece without a record
-    # goes as None, which the fan builds from its rays
-    cones = {}
+    # re-listed with its record's masks; else it builds the piece itself
+    keys, cones = [], {}
     for c in pieces:
         at = [index[r] for r in c.rays]
-        rec = c._start
-        if rec is not None and at != sorted(at):
-            c = Cone._from_record(rec[0], [r for _, r in sorted(zip(at, rec[1]))], f.ambient_dim)
-        cones[frozenset(at)] = None if rec is None else c
-    return Fan(new_rays, list(cones), f.ambient_dim, cones=cones)
+        keys.append(frozenset(at))
+        if at == sorted(at):
+            cones[keys[-1]] = c
+        elif c._start is not None:
+            cones[keys[-1]] = Cone._from_record(
+                c._start[0], [r for _, r in sorted(zip(at, c._start[1]))], f.ambient_dim)
+    return Fan(new_rays, keys, f.ambient_dim, cones=cones)
 
 
 def _hyperplanes(normals, dim):

@@ -918,6 +918,10 @@ def test_a_fan_given_duals_is_not_checked():
         Fan(star, cones_)
     given = {frozenset(c): Cone([star[i] for i in sorted(c)], 2) for c in cones_}
     assert len(Fan(star, cones_, cones=given).maximal_keys) == 5
+    # a given cone must list its rays in the fan's index order
+    turned = {**given, frozenset({0, 2}): Cone([star[2], star[0]], 2)}
+    with pytest.raises(ValidationError, match="index order"):
+        Fan(star, cones_, cones=turned)
 
 
 def test_a_fan_given_duals_keeps_every_listed_key(p2_fan):
